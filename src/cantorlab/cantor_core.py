@@ -7,6 +7,15 @@ transition targets.  The attractor is the set of points whose full
 forward orbit stays inside the pieces; depth-n covers are the connected
 components of the n-th preimage of the piece union.
 
+Every cover is read off one cylinder tree.  A node holds the composite of
+inverse branches along its address and its interval; one child step
+composes that with the set's precomputed inverse branch of the last
+symbol and applies it to each target piece.  `refine` and
+`refine_to_length` expand the tree level by level under a split rule
+(by depth, or by length up to a maximum depth), `maxlen_at_depth` runs a
+pruned depth-first search over the same step, and `contains` follows a
+single path down it.
+
 Exactness policy: affine data given as integers or fractions is kept in
 rational arithmetic all the way through cover construction, so cover
 endpoints are exact.  Moebius branches are composed as integer 2x2
@@ -16,13 +25,12 @@ finally produced.
 
 from __future__ import annotations
 
-import csv
 import json
-import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -76,16 +84,6 @@ class Interval:
     @property
     def length(self) -> Num:
         return self.hi - self.lo
-
-    @property
-    def midpoint(self) -> Num:
-        return (self.lo + self.hi) / 2
-
-    def contains_point(self, x: Num, slack: Num = 0) -> bool:
-        return self.lo - slack <= x <= self.hi + slack
-
-    def intersects(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
 
     def as_floats(self) -> tuple[float, float]:
         return float(self.lo), float(self.hi)
@@ -242,12 +240,10 @@ class RegularCantorSet:
         full = tuple(range(self.n_pieces))
         return all(t == full for t in self.transitions)
 
-    def target_hull(self, j: int) -> Interval:
-        ts = self.transitions[j]
-        return Interval(self.pieces[ts[0]].lo, self.pieces[ts[-1]].hi)
-
-    def inverse_branch(self, j: int) -> MapLike:
-        return self.branches[j].inverse()
+    @cached_property
+    def inverses(self) -> tuple[MapLike, ...]:
+        """Inverse branch of each piece, computed once per set."""
+        return tuple(b.inverse() for b in self.branches)
 
     def identity_map(self) -> MapLike:
         return AffineMap.identity() if self.is_affine else MoebiusMap.identity()
@@ -411,6 +407,14 @@ def build_affine(
     return _finish_build(ivs, rows, branches, exact)
 
 
+def _gauss_hull_surds(n: int) -> tuple[QuadraticSurd, QuadraticSurd]:
+    """Exact hull endpoints [0; n,1,n,1,...] and [0; 1,n,1,n,...] of the
+    continued-fraction set with partial quotients in 1..n."""
+    # y_min solves n*y^2 + n*y - 1 = 0
+    y_min = QuadraticSurd.quadratic_root(n, n, -1, branch=+1)
+    return y_min, (QuadraticSurd.from_rational(1) + y_min).inverse()
+
+
 def gauss_cantor(digit_bound: int) -> RegularCantorSet:
     """Continued-fraction Cantor set with partial quotients in 1..digit_bound.
 
@@ -423,9 +427,7 @@ def gauss_cantor(digit_bound: int) -> RegularCantorSet:
     n = int(digit_bound)
     if n < 2:
         raise ValidationError("digit bound must be >= 2; one symbol gives a single point")
-    # y_min = [0; n,1,n,1,...] solves n*y^2 + n*y - 1 = 0
-    y_min = QuadraticSurd.quadratic_root(n, n, -1, branch=+1)
-    y_max = (QuadraticSurd.from_rational(1) + y_min).inverse()
+    y_min, y_max = _gauss_hull_surds(n)
     pieces = []
     branches = []
     # digit-a cylinder sits left of digit-(a-1): iterate high digit first
@@ -516,25 +518,58 @@ class Cover:
         return Interval(self.intervals[0].lo, self.intervals[-1].hi)
 
 
-def _address_str(addr: tuple[int, ...]) -> str:
-    return "-".join(str(a) for a in addr)
+# A node of the cylinder tree: (last symbol, composite of inverse branches,
+# address, interval).  The interval is the composite applied to the piece
+# of the last symbol; the roots are the pieces themselves.  A node at
+# depth d has an address of length d + 1.
+_Node = tuple[int, MapLike, tuple[int, ...], Interval]
 
 
-def cover_to_csv(cover: Cover, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["depth", "address", "lo", "hi"])
-        for iv, addr in zip(cover.intervals, cover.addresses):
-            writer.writerow([len(addr) - 1, _address_str(addr), repr(float(iv.lo)), repr(float(iv.hi))])
+def _roots(K: RegularCantorSet) -> list[_Node]:
+    identity = K.identity_map()
+    return [(j, identity, (j,), K.pieces[j]) for j in range(K.n_pieces)]
 
 
-def _sorted_cover(depth: int, items: list[tuple[Interval, tuple[int, ...]]], uniform: bool) -> Cover:
-    items.sort(key=lambda it: float(it[0].lo))
+def _children(K: RegularCantorSet, node: _Node) -> list[_Node]:
+    """Child cylinders of a node, in transition order."""
+    last, comp, addr, _iv = node
+    deeper = comp.compose(K.inverses[last])
+    return [(k, deeper, addr + (k,), deeper.apply_interval(K.pieces[k])) for k in K.transitions[last]]
+
+
+def _expand(K: RegularCantorSet, split: Callable[[_Node], bool], limit: int) -> list[_Node]:
+    """Leaves of the cylinder tree cut by `split`, expanded level by level.
+
+    Every frontier node for which split(node) holds is replaced by its
+    children; the others become leaves.  Every node has at least one
+    child, so leaves plus frontier never shrink, and passing `limit`
+    after some level means the finished cover passes it too.
+    """
+    leaves: list[_Node] = []
+    frontier = _roots(K)
+    while frontier:
+        deeper: list[_Node] = []
+        for node in frontier:
+            if split(node):
+                deeper.extend(_children(K, node))
+            else:
+                leaves.append(node)
+        frontier = deeper
+        if len(leaves) + len(frontier) > limit:
+            raise BudgetExceeded(f"cover needs more than {limit} intervals (budget)")
+    return leaves
+
+
+def _sorted_cover(leaves: list[_Node], eps_len: float, what: str) -> Cover:
+    if any(float(iv.length) < eps_len for _, _, _, iv in leaves):
+        raise PrecisionLoss(f"{what} has intervals below the length floor {eps_len}")
+    leaves.sort(key=lambda node: float(node[3].lo))
+    depths = {len(addr) - 1 for _, _, addr, _ in leaves}
     return Cover(
-        depth=depth,
-        intervals=tuple(iv for iv, _ in items),
-        addresses=tuple(addr for _, addr in items),
-        uniform=uniform,
+        depth=max(depths),
+        intervals=tuple(iv for _, _, _, iv in leaves),
+        addresses=tuple(addr for _, _, addr, _ in leaves),
+        uniform=len(depths) == 1,
     )
 
 
@@ -551,20 +586,7 @@ def refine(K: RegularCantorSet, n: int, *, budget: int | None = None, eps_len: f
     count = K.admissible_count(n, cap=limit)
     if count > limit:
         raise BudgetExceeded(f"depth-{n} cover needs {count}+ intervals, budget {limit}")
-    nodes: list[tuple[int, MapLike, tuple[int, ...], Interval]] = [
-        (j, K.identity_map(), (j,), K.pieces[j]) for j in range(K.n_pieces)
-    ]
-    for _ in range(n):
-        next_nodes = []
-        for last, comp, addr, _iv in nodes:
-            deeper = comp.compose(K.inverse_branch(last))
-            for k in K.transitions[last]:
-                next_nodes.append((k, deeper, addr + (k,), deeper.apply_interval(K.pieces[k])))
-        nodes = next_nodes
-    items = [(iv, addr) for _, _, addr, iv in nodes]
-    if any(float(iv.length) < eps_len for iv, _ in items):
-        raise PrecisionLoss(f"depth-{n} cover has intervals below the length floor {eps_len}")
-    return _sorted_cover(n, items, uniform=True)
+    return _sorted_cover(_expand(K, lambda node: len(node[2]) <= n, limit), eps_len, f"depth-{n} cover")
 
 
 def refine_to_length(
@@ -584,30 +606,13 @@ def refine_to_length(
     """
     if target_length < eps_len:
         raise PrecisionLoss(f"target length {target_length} below floor {eps_len}")
-    limit = resolve_budget(budget)
-    out: list[tuple[Interval, tuple[int, ...]]] = []
-    deepest = 0
-    stack: list[tuple[int, MapLike, tuple[int, ...], Interval]] = [
-        (j, K.identity_map(), (j,), K.pieces[j]) for j in reversed(range(K.n_pieces))
-    ]
-    while stack:
-        last, comp, addr, iv = stack.pop()
-        depth = len(addr) - 1
-        if float(iv.length) <= target_length or depth >= max_depth:
-            out.append((iv, addr))
-            deepest = max(deepest, depth)
-            if len(out) > limit:
-                raise BudgetExceeded(
-                    f"length-balanced cover exceeds budget {limit} at target {target_length}"
-                )
-            continue
-        deeper = comp.compose(K.inverse_branch(last))
-        for k in reversed(K.transitions[last]):
-            stack.append((k, deeper, addr + (k,), deeper.apply_interval(K.pieces[k])))
-    if any(float(iv.length) < eps_len for iv, _ in out):
-        raise PrecisionLoss(f"length-balanced cover fell below the length floor {eps_len}")
-    uniform = len({len(addr) for _, addr in out}) == 1
-    return _sorted_cover(deepest, out, uniform=uniform)
+
+    def split(node: _Node) -> bool:
+        _last, _comp, addr, iv = node
+        return not (float(iv.length) <= target_length or len(addr) > max_depth)
+
+    leaves = _expand(K, split, resolve_budget(budget))
+    return _sorted_cover(leaves, eps_len, "length-balanced cover")
 
 
 def maxlen_at_depth(K: RegularCantorSet, n: int) -> Num:
@@ -620,21 +625,16 @@ def maxlen_at_depth(K: RegularCantorSet, n: int) -> Num:
     if n < 0:
         raise ValidationError("depth must be >= 0")
     best: Num = 0
-    stack: list[tuple[int, MapLike, int, Interval]] = [
-        (j, K.identity_map(), 0, K.pieces[j]) for j in range(K.n_pieces)
-    ]
+    stack = _roots(K)
     while stack:
-        last, comp, depth, iv = stack.pop()
-        if iv.length <= best:
+        node = stack.pop()
+        length = node[3].length
+        if length <= best:
             continue
-        if depth == n:
-            best = iv.length
+        if len(node[2]) == n + 1:
+            best = length
             continue
-        deeper = comp.compose(K.inverse_branch(last))
-        children = [
-            (k, deeper, depth + 1, deeper.apply_interval(K.pieces[k]))
-            for k in K.transitions[last]
-        ]
+        children = _children(K, node)
         children.sort(key=lambda c: float(c[3].length))
         stack.extend(children)
     return best
@@ -667,21 +667,19 @@ def contains(K: RegularCantorSet, x: Num, n: int) -> MembershipResult:
     xf = float(x)
     guard = 1e-12 * max(1.0, abs(float(K.hull.length)))
 
-    def pick(children: list[tuple[int, MapLike, Interval]]):
-        for item in children:
-            lo, hi = item[2].as_floats()
+    def pick(nodes: list[_Node]) -> _Node | None:
+        for node in nodes:
+            lo, hi = node[3].as_floats()
             if lo - guard <= xf <= hi + guard:
-                return item
+                return node
         return None
 
-    state = pick([(j, K.identity_map(), K.pieces[j]) for j in range(K.n_pieces)])
-    if state is None:
+    node = pick(_roots(K))
+    if node is None:
         return MembershipResult(False, 0)
     for depth in range(1, n + 1):
-        last, comp, _iv = state
-        deeper = comp.compose(K.inverse_branch(last))
-        state = pick([(k, deeper, deeper.apply_interval(K.pieces[k])) for k in K.transitions[last]])
-        if state is None:
+        node = pick(_children(K, node))
+        if node is None:
             return MembershipResult(False, depth)
     return MembershipResult(True, n)
 

@@ -20,10 +20,12 @@ Configuration precedence: command-line flags > ``--config`` JSON file >
 built-in defaults.  Config file keys use the flag names with underscores
 (``set1``, ``depth_max``, ``lam`` — ``lambda`` is accepted as an alias).
 
-Exit codes: 0 success, 2 budget exhaustion, 3 invalid configuration or
-validation failure (including missing files, which are reported by
-path).  The environment variable ``CANTORLAB_BUDGET`` overrides the
-default interval budget when no ``--budget`` flag is given.
+Exit codes: 0 success, 2 budget exhaustion, 3 invalid arguments,
+invalid configuration or validation failure (including missing files,
+which are reported by path).  The environment variable
+``CANTORLAB_BUDGET`` overrides the default interval budget when no
+``--budget`` flag is given.  ``--jobs`` (worker processes) exists on
+``marstrand`` only.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -83,6 +84,7 @@ from .setops import (
     marstrand_scan,
 )
 from .spectra import (
+    HALL_TARGET,
     CFSequence,
     hall_halfline_probe,
     k_alpha,
@@ -97,10 +99,6 @@ EXIT_OK = 0
 EXIT_BUDGET = 2
 EXIT_INVALID = 3
 
-# Endpoints of the interval filled by the sum of two copies of the
-# digit-bound-4 continued-fraction set: [sqrt(2)-1, 4*(sqrt(2)-1)].
-HALL_TARGET = (math.sqrt(2.0) - 1.0, 4.0 * (math.sqrt(2.0) - 1.0))
-
 # Keys that never enter the inputs digest: output locations and the
 # parallelism degree do not affect the numbers.
 _NON_DIGEST_KEYS = {"config", "out", "csv", "cert_out", "jobs"}
@@ -110,7 +108,6 @@ _COMMON_DEFAULTS = {
     "out": None,
     "csv": None,
     "budget": None,
-    "jobs": None,
 }
 
 DEFAULTS: dict[str, dict] = {
@@ -153,6 +150,7 @@ DEFAULTS: dict[str, dict] = {
         "res_exp_hi": 12,
         "theta": 0.1,
         "seed": 0,
+        "jobs": None,
     },
     "intersect": {
         "set1": "ternary",
@@ -690,7 +688,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="write the JSON result record here")
         sp.add_argument("--csv", help="write the per-row CSV artifact here")
         sp.add_argument("--budget", type=int, help="interval/cell budget")
-        sp.add_argument("--jobs", type=int, help="parallel workers")
         return sp
 
     def add_set(sp, prefix="set"):
@@ -738,6 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--res-exp-hi", dest="res_exp_hi", type=int)
     sp.add_argument("--theta", type=float)
     sp.add_argument("--seed", type=int)
+    sp.add_argument("--jobs", type=int, help="parallel workers")
 
     sp = add("intersect", "cover intersection and thickness certificate at t")
     add_pair(sp)
@@ -877,7 +875,11 @@ def _emit(record: dict, out_path: str | None) -> None:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed usage or help; a usage error is invalid input
+        return EXIT_OK if exc.code in (0, None) else EXIT_INVALID
     ns = vars(args)
     try:
         record, out_path = run(ns["command"], ns)

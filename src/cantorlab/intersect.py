@@ -33,7 +33,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -56,7 +56,7 @@ from .errors import (
     TZeroNotInDifference,
     ValidationError,
 )
-from .setops import IntervalUnion, cover_sum, merge_intervals
+from .setops import _grid_cells, cover_sum, merge_intervals
 
 GRID_SNAP_EPS = 1e-9
 MAX_SWEEPS = 10_000
@@ -118,12 +118,6 @@ class DifferenceProfile:
     ts: tuple[float, ...]
     outcomes: tuple[IntersectionOutcome, ...]
     depth: int
-
-    def overlap_mask(self) -> np.ndarray:
-        return np.array([not o.disjoint for o in self.outcomes], dtype=bool)
-
-    def overlap_fraction(self) -> float:
-        return float(np.mean(self.overlap_mask()))
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -244,24 +238,6 @@ def gap_lemma_test(
 
 
 @dataclass(frozen=True)
-class RelativePosition:
-    """Placement of one renormalized cylinder against another.
-
-    In the unit frame of the first cylinder, the second occupies
-    [t, t + e^s]; orientation is +1 when both cylinders kept their
-    original orientation.
-    """
-
-    s: float
-    t: float
-    orientation: int = +1
-
-    @property
-    def second_hull(self) -> Interval:
-        return Interval(self.t, self.t + math.exp(self.s))
-
-
-@dataclass(frozen=True)
 class PositionRegion:
     """Surviving (s, t) cells per cylinder-type pair, with witnesses.
 
@@ -286,20 +262,6 @@ class PositionRegion:
     def n_members(self) -> int:
         return int(self.mask.sum())
 
-    def member_positions(self) -> list[tuple[int, int, float, float]]:
-        """Cell-center positions (j1, j2, s, t) of all member cells."""
-        out = []
-        for j1, j2, i, k in zip(*np.nonzero(self.mask)):
-            out.append(
-                (
-                    int(j1),
-                    int(j2),
-                    self.s0 + (int(i) + 0.5) * self.hs,
-                    self.t0 + (int(k) + 0.5) * self.ht,
-                )
-            )
-        return out
-
 
 @dataclass(frozen=True)
 class SearchOutcome:
@@ -313,7 +275,7 @@ def _child_tables(K: RegularCantorSet) -> list[list[tuple[int, float, float, flo
     type k inside piece j, in the unit frame of piece j."""
     tables: list[list[tuple[int, float, float, float]]] = []
     for j in range(K.n_pieces):
-        inv = K.inverse_branch(j)
+        inv = K.inverses[j]
         piece = K.pieces[j]
         row = []
         for k in K.transitions[j]:
@@ -419,6 +381,16 @@ def recurrent_compact_search(
                     )
             moves[(j1, j2)] = entries
 
+    def prefix_sums(mask: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
+        """Summed-area table of the mask, per cylinder-type pair."""
+        integrals = {}
+        for k1 in range(r1):
+            for k2 in range(r2):
+                s = np.zeros((ns + 1, nt + 1), dtype=np.int64)
+                np.cumsum(np.cumsum(mask[k1, k2].astype(np.int64), axis=0), axis=1, out=s[1:, 1:])
+                integrals[(k1, k2)] = s
+        return integrals
+
     def box_all_true(summed: np.ndarray, mv: dict) -> np.ndarray:
         is_lo = np.clip(mv["is_lo"], 0, ns - 1)
         is_hi = np.clip(mv["is_hi"], 0, ns - 1)
@@ -438,12 +410,7 @@ def recurrent_compact_search(
         sweeps += 1
         if sweeps > MAX_SWEEPS:
             raise BudgetExceeded(f"fixed-point iteration exceeded {MAX_SWEEPS} sweeps")
-        integrals = {}
-        for k1 in range(r1):
-            for k2 in range(r2):
-                s = np.zeros((ns + 1, nt + 1), dtype=np.int64)
-                np.cumsum(np.cumsum(mask[k1, k2].astype(np.int64), axis=0), axis=1, out=s[1:, 1:])
-                integrals[(k1, k2)] = s
+        integrals = prefix_sums(mask)
         new_mask = np.zeros_like(mask)
         for (j1, j2), entries in moves.items():
             support = np.zeros((ns, nt), dtype=bool)
@@ -459,12 +426,7 @@ def recurrent_compact_search(
 
     witness_k1 = np.full(mask.shape, -1, dtype=np.int64)
     witness_k2 = np.full(mask.shape, -1, dtype=np.int64)
-    integrals = {}
-    for k1 in range(r1):
-        for k2 in range(r2):
-            s = np.zeros((ns + 1, nt + 1), dtype=np.int64)
-            np.cumsum(np.cumsum(mask[k1, k2].astype(np.int64), axis=0), axis=1, out=s[1:, 1:])
-            integrals[(k1, k2)] = s
+    integrals = prefix_sums(mask)
     for (j1, j2), entries in moves.items():
         unfilled = mask[j1, j2].copy()
         for mv in entries:
@@ -728,16 +690,8 @@ def _union_box_estimate(los: np.ndarray, his: np.ndarray, finest_scale: float) -
     if len(los) == 0:
         return 0.0
     k_max = min(20, max(4, int(math.floor(-math.log2(max(finest_scale, 1e-18))))))
-    radii, counts = [], []
-    for k in range(3, k_max + 1):
-        r = 2.0**-k
-        klo = np.floor(los / r).astype(np.int64)
-        khi = np.floor(his / r).astype(np.int64)
-        cells = int(np.sum(khi - klo + 1))
-        if len(klo) > 1:
-            cells -= int(np.sum(klo[1:] == khi[:-1]))
-        radii.append(r)
-        counts.append(cells)
+    radii = [2.0**-k for k in range(3, k_max + 1)]
+    counts = [_grid_cells(los, his, r) for r in radii]
     if len(set(counts)) == 1 and counts[0] == 1:
         return 0.0
     slope, _ = box_regression(radii, counts)

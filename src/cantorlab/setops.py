@@ -18,7 +18,6 @@ preserves outer-approximation semantics; it only loses sharpness.
 from __future__ import annotations
 
 import csv
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -81,9 +80,6 @@ class IntervalUnion:
     @property
     def hull(self) -> Interval:
         return Interval(float(self.los[0]), float(self.his[-1]))
-
-    def as_intervals(self) -> list[Interval]:
-        return [Interval(float(a), float(b)) for a, b in zip(self.los, self.his)]
 
 
 def merge_intervals(los: np.ndarray, his: np.ndarray, tol: float = MERGE_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -230,12 +226,17 @@ def covered_length(U: IntervalUnion, resolution: float) -> float:
     """(number of resolution-grid cells meeting U) * resolution."""
     if resolution <= 0:
         raise ValidationError("resolution must be positive")
-    klo = np.floor(U.los / resolution).astype(np.int64)
-    khi = np.floor(U.his / resolution).astype(np.int64)
+    return _grid_cells(U.los, U.his, resolution) * resolution
+
+
+def _grid_cells(los: np.ndarray, his: np.ndarray, resolution: float) -> int:
+    """Number of resolution-grid cells meeting sorted disjoint intervals."""
+    klo = np.floor(los / resolution).astype(np.int64)
+    khi = np.floor(his / resolution).astype(np.int64)
     cells = int(np.sum(khi - klo + 1))
     if len(klo) > 1:
         cells -= int(np.sum(klo[1:] == khi[:-1]))
-    return cells * resolution
+    return cells
 
 
 # ---------------------------------------------------------------------------

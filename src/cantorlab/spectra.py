@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterator
 
-from .cantor_core import resolve_budget
+from .cantor_core import _gauss_hull_surds, resolve_budget
 from .errors import (
     BudgetExceeded,
     EstimatorMismatch,
@@ -453,8 +453,10 @@ class HalflineHit:
     witness: tuple[int, ...]  # repeating digit word
 
 
-HALL_SUM_LO = 2.0 * (math.sqrt(2.0) - 1.0) / 2.0  # twice the small-digit set's min
-HALL_SUM_HI = 2.0 * 2.0 * (math.sqrt(2.0) - 1.0)  # twice its max
+# Hall's interval [sqrt(2) - 1, 4*(sqrt(2) - 1)]: twice the hull of the
+# digit-bound-4 continued-fraction set, which the sum of two copies of
+# that set fills.
+HALL_TARGET = tuple(float(2 * y) for y in _gauss_hull_surds(4))
 
 
 def _clamped_expansion(x: float, count: int) -> tuple[int, ...]:
@@ -490,7 +492,7 @@ def hall_halfline_probe(targets, depth: int = 8) -> list[HalflineHit]:
     for t in targets:
         a_big = math.floor(t - 1.0)
         s = t - a_big
-        if s > HALL_SUM_HI - 0.05:
+        if s > HALL_TARGET[1] - 0.05:
             a_big += 1
             s = t - a_big
         best: HalflineHit | None = None

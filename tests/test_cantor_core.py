@@ -142,7 +142,7 @@ def test_cf_digit_bound_must_be_at_least_two():
 def test_moebius_branches_have_unit_determinant():
     K = gauss_cantor(3)
     for j in range(K.n_pieces):
-        branch = K.inverse_branch(j)
+        branch = K.inverses[j]
         assert abs(branch.det) == 1
 
 

@@ -4,10 +4,13 @@ codes, config-file precedence, and artifact files."""
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from cantorlab.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK
+import cantorlab
+from cantorlab import gauss_cantor
+from cantorlab.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, HALL_TARGET
 
 from conftest import run_cli
 
@@ -41,14 +44,14 @@ class TestResultRecord:
         assert "jobs" not in rec["inputs"]
 
     def test_digest_deterministic_and_ignores_output_locations(self, capsys, tmp_path):
-        code, rec1, _, _ = run_cli(["thickness", "--depth", "4"], capsys)
+        argv = ["marstrand", "--n-lambdas", "2", "--depth", "3"]
+        code, rec1, _, _ = run_cli(argv + ["--jobs", "1"], capsys)
         out = tmp_path / "rec.json"
-        code2, _, stdout, _ = run_cli(
-            ["thickness", "--depth", "4", "--out", str(out), "--jobs", "2"], capsys
-        )
+        code2, _, stdout, _ = run_cli(argv + ["--out", str(out), "--jobs", "2"], capsys)
         assert code == code2 == EXIT_OK
         assert stdout == ""  # record went to the file instead
         rec2 = json.loads(out.read_text())
+        assert "jobs" not in rec1["inputs"] and "jobs" not in rec2["inputs"]
         assert rec2["inputs_digest"] == rec1["inputs_digest"]
         assert rec2["outputs"] == rec1["outputs"]
 
@@ -147,6 +150,27 @@ class TestExitCodes:
         assert code == EXIT_INVALID
         assert "budget" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["thickness", "--bogus"], ["thickness", "--depth", "notanint"], []],
+        ids=["unknown-flag", "bad-int", "no-command"],
+    )
+    def test_argument_errors_are_exit_three(self, capsys, argv):
+        code, rec, _, err = run_cli(argv, capsys)
+        assert code == EXIT_INVALID
+        assert rec is None
+        assert "error:" in err  # argparse's own message
+
+    def test_help_is_exit_zero(self, capsys):
+        code, _, out, _ = run_cli(["thickness", "--help"], capsys)
+        assert code == EXIT_OK
+        assert "usage:" in out
+
+    def test_jobs_only_on_marstrand(self, capsys):
+        code, _, _, err = run_cli(["thickness", "--jobs", "2"], capsys)
+        assert code == EXIT_INVALID
+        assert "--jobs" in err
+
 
 class TestCommands:
     def test_list_sets(self, capsys):
@@ -215,6 +239,12 @@ class TestCommands:
         assert out["max_error"] < 1e-12
         assert out["target"][0] == pytest.approx(math.sqrt(2.0) - 1.0)
 
+    def test_hall_target_is_twice_the_exact_digit_bound_four_hull(self):
+        K = gauss_cantor(4)
+        hull = (K.meta["hull_min_surd"], K.meta["hull_max_surd"])
+        assert HALL_TARGET == tuple(float(2 * y) for y in hull)
+        assert HALL_TARGET == (0.41421356237309503, 1.6568542494923801)
+
     def test_horseshoe_solve_unit(self, capsys):
         code, rec, _, _ = run_cli(
             ["horseshoe", "--solve-unit", "--expansion", "4"], capsys
@@ -246,3 +276,10 @@ class TestCommands:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "orbit_id,exponent"
         assert len(lines) == 6
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert cantorlab.__version__ == tomllib.load(fh)["project"]["version"]
