@@ -26,6 +26,7 @@ finally produced.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -560,9 +561,9 @@ def _expand(K: RegularCantorSet, split: Callable[[_Node], bool], limit: int) -> 
     return leaves
 
 
-def _sorted_cover(leaves: list[_Node], eps_len: float, what: str) -> Cover:
-    if any(float(iv.length) < eps_len for _, _, _, iv in leaves):
-        raise PrecisionLoss(f"{what} has intervals below the length floor {eps_len}")
+def _sorted_cover(leaves: list[_Node], what: str) -> Cover:
+    if any(float(iv.length) < EPS_LEN for _, _, _, iv in leaves):
+        raise PrecisionLoss(f"{what} has intervals below the length floor {EPS_LEN}")
     leaves.sort(key=lambda node: float(node[3].lo))
     depths = {len(addr) - 1 for _, _, addr, _ in leaves}
     return Cover(
@@ -573,12 +574,12 @@ def _sorted_cover(leaves: list[_Node], eps_len: float, what: str) -> Cover:
     )
 
 
-def refine(K: RegularCantorSet, n: int, *, budget: int | None = None, eps_len: float = EPS_LEN) -> Cover:
+def refine(K: RegularCantorSet, n: int, *, budget: int | None = None) -> Cover:
     """Depth-n cover of K.  Intervals are sorted by left endpoint.
 
     Raises BudgetExceeded when the admissible word count passes the
     configured budget and PrecisionLoss when any produced interval is
-    shorter than `eps_len`.
+    shorter than `EPS_LEN`.
     """
     if n < 0:
         raise ValidationError("depth must be >= 0")
@@ -586,7 +587,32 @@ def refine(K: RegularCantorSet, n: int, *, budget: int | None = None, eps_len: f
     count = K.admissible_count(n, cap=limit)
     if count > limit:
         raise BudgetExceeded(f"depth-{n} cover needs {count}+ intervals, budget {limit}")
-    return _sorted_cover(_expand(K, lambda node: len(node[2]) <= n, limit), eps_len, f"depth-{n} cover")
+    return _sorted_cover(_expand(K, lambda node: len(node[2]) <= n, limit), f"depth-{n} cover")
+
+
+def _length_cover(
+    K: RegularCantorSet, target_length: float, max_depth: int, budget: int | None
+) -> tuple[Cover, float, float]:
+    """`refine_to_length` with the range [lo, hi) of targets that split the
+    same nodes: lo is the longest leaf that stopped for being short enough
+    (at least EPS_LEN), hi the shortest node split (inf if none was)."""
+    if target_length < EPS_LEN:
+        raise PrecisionLoss(f"target length {target_length} below floor {EPS_LEN}")
+    lo, hi = EPS_LEN, math.inf
+
+    def split(node: _Node) -> bool:
+        nonlocal lo, hi
+        length = float(node[3].length)
+        if length <= target_length:
+            lo = max(lo, length)
+            return False
+        if len(node[2]) > max_depth:
+            return False
+        hi = min(hi, length)
+        return True
+
+    leaves = _expand(K, split, resolve_budget(budget))
+    return _sorted_cover(leaves, "length-balanced cover"), lo, hi
 
 
 def refine_to_length(
@@ -595,7 +621,6 @@ def refine_to_length(
     *,
     max_depth: int = 64,
     budget: int | None = None,
-    eps_len: float = EPS_LEN,
 ) -> Cover:
     """Subdivide until every interval has length <= target_length.
 
@@ -604,15 +629,7 @@ def refine_to_length(
     contraction everywhere the result coincides with a plain depth-n
     cover.
     """
-    if target_length < eps_len:
-        raise PrecisionLoss(f"target length {target_length} below floor {eps_len}")
-
-    def split(node: _Node) -> bool:
-        _last, _comp, addr, iv = node
-        return not (float(iv.length) <= target_length or len(addr) > max_depth)
-
-    leaves = _expand(K, split, resolve_budget(budget))
-    return _sorted_cover(leaves, eps_len, "length-balanced cover")
+    return _length_cover(K, target_length, max_depth, budget)[0]
 
 
 def maxlen_at_depth(K: RegularCantorSet, n: int) -> Num:

@@ -13,8 +13,7 @@ Every run emits one JSON result record::
 
 written to ``--out`` (default stdout).  Records are byte-identical for
 identical configuration and seed, apart from ``runtime_seconds``.  The
-digest covers the semantic inputs only — artifact paths and the
-parallelism degree are excluded.
+digest covers the semantic inputs only — artifact paths are excluded.
 
 Configuration precedence: command-line flags > ``--config`` JSON file >
 built-in defaults.  Config file keys use the flag names with underscores
@@ -24,8 +23,7 @@ Exit codes: 0 success, 2 budget exhaustion, 3 invalid arguments,
 invalid configuration or validation failure (including missing files,
 which are reported by path).  The environment variable
 ``CANTORLAB_BUDGET`` overrides the default interval budget when no
-``--budget`` flag is given.  ``--jobs`` (worker processes) exists on
-``marstrand`` only.
+``--budget`` flag is given.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -78,6 +75,7 @@ from .intersect import (
     verify_certificate,
 )
 from .setops import (
+    SCAN_PAIR_BUDGET,
     IntervalUnion,
     contains_interval,
     cover_sum,
@@ -99,9 +97,9 @@ EXIT_OK = 0
 EXIT_BUDGET = 2
 EXIT_INVALID = 3
 
-# Keys that never enter the inputs digest: output locations and the
-# parallelism degree do not affect the numbers.
-_NON_DIGEST_KEYS = {"config", "out", "csv", "cert_out", "jobs"}
+# Keys that never enter the inputs digest: output locations do not
+# affect the numbers.
+_NON_DIGEST_KEYS = {"config", "out", "csv", "cert_out"}
 
 _COMMON_DEFAULTS = {
     "config": None,
@@ -150,7 +148,6 @@ DEFAULTS: dict[str, dict] = {
         "res_exp_hi": 12,
         "theta": 0.1,
         "seed": 0,
-        "jobs": None,
     },
     "intersect": {
         "set1": "ternary",
@@ -251,29 +248,15 @@ def _surd_json(s):
     return {"p": s.p, "q": s.q, "r": s.r, "d": s.d, "float": float(s)}
 
 
-def _parse_int_list(text, what: str) -> tuple[int, ...]:
+def _parse_list(text, what: str, kind: type, noun: str) -> tuple:
     if isinstance(text, (list, tuple)):
         items = list(text)
     else:
         items = [p for p in str(text).replace(" ", "").split(",") if p]
     try:
-        out = tuple(int(p) for p in items)
+        out = tuple(kind(p) for p in items)
     except (TypeError, ValueError):
-        raise ConfigInvalid(f"{what} must be comma-separated integers, got {text!r}")
-    if not out:
-        raise ConfigInvalid(f"{what} is empty")
-    return out
-
-
-def _parse_float_list(text, what: str) -> tuple[float, ...]:
-    if isinstance(text, (list, tuple)):
-        items = list(text)
-    else:
-        items = [p for p in str(text).replace(" ", "").split(",") if p]
-    try:
-        out = tuple(float(p) for p in items)
-    except (TypeError, ValueError):
-        raise ConfigInvalid(f"{what} must be comma-separated numbers, got {text!r}")
+        raise ConfigInvalid(f"{what} must be comma-separated {noun}, got {text!r}")
     if not out:
         raise ConfigInvalid(f"{what} is empty")
     return out
@@ -320,6 +303,11 @@ def _union_outputs(U: IntervalUnion) -> dict:
     }
 
 
+def _pair_budget(cfg: dict, default: int | None = None) -> int | None:
+    """The --budget flag read as a pairwise budget, else `default`."""
+    return int(cfg["budget"]) if cfg["budget"] is not None else default
+
+
 def _require_positive(cfg: dict, keys) -> None:
     for k in keys:
         v = cfg.get(k)
@@ -362,10 +350,7 @@ def _cmd_sum_or_diff(cfg: dict, op: str) -> dict:
     K1, d1 = _resolve_set(cfg, "set1")
     K2, d2 = _resolve_set(cfg, "set2")
     lam = float(cfg.get("lam", 1.0))
-    pair_budget = None
-    if cfg["budget"] is not None:
-        pair_budget = int(cfg["budget"])
-    U = cover_sum(K1, K2, int(cfg["depth"]), op, lam, pair_budget=pair_budget)
+    U = cover_sum(K1, K2, int(cfg["depth"]), op, lam, pair_budget=_pair_budget(cfg))
     if cfg.get("csv"):
         _union_csv(U, cfg["csv"])
     out = _union_outputs(U)
@@ -386,8 +371,7 @@ def _cmd_hall(cfg: dict) -> dict:
     depth = int(cfg["depth"])
     margin = float(cfg["margin"])
     K = gauss_cantor(4)
-    pair_budget = int(cfg["budget"]) if cfg["budget"] is not None else None
-    U = cover_sum(K, K, depth, "+", pair_budget=pair_budget)
+    U = cover_sum(K, K, depth, "+", pair_budget=_pair_budget(cfg))
     target = Interval(HALL_TARGET[0], HALL_TARGET[1])
     ok = contains_interval(U, target, margin)
     if cfg.get("csv"):
@@ -418,12 +402,9 @@ def _cmd_marstrand(cfg: dict) -> dict:
     if e_hi < e_lo:
         raise ConfigInvalid("res_exp_hi must be >= res_exp_lo")
     resolutions = [2.0**-k for k in range(e_lo, e_hi + 1)]
-    jobs = cfg["jobs"] if cfg["jobs"] is not None else (os.cpu_count() or 1)
-    kwargs = {"theta": float(cfg["theta"]), "jobs": int(jobs)}
-    if cfg["budget"] is not None:
-        kwargs["pair_budget"] = int(cfg["budget"])
     scan = marstrand_scan(
-        K1, K2, lambdas, int(cfg["depth"]), resolutions, **kwargs
+        K1, K2, lambdas, int(cfg["depth"]), resolutions,
+        theta=float(cfg["theta"]), pair_budget=_pair_budget(cfg, SCAN_PAIR_BUDGET),
     )
     if cfg.get("csv"):
         scan.to_csv(cfg["csv"])
@@ -539,9 +520,8 @@ def _cmd_density(cfg: dict) -> dict:
     delta_max = float(cfg["delta_max"])
     _require_positive({"delta_max": delta_max, "n_deltas": n_deltas}, ["delta_max", "n_deltas"])
     deltas = [delta_max * 2.0**-k for k in range(n_deltas)]
-    pair_budget = int(cfg["budget"]) if cfg["budget"] is not None else None
     prof = tangency_density_experiment(
-        K1, K2, float(cfg["t0"]), deltas, int(cfg["depth"]), pair_budget=pair_budget
+        K1, K2, float(cfg["t0"]), deltas, int(cfg["depth"]), pair_budget=_pair_budget(cfg)
     )
     if cfg.get("csv"):
         prof.to_csv(cfg["csv"])
@@ -571,8 +551,8 @@ def _cmd_spectrum(cfg: dict) -> dict:
         }
     if not cfg.get("period"):
         raise ConfigInvalid("spectrum needs --period DIGITS or --sample")
-    period = _parse_int_list(cfg["period"], "period")
-    prefix = _parse_int_list(cfg["prefix"], "prefix") if cfg.get("prefix") else ()
+    period = _parse_list(cfg["period"], "period", int, "integers")
+    prefix = _parse_list(cfg["prefix"], "prefix", int, "integers") if cfg.get("prefix") else ()
     seq = CFSequence(prefix=prefix, period=period)
     val = k_alpha(seq, int(cfg["window"]))
     return {
@@ -587,7 +567,7 @@ def _cmd_spectrum(cfg: dict) -> dict:
 
 
 def _cmd_halfline(cfg: dict) -> dict:
-    targets = _parse_float_list(cfg["targets"], "targets")
+    targets = _parse_list(cfg["targets"], "targets", float, "numbers")
     hits = hall_halfline_probe(targets, depth=int(cfg["depth"]))
     rows = [
         {
@@ -735,7 +715,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--res-exp-hi", dest="res_exp_hi", type=int)
     sp.add_argument("--theta", type=float)
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--jobs", type=int, help="parallel workers")
 
     sp = add("intersect", "cover intersection and thickness certificate at t")
     add_pair(sp)

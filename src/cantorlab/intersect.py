@@ -39,10 +39,10 @@ from fractions import Fraction
 import numpy as np
 
 from .cantor_core import (
+    Cover,
     Interval,
     RegularCantorSet,
     build_affine,
-    maxlen_at_depth,
     refine,
     resolve_budget,
     scale_affine,
@@ -660,11 +660,7 @@ def perturb_set(
     raise ValidationError(f"no valid perturbation found within {max_tries} draws")
 
 
-def _cover_intersection_union(
-    K1: RegularCantorSet, K2: RegularCantorSet, t: float, n: int, budget: int | None
-) -> tuple[np.ndarray, np.ndarray]:
-    c1 = refine(K1, n, budget=budget)
-    c2 = refine(K2, n, budget=budget)
+def _cover_intersection_union(c1: Cover, c2: Cover, t: float) -> tuple[np.ndarray, np.ndarray]:
     a_lo, a_hi = c1.los, c1.his
     b_lo, b_hi = c2.los + t, c2.his + t
     out_lo, out_hi = [], []
@@ -738,10 +734,10 @@ def d_stable_probe(
         rng = np.random.default_rng([seed, index])
         P1 = perturb_set(K1, radius, rng)
         P2 = perturb_set(K2, radius, rng)
-        los, his = _cover_intersection_union(P1, P2, float(t), n, budget)
-        scale = max(
-            float(maxlen_at_depth(P1, n)), float(maxlen_at_depth(P2, n))
-        )
+        c1 = refine(P1, n, budget=budget)
+        c2 = refine(P2, n, budget=budget)
+        los, his = _cover_intersection_union(c1, c2, float(t))
+        scale = max(float(c1.max_length), float(c2.max_length))
         estimate = _union_box_estimate(los, his, scale)
         if estimate >= d:
             hits += 1

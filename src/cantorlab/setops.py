@@ -12,13 +12,14 @@ Pair blowup control: the two covers are refined to matching interval
 lengths (|I| of the first roughly t*|J| of the second) instead of
 matching depths, and when the pairwise count would still exceed the
 budget the common length target is coarsened until it fits.  Coarsening
-preserves outer-approximation semantics; it only loses sharpness.
+preserves outer-approximation semantics; it only loses sharpness.  Each
+distinct cover is built once per call of `cover_sum` or `marstrand_scan`
+(once for both sets when they are equal); nothing outlives the call.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,9 +28,9 @@ from .cantor_core import (
     Cover,
     Interval,
     RegularCantorSet,
+    _length_cover,
     maxlen_at_depth,
     refine,
-    refine_to_length,
     resolve_budget,
 )
 from .errors import BudgetExceeded, EmptyTarget, ValidationError
@@ -97,8 +98,8 @@ def merge_intervals(los: np.ndarray, his: np.ndarray, tol: float = MERGE_TOL) ->
     return lo_s[start_idx].copy(), hi_s[end_idx].copy()
 
 
-def union_from_cover(cover: Cover, depth: int | None = None, tol: float = MERGE_TOL) -> IntervalUnion:
-    los, his = merge_intervals(cover.los, cover.his, tol)
+def union_from_cover(cover: Cover, depth: int | None = None) -> IntervalUnion:
+    los, his = merge_intervals(cover.los, cover.his)
     return IntervalUnion(los=los, his=his, depth=cover.depth if depth is None else depth)
 
 
@@ -106,26 +107,46 @@ def union_from_cover(cover: Cover, depth: int | None = None, tol: float = MERGE_
 # pairwise combination
 
 
-def _balanced_covers(
-    K1: RegularCantorSet,
-    K2: RegularCantorSet,
-    n: int,
-    scale: float,
-    pair_budget: int,
-    strict_budget: bool,
-) -> tuple[Cover, Cover, float, bool]:
-    m1 = float(maxlen_at_depth(K1, n))
-    m2 = float(maxlen_at_depth(K2, n))
+class _SetCovers:
+    """The depth-n maximum length and the length-balanced covers of one
+    set, each built once per public call: a cover is handed out again
+    for every target in the range that reproduces it exactly."""
+
+    def __init__(self, K: RegularCantorSet, n: int, budget: int) -> None:
+        self.K = K
+        self.budget = budget
+        self.maxlen = float(maxlen_at_depth(K, n))
+        self._built: list[tuple[float, float, Cover]] = []
+
+    def cover(self, target: float) -> Cover:
+        for lo, hi, cover in self._built:
+            if lo <= target < hi:
+                return cover
+        cover, lo, hi = _length_cover(self.K, target, 64, self.budget)
+        self._built.append((lo, hi, cover))
+        return cover
+
+
+def _pair_sides(K1: RegularCantorSet, K2: RegularCantorSet, n: int, budget: int) -> tuple[_SetCovers, _SetCovers]:
+    side1 = _SetCovers(K1, n, budget)
+    return side1, side1 if K2 == K1 else _SetCovers(K2, n, budget)
+
+
+def _pair_union(
+    side1: _SetCovers, side2: _SetCovers, n: int, op: str, lam: float, strict_budget: bool
+) -> IntervalUnion:
+    """Merged union of all pairwise interval sums (lam != 0)."""
+    scale = 1.0 if op == "+" else abs(lam)
     # match granularities: both covers contribute intervals of the same
     # scale to the sum, anchored at the coarser of the two depth-n
     # granularities — refining one side far beyond the other only
     # multiplies the pair count without shrinking the outer union
-    target1 = max(m1, scale * m2) * (1.0 + 1e-12)
+    target1 = max(side1.maxlen, scale * side2.maxlen) * (1.0 + 1e-12)
     capped = False
     for _ in range(64):
         try:
-            c1 = refine_to_length(K1, target1, budget=pair_budget)
-            c2 = refine_to_length(K2, target1 / scale, budget=pair_budget)
+            c1 = side1.cover(target1)
+            c2 = side2.cover(target1 / scale)
         except BudgetExceeded:
             # one factor alone outgrew the pair budget; coarsening both
             # sides is the soft response, strict mode propagates
@@ -134,15 +155,37 @@ def _balanced_covers(
             capped = True
             target1 *= 2.0
             continue
-        if len(c1) * len(c2) <= pair_budget:
-            return c1, c2, target1, capped
+        if len(c1) * len(c2) <= side1.budget:
+            break
         if strict_budget:
             raise BudgetExceeded(
-                f"pairwise combination needs {len(c1) * len(c2)} pairs, budget {pair_budget}"
+                f"pairwise combination needs {len(c1) * len(c2)} pairs, budget {side1.budget}"
             )
         capped = True
         target1 *= 2.0
-    raise BudgetExceeded("could not balance covers within the pairwise budget")
+    else:
+        raise BudgetExceeded("could not balance covers within the pairwise budget")
+    a_lo, a_hi = c1.los, c1.his
+    if op == "+":
+        t_lo, t_hi = c2.los, c2.his
+    else:
+        x, y = -lam * c2.los, -lam * c2.his
+        t_lo, t_hi = np.minimum(x, y), np.maximum(x, y)
+    lo = (a_lo[:, None] + t_lo[None, :]).ravel()
+    hi = (a_hi[:, None] + t_hi[None, :]).ravel()
+    los, his = merge_intervals(lo, hi)
+    u = IntervalUnion(los=los, his=his, depth=n)
+    u.meta.update(
+        {
+            "op": op,
+            "lam": lam,
+            "pairs": len(a_lo) * len(t_lo),
+            "counts": (len(c1), len(c2)),
+            "target_length": target1,
+            "capped": capped,
+        }
+    )
+    return u
 
 
 def cover_sum(
@@ -154,7 +197,6 @@ def cover_sum(
     *,
     pair_budget: int | None = None,
     strict_budget: bool = False,
-    merge_tol: float = MERGE_TOL,
 ) -> IntervalUnion:
     """Outer approximation of K1 + K2 (op '+') or K1 - lam*K2 (op '-').
 
@@ -171,32 +213,10 @@ def cover_sum(
         raise ValidationError("depth must be >= 0")
     budget = pair_budget if pair_budget is not None else pair_budget_default()
     if op == "-" and lam == 0.0:
-        u = union_from_cover(refine(K1, n, budget=budget), depth=n, tol=merge_tol)
+        u = union_from_cover(refine(K1, n, budget=budget), depth=n)
         u.meta.update({"op": op, "lam": lam, "pairs": len(u)})
         return u
-    scale = 1.0 if op == "+" else abs(lam)
-    c1, c2, target1, capped = _balanced_covers(K1, K2, n, scale, budget, strict_budget)
-    a_lo, a_hi = c1.los, c1.his
-    if op == "+":
-        t_lo, t_hi = c2.los, c2.his
-    else:
-        x, y = -lam * c2.los, -lam * c2.his
-        t_lo, t_hi = np.minimum(x, y), np.maximum(x, y)
-    lo = (a_lo[:, None] + t_lo[None, :]).ravel()
-    hi = (a_hi[:, None] + t_hi[None, :]).ravel()
-    los, his = merge_intervals(lo, hi, merge_tol)
-    u = IntervalUnion(los=los, his=his, depth=n)
-    u.meta.update(
-        {
-            "op": op,
-            "lam": lam,
-            "pairs": len(a_lo) * len(t_lo),
-            "counts": (len(c1), len(c2)),
-            "target_length": target1,
-            "capped": capped,
-        }
-    )
-    return u
+    return _pair_union(*_pair_sides(K1, K2, n, budget), n, op, lam, strict_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -292,12 +312,6 @@ class ProjectionScan:
                     writer.writerow([repr(lam), repr(res), repr(float(self.table[i, j]))])
 
 
-def _scan_one(args) -> list[float]:
-    K1, K2, n, lam, resolutions, pair_budget = args
-    u = cover_sum(K1, K2, n, "-", lam, pair_budget=pair_budget)
-    return [covered_length(u, r) for r in resolutions]
-
-
 def marstrand_scan(
     K1: RegularCantorSet,
     K2: RegularCantorSet,
@@ -307,13 +321,13 @@ def marstrand_scan(
     *,
     theta: float = DEFAULT_THETA,
     pair_budget: int = SCAN_PAIR_BUDGET,
-    jobs: int = 1,
 ) -> ProjectionScan:
     """Covered-length table of the scaled differences K1 - lam*K2.
 
     For each lam the depth-n outer union is built and measured against
     each grid resolution; the summary statistic is the fraction of lam
-    whose covered length at the finest resolution exceeds theta.
+    whose covered length at the finest resolution exceeds theta.  All
+    lam share one set of covers.
     """
     lambdas = [float(x) for x in lambdas]
     if not lambdas:
@@ -323,19 +337,9 @@ def marstrand_scan(
     res = sorted(set(float(r) for r in resolutions), reverse=True)
     if not res or res[-1] <= 0:
         raise ValidationError("resolutions must be positive")
-    tasks = [(K1, K2, n, lam, res, pair_budget) for lam in lambdas]
-    rows = None
-    if jobs > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                rows = list(
-                    pool.map(_scan_one, tasks, chunksize=max(1, len(tasks) // (4 * jobs)))
-                )
-        except (OSError, PermissionError):
-            rows = None  # no subprocess support here; degrade to serial
-    if rows is None:
-        rows = [_scan_one(t) for t in tasks]
-    table = np.array(rows, dtype=float)
+    sides = _pair_sides(K1, K2, n, pair_budget)
+    unions = (_pair_union(*sides, n, "-", lam, False) for lam in lambdas)
+    table = np.array([[covered_length(u, r) for r in res] for u in unions], dtype=float)
     return ProjectionScan(
         lambdas=tuple(lambdas),
         resolutions=tuple(res),

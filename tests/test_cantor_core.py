@@ -32,6 +32,7 @@ from cantorlab import (
     set_from_json,
     set_to_json,
 )
+from cantorlab.cantor_core import _length_cover
 
 F = Fraction
 
@@ -190,6 +191,22 @@ def test_refine_to_length_hits_target(ternary):
     assert float(cover.max_length) <= 0.01
     shallower = refine(ternary, cover.depth - 1)
     assert float(shallower.max_length) > 0.01
+
+
+@pytest.mark.parametrize("name", ["unequal-affine", "gauss2"])
+def test_length_cover_range_reproduces_the_cover(name):
+    if name == "gauss2":
+        K = gauss_cantor(2)
+    else:
+        K = build_affine([(F(0), F(1, 4)), (F(1, 2), F(1))], [(0, 1), (0, 1)])
+    for target in (0.1, 0.03, 0.01, 2e-3):
+        cover, lo, hi = _length_cover(K, target, 64, None)
+        assert lo <= target < hi < math.inf
+        for t in (lo, math.nextafter(hi, 0)):
+            same = refine_to_length(K, t)
+            assert same.intervals == cover.intervals
+            assert same.addresses == cover.addresses
+        assert refine_to_length(K, hi).intervals != cover.intervals
 
 
 def test_gauss_cover_exactness_at_depth():

@@ -45,13 +45,12 @@ class TestResultRecord:
 
     def test_digest_deterministic_and_ignores_output_locations(self, capsys, tmp_path):
         argv = ["marstrand", "--n-lambdas", "2", "--depth", "3"]
-        code, rec1, _, _ = run_cli(argv + ["--jobs", "1"], capsys)
+        code, rec1, _, _ = run_cli(argv, capsys)
         out = tmp_path / "rec.json"
-        code2, _, stdout, _ = run_cli(argv + ["--out", str(out), "--jobs", "2"], capsys)
+        code2, _, stdout, _ = run_cli(argv + ["--out", str(out)], capsys)
         assert code == code2 == EXIT_OK
         assert stdout == ""  # record went to the file instead
         rec2 = json.loads(out.read_text())
-        assert "jobs" not in rec1["inputs"] and "jobs" not in rec2["inputs"]
         assert rec2["inputs_digest"] == rec1["inputs_digest"]
         assert rec2["outputs"] == rec1["outputs"]
 
@@ -166,10 +165,16 @@ class TestExitCodes:
         assert code == EXIT_OK
         assert "usage:" in out
 
-    def test_jobs_only_on_marstrand(self, capsys):
-        code, _, _, err = run_cli(["thickness", "--jobs", "2"], capsys)
+    def test_jobs_is_neither_a_flag_nor_a_config_key(self, capsys, tmp_path):
+        for command in ("thickness", "marstrand"):
+            code, _, _, err = run_cli([command, "--jobs", "2"], capsys)
+            assert code == EXIT_INVALID
+            assert "--jobs" in err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"jobs": 2}))
+        code, _, _, err = run_cli(["marstrand", "--config", str(cfg)], capsys)
         assert code == EXIT_INVALID
-        assert "--jobs" in err
+        assert "jobs" in err
 
 
 class TestCommands:

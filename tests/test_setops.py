@@ -24,8 +24,11 @@ from cantorlab import (
     measure_estimate,
     merge_intervals,
     refine,
+    refine_to_length,
     union_from_cover,
 )
+from cantorlab import setops
+from cantorlab.cantor_core import _length_cover, maxlen_at_depth
 
 F = Fraction
 
@@ -245,8 +248,43 @@ def test_projection_scan_validates_inputs(ternary):
         marstrand_scan(ternary, ternary, [0.5], 4, resolutions=[])
 
 
-def test_projection_scan_serial_matches_parallel_request(ternary):
-    lambdas = [0.3, 0.7, 1.1]
-    a = marstrand_scan(ternary, ternary, lambdas, 5, jobs=1)
-    b = marstrand_scan(ternary, ternary, lambdas, 5, jobs=2)
-    assert np.allclose(a.table, b.table, atol=0)
+@pytest.mark.parametrize(
+    "names",
+    [("ternary", "ternary"), ("thin", "thin"), ("middle-fifth", "ternary"), ("gauss2", "gauss2")],
+    ids="-".join,
+)
+def test_projection_scan_rows_match_direct_cover_sum(names):
+    # separate but equal set objects for equal names, so the scan shares
+    # one side between them; lam straddles the granularity ratio m1/m2
+    K1, K2 = get_set(names[0]), get_set(names[1])
+    n = 5
+    m1, m2 = float(maxlen_at_depth(K1, n)), float(maxlen_at_depth(K2, n))
+    lambdas = [m1 / m2 * f for f in (0.3, 0.8, 0.99, 1.0, 1.01, 1.3, 3.7)] + [0.1, 2.9]
+    scan = marstrand_scan(K1, K2, lambdas, n)
+    for lam, row in zip(lambdas, scan.table):
+        u = cover_sum(K1, K2, n, "-", lam, pair_budget=setops.SCAN_PAIR_BUDGET)
+        assert list(row) == [covered_length(u, r) for r in scan.resolutions]
+        # the covers behind u are those of direct calls on each set
+        t1 = max(m1, lam * m2) * (1.0 + 1e-12)
+        assert u.meta["target_length"] == t1
+        assert u.meta["counts"] == (len(refine_to_length(K1, t1)), len(refine_to_length(K2, t1 / lam)))
+
+
+def test_projection_scan_builds_each_cover_once(monkeypatch):
+    walks, built = [], []
+
+    def counting_maxlen(K, n):
+        walks.append(n)
+        return maxlen_at_depth(K, n)
+
+    def recording_cover(K, target, max_depth, budget):
+        result = _length_cover(K, target, max_depth, budget)
+        built.append((K.pieces, result[0].intervals))
+        return result
+
+    monkeypatch.setattr(setops, "maxlen_at_depth", counting_maxlen)
+    monkeypatch.setattr(setops, "_length_cover", recording_cover)
+    lambdas = np.linspace(0.1, 3.0, 40)
+    marstrand_scan(get_set("ternary"), get_set("ternary"), lambdas, 6)
+    assert walks == [6]  # one walk serves both equal sides
+    assert len(set(built)) == len(built)
