@@ -477,6 +477,12 @@ def scale_affine(K: RegularCantorSet, a: Num, b: Num) -> RegularCantorSet:
 # covers
 
 
+def _readonly_floats(values) -> np.ndarray:
+    out = np.array([float(v) for v in values], dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class Cover:
     """Depth-n construction cover: sorted disjoint intervals with addresses.
@@ -494,13 +500,14 @@ class Cover:
     def __len__(self) -> int:
         return len(self.intervals)
 
-    @property
+    # built once per cover, read-only because every holder shares them
+    @cached_property
     def los(self) -> np.ndarray:
-        return np.array([float(iv.lo) for iv in self.intervals], dtype=float)
+        return _readonly_floats(iv.lo for iv in self.intervals)
 
-    @property
+    @cached_property
     def his(self) -> np.ndarray:
-        return np.array([float(iv.hi) for iv in self.intervals], dtype=float)
+        return _readonly_floats(iv.hi for iv in self.intervals)
 
     @property
     def lengths(self) -> np.ndarray:

@@ -15,9 +15,20 @@ written to ``--out`` (default stdout).  Records are byte-identical for
 identical configuration and seed, apart from ``runtime_seconds``.  The
 digest covers the semantic inputs only — artifact paths are excluded.
 
+Each command's settings are declared once, in ``COMMANDS``: a default,
+a parser type and a help text per key.  That table builds the subcommand
+parsers, the default configuration and the keys a config file may hold.
 Configuration precedence: command-line flags > ``--config`` JSON file >
 built-in defaults.  Config file keys use the flag names with underscores
 (``set1``, ``depth_max``, ``lam`` — ``lambda`` is accepted as an alias).
+
+Only commands that write a per-row artifact take ``--csv`` (dim, sum,
+diff, hall, marstrand, density, spectrum, stdmap).  ``--budget`` is a
+pair budget for sum, diff, hall, marstrand and density; elsewhere it
+caps the intervals per cover (dim, thickness, intersect, dstable), the
+grid cells (recur), the words (spectrum --sample) or the periodic points
+(catmap); the other commands do not take it.  An option a command does
+not take exits 3, as a flag and as a config key.
 
 Exit codes: 0 success, 2 budget exhaustion, 3 invalid arguments,
 invalid configuration or validation failure (including missing files,
@@ -34,6 +45,8 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,7 +55,6 @@ from .cantor_core import (
     RegularCantorSet,
     gauss_cantor,
     load_set,
-    resolve_budget,
 )
 from .catalog import get_set, list_builtin_sets
 from .dimension import (
@@ -101,135 +113,14 @@ EXIT_INVALID = 3
 # affect the numbers.
 _NON_DIGEST_KEYS = {"config", "out", "csv", "cert_out"}
 
-_COMMON_DEFAULTS = {
-    "config": None,
-    "out": None,
-    "csv": None,
-    "budget": None,
-}
-
-DEFAULTS: dict[str, dict] = {
-    "dim": {
-        "set": "ternary",
-        "set_file": None,
-        "method": "moran",
-        "tol": 1e-9,
-        "depth": 8,
-        "depth_min": 2,
-        "depth_max": 10,
-    },
-    "thickness": {"set": "ternary", "set_file": None, "depth": 8},
-    "sum": {
-        "set1": "ternary",
-        "set1_file": None,
-        "set2": "ternary",
-        "set2_file": None,
-        "depth": 8,
-    },
-    "diff": {
-        "set1": "ternary",
-        "set1_file": None,
-        "set2": "ternary",
-        "set2_file": None,
-        "depth": 8,
-        "lam": 1.0,
-    },
-    "hall": {"depth": 8, "margin": 1e-3},
-    "marstrand": {
-        "set1": "ternary",
-        "set1_file": None,
-        "set2": "ternary",
-        "set2_file": None,
-        "n_lambdas": 200,
-        "lambda_lo": 0.1,
-        "lambda_hi": 3.0,
-        "depth": 8,
-        "res_exp_lo": 6,
-        "res_exp_hi": 12,
-        "theta": 0.1,
-        "seed": 0,
-    },
-    "intersect": {
-        "set1": "ternary",
-        "set1_file": None,
-        "set2": "ternary",
-        "set2_file": None,
-        "t": 0.0,
-        "depth": 8,
-    },
-    "recur": {
-        "set1": "middle-fifth",
-        "set1_file": None,
-        "set2": "middle-fifth",
-        "set2_file": None,
-        "s_lo": -0.75,
-        "s_hi": 0.75,
-        "t_lo": -2.25,
-        "t_hi": 1.25,
-        "ns": 120,
-        "nt": 240,
-        "margin": 1,
-        "cert_out": None,
-        "verify": None,
-    },
-    "dstable": {
-        "set1": "ternary",
-        "set1_file": None,
-        "set2": "ternary",
-        "set2_file": None,
-        "t": 0.0,
-        "d": 0.3,
-        "perturbations": 20,
-        "radius": 0.01,
-        "depth": 9,
-        "seed": 0,
-    },
-    "density": {
-        "set1": "ternary",
-        "set1_file": None,
-        "set2": "ternary",
-        "set2_file": None,
-        "t0": 0.0,
-        "delta_max": 0.5,
-        "n_deltas": 8,
-        "depth": 8,
-    },
-    "spectrum": {
-        "period": None,
-        "prefix": None,
-        "window": 6,
-        "sample": False,
-        "max_period": 6,
-        "digit_bound": 4,
-    },
-    "halfline": {
-        "targets": "6,7,8,9.5,12,20",
-        "depth": 8,
-    },
-    "horseshoe": {
-        "contraction": "1/4",
-        "expansion": "5",
-        "solve_unit": False,
-        "tol": 1e-12,
-    },
-    "catmap": {"n": 10},
-    "stdmap": {"lam": 0.0, "orbits": 100, "iterates": 2000, "seed": 0},
-    "list-sets": {},
-}
-for _cmd_defaults in DEFAULTS.values():
-    _cmd_defaults.update(_COMMON_DEFAULTS)
-
 
 # ---------------------------------------------------------------------------
 # small helpers
 
 
-def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def _digest(inputs: dict) -> str:
-    return hashlib.sha256(_canonical_json(inputs).encode("utf-8")).hexdigest()
+    canonical = json.dumps(inputs, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _jsonable(v):
@@ -285,6 +176,13 @@ def _resolve_set(cfg: dict, prefix: str) -> tuple[RegularCantorSet, object]:
     return get_set(str(name)), str(name)
 
 
+def _resolve_pair(cfg: dict) -> tuple[RegularCantorSet, RegularCantorSet, dict]:
+    """Build set1 and set2; returns (K1, K2, their descriptors by key)."""
+    K1, d1 = _resolve_set(cfg, "set1")
+    K2, d2 = _resolve_set(cfg, "set2")
+    return K1, K2, {"set1": d1, "set2": d2}
+
+
 def _union_csv(U: IntervalUnion, path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("lo,hi\n")
@@ -308,13 +206,6 @@ def _pair_budget(cfg: dict, default: int | None = None) -> int | None:
     return int(cfg["budget"]) if cfg["budget"] is not None else default
 
 
-def _require_positive(cfg: dict, keys) -> None:
-    for k in keys:
-        v = cfg.get(k)
-        if v is not None and not (isinstance(v, (int, float)) and v > 0):
-            raise ConfigInvalid(f"{k} must be positive, got {v!r}")
-
-
 # ---------------------------------------------------------------------------
 # command handlers (each returns the outputs dict)
 
@@ -333,38 +224,22 @@ def _cmd_dim(cfg: dict) -> dict:
         raise ConfigInvalid(f"method must be 'moran' or 'box', got {method!r}")
     if cfg.get("csv"):
         dimension_csv(est, cfg["csv"])
-    out = est.to_json()
-    out["set"] = _jsonable(desc)
-    return out
+    return {**est.to_json(), "set": desc}
 
 
 def _cmd_thickness(cfg: dict) -> dict:
     K, desc = _resolve_set(cfg, "set")
     est = thickness(K, int(cfg["depth"]), budget=cfg["budget"])
-    out = est.to_json()
-    out["set"] = _jsonable(desc)
-    return out
+    return {**est.to_json(), "set": desc}
 
 
-def _cmd_sum_or_diff(cfg: dict, op: str) -> dict:
-    K1, d1 = _resolve_set(cfg, "set1")
-    K2, d2 = _resolve_set(cfg, "set2")
+def _cmd_cover_sum(cfg: dict, op: str) -> dict:
+    K1, K2, names = _resolve_pair(cfg)
     lam = float(cfg.get("lam", 1.0))
     U = cover_sum(K1, K2, int(cfg["depth"]), op, lam, pair_budget=_pair_budget(cfg))
     if cfg.get("csv"):
         _union_csv(U, cfg["csv"])
-    out = _union_outputs(U)
-    out["set1"] = _jsonable(d1)
-    out["set2"] = _jsonable(d2)
-    return out
-
-
-def _cmd_sum(cfg: dict) -> dict:
-    return _cmd_sum_or_diff(cfg, "+")
-
-
-def _cmd_diff(cfg: dict) -> dict:
-    return _cmd_sum_or_diff(cfg, "-")
+    return {**_union_outputs(U), **names}
 
 
 def _cmd_hall(cfg: dict) -> dict:
@@ -390,8 +265,7 @@ def _cmd_hall(cfg: dict) -> dict:
 
 
 def _cmd_marstrand(cfg: dict) -> dict:
-    K1, d1 = _resolve_set(cfg, "set1")
-    K2, d2 = _resolve_set(cfg, "set2")
+    K1, K2, names = _resolve_pair(cfg)
     n_lam = int(cfg["n_lambdas"])
     lo, hi = float(cfg["lambda_lo"]), float(cfg["lambda_hi"])
     if not (n_lam >= 1 and hi > lo):
@@ -411,8 +285,7 @@ def _cmd_marstrand(cfg: dict) -> dict:
     out = scan.summary_json()
     out.update(
         {
-            "set1": _jsonable(d1),
-            "set2": _jsonable(d2),
+            **names,
             "n_lambdas": n_lam,
             "lambda_lo": lo,
             "lambda_hi": hi,
@@ -424,15 +297,13 @@ def _cmd_marstrand(cfg: dict) -> dict:
 
 
 def _cmd_intersect(cfg: dict) -> dict:
-    K1, d1 = _resolve_set(cfg, "set1")
-    K2, d2 = _resolve_set(cfg, "set2")
+    K1, K2, names = _resolve_pair(cfg)
     t = float(cfg["t"])
     depth = int(cfg["depth"])
     outcome = intersect_test(K1, K2, t, depth, budget=cfg["budget"])
     lemma = gap_lemma_test(K1, K2, t, depth=depth)
     return {
-        "set1": _jsonable(d1),
-        "set2": _jsonable(d2),
+        **names,
         "t": t,
         "state": str(outcome),
         "disjoint": outcome.disjoint,
@@ -453,8 +324,7 @@ def _cmd_recur(cfg: dict) -> dict:
             doc = json.load(fh)
         ok, reason = verify_certificate(doc)
         return {"verified": bool(ok), "reason": reason, "certificate": str(cfg["verify"])}
-    K1, d1 = _resolve_set(cfg, "set1")
-    K2, d2 = _resolve_set(cfg, "set2")
+    K1, K2, names = _resolve_pair(cfg)
     s_lo, s_hi = float(cfg["s_lo"]), float(cfg["s_hi"])
     t_lo, t_hi = float(cfg["t_lo"]), float(cfg["t_hi"])
     ns, nt = int(cfg["ns"]), int(cfg["nt"])
@@ -471,8 +341,7 @@ def _cmd_recur(cfg: dict) -> dict:
         budget=cfg["budget"],
     )
     out = {
-        "set1": _jsonable(d1),
-        "set2": _jsonable(d2),
+        **names,
         "found": outcome.found,
         "sweeps": outcome.sweeps,
         "n_members": outcome.region.n_members if outcome.found else 0,
@@ -487,8 +356,7 @@ def _cmd_recur(cfg: dict) -> dict:
 
 
 def _cmd_dstable(cfg: dict) -> dict:
-    K1, d1 = _resolve_set(cfg, "set1")
-    K2, d2 = _resolve_set(cfg, "set2")
+    K1, K2, names = _resolve_pair(cfg)
     frac = d_stable_probe(
         K1,
         K2,
@@ -501,8 +369,7 @@ def _cmd_dstable(cfg: dict) -> dict:
         budget=cfg["budget"],
     )
     return {
-        "set1": _jsonable(d1),
-        "set2": _jsonable(d2),
+        **names,
         "t": float(cfg["t"]),
         "d": float(cfg["d"]),
         "perturbations": int(cfg["perturbations"]),
@@ -514,28 +381,25 @@ def _cmd_dstable(cfg: dict) -> dict:
 
 
 def _cmd_density(cfg: dict) -> dict:
-    K1, d1 = _resolve_set(cfg, "set1")
-    K2, d2 = _resolve_set(cfg, "set2")
+    K1, K2, names = _resolve_pair(cfg)
     n_deltas = int(cfg["n_deltas"])
     delta_max = float(cfg["delta_max"])
-    _require_positive({"delta_max": delta_max, "n_deltas": n_deltas}, ["delta_max", "n_deltas"])
+    for key, v in (("delta_max", delta_max), ("n_deltas", n_deltas)):
+        if not v > 0:
+            raise ConfigInvalid(f"{key} must be positive, got {v!r}")
     deltas = [delta_max * 2.0**-k for k in range(n_deltas)]
     prof = tangency_density_experiment(
         K1, K2, float(cfg["t0"]), deltas, int(cfg["depth"]), pair_budget=_pair_budget(cfg)
     )
     if cfg.get("csv"):
         prof.to_csv(cfg["csv"])
-    out = prof.to_json()
-    out["set1"] = _jsonable(d1)
-    out["set2"] = _jsonable(d2)
-    return out
+    return {**prof.to_json(), **names}
 
 
 def _cmd_spectrum(cfg: dict) -> dict:
     if cfg.get("sample"):
-        budget = resolve_budget(cfg["budget"])
         values = lagrange_sample(
-            int(cfg["max_period"]), int(cfg["digit_bound"]), budget=budget
+            int(cfg["max_period"]), int(cfg["digit_bound"]), budget=cfg["budget"]
         )
         if cfg.get("csv"):
             spectrum_csv(values, cfg["csv"])
@@ -624,28 +488,162 @@ def _cmd_list_sets(cfg: dict) -> dict:
     return {"sets": [e.to_json() for e in list_builtin_sets()]}
 
 
-HANDLERS = {
-    "dim": _cmd_dim,
-    "thickness": _cmd_thickness,
-    "sum": _cmd_sum,
-    "diff": _cmd_diff,
-    "hall": _cmd_hall,
-    "marstrand": _cmd_marstrand,
-    "intersect": _cmd_intersect,
-    "recur": _cmd_recur,
-    "dstable": _cmd_dstable,
-    "density": _cmd_density,
-    "spectrum": _cmd_spectrum,
-    "halfline": _cmd_halfline,
-    "horseshoe": _cmd_horseshoe,
-    "catmap": _cmd_catmap,
-    "stdmap": _cmd_stdmap,
-    "list-sets": _cmd_list_sets,
+# ---------------------------------------------------------------------------
+# settings: each declared once, with its default, parser type and help
+
+
+class Setting(NamedTuple):
+    default: object
+    type: type
+    help: str | None = None
+
+
+def _one_set(prefix: str, name: str) -> dict[str, Setting]:
+    return {
+        prefix: Setting(name, str, "built-in set name"),
+        f"{prefix}_file": Setting(None, str, "set definition JSON"),
+    }
+
+
+def _pair(name: str = "ternary") -> dict[str, Setting]:
+    return {**_one_set("set1", name), **_one_set("set2", name)}
+
+
+_SET = _one_set("set", "ternary")
+_CSV = {"csv": Setting(None, str, "write the per-row CSV artifact here")}
+_PAIR_BUDGET = {"budget": Setting(None, int, "pair budget: most interval pairs in one sum")}
+_INTERVAL_BUDGET = {"budget": Setting(None, int, "interval budget: most intervals in one cover")}
+# every command takes these; `config` is the one key a config file may not set
+_COMMON = {
+    "config": Setting(None, str, "JSON config file (flags win)"),
+    "out": Setting(None, str, "write the JSON result record here"),
+}
+
+# command -> (handler, help, settings).  A flag is its key with "_" turned
+# into "-", except `lam`, which is --lambda; a bool setting is a switch.
+COMMANDS: dict[str, tuple] = {
+    "dim": (_cmd_dim, "box or Moran dimension of a set", {
+        **_SET,
+        "method": Setting("moran", str, "'moran' or 'box'"),
+        "tol": Setting(1e-9, float),
+        "depth": Setting(8, int),
+        "depth_min": Setting(2, int),
+        "depth_max": Setting(10, int),
+        **_CSV,
+        **_INTERVAL_BUDGET,
+    }),
+    "thickness": (_cmd_thickness, "gap-to-bridge thickness of a set", {
+        **_SET,
+        "depth": Setting(8, int),
+        **_INTERVAL_BUDGET,
+    }),
+    "sum": (partial(_cmd_cover_sum, op="+"), "outer cover of the arithmetic sum of two sets", {
+        **_pair(),
+        "depth": Setting(8, int),
+        **_CSV,
+        **_PAIR_BUDGET,
+    }),
+    "diff": (partial(_cmd_cover_sum, op="-"), "outer cover of the scaled difference K1 - lam*K2", {
+        **_pair(),
+        "depth": Setting(8, int),
+        "lam": Setting(1.0, float),
+        **_CSV,
+        **_PAIR_BUDGET,
+    }),
+    "hall": (_cmd_hall, "check the sum of two digit<=4 CF sets fills its interval", {
+        "depth": Setting(8, int),
+        "margin": Setting(1e-3, float),
+        **_CSV,
+        **_PAIR_BUDGET,
+    }),
+    "marstrand": (_cmd_marstrand, "covered length of random projections x - lam*y", {
+        **_pair(),
+        "n_lambdas": Setting(200, int),
+        "lambda_lo": Setting(0.1, float),
+        "lambda_hi": Setting(3.0, float),
+        "depth": Setting(8, int),
+        "res_exp_lo": Setting(6, int),
+        "res_exp_hi": Setting(12, int),
+        "theta": Setting(0.1, float),
+        "seed": Setting(0, int),
+        **_CSV,
+        **_PAIR_BUDGET,
+    }),
+    "intersect": (_cmd_intersect, "cover intersection and thickness certificate at t", {
+        **_pair(),
+        "t": Setting(0.0, float),
+        "depth": Setting(8, int),
+        **_INTERVAL_BUDGET,
+    }),
+    "recur": (_cmd_recur, "search/verify a recurrent region of relative positions", {
+        **_pair("middle-fifth"),
+        "s_lo": Setting(-0.75, float),
+        "s_hi": Setting(0.75, float),
+        "t_lo": Setting(-2.25, float),
+        "t_hi": Setting(1.25, float),
+        "ns": Setting(120, int),
+        "nt": Setting(240, int),
+        "margin": Setting(1, int),
+        "cert_out": Setting(None, str, "write certificate JSON"),
+        "verify": Setting(None, str, "re-verify an existing certificate file"),
+        "budget": Setting(None, int, "cell budget: most grid cells in the search"),
+    }),
+    "dstable": (_cmd_dstable, "fraction of perturbed pairs keeping a fat intersection", {
+        **_pair(),
+        "t": Setting(0.0, float),
+        "d": Setting(0.3, float),
+        "perturbations": Setting(20, int),
+        "radius": Setting(0.01, float),
+        "depth": Setting(9, int),
+        "seed": Setting(0, int),
+        **_INTERVAL_BUDGET,
+    }),
+    "density": (_cmd_density, "density of the difference cover near a translation t0", {
+        **_pair(),
+        "t0": Setting(0.0, float),
+        "delta_max": Setting(0.5, float),
+        "n_deltas": Setting(8, int),
+        "depth": Setting(8, int),
+        **_CSV,
+        **_PAIR_BUDGET,
+    }),
+    "spectrum": (_cmd_spectrum, "best-approximation constant of a CF sequence", {
+        "period": Setting(None, str, "comma-separated repeating digits, e.g. 2,1"),
+        "prefix": Setting(None, str, "comma-separated leading digits"),
+        "window": Setting(6, int),
+        "sample": Setting(False, bool, "enumerate periodic words"),
+        "max_period": Setting(6, int),
+        "digit_bound": Setting(4, int),
+        **_CSV,
+        "budget": Setting(None, int, "word budget: most cyclic words --sample lists"),
+    }),
+    "halfline": (_cmd_halfline, "hit large spectrum targets with digit<=4 words", {
+        "targets": Setting("6,7,8,9.5,12,20", str, "comma-separated targets, all >= 6"),
+        "depth": Setting(8, int),
+    }),
+    "horseshoe": (_cmd_horseshoe, "stable/unstable/total dimension of an affine horseshoe", {
+        "contraction": Setting("1/4", str, "strip ratio, e.g. 1/4"),
+        "expansion": Setting("5", str, "stretch factor > 2"),
+        "solve_unit": Setting(False, bool),
+        "tol": Setting(1e-12, float),
+    }),
+    "catmap": (_cmd_catmap, "torus map periodic-point counts vs the trace formula", {
+        "n": Setting(10, int),
+        "budget": Setting(None, int, "point budget: most periodic points enumerated"),
+    }),
+    "stdmap": (_cmd_stdmap, "Lyapunov exponents of the standard family", {
+        "lam": Setting(0.0, float),
+        "orbits": Setting(100, int),
+        "iterates": Setting(2000, int),
+        "seed": Setting(0, int),
+        **_CSV,
+    }),
+    "list-sets": (_cmd_list_sets, "names and descriptions of the built-in sets", {}),
 }
 
 
-# ---------------------------------------------------------------------------
-# parser
+def _settings(command: str) -> dict[str, Setting]:
+    return {**_COMMON, **COMMANDS[command][2]}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -659,125 +657,14 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        sp = sub.add_parser(
-            name, help=help_text, argument_default=argparse.SUPPRESS
-        )
-        sp.add_argument("--config", help="JSON config file (flags win)")
-        sp.add_argument("--out", help="write the JSON result record here")
-        sp.add_argument("--csv", help="write the per-row CSV artifact here")
-        sp.add_argument("--budget", type=int, help="interval/cell budget")
-        return sp
-
-    def add_set(sp, prefix="set"):
-        sp.add_argument(f"--{prefix}", help="built-in set name")
-        sp.add_argument(
-            f"--{prefix}-file", dest=f"{prefix}_file", help="set definition JSON"
-        )
-
-    def add_pair(sp):
-        add_set(sp, "set1")
-        add_set(sp, "set2")
-
-    sp = add("dim", "box or Moran dimension of a set")
-    add_set(sp)
-    sp.add_argument("--method", choices=("moran", "box"))
-    sp.add_argument("--tol", type=float)
-    sp.add_argument("--depth", type=int)
-    sp.add_argument("--depth-min", dest="depth_min", type=int)
-    sp.add_argument("--depth-max", dest="depth_max", type=int)
-
-    sp = add("thickness", "gap-to-bridge thickness of a set")
-    add_set(sp)
-    sp.add_argument("--depth", type=int)
-
-    sp = add("sum", "outer cover of the arithmetic sum of two sets")
-    add_pair(sp)
-    sp.add_argument("--depth", type=int)
-
-    sp = add("diff", "outer cover of the scaled difference K1 - lam*K2")
-    add_pair(sp)
-    sp.add_argument("--depth", type=int)
-    sp.add_argument("--lambda", dest="lam", type=float)
-
-    sp = add("hall", "check the sum of two digit<=4 CF sets fills its interval")
-    sp.add_argument("--depth", type=int)
-    sp.add_argument("--margin", type=float)
-
-    sp = add("marstrand", "covered length of random projections x - lam*y")
-    add_pair(sp)
-    sp.add_argument("--n-lambdas", dest="n_lambdas", type=int)
-    sp.add_argument("--lambda-lo", dest="lambda_lo", type=float)
-    sp.add_argument("--lambda-hi", dest="lambda_hi", type=float)
-    sp.add_argument("--depth", type=int)
-    sp.add_argument("--res-exp-lo", dest="res_exp_lo", type=int)
-    sp.add_argument("--res-exp-hi", dest="res_exp_hi", type=int)
-    sp.add_argument("--theta", type=float)
-    sp.add_argument("--seed", type=int)
-
-    sp = add("intersect", "cover intersection and thickness certificate at t")
-    add_pair(sp)
-    sp.add_argument("--t", type=float)
-    sp.add_argument("--depth", type=int)
-
-    sp = add("recur", "search/verify a recurrent region of relative positions")
-    add_pair(sp)
-    sp.add_argument("--s-lo", dest="s_lo", type=float)
-    sp.add_argument("--s-hi", dest="s_hi", type=float)
-    sp.add_argument("--t-lo", dest="t_lo", type=float)
-    sp.add_argument("--t-hi", dest="t_hi", type=float)
-    sp.add_argument("--ns", type=int)
-    sp.add_argument("--nt", type=int)
-    sp.add_argument("--margin", type=int)
-    sp.add_argument("--cert-out", dest="cert_out", help="write certificate JSON")
-    sp.add_argument("--verify", help="re-verify an existing certificate file")
-
-    sp = add("dstable", "fraction of perturbed pairs keeping a fat intersection")
-    add_pair(sp)
-    sp.add_argument("--t", type=float)
-    sp.add_argument("--d", type=float)
-    sp.add_argument("--perturbations", type=int)
-    sp.add_argument("--radius", type=float)
-    sp.add_argument("--depth", type=int)
-    sp.add_argument("--seed", type=int)
-
-    sp = add("density", "density of the difference cover near a translation t0")
-    add_pair(sp)
-    sp.add_argument("--t0", type=float)
-    sp.add_argument("--delta-max", dest="delta_max", type=float)
-    sp.add_argument("--n-deltas", dest="n_deltas", type=int)
-    sp.add_argument("--depth", type=int)
-
-    sp = add("spectrum", "best-approximation constant of a CF sequence")
-    sp.add_argument("--period", help="comma-separated repeating digits, e.g. 2,1")
-    sp.add_argument("--prefix", help="comma-separated leading digits")
-    sp.add_argument("--window", type=int)
-    sp.add_argument("--sample", action="store_true", help="enumerate periodic words")
-    sp.add_argument("--max-period", dest="max_period", type=int)
-    sp.add_argument("--digit-bound", dest="digit_bound", type=int)
-
-    sp = add("halfline", "hit large spectrum targets with digit<=4 words")
-    sp.add_argument("--targets", help="comma-separated targets, all >= 6")
-    sp.add_argument("--depth", type=int)
-
-    sp = add("horseshoe", "stable/unstable/total dimension of an affine horseshoe")
-    sp.add_argument("--contraction", help="strip ratio, e.g. 1/4")
-    sp.add_argument("--expansion", help="stretch factor > 2")
-    sp.add_argument("--solve-unit", dest="solve_unit", action="store_true")
-    sp.add_argument("--tol", type=float)
-
-    sp = add("catmap", "torus map periodic-point counts vs the trace formula")
-    sp.add_argument("--n", type=int)
-
-    sp = add("stdmap", "Lyapunov exponents of the standard family")
-    sp.add_argument("--lambda", dest="lam", type=float)
-    sp.add_argument("--orbits", type=int)
-    sp.add_argument("--iterates", type=int)
-    sp.add_argument("--seed", type=int)
-
-    add("list-sets", "names and descriptions of the built-in sets")
-
+    for command, (_, help_text, _) in COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
+        for key, s in _settings(command).items():
+            flag = "--lambda" if key == "lam" else "--" + key.replace("_", "-")
+            if s.type is bool:
+                sp.add_argument(flag, dest=key, action="store_true", help=s.help)
+            else:
+                sp.add_argument(flag, dest=key, type=s.type, help=s.help)
     return parser
 
 
@@ -793,7 +680,7 @@ def _load_config(path: str, command: str) -> dict:
             raise ConfigInvalid(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ConfigInvalid(f"config file {path} must hold a JSON object")
-    allowed = set(DEFAULTS[command]) - {"config"}
+    allowed = set(_settings(command)) - {"config"}
     out = {}
     for key, value in doc.items():
         k = str(key).replace("-", "_")
@@ -808,7 +695,7 @@ def _load_config(path: str, command: str) -> dict:
 
 
 def _effective_config(command: str, cli_ns: dict) -> dict:
-    cfg = dict(DEFAULTS[command])
+    cfg = {key: s.default for key, s in _settings(command).items()}
     cfg_path = cli_ns.get("config")
     if cfg_path:
         cfg.update(_load_config(cfg_path, command))
@@ -821,7 +708,7 @@ def _effective_config(command: str, cli_ns: dict) -> dict:
 
 def run(command: str, cli_ns: dict) -> tuple[dict, str | None]:
     """Execute one command; returns (result record, output path)."""
-    if command not in HANDLERS:
+    if command not in COMMANDS:
         raise ConfigInvalid(f"unknown command {command!r}")
     cfg = _effective_config(command, cli_ns)
     inputs = {
@@ -830,7 +717,7 @@ def run(command: str, cli_ns: dict) -> tuple[dict, str | None]:
         if k not in _NON_DIGEST_KEYS and v is not None
     }
     start = time.perf_counter()
-    outputs = HANDLERS[command](cfg)
+    outputs = COMMANDS[command][0](cfg)
     runtime = time.perf_counter() - start
     record = {
         "schema": SCHEMA_VERSION,

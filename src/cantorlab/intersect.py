@@ -107,7 +107,7 @@ def intersect_test(
     t = float(t)
     for d in range(n + 1):
         c1 = refine(K1, d, budget=budget)
-        c2 = refine(K2, d, budget=budget)
+        c2 = c1 if K2 == K1 else refine(K2, d, budget=budget)
         if not _covers_overlap(c1.los, c1.his, c2.los + t, c2.his + t):
             return IntersectionOutcome(disjoint=True, depth=d)
     return IntersectionOutcome(disjoint=False, depth=n)
@@ -146,7 +146,7 @@ def difference_scan(
     if ts != sorted(ts):
         raise ValidationError("t grid must be sorted")
     covers1 = [refine(K1, d, budget=budget) for d in range(n + 1)]
-    covers2 = [refine(K2, d, budget=budget) for d in range(n + 1)]
+    covers2 = covers1 if K2 == K1 else [refine(K2, d, budget=budget) for d in range(n + 1)]
     outcomes = []
     for t in ts:
         verdict = IntersectionOutcome(disjoint=False, depth=n)

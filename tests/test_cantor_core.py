@@ -160,6 +160,17 @@ def test_refinement_counts_and_lengths(ternary):
         assert cover.uniform
 
 
+def test_cover_bounds_are_built_once_and_read_only(ternary):
+    cover = refine(ternary, 5)
+    for name, end in (("los", "lo"), ("his", "hi")):
+        first = getattr(cover, name)
+        assert getattr(cover, name) is first
+        assert not first.flags.writeable
+        assert first.tolist() == [float(getattr(iv, end)) for iv in cover.intervals]
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+
+
 def test_refinement_is_nested(ternary):
     coarse = refine(ternary, 2)
     fine = refine(ternary, 5)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import cantorlab
-from cantorlab import gauss_cantor
+from cantorlab import cli, gauss_cantor
 from cantorlab.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, HALL_TARGET
 
 from conftest import run_cli
@@ -288,3 +288,159 @@ def test_version_matches_pyproject():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with open(pyproject, "rb") as fh:
         assert cantorlab.__version__ == tomllib.load(fh)["project"]["version"]
+
+
+# Every command's settings and defaults: the keys a config file may hold
+# (apart from `config` itself) and the values a run starts from.
+COMMON_SETTINGS = {"config": None, "out": None}
+PAIR_SETTINGS = {"set1": "ternary", "set1_file": None, "set2": "ternary", "set2_file": None}
+EXPECTED_SETTINGS = {
+    "dim": {
+        "set": "ternary",
+        "set_file": None,
+        "method": "moran",
+        "tol": 1e-9,
+        "depth": 8,
+        "depth_min": 2,
+        "depth_max": 10,
+        "csv": None,
+        "budget": None,
+    },
+    "thickness": {"set": "ternary", "set_file": None, "depth": 8, "budget": None},
+    "sum": {**PAIR_SETTINGS, "depth": 8, "csv": None, "budget": None},
+    "diff": {**PAIR_SETTINGS, "depth": 8, "lam": 1.0, "csv": None, "budget": None},
+    "hall": {"depth": 8, "margin": 1e-3, "csv": None, "budget": None},
+    "marstrand": {
+        **PAIR_SETTINGS,
+        "n_lambdas": 200,
+        "lambda_lo": 0.1,
+        "lambda_hi": 3.0,
+        "depth": 8,
+        "res_exp_lo": 6,
+        "res_exp_hi": 12,
+        "theta": 0.1,
+        "seed": 0,
+        "csv": None,
+        "budget": None,
+    },
+    "intersect": {**PAIR_SETTINGS, "t": 0.0, "depth": 8, "budget": None},
+    "recur": {
+        "set1": "middle-fifth",
+        "set1_file": None,
+        "set2": "middle-fifth",
+        "set2_file": None,
+        "s_lo": -0.75,
+        "s_hi": 0.75,
+        "t_lo": -2.25,
+        "t_hi": 1.25,
+        "ns": 120,
+        "nt": 240,
+        "margin": 1,
+        "cert_out": None,
+        "verify": None,
+        "budget": None,
+    },
+    "dstable": {
+        **PAIR_SETTINGS,
+        "t": 0.0,
+        "d": 0.3,
+        "perturbations": 20,
+        "radius": 0.01,
+        "depth": 9,
+        "seed": 0,
+        "budget": None,
+    },
+    "density": {
+        **PAIR_SETTINGS,
+        "t0": 0.0,
+        "delta_max": 0.5,
+        "n_deltas": 8,
+        "depth": 8,
+        "csv": None,
+        "budget": None,
+    },
+    "spectrum": {
+        "period": None,
+        "prefix": None,
+        "window": 6,
+        "sample": False,
+        "max_period": 6,
+        "digit_bound": 4,
+        "csv": None,
+        "budget": None,
+    },
+    "halfline": {"targets": "6,7,8,9.5,12,20", "depth": 8},
+    "horseshoe": {"contraction": "1/4", "expansion": "5", "solve_unit": False, "tol": 1e-12},
+    "catmap": {"n": 10, "budget": None},
+    "stdmap": {"lam": 0.0, "orbits": 100, "iterates": 2000, "seed": 0, "csv": None},
+    "list-sets": {},
+}
+NO_CSV = ("thickness", "intersect", "recur", "dstable", "halfline", "horseshoe", "catmap", "list-sets")
+NO_BUDGET = ("halfline", "horseshoe", "stdmap", "list-sets")
+
+
+class TestCommandTable:
+    def test_every_command_is_covered(self):
+        assert set(cli.COMMANDS) == set(EXPECTED_SETTINGS)
+
+    @pytest.mark.parametrize("command", sorted(EXPECTED_SETTINGS))
+    def test_defaults_keep_their_values_and_types(self, command):
+        expected = {**COMMON_SETTINGS, **EXPECTED_SETTINGS[command]}
+        cfg = cli._effective_config(command, {})
+        assert cfg == expected
+        assert {k: type(v) for k, v in cfg.items()} == {k: type(v) for k, v in expected.items()}
+
+    @pytest.mark.parametrize("command", sorted(EXPECTED_SETTINGS))
+    def test_config_file_accepts_exactly_the_settings(self, command, tmp_path):
+        keys = {"out": None, **EXPECTED_SETTINGS[command]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(keys))
+        assert cli._load_config(str(path), command) == keys
+        for extra in ("config", "jobs", "csv", "budget"):
+            if extra in keys:
+                continue
+            path.write_text(json.dumps({extra: None}))
+            with pytest.raises(cli.ConfigInvalid, match=extra):
+                cli._load_config(str(path), command)
+
+    @pytest.mark.parametrize("command", NO_CSV)
+    def test_csv_flag_only_where_a_csv_is_written(self, command, capsys, tmp_path):
+        path = tmp_path / "x.csv"
+        code, rec, _, err = run_cli([command, "--csv", str(path)], capsys)
+        assert code == EXIT_INVALID
+        assert rec is None
+        assert "--csv" in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("command", NO_BUDGET)
+    def test_budget_flag_only_where_a_budget_is_read(self, command, capsys):
+        code, rec, _, err = run_cli([command, "--budget", "7"], capsys)
+        assert code == EXIT_INVALID
+        assert rec is None
+        assert "--budget" in err
+
+    def test_csv_config_key_rejected_where_no_csv_is_written(self, capsys, tmp_path):
+        path = tmp_path / "x.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"csv": str(path)}))
+        code, rec, _, err = run_cli(["thickness", "--config", str(cfg)], capsys)
+        assert code == EXIT_INVALID
+        assert rec is None
+        assert "csv" in err
+        assert not path.exists()
+
+    def test_bad_method_is_exit_three_as_flag_and_config_key(self, capsys, tmp_path):
+        code, _, _, err = run_cli(["dim", "--method", "boxx"], capsys)
+        assert code == EXIT_INVALID
+        assert "boxx" in err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"method": "boxx"}))
+        code, _, _, err = run_cli(["dim", "--config", str(cfg)], capsys)
+        assert code == EXIT_INVALID
+        assert "boxx" in err
+
+    @pytest.mark.parametrize("command", sorted(EXPECTED_SETTINGS))
+    def test_help_is_exit_zero_for_every_command(self, command, capsys):
+        code, _, out, _ = run_cli([command, "--help"], capsys)
+        assert code == EXIT_OK
+        assert f"usage: cantorlab {command}" in out

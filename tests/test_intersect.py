@@ -17,9 +17,11 @@ from cantorlab import (
     gap_lemma_test,
     gauss_cantor,
     get_set,
+    intersect,
     intersect_test,
     position_to_sets,
     recurrent_compact_search,
+    refine,
     region_to_json,
     renormalization_sensitivity,
     save_certificate,
@@ -59,6 +61,42 @@ def test_difference_scan_matches_pointwise_tests(ternary, middle_fifth):
 
 # ---------------------------------------------------------------------------
 # thickness certificate
+
+
+def _first_disjoint_depth(K1, K2, t, n):
+    """Reference: the first depth whose covers miss each other at t."""
+    for d in range(n + 1):
+        a, b = refine(K1, d), refine(K2, d)
+        meet = (a.los[:, None] <= b.his[None, :] + t) & (b.los[None, :] + t <= a.his[:, None])
+        if not meet.any():
+            return d
+    return None
+
+
+@pytest.mark.parametrize("sets", [("ternary", "ternary"), ("ternary", "middle-fifth")])
+def test_equal_sets_refine_each_depth_once(monkeypatch, sets):
+    K1, K2 = get_set(sets[0]), get_set(sets[1])
+    n = 6
+    ts = [-2.0, -0.5, 0.0, 0.25, 1 / 3, 0.5, 1.2, 5.0]
+    expected = [_first_disjoint_depth(K1, K2, t, n) for t in ts]
+    calls = []
+
+    def counting_refine(K, d, **kw):
+        calls.append(d)
+        return refine(K, d, **kw)
+
+    monkeypatch.setattr(intersect, "refine", counting_refine)
+    sides = 1 if K2 == K1 else 2
+    for t, first in zip(ts, expected):
+        calls.clear()
+        out = intersect_test(K1, K2, t, n)
+        assert (out.disjoint, out.depth) == ((True, first) if first is not None else (False, n))
+        reached = n if first is None else first
+        assert sorted(calls) == sorted(list(range(reached + 1)) * sides)
+    calls.clear()
+    profile = difference_scan(K1, K2, ts, n)
+    assert sorted(calls) == sorted(list(range(n + 1)) * sides)
+    assert [o.depth if o.disjoint else None for o in profile.outcomes] == expected
 
 
 def test_thickness_certificate_for_fat_pairs(middle_fifth, thick_pair_set):
