@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .cantor_core import RegularCantorSet, build_affine, gauss_cantor
-from .dynamics import AffineHorseshoe, horseshoe_cantor_sets
+from .cantor_core import RegularCantorSet, gauss_cantor
+from .dynamics import AffineHorseshoe, _two_piece_set, horseshoe_cantor_sets
 from .errors import ConfigInvalid
 
 __all__ = [
@@ -26,8 +26,6 @@ __all__ = [
     "get_set",
     "list_builtin_sets",
 ]
-
-FULL = [(0, 1), (0, 1)]
 
 # Default strip geometry used for the horseshoe factor entries: squeeze
 # by 1/4 vertically, stretch by 5 horizontally.
@@ -46,27 +44,20 @@ class CatalogEntry:
         return {"name": self.name, "description": self.description}
 
 
-def _two_pieces(a: Fraction, b: Fraction) -> RegularCantorSet:
-    return build_affine(
-        [(Fraction(0), a), (b, Fraction(1))],
-        FULL,
-    )
-
-
 def _ternary() -> RegularCantorSet:
-    return _two_pieces(Fraction(1, 3), Fraction(2, 3))
+    return _two_piece_set(Fraction(1, 3))
 
 
 def _middle_fifth() -> RegularCantorSet:
-    return _two_pieces(Fraction(2, 5), Fraction(3, 5))
+    return _two_piece_set(Fraction(2, 5))
 
 
 def _thin() -> RegularCantorSet:
-    return _two_pieces(Fraction(1, 10), Fraction(9, 10))
+    return _two_piece_set(Fraction(1, 10))
 
 
 def _thick() -> RegularCantorSet:
-    return _two_pieces(Fraction(9, 20), Fraction(11, 20))
+    return _two_piece_set(Fraction(9, 20))
 
 
 def _horseshoe_stable() -> RegularCantorSet:

@@ -680,15 +680,32 @@ def _load_config(path: str, command: str) -> dict:
             raise ConfigInvalid(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ConfigInvalid(f"config file {path} must hold a JSON object")
-    allowed = set(_settings(command)) - {"config"}
+    settings = _settings(command)
     out = {}
     for key, value in doc.items():
         k = str(key).replace("-", "_")
         if k == "lambda":
             k = "lam"
-        if k not in allowed:
+        if k not in settings or k == "config":
             raise ConfigInvalid(
                 f"config key {key!r} is not valid for command {command!r}"
+            )
+        s = settings[k]
+        # checked with the setting's parser type but stored as written, so
+        # an accepted config keeps its inputs digest
+        if value is None:
+            ok = s.default is None
+        elif s.type is bool:
+            ok = isinstance(value, bool)
+        else:
+            try:
+                s.type(value)
+                ok = True
+            except (TypeError, ValueError):
+                ok = False
+        if not ok:
+            raise ConfigInvalid(
+                f"config key {key!r} must be {s.type.__name__}, got {value!r}"
             )
         out[k] = value
     return out

@@ -308,7 +308,6 @@ class LyapunovReport:
     iterates: int
     seed: int
     exponents: np.ndarray  # shape (orbits, 2), top and bottom per orbit
-    positive_threshold: float
 
     @property
     def top_exponents(self) -> np.ndarray:
@@ -320,7 +319,7 @@ class LyapunovReport:
 
     @property
     def fraction_positive(self) -> float:
-        return float(np.mean(self.exponents[:, 0] > self.positive_threshold))
+        return float(np.mean(self.exponents[:, 0] > POSITIVE_EXPONENT_THRESHOLD))
 
     @property
     def max_abs_pair_sum(self) -> float:
@@ -346,21 +345,15 @@ class LyapunovReport:
 
 
 def standard_family_lyapunov(
-    lam: float,
-    orbits: int,
-    iterates: int,
-    seed: int = 0,
-    *,
-    burn_in: int = LYAPUNOV_BURN_IN,
-    positive_threshold: float = POSITIVE_EXPONENT_THRESHOLD,
+    lam: float, orbits: int, iterates: int, seed: int = 0
 ) -> LyapunovReport:
     """Lyapunov exponents of (x, y) -> (-y + 2x + lam*sin(2*pi*x), x) mod 1.
 
     Random initial conditions; the derivative cocycle
     [[2 + 2*pi*lam*cos(2*pi*x), -1], [1, 0]] (determinant 1) is pushed
-    with per-step Gram-Schmidt normalization, discarding `burn_in`
-    iterates.  The two per-orbit exponents sum to ~0 by area
-    preservation; statistics are deterministic given the seed.
+    with per-step Gram-Schmidt normalization, discarding the first
+    LYAPUNOV_BURN_IN iterates.  The two per-orbit exponents sum to ~0 by
+    area preservation; statistics are deterministic given the seed.
     """
     if orbits < 1 or iterates < 1:
         raise ValidationError("orbits and iterates must be >= 1")
@@ -372,7 +365,7 @@ def standard_family_lyapunov(
     q1 = np.tile(np.array([0.0, 1.0]), (orbits, 1))
     log0 = np.zeros(orbits)
     log1 = np.zeros(orbits)
-    for step in range(burn_in + iterates):
+    for step in range(LYAPUNOV_BURN_IN + iterates):
         a = 2.0 + 2.0 * math.pi * lam * np.cos(2.0 * math.pi * x)
         # push both frame vectors through [[a, -1], [1, 0]]
         b0 = np.stack([a * q0[:, 0] - q0[:, 1], q0[:, 0]], axis=1)
@@ -383,7 +376,7 @@ def standard_family_lyapunov(
         b1 = b1 - r01[:, None] * q0
         r11 = np.sqrt(np.sum(b1 * b1, axis=1))
         q1 = b1 / r11[:, None]
-        if step >= burn_in:
+        if step >= LYAPUNOV_BURN_IN:
             log0 += np.log(r00)
             log1 += np.log(r11)
         x, y = (-y + 2.0 * x + lam * np.sin(2.0 * math.pi * x)) % 1.0, x
@@ -394,5 +387,4 @@ def standard_family_lyapunov(
         iterates=iterates,
         seed=seed if isinstance(seed, int) else 0,
         exponents=exponents,
-        positive_threshold=positive_threshold,
     )

@@ -2,9 +2,11 @@
 
 Four layers of evidence about K1 and a translated copy K2 + t:
 
-* `intersect_test` / `difference_scan`: depth-bounded cover sweeps.
+* `intersect_test` / `difference_scan`: one depth-bounded cover sweep.
   Disjoint covers at some depth certify empty intersection; overlap at
-  the deepest tested cover is evidence only.
+  the deepest tested cover is evidence only.  Depth d is built only
+  while some translation is undecided, so BudgetExceeded is raised only
+  for depths actually reached.
 * `gap_lemma_test`: thickness certificate.  When the thickness product
   exceeds 1 strictly and the sets are linked (each hull meets the other
   set), the intersection is nonempty at every depth — no budget enters.
@@ -50,16 +52,12 @@ from .cantor_core import (
     set_to_json,
 )
 from .dimension import box_regression, thickness
-from .errors import (
-    BudgetExceeded,
-    NonAffineInput,
-    TZeroNotInDifference,
-    ValidationError,
-)
+from .errors import BudgetExceeded, NonAffineInput, TZeroNotInDifference, ValidationError
 from .setops import _grid_cells, cover_sum, merge_intervals
 
 GRID_SNAP_EPS = 1e-9
 MAX_SWEEPS = 10_000
+PERTURB_MAX_TRIES = 200
 
 
 # ---------------------------------------------------------------------------
@@ -84,13 +82,21 @@ class IntersectionOutcome:
         return f"{kind}({self.depth})"
 
 
-def _covers_overlap(a_lo, a_hi, b_lo, b_hi) -> bool:
-    """Whether two sorted disjoint interval families share any point."""
-    idx = np.searchsorted(b_lo, a_hi, side="right") - 1
-    valid = idx >= 0
-    if not np.any(valid):
-        return False
-    return bool(np.any(b_hi[idx[valid]] >= a_lo[valid]))
+def _cover_meet(c1: Cover, c2: Cover, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pairwise intersections of the intervals of c1 and c2 + t, in order.
+
+    Both covers are sorted disjoint closed families, so the intervals of
+    c2 + t meeting one interval of c1 are a run of consecutive indices
+    (touching endpoints count); the intersections come out sorted and
+    pairwise disjoint.
+    """
+    a_lo, a_hi = c1.los, c1.his
+    b_lo, b_hi = c2.los + t, c2.his + t
+    start = np.searchsorted(b_hi, a_lo, side="left")
+    counts = np.maximum(np.searchsorted(b_lo, a_hi, side="right") - start, 0)
+    ia = np.repeat(np.arange(len(a_lo)), counts)
+    ib = np.arange(len(ia)) + np.repeat(start - (np.cumsum(counts) - counts), counts)
+    return np.maximum(a_lo[ia], b_lo[ib]), np.minimum(a_hi[ia], b_hi[ib])
 
 
 def intersect_test(
@@ -102,15 +108,7 @@ def intersect_test(
     budget: int | None = None,
 ) -> IntersectionOutcome:
     """Compare depth-d covers of K1 and K2 + t for d = 0..n."""
-    if n < 0:
-        raise ValidationError("depth must be >= 0")
-    t = float(t)
-    for d in range(n + 1):
-        c1 = refine(K1, d, budget=budget)
-        c2 = c1 if K2 == K1 else refine(K2, d, budget=budget)
-        if not _covers_overlap(c1.los, c1.his, c2.los + t, c2.his + t):
-            return IntersectionOutcome(disjoint=True, depth=d)
-    return IntersectionOutcome(disjoint=False, depth=n)
+    return difference_scan(K1, K2, [t], n, budget=budget).outcomes[0]
 
 
 @dataclass(frozen=True)
@@ -138,25 +136,32 @@ def difference_scan(
 ) -> DifferenceProfile:
     """intersect_test across a sorted grid of translations.
 
-    The overlap set {t : covers still meet at depth n} is an outer
+    Depths run 0..n, and depth d is built (one cover per set, one depth
+    held at a time) only while some translation is still undecided, so
+    BudgetExceeded is raised only for a depth actually reached.  The
+    overlap set {t : covers still meet at depth n} is an outer
     approximation, sampled on the grid, of the set of differences
     {x - y : x in K1, y in K2}.
     """
+    if n < 0:
+        raise ValidationError("depth must be >= 0")
     ts = [float(t) for t in t_grid]
     if ts != sorted(ts):
         raise ValidationError("t grid must be sorted")
-    covers1 = [refine(K1, d, budget=budget) for d in range(n + 1)]
-    covers2 = covers1 if K2 == K1 else [refine(K2, d, budget=budget) for d in range(n + 1)]
-    outcomes = []
-    for t in ts:
-        verdict = IntersectionOutcome(disjoint=False, depth=n)
-        for d in range(n + 1):
-            c1, c2 = covers1[d], covers2[d]
-            if not _covers_overlap(c1.los, c1.his, c2.los + t, c2.his + t):
-                verdict = IntersectionOutcome(disjoint=True, depth=d)
-                break
-        outcomes.append(verdict)
-    return DifferenceProfile(ts=tuple(ts), outcomes=tuple(outcomes), depth=n)
+    first = [None] * len(ts)  # first depth whose covers miss each other
+    for d in range(n + 1):
+        undecided = [i for i, f in enumerate(first) if f is None]
+        if not undecided:
+            break
+        c1 = refine(K1, d, budget=budget)
+        c2 = c1 if K2 == K1 else refine(K2, d, budget=budget)
+        for i in undecided:
+            if len(_cover_meet(c1, c2, ts[i])[0]) == 0:
+                first[i] = d
+    outcomes = tuple(
+        IntersectionOutcome(disjoint=f is not None, depth=n if f is None else f) for f in first
+    )
+    return DifferenceProfile(ts=tuple(ts), outcomes=outcomes, depth=n)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +213,7 @@ def gap_lemma_test(
     """
     t = float(t)
     tau1 = thickness(K1, depth).value
-    tau2 = thickness(K2, depth).value
+    tau2 = tau1 if K2 == K1 else thickness(K2, depth).value
     h1 = K1.hull
     h2_lo, h2_hi = float(K2.hull.lo) + t, float(K2.hull.hi) + t
     if float(h1.hi) < h2_lo or h2_hi < float(h1.lo):
@@ -330,8 +335,7 @@ def recurrent_compact_search(
     if r1 * r2 * ns * nt > limit:
         raise BudgetExceeded(f"{r1 * r2 * ns * nt} grid cells exceed budget {limit}")
 
-    tab1 = _child_tables(K1)
-    tab2 = _child_tables(K2)
+    tab1, tab2 = _child_tables(K1), _child_tables(K2)
 
     s_edges = s_lo + hs * np.arange(ns + 1)
     t_edges = t_lo + ht * np.arange(nt + 1)
@@ -345,9 +349,11 @@ def recurrent_compact_search(
     init = (cell_t_hi <= 1.0) & (cell_t_lo + e_lo[:, None] >= 0.0)
     mask = np.broadcast_to(init, (r1, r2, ns, nt)).copy()
 
-    # static per-child-pair index geometry
+    # static per-child-pair index geometry: a move is (k1, k2, r_lo, r_hi,
+    # c_lo, c_hi, valid), the image box of each cell as clipped half-open
+    # row and column ranges, and whether the unclipped box fits the grid
     rows_idx = np.arange(ns)[:, None]
-    moves: dict[tuple[int, int], list[dict]] = {}
+    moves: dict[tuple[int, int], list[tuple]] = {}
     for j1 in range(r1):
         for j2 in range(r2):
             entries = []
@@ -368,17 +374,9 @@ def recurrent_compact_search(
                     is_lo = rows_idx + d_lo
                     is_hi = rows_idx + d_hi
                     valid = (is_lo >= 0) & (is_hi < ns) & (it_lo >= 0) & (it_hi < nt)
-                    entries.append(
-                        {
-                            "k1": k1,
-                            "k2": k2,
-                            "is_lo": np.broadcast_to(is_lo, (ns, nt)),
-                            "is_hi": np.broadcast_to(is_hi, (ns, nt)),
-                            "it_lo": it_lo,
-                            "it_hi": it_hi,
-                            "valid": valid,
-                        }
-                    )
+                    rows = np.clip(is_lo, 0, ns - 1), np.clip(is_hi, 0, ns - 1) + 1
+                    cols = np.clip(it_lo, 0, nt - 1), np.clip(it_hi, 0, nt - 1) + 1
+                    entries.append((k1, k2, *rows, *cols, valid))
             moves[(j1, j2)] = entries
 
     def prefix_sums(mask: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
@@ -391,32 +389,28 @@ def recurrent_compact_search(
                 integrals[(k1, k2)] = s
         return integrals
 
-    def box_all_true(summed: np.ndarray, mv: dict) -> np.ndarray:
-        is_lo = np.clip(mv["is_lo"], 0, ns - 1)
-        is_hi = np.clip(mv["is_hi"], 0, ns - 1)
-        it_lo = np.clip(mv["it_lo"], 0, nt - 1)
-        it_hi = np.clip(mv["it_hi"], 0, nt - 1)
-        total = (
-            summed[is_hi + 1, it_hi + 1]
-            - summed[is_lo, it_hi + 1]
-            - summed[is_hi + 1, it_lo]
-            + summed[is_lo, it_lo]
-        )
-        area = (is_hi - is_lo + 1) * (it_hi - it_lo + 1)
-        return mv["valid"] & (total == area)
-
+    # Each sweep records, per cell, the index of the first child pair that
+    # supports it (len(entries) for none, and for every non-member); the
+    # sweep that leaves the mask unchanged supplies the witnesses.
     sweeps = 0
     while True:
         sweeps += 1
         if sweeps > MAX_SWEEPS:
             raise BudgetExceeded(f"fixed-point iteration exceeded {MAX_SWEEPS} sweeps")
         integrals = prefix_sums(mask)
-        new_mask = np.zeros_like(mask)
+        new_mask = np.empty_like(mask)
+        firsts = {}
         for (j1, j2), entries in moves.items():
-            support = np.zeros((ns, nt), dtype=bool)
-            for mv in entries:
-                support |= box_all_true(integrals[(mv["k1"], mv["k2"])], mv)
-            new_mask[j1, j2] = mask[j1, j2] & support
+            none = len(entries)
+            first = np.full((ns, nt), none, dtype=np.min_scalar_type(none))
+            for index in range(none - 1, -1, -1):
+                k1, k2, r_lo, r_hi, c_lo, c_hi, valid = entries[index]
+                s = integrals[(k1, k2)]
+                total = s[r_hi, c_hi] - s[r_lo, c_hi] - s[r_hi, c_lo] + s[r_lo, c_lo]
+                first[valid & (total == (r_hi - r_lo) * (c_hi - c_lo))] = index
+            first[~mask[j1, j2]] = none
+            new_mask[j1, j2] = first < none
+            firsts[(j1, j2)] = first
         if np.array_equal(new_mask, mask):
             break
         mask = new_mask
@@ -424,18 +418,11 @@ def recurrent_compact_search(
     if not mask.any():
         return SearchOutcome(found=False, region=None, sweeps=sweeps)
 
-    witness_k1 = np.full(mask.shape, -1, dtype=np.int64)
-    witness_k2 = np.full(mask.shape, -1, dtype=np.int64)
-    integrals = prefix_sums(mask)
+    witness_k1 = np.empty(mask.shape, dtype=np.int64)
+    witness_k2 = np.empty(mask.shape, dtype=np.int64)
     for (j1, j2), entries in moves.items():
-        unfilled = mask[j1, j2].copy()
-        for mv in entries:
-            ok = box_all_true(integrals[(mv["k1"], mv["k2"])], mv) & unfilled
-            witness_k1[j1, j2][ok] = mv["k1"]
-            witness_k2[j1, j2][ok] = mv["k2"]
-            unfilled &= ~ok
-        if unfilled.any():
-            raise ValidationError("fixed point left a member cell without a witness")
+        witness_k1[j1, j2] = np.array([mv[0] for mv in entries] + [-1])[firsts[(j1, j2)]]
+        witness_k2[j1, j2] = np.array([mv[1] for mv in entries] + [-1])[firsts[(j1, j2)]]
 
     region = PositionRegion(
         s0=s_lo,
@@ -510,20 +497,14 @@ def region_to_json(
     region: PositionRegion, K1: RegularCantorSet, K2: RegularCantorSet
 ) -> dict:
     flat = region.mask.ravel(order="C")
-    runs: list[int] = []
-    current, count = False, 0
-    for bit in flat:
-        b = bool(bit)
-        if b == current:
-            count += 1
-        else:
-            runs.append(count)
-            current, count = b, 1
-    runs.append(count)
-    witnesses: list[int] = []
-    wk1, wk2 = region.witness_k1.ravel(order="C"), region.witness_k2.ravel(order="C")
-    for i in np.flatnonzero(flat):
-        witnesses.extend((int(wk1[i]), int(wk2[i])))
+    # run lengths alternate non-member, member, ... starting with non-members
+    edges = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+    runs = np.diff(np.concatenate(([0], edges, [flat.size])))
+    if flat[:1].any():
+        runs = np.concatenate(([0], runs))
+    members = np.flatnonzero(flat)
+    wk1, wk2 = region.witness_k1.ravel(), region.witness_k2.ravel()
+    witnesses = np.stack((wk1[members], wk2[members]), axis=1)
     return {
         "schema": 1,
         "kind": "recurrent-region",
@@ -539,8 +520,8 @@ def region_to_json(
         },
         "margin": region.margin,
         "margin_axis": "t",
-        "mask_rle": runs,
-        "witnesses": witnesses,
+        "mask_rle": runs.tolist(),
+        "witnesses": witnesses.ravel().tolist(),
     }
 
 
@@ -632,9 +613,7 @@ def verify_certificate(doc: dict) -> tuple[bool, str]:
 # stochastic d-stability probe
 
 
-def perturb_set(
-    K: RegularCantorSet, radius: float, rng: np.random.Generator, max_tries: int = 200
-) -> RegularCantorSet:
+def perturb_set(K: RegularCantorSet, radius: float, rng: np.random.Generator) -> RegularCantorSet:
     """Uniform perturbation of piece endpoints, resampled until valid.
 
     Perturbing endpoints (rather than slopes and offsets directly)
@@ -647,7 +626,7 @@ def perturb_set(
         raise ValidationError("radius must be >= 0")
     if radius == 0:
         return build_affine([p.as_floats() for p in K.pieces], K.transitions)
-    for _ in range(max_tries):
+    for _ in range(PERTURB_MAX_TRIES):
         pieces = []
         for p in K.pieces:
             lo = float(p.lo) + rng.uniform(-radius, radius)
@@ -657,27 +636,7 @@ def perturb_set(
             return build_affine(pieces, K.transitions)
         except ValidationError:
             continue
-    raise ValidationError(f"no valid perturbation found within {max_tries} draws")
-
-
-def _cover_intersection_union(c1: Cover, c2: Cover, t: float) -> tuple[np.ndarray, np.ndarray]:
-    a_lo, a_hi = c1.los, c1.his
-    b_lo, b_hi = c2.los + t, c2.his + t
-    out_lo, out_hi = [], []
-    i = j = 0
-    while i < len(a_lo) and j < len(b_lo):
-        lo = max(a_lo[i], b_lo[j])
-        hi = min(a_hi[i], b_hi[j])
-        if lo <= hi:
-            out_lo.append(lo)
-            out_hi.append(hi)
-        if a_hi[i] < b_hi[j]:
-            i += 1
-        else:
-            j += 1
-    if not out_lo:
-        return np.empty(0), np.empty(0)
-    return merge_intervals(np.array(out_lo), np.array(out_hi))
+    raise ValidationError(f"no valid perturbation found within {PERTURB_MAX_TRIES} draws")
 
 
 def _union_box_estimate(los: np.ndarray, his: np.ndarray, finest_scale: float) -> float:
@@ -736,7 +695,9 @@ def d_stable_probe(
         P2 = perturb_set(K2, radius, rng)
         c1 = refine(P1, n, budget=budget)
         c2 = refine(P2, n, budget=budget)
-        los, his = _cover_intersection_union(c1, c2, float(t))
+        los, his = _cover_meet(c1, c2, float(t))
+        if len(los):
+            los, his = merge_intervals(los, his)
         scale = max(float(c1.max_length), float(c2.max_length))
         estimate = _union_box_estimate(los, his, scale)
         if estimate >= d:

@@ -188,16 +188,11 @@ def cf_expand(x, n: int) -> CFSequence:
 
 
 def cf_value(digits) -> tuple[int, int]:
-    """Exact convergent (p, q) of [0; digits] by the continuant recursion."""
+    """Exact convergent (p, q) of [0; digits]: the last of `convergents`."""
     ds = tuple(int(d) for d in digits)
     if not ds or any(d < 1 for d in ds):
         raise ValidationError("need a nonempty list of digits >= 1")
-    p_prev, p = 1, 0
-    q_prev, q = 0, 1
-    for a in ds:
-        p_prev, p = p, a * p + p_prev
-        q_prev, q = q, a * q + q_prev
-    return p, q
+    return convergents(ds)[-1]
 
 
 def convergents(digits) -> list[tuple[int, int]]:

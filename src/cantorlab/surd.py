@@ -23,6 +23,7 @@ from typing import Sequence, Union
 from .errors import ValidationError
 
 _FACTOR_LIMIT = 10**12  # trial-division bound for squarefree extraction
+PERIODIC_FLOAT_REPS = 48  # periods in the truncation periodic_value_float evaluates
 
 Rational = Union[int, Fraction]
 
@@ -283,17 +284,17 @@ def periodic_tail_value(word: Sequence[int]) -> QuadraticSurd:
     return periodic_value(word).inverse()
 
 
-def periodic_value_float(word: Sequence[int], reps: int = 48) -> float:
+def periodic_value_float(word: Sequence[int]) -> float:
     """Floating value of [w; w, ...] without exact factorization.
 
     Evaluates a deep finite truncation backwards; the tail error after
     k digits is below 1/q_k^2 which underflows double precision long
-    before `reps * len(word)` digits for any admissible word.
+    before `PERIODIC_FLOAT_REPS * len(word)` digits for any admissible word.
     """
     word = tuple(word)
     if not word:
         raise ValidationError("empty period")
-    digits = word * max(2, reps)
+    digits = word * PERIODIC_FLOAT_REPS
     x = float(digits[-1])
     for a in reversed(digits[:-1]):
         x = a + 1.0 / x

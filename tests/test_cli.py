@@ -120,6 +120,36 @@ class TestConfigFile:
         assert code == EXIT_INVALID
         assert "nope.json" in err
 
+    @pytest.mark.parametrize(
+        "command, doc, key",
+        [
+            ("thickness", {"depth": "x"}, "depth"),
+            ("thickness", {"budget": "abc"}, "budget"),
+            ("thickness", {"depth": None}, "depth"),
+            ("diff", {"lambda": [1]}, "lambda"),
+            ("spectrum", {"sample": "false"}, "sample"),
+            ("horseshoe", {"solve_unit": 1}, "solve_unit"),
+        ],
+    )
+    def test_config_value_of_the_wrong_type_is_exit_three(
+        self, capsys, tmp_path, command, doc, key
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, rec, _, err = run_cli([command, "--config", str(cfg)], capsys)
+        assert code == EXIT_INVALID
+        assert rec is None
+        assert repr(key) in err
+
+    def test_config_values_are_stored_as_written(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"depth": "3", "budget": None, "set": "thin"}))
+        code, rec, _, _ = run_cli(["thickness", "--config", str(cfg)], capsys)
+        assert code == EXIT_OK
+        assert rec["inputs"] == {"depth": "3", "set": "thin"}
+        _, flagged, _, _ = run_cli(["thickness", "--depth", "3", "--set", "thin"], capsys)
+        assert flagged["outputs"] == rec["outputs"]
+
 
 class TestExitCodes:
     def test_budget_exhaustion_is_exit_two(self, capsys):

@@ -4,12 +4,14 @@ certificates, recurrent-region search, and independent re-verification."""
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from cantorlab import (
     NonAffineInput,
+    PositionRegion,
     TZeroNotInDifference,
     ValidationError,
     d_stable_probe,
@@ -26,6 +28,7 @@ from cantorlab import (
     renormalization_sensitivity,
     save_certificate,
     tangency_density_experiment,
+    thickness,
     verify_certificate,
 )
 
@@ -314,3 +317,83 @@ def test_density_profile_sparse_for_thin_pair(thin_pair_set):
 def test_density_profile_requires_base_point_in_difference(ternary):
     with pytest.raises(TZeroNotInDifference):
         tangency_density_experiment(ternary, ternary, 9.0, [0.1], 6)
+
+
+# ---------------------------------------------------------------------------
+# pairwise cover intersections, equal-set thickness reuse, certificate encoding
+
+
+def _random_family(rng, n):
+    """n sorted disjoint closed intervals on a dyadic grid, so that shifts
+    by endpoint differences are exact and endpoints can touch."""
+    edges = np.cumsum(rng.integers(1, 64, size=2 * n)) / 64.0
+    return SimpleNamespace(los=edges[0::2], his=edges[1::2])
+
+
+def _pairwise_meet(c1, c2, t):
+    """Reference: every nonempty a ∩ (b + t), ordered by (a, b)."""
+    lo, hi = [], []
+    for a_lo, a_hi in zip(c1.los, c1.his):
+        for b_lo, b_hi in zip(c2.los + t, c2.his + t):
+            if max(a_lo, b_lo) <= min(a_hi, b_hi):
+                lo.append(max(a_lo, b_lo))
+                hi.append(min(a_hi, b_hi))
+    return np.array(lo), np.array(hi)
+
+
+def test_cover_meet_matches_pairwise_reference():
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        c1 = _random_family(rng, int(rng.integers(1, 25)))
+        c2 = _random_family(rng, int(rng.integers(1, 25)))
+        span = c1.his[-1] - c2.los[0]
+        shifts = list(rng.uniform(c1.los[0] - c2.his[-1] - 1.0, span + 1.0, size=8))
+        # touching endpoints, and shifts past either hull
+        shifts += [c1.his[0] - c2.los[0], c1.los[-1] - c2.his[-1]]
+        shifts += [c1.his[-1] - c2.los[0] + 0.5, c1.los[0] - c2.his[-1] - 0.5]
+        for t in shifts:
+            lo, hi = intersect._cover_meet(c1, c2, float(t))
+            ref_lo, ref_hi = _pairwise_meet(c1, c2, float(t))
+            assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
+    c = SimpleNamespace(los=np.array([0.0, 2.0, 4.0]), his=np.array([1.0, 3.0, 5.0]))
+    lo, hi = intersect._cover_meet(c, c, 1.0)
+    assert lo.tolist() == hi.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert len(intersect._cover_meet(c, c, 5.5)[0]) == 0
+    assert len(intersect._cover_meet(c, c, -5.5)[0]) == 0
+
+
+def test_gap_lemma_reuses_thickness_for_equal_sets(monkeypatch, middle_fifth, ternary):
+    expected = {
+        pair: gap_lemma_test(*pair, 0.0)
+        for pair in ((middle_fifth, middle_fifth), (middle_fifth, ternary))
+    }
+    calls = []
+
+    def counting_thickness(K, depth, **kw):
+        calls.append(K)
+        return thickness(K, depth, **kw)
+
+    monkeypatch.setattr(intersect, "thickness", counting_thickness)
+    for pair, result in expected.items():
+        calls.clear()
+        assert gap_lemma_test(*pair, 0.0) == result
+        assert len(calls) == (1 if pair[1] == pair[0] else 2)
+
+
+def test_certificate_encoding_with_members_at_both_ends(middle_fifth):
+    mask = np.zeros((2, 2, 3, 4), dtype=bool)
+    mask.flat[[0, 1, 5, 6, 7, 20, 47]] = True
+    wk1 = np.where(mask, np.arange(mask.size).reshape(mask.shape) % 2, -1)
+    wk2 = np.where(mask, 1 - wk1, -1)
+    region = PositionRegion(
+        s0=0.0, hs=0.1, ns=3, t0=0.0, ht=0.1, nt=4, margin=1,
+        mask=mask, witness_k1=wk1, witness_k2=wk2,
+    )
+    doc = region_to_json(region, middle_fifth, middle_fifth)
+    assert doc["mask_rle"] == [0, 2, 3, 3, 12, 1, 26, 1]
+    assert all(type(x) is int for x in doc["mask_rle"] + doc["witnesses"])
+    assert np.array_equal(_decode_mask(doc), mask.ravel())
+    members = np.flatnonzero(mask.ravel())
+    pairs = [(int(wk1.flat[i]), int(wk2.flat[i])) for i in members]
+    assert list(zip(doc["witnesses"][0::2], doc["witnesses"][1::2])) == pairs
+    assert doc["mask_rle"] == _encode_mask(mask.ravel())
