@@ -8,11 +8,12 @@ digits (a_1, a_2, ...), the limsup over n of
 equal to the classical best-approximation constant
 limsup 1/|q_n (q_n x - p_n)|.  For eventually periodic digit sequences
 the limsup is attained along the period and is a quadratic surd, so it
-is computed exactly: the two-sided value at each rotation of the period
-is max'ed in exact arithmetic (rotations and reversals share a
-discriminant because each digit matrix [[a,1],[1,0]] is symmetric).
-Windowed floating estimates are kept only as a mandatory cross-check
-and for streamed digit sources.
+is computed exactly for every period: the two-sided value at each
+rotation of the period is max'ed in exact arithmetic (rotations and
+reversals share a discriminant because each digit matrix [[a,1],[1,0]]
+is symmetric) and returned in canonical form.  Windowed floating
+estimates are kept only as a mandatory cross-check and for streamed
+digit sources.
 
 cf_value note: convergent numerators and denominators are arbitrary-
 precision integers, so the documented overflow failure mode cannot
@@ -35,12 +36,7 @@ from .errors import (
     PrecisionExhausted,
     ValidationError,
 )
-from .surd import (
-    QuadraticSurd,
-    periodic_tail_value,
-    periodic_value,
-    periodic_value_float,
-)
+from .surd import QuadraticSurd, periodic_tail_value, periodic_value
 
 ESTIMATOR_TOL = 1e-9
 
@@ -218,9 +214,11 @@ class SpectrumValue:
 
     `witness` is the digit word realizing the value: the maximizing
     rotation for periodic sequences, the inspected digit window
-    otherwise.  `estimator_gap` is the disagreement between the two
-    independent windowed estimators (always checked against the
-    mismatch tolerance before a value is returned).
+    otherwise.  `exact` is the canonical surd (`QuadraticSurd.canonical`)
+    of every periodic value, None only for streamed digits.
+    `estimator_gap` is the disagreement between the two independent
+    windowed estimators (always checked against the mismatch tolerance
+    before a value is returned).
     """
 
     value: float
@@ -252,24 +250,12 @@ def two_sided_values(word: tuple[int, ...]) -> list[QuadraticSurd]:
 
 def _exact_periodic_k(
     word: tuple[int, ...]
-) -> tuple[float, QuadraticSurd | None, tuple[int, ...]]:
-    """(value, exact surd or None, maximizing rotation) for a periodic word."""
-    rots = _rotations(word)
-    try:
-        values = two_sided_values(word)
-    except ValidationError:
-        # discriminant too large to factor: certified-float fallback
-        vals = [
-            periodic_value_float(rot) + 1.0 / periodic_value_float(tuple(reversed(rot)))
-            for rot in rots
-        ]
-        i = max(range(len(vals)), key=vals.__getitem__)
-        return vals[i], None, rots[i]
-    best, best_i = values[0], 0
-    for i, v in enumerate(values[1:], start=1):
-        if v > best:
-            best, best_i = v, i
-    return float(best), best, rots[best_i]
+) -> tuple[float, QuadraticSurd, tuple[int, ...]]:
+    """(value, canonical exact surd, maximizing rotation) for a periodic word."""
+    values = two_sided_values(word)
+    best_i = max(range(len(values)), key=values.__getitem__)  # first maximum
+    best = values[best_i]
+    return float(best), best.canonical(), _rotations(word)[best_i]
 
 
 def _forward_values(prefix: tuple[int, ...], period: tuple[int, ...], count: int):
@@ -305,9 +291,10 @@ def k_alpha(seq: CFSequence, window: int) -> SpectrumValue:
     1/(q_n |q_n x - p_n|) from exact convergents of x, and the tail
     formula [a_{n+1}; a_{n+2}, ...] + q_{n-1}/q_n — and raises
     EstimatorMismatch when they disagree beyond 1e-9.  For periodic
-    sequences the returned value is the exact attained limsup (max of
-    the two-sided values over the period), independent of any finite
-    prefix; for streamed sequences it is the windowed tail estimate.
+    sequences of any period the returned value is the exact attained
+    limsup (max of the two-sided values over the period, in `exact`),
+    independent of any finite prefix; for streamed sequences it is the
+    windowed tail estimate from a deep rational convergent of x.
     """
     if window < 2:
         raise ValidationError("window must be >= 2")
@@ -316,13 +303,8 @@ def k_alpha(seq: CFSequence, window: int) -> SpectrumValue:
     ds = seq.digits(window + 1)
     cs = convergents(ds)
     positions = _estimator_positions(window)
-    forwards = None
     if seq.is_periodic:
-        try:
-            forwards = _forward_values(seq.prefix, seq.period, window + 1)
-        except ValidationError:
-            forwards = None  # discriminant unfactorable: use the rational proxy
-    if forwards is not None:
+        forwards = _forward_values(seq.prefix, seq.period, window + 1)
         alpha = forwards[0].inverse()
         direct: list[float] = []
         tail: list[float] = []
@@ -334,7 +316,7 @@ def k_alpha(seq: CFSequence, window: int) -> SpectrumValue:
             direct.append(abs(float(lam)))
             tail.append(float(forwards[n]) + q_prev / q_n)
     else:
-        # streamed (or unfactorable periodic): high-precision rational proxy
+        # streamed: high-precision rational proxy
         deep = seq.digits(window + 60)
         p_deep, q_deep = cf_value(deep)
         alpha_f = Fraction(p_deep, q_deep)
@@ -390,7 +372,8 @@ def lagrange_sample(
     max_period: int, digit_bound: int, *, budget: int | None = None
 ) -> list[SpectrumValue]:
     """k-values of all primitive periodic sequences with period <= max_period
-    and digits <= digit_bound, deduplicated and sorted increasingly.
+    and digits <= digit_bound, each with its exact surd, deduplicated by
+    exact value and sorted increasingly.
 
     The smallest value is always the all-ones constant sqrt(5).
     """
@@ -403,7 +386,7 @@ def lagrange_sample(
         )
     seen_words = set()
     results: list[SpectrumValue] = []
-    seen_values: set = set()
+    seen_values: set[QuadraticSurd] = set()
     for length in range(1, max_period + 1):
         for word in product(range(1, digit_bound + 1), repeat=length):
             canon = _canonical_rotation(word)
@@ -411,10 +394,9 @@ def lagrange_sample(
                 continue
             seen_words.add(canon)
             value, exact, best_rot = _exact_periodic_k(word)
-            key = (exact.p, exact.q, exact.r, exact.d) if exact is not None else round(value, 12)
-            if key in seen_values:
+            if exact in seen_values:
                 continue
-            seen_values.add(key)
+            seen_values.add(exact)
             results.append(
                 SpectrumValue(
                     value=value,

@@ -1,10 +1,11 @@
 """Exact arithmetic in real quadratic fields.
 
 A value is stored as (p + q*sqrt(d)) / r with integer p, q, r, r > 0,
-gcd(p, q, r) = 1 and d squarefree.  Rationals are the special case
-q = 0, d = 0.  Two values can be combined exactly when they live in the
-same field (equal d, or one of them rational); mixing distinct fields
-raises ValidationError because the sum would leave every quadratic field.
+gcd(p, q, r) = 1 and d a non-square >= 2, kept as given (never factored).
+Rationals are the special case q = 0, d = 0.  sqrt(d1) and sqrt(d2) mix
+exactly when d1*d2 is a perfect square s^2, as sqrt(d1) = (s/d2)*sqrt(d2);
+other pairs lie in distinct fields and raise ValidationError.  `==` and
+`hash` compare values, through the minimal-polynomial form `canonical()`.
 
 The module also evaluates purely periodic continued fractions exactly:
 [a1; a2, ..., ap, a1, a2, ...] is the attracting fixed point of the
@@ -17,46 +18,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence, Union
 
 from .errors import ValidationError
 
-_FACTOR_LIMIT = 10**12  # trial-division bound for squarefree extraction
-PERIODIC_FLOAT_REPS = 48  # periods in the truncation periodic_value_float evaluates
-
 Rational = Union[int, Fraction]
 
 
-@lru_cache(maxsize=65536)
-def squarefree_split(n: int) -> tuple[int, int]:
-    """Write n = s*s*d with d squarefree; return (s, d).  Requires n >= 0."""
-    if n < 0:
-        raise ValidationError("negative radicand")
-    if n == 0:
-        return 0, 0
-    if n > _FACTOR_LIMIT:
-        raise ValidationError(f"radicand {n} above exact-arithmetic factor limit")
-    s, d = 1, 1
-    m = n
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            e = 0
-            while m % f == 0:
-                m //= f
-                e += 1
-            s *= f ** (e // 2)
-            if e % 2:
-                d *= f
-        f += 1 if f == 2 else 2
-    d *= m
-    return s, d
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticSurd:
-    """(p + q*sqrt(d)) / r, normalized.  Immutable and hashable."""
+    """(p + q*sqrt(d)) / r, normalized.  Immutable; compares and hashes by value."""
 
     p: int
     q: int
@@ -69,24 +40,19 @@ class QuadraticSurd:
         if self.q == 0 and self.d != 0:
             raise ValidationError("rational surd must carry d = 0")
         if self.q != 0 and self.d < 2:
-            raise ValidationError("irrational surd needs squarefree d >= 2")
+            raise ValidationError("irrational surd needs d >= 2")
 
     # -- construction -------------------------------------------------
 
     @staticmethod
     def make(p: int, q: int, r: int, d: int) -> "QuadraticSurd":
-        """Normalize and build.  Accepts non-squarefree d."""
+        """Normalize and build.  d is kept as given unless it is a perfect square."""
         if r == 0:
             raise ZeroDivisionError("surd with zero denominator")
-        if q != 0 and d > 0:
-            s, d = squarefree_split(d)
-            q *= s
-        if d == 1:  # radicand was a perfect square
-            p, q, d = p + q, 0, 0
-        if q == 0:
-            d = 0
-        if d == 0:
-            q = 0
+        if q == 0 or d == 0:
+            q, d = 0, 0
+        elif d > 0 and (s := math.isqrt(d)) * s == d:
+            p, q, d = p + q * s, 0, 0
         if r < 0:
             p, q, r = -p, -q, -r
         g = math.gcd(math.gcd(abs(p), abs(q)), r)
@@ -124,14 +90,53 @@ class QuadraticSurd:
             raise ValidationError("irrational surd")
         return Fraction(self.p, self.r)
 
+    # -- identity -------------------------------------------------------
+
+    def canonical(self) -> "QuadraticSurd":
+        """The value as a root of its primitive a*x^2 + b*x + c, a > 0.
+
+        That is (-b/2 + q*sqrt(b^2/4 - a*c)) / a for even b, else
+        (-b + q*sqrt(b^2 - 4*a*c)) / (2*a), with q = +1 for the larger
+        root and -1 for the smaller: one form per value.
+        """
+        if self.q == 0:
+            return self
+        # r*x - p = q*sqrt(d)  ->  r^2 x^2 - 2*p*r x + (p^2 - q^2 d) = 0
+        a = self.r * self.r
+        b = -2 * self.p * self.r
+        c = self.p * self.p - self.q * self.q * self.d
+        g = math.gcd(a, b, c)
+        a, b, c = a // g, b // g, c // g
+        side = 1 if self.q > 0 else -1
+        if b % 2 == 0:
+            return QuadraticSurd(-b // 2, side, a, b * b // 4 - a * c)
+        return QuadraticSurd(-b, side, 2 * a, b * b - 4 * a * c)
+
+    def _key(self) -> tuple[int, int, int, int]:
+        c = self.canonical()
+        return c.p, c.q, c.r, c.d
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, QuadraticSurd):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
     # -- field plumbing -------------------------------------------------
 
-    def _compatible(self, other: "QuadraticSurd") -> int:
-        if self.q == 0:
-            return other.d
-        if other.q == 0 or other.d == self.d:
-            return self.d
-        raise ValidationError(f"mixing sqrt({self.d}) with sqrt({other.d})")
+    def _align(self, other: "SurdLike") -> tuple["QuadraticSurd", "QuadraticSurd", int]:
+        """Both operands, in either order, over one radicand (0: both rational)."""
+        o = self._coerce(other)
+        a, b = (self, o) if self.d <= o.d else (o, self)
+        if a.q == 0 or a.d == b.d:
+            return a, b, b.d
+        s = math.isqrt(a.d * b.d)
+        if s * s != a.d * b.d:
+            raise ValidationError(f"mixing sqrt({a.d}) with sqrt({b.d})")
+        # sqrt(b.d) = (s / a.d) * sqrt(a.d)
+        return a, QuadraticSurd(b.p * a.d, b.q * s, b.r * a.d, a.d), a.d
 
     @staticmethod
     def _coerce(x: "SurdLike") -> "QuadraticSurd":
@@ -142,11 +147,8 @@ class QuadraticSurd:
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other: "SurdLike") -> "QuadraticSurd":
-        o = self._coerce(other)
-        d = self._compatible(o)
-        return QuadraticSurd.make(
-            self.p * o.r + o.p * self.r, self.q * o.r + o.q * self.r, self.r * o.r, d
-        )
+        a, b, d = self._align(other)
+        return QuadraticSurd.make(a.p * b.r + b.p * a.r, a.q * b.r + b.q * a.r, a.r * b.r, d)
 
     __radd__ = __add__
 
@@ -160,12 +162,10 @@ class QuadraticSurd:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other: "SurdLike") -> "QuadraticSurd":
-        o = self._coerce(other)
-        d = self._compatible(o)
-        dd = self.d if self.d else o.d
-        p = self.p * o.p + self.q * o.q * dd
-        q = self.p * o.q + self.q * o.p
-        return QuadraticSurd.make(p, q, self.r * o.r, d if q else 0)
+        a, b, d = self._align(other)
+        p = a.p * b.p + a.q * b.q * d
+        q = a.p * b.q + a.q * b.p
+        return QuadraticSurd.make(p, q, a.r * b.r, d)
 
     __rmul__ = __mul__
 
@@ -268,8 +268,9 @@ def word_matrix(word: Sequence[int]) -> tuple[int, int, int, int]:
 def periodic_value(word: Sequence[int]) -> QuadraticSurd:
     """Exact value of the purely periodic continued fraction [w; w, w, ...].
 
-    The result is > 1.  Raises ValidationError for an empty word or when the
-    discriminant exceeds the exact-factorization limit.
+    The result is > 1 and lies over the word's discriminant
+    trace^2 - 4*det, whatever its size.  Raises ValidationError for an
+    empty word.
     """
     word = tuple(word)
     if not word:
@@ -283,19 +284,3 @@ def periodic_tail_value(word: Sequence[int]) -> QuadraticSurd:
     """Exact value of [0; w, w, w, ...] in (0, 1)."""
     return periodic_value(word).inverse()
 
-
-def periodic_value_float(word: Sequence[int]) -> float:
-    """Floating value of [w; w, ...] without exact factorization.
-
-    Evaluates a deep finite truncation backwards; the tail error after
-    k digits is below 1/q_k^2 which underflows double precision long
-    before `PERIODIC_FLOAT_REPS * len(word)` digits for any admissible word.
-    """
-    word = tuple(word)
-    if not word:
-        raise ValidationError("empty period")
-    digits = word * PERIODIC_FLOAT_REPS
-    x = float(digits[-1])
-    for a in reversed(digits[:-1]):
-        x = a + 1.0 / x
-    return x

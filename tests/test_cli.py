@@ -226,8 +226,10 @@ class TestCommands:
         assert out["mode"] == "single"
         assert out["value"] == pytest.approx(math.sqrt(12.0), abs=1e-12)
         assert out["exact"] == {
-            "p": 0, "q": 2, "r": 1, "d": 3, "float": out["value"],
+            "p": 0, "q": 1, "r": 1, "d": 12, "float": out["value"],
         }
+        e = out["exact"]
+        assert e["p"] == 0 and e["q"] * e["q"] * e["d"] == 12 * e["r"] * e["r"]
         assert out["witness"] == [2, 1]
         assert out["estimator_gap"] <= 1e-9
 

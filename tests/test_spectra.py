@@ -25,6 +25,8 @@ from cantorlab import (
     spectrum_csv,
     two_sided_values,
 )
+from cantorlab.cli import _surd_json
+from cantorlab.surd import word_matrix
 
 SQRT = QuadraticSurd.sqrt_of_int
 
@@ -151,6 +153,53 @@ def test_constant_of_period_four_word():
     sv = k_alpha(CFSequence(period=(1, 1, 2, 2)), 8)
     assert sv.exact.equals(SQRT(221) / 5)
     assert sv.value == pytest.approx(math.sqrt(221) / 5, abs=1e-15)
+
+
+@pytest.mark.parametrize("period", [(4, 1) * 10, (1,) * 29 + (2,)])
+def test_long_periods_keep_the_exact_value(period):
+    sv = k_alpha(CFSequence(period=period), 2 * len(period))
+    assert sv.exact is not None
+    assert sv.value == float(sv.exact)
+    assert sv.exact == max(two_sided_values(period))
+    assert sv.estimator_gap <= 1e-9
+
+
+def test_repeated_period_has_the_value_of_its_root_word():
+    sv = k_alpha(CFSequence(period=(4, 1) * 10), 40)
+    assert sv.exact == 4 * SQRT(2)
+    assert sv.value == 5.656854249492381
+
+
+def test_period_fifteen_value_is_exact_over_its_discriminant():
+    word = (5,) * 14 + (1,)
+    sv = k_alpha(CFSequence(period=word), 40)
+    e = sv.exact
+    assert e is not None
+    assert (e.p, e.q, e.r, e.d) == tuple(getattr(e.canonical(), f) for f in "pqrd")
+    m00, m01, m10, m11 = word_matrix(word)
+    disc = (m00 + m11) ** 2 - 4 * (m00 * m11 - m01 * m10)
+    # sqrt(e.d) is a rational multiple of sqrt(disc): the field of the word
+    assert math.isqrt(disc * e.d) ** 2 == disc * e.d
+    # an independent value: [w; w, ...] + [0; reversed w, ...] at the
+    # witness rotation, both tails cut after 20 periods, evaluated from
+    # their deepest digit up
+    rot = sv.witness
+    forward = Fraction(rot[0])
+    for a in reversed(rot * 20):
+        forward = a + 1 / forward
+    backward = Fraction(0)
+    for a in rot * 20:  # the deepest-first order of rot[::-1] * 20
+        backward = 1 / (a + backward)
+    assert sv.value == float(e) == float(forward + backward) == 6.031098884280702
+
+
+def test_equal_values_over_different_discriminants_are_one_value():
+    # (4) and (1,2,1,3) both reach sqrt(20); their two-sided values are
+    # computed over the word discriminants 20 and 320
+    raw = [max(two_sided_values(w)) for w in ((4,), (1, 2, 1, 3))]
+    assert raw[0] == raw[1] and hash(raw[0]) == hash(raw[1])
+    exacts = [k_alpha(CFSequence(period=w), 8).exact for w in ((4,), (1, 2, 1, 3))]
+    assert _surd_json(exacts[0]) == _surd_json(exacts[1])
 
 
 def test_constant_from_streamed_digits_runs_without_exact_form():

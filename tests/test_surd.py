@@ -8,22 +8,6 @@ from fractions import Fraction
 import pytest
 
 from cantorlab import QuadraticSurd, ValidationError
-from cantorlab.surd import squarefree_split
-
-
-def test_squarefree_split_small_values():
-    assert squarefree_split(1) == (1, 1)
-    assert squarefree_split(4) == (2, 1)
-    assert squarefree_split(8) == (2, 2)
-    assert squarefree_split(12) == (2, 3)
-    assert squarefree_split(221) == (1, 221)
-    assert squarefree_split(360) == (6, 10)
-
-
-def test_squarefree_split_reconstructs_input():
-    for n in range(1, 500):
-        outer, radicand = squarefree_split(n)
-        assert outer * outer * radicand == n
 
 
 def test_sqrt_of_int_squares_back():
@@ -99,6 +83,35 @@ def test_mixed_radicand_arithmetic_rejected():
     s3 = QuadraticSurd.sqrt_of_int(3)
     with pytest.raises(ValidationError):
         _ = s2 + s3
+
+
+def test_radicands_with_square_product_mix_exactly():
+    s2, s8, s32 = (QuadraticSurd.sqrt_of_int(n) for n in (2, 8, 32))
+    total = s8 + s32  # 6*sqrt(2)
+    assert not total.is_rational
+    assert (total * total).as_fraction() == 72
+    assert (s8 * s32).as_fraction() == 16
+    assert s8 == 2 * s2
+    assert hash(s8) == hash(2 * s2)
+    assert s8 != s2 and s2 != QuadraticSurd.sqrt_of_int(3)
+
+
+@pytest.mark.parametrize(
+    "surd, form",
+    [
+        (QuadraticSurd.make(0, 2, 1, 3), (0, 1, 1, 12)),
+        (QuadraticSurd.make(1, 1, 2, 5), (1, 1, 2, 5)),
+        (QuadraticSurd.make(1, -1, 2, 5), (1, -1, 2, 5)),
+        (QuadraticSurd.make(-4, 1, 8, 32), (-2, 1, 4, 8)),
+        (QuadraticSurd.make(3, -6, 9, 20), (3, -1, 9, 720)),
+        (QuadraticSurd.from_rational(Fraction(-7, 2)), (-7, 0, 2, 0)),
+    ],
+)
+def test_canonical_form_is_the_minimal_polynomial_root(surd, form):
+    c = surd.canonical()
+    assert (c.p, c.q, c.r, c.d) == form
+    assert (c - surd).sign() == 0
+    assert c == surd and hash(c) == hash(surd)
 
 
 def test_inverse_of_zero_rejected():
