@@ -5,7 +5,9 @@ positive gaps, a transition relation, and for each piece an expanding
 branch (affine or Moebius) mapping the piece onto the convex hull of its
 transition targets.  The attractor is the set of points whose full
 forward orbit stays inside the pieces; depth-n covers are the connected
-components of the n-th preimage of the piece union.
+components of the n-th preimage of the piece union.  `RegularCantorSet`
+holds exactly these three things, `pieces`, `transitions` and
+`branches`, plus an `exact` flag and free-form `meta`.
 
 Every cover is read off one cylinder tree.  A node holds the composite of
 inverse branches along its address and its interval; one child step
@@ -116,10 +118,7 @@ class AffineMap:
         return AffineMap(self.slope * inner.slope, self.slope * inner.offset + self.offset)
 
     def inverse(self) -> "AffineMap":
-        if isinstance(self.slope, Fraction) or isinstance(self.slope, int):
-            s = Fraction(1, 1) / Fraction(self.slope)
-            return AffineMap(s, -Fraction(self.offset) * s)
-        return AffineMap(1.0 / self.slope, -self.offset / self.slope)
+        return AffineMap(1 / self.slope, -self.offset / self.slope)
 
     @staticmethod
     def identity() -> "AffineMap":
@@ -168,61 +167,28 @@ class MoebiusMap:
 MapLike = Union[AffineMap, MoebiusMap]
 
 
-@dataclass(frozen=True)
-class BranchMap:
-    """Expanding branch defined on one Markov piece.
-
-    `forward` maps the domain piece onto the convex hull of the target
-    pieces; `orientation` is +1 for increasing branches, -1 for
-    decreasing ones.  `deriv_min`/`deriv_max` bound |forward'| on the
-    domain and must satisfy deriv_min > 1.
-    """
-
-    domain: Interval
-    forward: MapLike
-    orientation: int
-    deriv_min: float
-    deriv_max: float
-
-    @property
-    def kind(self) -> str:
-        return "affine" if isinstance(self.forward, AffineMap) else "moebius"
-
-    def inverse(self) -> MapLike:
-        return self.forward.inverse()
-
-
 # ---------------------------------------------------------------------------
-# partitions and sets
-
-
-@dataclass(frozen=True)
-class MarkovPartition:
-    pieces: tuple[Interval, ...]
-    transitions: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.pieces)
+# sets
 
 
 @dataclass(frozen=True)
 class RegularCantorSet:
-    partition: MarkovPartition
-    branches: tuple[BranchMap, ...]
+    """Markov pieces, their transition rows, and each piece's forward branch.
+
+    `branches[j]` maps `pieces[j]` onto the convex hull of the pieces in
+    `transitions[j]`.  Affine branches are built by `build_affine` and
+    are increasing; Moebius branches may reverse orientation.
+    """
+
+    pieces: tuple[Interval, ...]
+    transitions: tuple[tuple[int, ...], ...]
+    branches: tuple[MapLike, ...]
     exact: bool
     meta: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
-    def pieces(self) -> tuple[Interval, ...]:
-        return self.partition.pieces
-
-    @property
-    def transitions(self) -> tuple[tuple[int, ...], ...]:
-        return self.partition.transitions
-
-    @property
     def n_pieces(self) -> int:
-        return len(self.partition.pieces)
+        return len(self.pieces)
 
     @property
     def hull(self) -> Interval:
@@ -230,11 +196,7 @@ class RegularCantorSet:
 
     @property
     def is_affine(self) -> bool:
-        return all(b.kind == "affine" for b in self.branches)
-
-    @property
-    def orientation_preserving(self) -> bool:
-        return all(b.orientation == +1 for b in self.branches)
+        return all(isinstance(b, AffineMap) for b in self.branches)
 
     @property
     def has_full_transitions(self) -> bool:
@@ -245,13 +207,6 @@ class RegularCantorSet:
     def inverses(self) -> tuple[MapLike, ...]:
         """Inverse branch of each piece, computed once per set."""
         return tuple(b.inverse() for b in self.branches)
-
-    def identity_map(self) -> MapLike:
-        return AffineMap.identity() if self.is_affine else MoebiusMap.identity()
-
-    def contraction_ratios(self) -> tuple[float, ...]:
-        """Per-branch upper bound on the inverse-branch contraction."""
-        return tuple(1.0 / b.deriv_min for b in self.branches)
 
     def admissible_count(self, n: int, cap: int | None = None) -> int:
         """Exact number of admissible words of length n+1 (cap-aware)."""
@@ -307,18 +262,14 @@ def _check_transitions(transitions: Sequence[Sequence[int]], r: int) -> tuple[tu
 def _check_branch_images(
     pieces: Sequence[Interval],
     transitions: Sequence[tuple[int, ...]],
-    branches: Sequence[BranchMap],
+    branches: Sequence[MapLike],
     exact: bool,
 ) -> None:
     scale = float(pieces[-1].hi - pieces[0].lo)
     for j, br in enumerate(branches):
-        if br.deriv_min <= 1.0:
-            raise ContractionViolation(
-                f"branch {j} expansion bound {br.deriv_min} is not > 1"
-            )
         ts = transitions[j]
         hull = Interval(pieces[ts[0]].lo, pieces[ts[-1]].hi)
-        image = br.forward.apply_interval(br.domain)
+        image = br.apply_interval(pieces[j])
         if exact:
             if image.lo != hull.lo or image.hi != hull.hi:
                 raise ValidationError(
@@ -338,7 +289,7 @@ def _check_branch_images(
 def _finish_build(
     pieces: Sequence[Interval],
     transitions: Sequence[Sequence[int]],
-    branches: Sequence[BranchMap],
+    branches: Sequence[MapLike],
     exact: bool,
     meta: dict | None = None,
 ) -> RegularCantorSet:
@@ -350,7 +301,8 @@ def _finish_build(
         raise ValidationError("one branch per piece required")
     _check_branch_images(pieces, rows, branches, exact)
     return RegularCantorSet(
-        partition=MarkovPartition(pieces=pieces, transitions=rows),
+        pieces=pieces,
+        transitions=rows,
         branches=branches,
         exact=exact,
         meta=meta or {},
@@ -395,16 +347,7 @@ def build_affine(
             raise ContractionViolation(
                 f"branch {j} slope {slope} is not > 1; target hull no longer than piece"
             )
-        offset = hull.lo - slope * piece.lo
-        branches.append(
-            BranchMap(
-                domain=piece,
-                forward=AffineMap(slope, offset),
-                orientation=+1,
-                deriv_min=float(slope),
-                deriv_max=float(slope),
-            )
-        )
+        branches.append(AffineMap(slope, hull.lo - slope * piece.lo))
     return _finish_build(ivs, rows, branches, exact)
 
 
@@ -436,17 +379,8 @@ def gauss_cantor(digit_bound: int) -> RegularCantorSet:
     for a in range(n, 0, -1):
         lo_s = (QuadraticSurd.from_rational(a) + y_max).inverse()
         hi_s = (QuadraticSurd.from_rational(a) + y_min).inverse()
-        piece = Interval(float(lo_s), float(hi_s))
-        pieces.append(piece)
-        branches.append(
-            BranchMap(
-                domain=piece,
-                forward=MoebiusMap(-a, 1, 1, 0),  # x -> (1 - a x)/x = 1/x - a
-                orientation=-1,
-                deriv_min=1.0 / float(hi_s) ** 2,
-                deriv_max=1.0 / float(lo_s) ** 2,
-            )
-        )
+        pieces.append(Interval(float(lo_s), float(hi_s)))
+        branches.append(MoebiusMap(-a, 1, 1, 0))  # x -> (1 - a x)/x = 1/x - a
     transitions = [tuple(range(n))] * n
     meta = {"digit_bound": n, "hull_min_surd": y_min, "hull_max_surd": y_max}
     return _finish_build(pieces, transitions, branches, exact=False, meta=meta)
@@ -521,10 +455,6 @@ class Cover:
     def min_length(self) -> Num:
         return min(iv.length for iv in self.intervals)
 
-    @property
-    def hull(self) -> Interval:
-        return Interval(self.intervals[0].lo, self.intervals[-1].hi)
-
 
 # A node of the cylinder tree: (last symbol, composite of inverse branches,
 # address, interval).  The interval is the composite applied to the piece
@@ -534,7 +464,7 @@ _Node = tuple[int, MapLike, tuple[int, ...], Interval]
 
 
 def _roots(K: RegularCantorSet) -> list[_Node]:
-    identity = K.identity_map()
+    identity = AffineMap.identity() if K.is_affine else MoebiusMap.identity()
     return [(j, identity, (j,), K.pieces[j]) for j in range(K.n_pieces)]
 
 
@@ -741,7 +671,7 @@ def set_to_json(K: RegularCantorSet) -> dict:
         doc["branches"] = "affine-auto"
     else:
         doc["branches"] = [
-            {"kind": "moebius", "matrix": [[b.forward.a, b.forward.b], [b.forward.c, b.forward.d]]}
+            {"kind": "moebius", "matrix": [[b.a, b.b], [b.c, b.d]]}
             for b in K.branches
         ]
     return doc
@@ -754,40 +684,56 @@ def set_from_json(doc: dict) -> RegularCantorSet:
         raw_branches = doc.get("branches", "affine-auto")
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"set definition missing field: {exc}") from exc
-    pieces = [(_num_from_json(lo), _num_from_json(hi)) for lo, hi in raw_pieces]
+    try:
+        pieces = [(_num_from_json(lo), _num_from_json(hi)) for lo, hi in raw_pieces]
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ValidationError(f"pieces must be [lo, hi] number pairs: {exc}") from exc
     rows: list[list[int]] = [[] for _ in pieces]
-    for j, t in raw_transitions:
-        if not (0 <= int(j) < len(pieces)):
-            raise ValidationError(f"transition source {j} out of range")
-        rows[int(j)].append(int(t))
+    try:
+        for j, t in raw_transitions:
+            if not (0 <= int(j) < len(pieces)):
+                raise ValidationError(f"transition source {j} out of range")
+            rows[int(j)].append(int(t))
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ValidationError(f"transitions must be [source, target] integer pairs: {exc}") from exc
     if raw_branches == "affine-auto":
         return build_affine(pieces, rows)
     ivs = [Interval(lo, hi) for lo, hi in pieces]
+    _check_pieces(ivs)
+    rows = _check_transitions(rows, len(ivs))
+    if not isinstance(raw_branches, list):
+        raise ValidationError('branches must be "affine-auto" or a list of moebius branches')
+    if len(raw_branches) != len(ivs):
+        raise ValidationError("one branch per piece required")
     branches = []
-    for piece, spec_branch in zip(ivs, raw_branches):
-        if spec_branch.get("kind") != "moebius":
+    for j, (piece, spec_branch) in enumerate(zip(ivs, raw_branches)):
+        if not isinstance(spec_branch, dict) or spec_branch.get("kind") != "moebius":
             raise ValidationError("explicit branches must be moebius; use affine-auto otherwise")
-        (a, b), (c, d) = spec_branch["matrix"]
-        m = MoebiusMap(int(a), int(b), int(c), int(d))
+        try:
+            (a, b), (c, d) = spec_branch["matrix"]
+            m = MoebiusMap(int(a), int(b), int(c), int(d))
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+            raise ValidationError(f"branch {j} matrix must be [[a, b], [c, d]] integers: {exc}") from exc
         if abs(m.det) != 1:
             raise ValidationError(f"moebius branch determinant must be +-1, got {m.det}")
-        lo, hi = float(piece.lo), float(piece.hi)
-        dvals = sorted(abs(m.det) / (m.c * x + m.d) ** 2 for x in (lo, hi))
-        branches.append(
-            BranchMap(
-                domain=piece,
-                forward=m,
-                orientation=+1 if m.det > 0 else -1,
-                deriv_min=dvals[0],
-                deriv_max=dvals[1],
-            )
-        )
+        # |f'(x)| = 1 / (c*x + d)^2 is monotone on a piece free of the pole
+        denoms = [m.c * float(x) + m.d for x in (piece.lo, piece.hi)]
+        if not (min(denoms) > 0 or max(denoms) < 0):
+            raise ValidationError(f"moebius branch {j} has its pole on its piece")
+        bound = min(1 / e ** 2 for e in denoms)
+        if bound <= 1.0:
+            raise ContractionViolation(f"branch {j} expansion bound {bound} is not > 1")
+        branches.append(m)
     return _finish_build(ivs, rows, branches, exact=False)
 
 
 def load_set(path) -> RegularCantorSet:
     with open(path) as fh:
-        return set_from_json(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise ValidationError(f"set file {path} is not valid JSON: {exc}") from exc
+    return set_from_json(doc)
 
 
 def dump_set(K: RegularCantorSet, path) -> None:

@@ -321,7 +321,10 @@ def _cmd_intersect(cfg: dict) -> dict:
 def _cmd_recur(cfg: dict) -> dict:
     if cfg.get("verify"):
         with open(cfg["verify"]) as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:  # bad JSON or bad UTF-8
+                raise ValidationError(f"certificate {cfg['verify']} is not valid JSON: {exc}") from exc
         ok, reason = verify_certificate(doc)
         return {"verified": bool(ok), "reason": reason, "certificate": str(cfg["verify"])}
     K1, K2, names = _resolve_pair(cfg)

@@ -154,83 +154,27 @@ def _mat_pow(a, n: int):
     return result
 
 
-def _smith_diagonalize(m):
-    """Unimodular U, V and diagonal (s1, s2) with U @ M @ V diagonal."""
-    a = [list(row) for row in m]
-    u = [[1, 0], [0, 1]]
-    v = [[1, 0], [0, 1]]
-
-    def row_op(i, j, k):  # row_i += k * row_j
-        for c in range(2):
-            a[i][c] += k * a[j][c]
-            u[i][c] += k * u[j][c]
-
-    def col_op(i, j, k):  # col_i += k * col_j
-        for r in range(2):
-            a[r][i] += k * a[r][j]
-            v[r][i] += k * v[r][j]
-
-    def swap_rows():
-        a[0], a[1] = a[1], a[0]
-        u[0], u[1] = u[1], u[0]
-
-    def swap_cols():
-        for r in range(2):
-            a[r][0], a[r][1] = a[r][1], a[r][0]
-            v[r][0], v[r][1] = v[r][1], v[r][0]
-
-    # clear the off-diagonal entries by Euclid steps; swapping the larger
-    # entry into the pivot first keeps every step strictly reducing, so
-    # the bound is generous.  In a 2x2 matrix the row phase only touches
-    # row 1 and the column phase only touches column 1, so neither
-    # reintroduces what the other cleared.
-    for _ in range(4096):
-        if a[0][0] == 0:
-            if a[1][0] != 0:
-                swap_rows()
-            elif a[0][1] != 0:
-                swap_cols()
-            else:
-                break
-        if a[1][0] != 0:
-            if abs(a[1][0]) < abs(a[0][0]):
-                swap_rows()
-            row_op(1, 0, -(a[1][0] // a[0][0]))
-            continue
-        if a[0][1] != 0:
-            if abs(a[0][1]) < abs(a[0][0]):
-                swap_cols()
-            col_op(1, 0, -(a[0][1] // a[0][0]))
-            continue
-        break
-    if a[1][0] != 0 or a[0][1] != 0:
-        raise ValidationError("matrix reduction did not terminate")
-    return u, v, (a[0][0], a[1][1])
-
-
 def enumerate_torus_periodic_points(n: int) -> list[tuple[Fraction, Fraction]]:
     """All fixed points of the n-th iterate on the torus, as exact
     rationals in [0,1)^2, via the lattice (A^n - I) x in Z^2."""
     an = _mat_pow(CAT_MATRIX, n)
-    m = ((an[0][0] - 1, an[0][1]), (an[1][0], an[1][1] - 1))
-    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    a, b, c, d = an[0][0] - 1, an[0][1], an[1][0], an[1][1] - 1
+    det = a * d - b * c
     if det == 0:
         raise ValidationError("iterate has non-isolated fixed points")
-    _u, v, (s1, s2) = _smith_diagonalize(m)
-    s1, s2 = abs(s1), abs(s2)
-    # y-solutions of S y in Z^2 are the rational lattice i/s1, j/s2;
-    # x = V y mod 1 enumerates each fixed point exactly once
+    # M = A^n - I has column Hermite form [[g, 0], [h, det/g]] with
+    # g = gcd(a, b), so the (i, j) below run once over Z^2 / M Z^2 and
+    # x = M^-1 (i, j) mod 1 runs once over the fixed points
+    g = math.gcd(a, b)
     points = []
     seen = set()
-    for i in range(s1):
-        for j in range(s2):
-            y1, y2 = Fraction(i, s1), Fraction(j, s2)
-            x1 = (v[0][0] * y1 + v[0][1] * y2) % 1
-            x2 = (v[1][0] * y1 + v[1][1] * y2) % 1
-            if (x1, x2) in seen:
+    for i in range(g):
+        for j in range(abs(det) // g):
+            x = (Fraction(d * i - b * j, det) % 1, Fraction(a * j - c * i, det) % 1)
+            if x in seen:
                 raise ValidationError("lattice enumeration produced a duplicate point")
-            seen.add((x1, x2))
-            points.append((x1, x2))
+            seen.add(x)
+            points.append(x)
     return points
 
 

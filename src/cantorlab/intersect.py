@@ -292,11 +292,9 @@ def _child_tables(K: RegularCantorSet) -> list[list[tuple[int, float, float, flo
     return tables
 
 
-def _require_affine_orientation(K: RegularCantorSet, name: str) -> None:
+def _require_affine(K: RegularCantorSet, name: str) -> None:
     if not K.is_affine:
         raise NonAffineInput(f"{name} must be affine for exact renormalization")
-    if not K.orientation_preserving:
-        raise NonAffineInput(f"{name} must have orientation-preserving branches")
 
 
 def recurrent_compact_search(
@@ -318,8 +316,8 @@ def recurrent_compact_search(
     renormalize forever with overlapping hulls — nonempty intersection,
     robust under translation-type perturbations up to the margin.
     """
-    _require_affine_orientation(K1, "first set")
-    _require_affine_orientation(K2, "second set")
+    _require_affine(K1, "first set")
+    _require_affine(K2, "second set")
     (s_lo, s_hi), (t_lo, t_hi) = box
     hs, ht = float(grid[0]), float(grid[1])
     if not (s_hi > s_lo and t_hi > t_lo and hs > 0 and ht > 0):
@@ -479,8 +477,8 @@ def position_to_sets(
     """
     if not (K1.has_full_transitions and K2.has_full_transitions):
         raise ValidationError("relative positions need full-transition sets")
-    _require_affine_orientation(K1, "first set")
-    _require_affine_orientation(K2, "second set")
+    _require_affine(K1, "first set")
+    _require_affine(K2, "second set")
 
     def unit(K: RegularCantorSet) -> RegularCantorSet:
         a = 1 / Fraction(K.hull.length) if K.exact else 1.0 / float(K.hull.length)
@@ -545,16 +543,21 @@ def verify_certificate(doc: dict) -> tuple[bool, str]:
         r1, r2 = (int(x) for x in grid["types"])
         s0, hs = float(grid["s0"]), float(grid["hs"])
         t0, ht = float(grid["t0"]), float(grid["ht"])
-        margin = int(doc["margin"])
+        margin, runs, witnesses = doc["margin"], list(doc["mask_rle"]), list(doc["witnesses"])
         K1 = set_from_json(doc["sets"]["first"])
         K2 = set_from_json(doc["sets"]["second"])
     except (KeyError, TypeError, ValueError) as exc:
         return False, f"malformed certificate: {exc}"
+    # a negative margin or cell size would shrink the checked image boxes
+    if not (ns > 0 and nt > 0 and hs > 0 and ht > 0) or (r1, r2) != (K1.n_pieces, K2.n_pieces):
+        return False, "malformed certificate: grid sizes must be positive and types match the sets"
+    if not all(type(x) is int and x >= 0 for x in [margin, *runs, *witnesses]):
+        return False, "malformed certificate: margin, runs and witnesses must be non-negative integers"
 
     total = r1 * r2 * ns * nt
     flat = np.zeros(total, dtype=bool)
     pos, value = 0, False
-    for run in doc["mask_rle"]:
+    for run in runs:
         if value:
             flat[pos : pos + run] = True
         pos += run
@@ -563,7 +566,6 @@ def verify_certificate(doc: dict) -> tuple[bool, str]:
         return False, "mask run-length data does not match grid size"
     mask = flat.reshape((r1, r2, ns, nt))
     members = np.flatnonzero(flat)
-    witnesses = doc["witnesses"]
     if len(witnesses) != 2 * len(members):
         return False, "witness list length does not match member count"
 

@@ -225,17 +225,19 @@ class QuadraticSurd:
 
     def __float__(self) -> float:
         if self.q == 0:
-            return float(Fraction(self.p, self.r))
-        # exact integer arithmetic with enough fractional bits of sqrt(d)
-        # that p and q*sqrt(d) cannot cancel below the working precision;
-        # doubling terminates because a normalized surd with q != 0 is
-        # irrational, hence p + q*sqrt(d) != 0.
+            return self.p / self.r
+        # 2^shift * sqrt(d) lies in [root, root + 1), so the numerator lies
+        # within |q| of num.  Int division rounds correctly; once both ends
+        # of the enclosure round alike, so does the value.  An irrational
+        # value never sits on a rounding boundary, so doubling terminates.
         shift = 60
         while True:
             root = math.isqrt(self.d << (2 * shift))  # floor(2^shift * sqrt(d))
             num = (self.p << shift) + self.q * root
-            if abs(num) > abs(self.q) << 60:  # |error| <= |q|: 60 guard bits
-                return float(Fraction(num, self.r << shift))
+            den = self.r << shift
+            lo, hi = (num - abs(self.q)) / den, (num + abs(self.q)) / den
+            if lo == hi:
+                return lo
             shift *= 2
 
     def floor(self) -> int:

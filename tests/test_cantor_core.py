@@ -46,7 +46,6 @@ def test_symmetric_thirds_structure(ternary):
     assert ternary.hull == Interval(F(0), F(1))
     assert ternary.is_affine
     assert ternary.has_full_transitions
-    assert ternary.contraction_ratios() == (pytest.approx(1 / 3), pytest.approx(1 / 3))
 
 
 def test_pieces_must_be_sorted_with_positive_gaps():
@@ -303,6 +302,22 @@ def test_moebius_round_trip_preserves_covers(tmp_path):
 def test_set_from_json_rejects_malformed_documents():
     with pytest.raises(ValidationError):
         set_from_json({"kind": "nonsense"})
+
+
+def test_moebius_branch_from_a_file_must_expand_on_its_whole_piece():
+    # both branches map their piece onto [0, 1], but the first has
+    # |f'(0)| = 1 / (-2*0 + 1)^2 = 1 at the left end of its piece
+    doc = {
+        "pieces": [["0", "1/3"], ["2/3", "1"]],
+        "transitions": [[0, 0], [0, 1], [1, 0], [1, 1]],
+        "branches": [
+            {"kind": "moebius", "matrix": [[1, 0], [-2, 1]]},
+            {"kind": "moebius", "matrix": [[3, -2], [2, -1]]},
+        ],
+    }
+    with pytest.raises(ContractionViolation) as err:
+        set_from_json(doc)
+    assert str(err.value) == "branch 0 expansion bound 1.0 is not > 1"
 
 
 def test_builtin_catalog_names_resolve():

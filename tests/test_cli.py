@@ -207,6 +207,65 @@ class TestExitCodes:
         assert "jobs" in err
 
 
+TERNARY_FILE = {
+    "pieces": [["0", "1/3"], ["2/3", "1"]],
+    "transitions": [[0, 0], [0, 1], [1, 0], [1, 1]],
+}
+WEAK_MOEBIUS_FILE = {
+    **TERNARY_FILE,
+    "branches": [
+        {"kind": "moebius", "matrix": [[1, 0], [-2, 1]]},
+        {"kind": "moebius", "matrix": [[3, -2], [2, -1]]},
+    ],
+}
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {**TERNARY_FILE, "transitions": [["a", 0], [0, 1], [1, 0], [1, 1]]},
+            {**TERNARY_FILE, "pieces": [["0", "1/3", "1/2"], ["2/3", "1"]]},
+            {**TERNARY_FILE, "branches": [{"kind": "moebius", "matrix": [[1, 0]]}] * 2},
+            {**TERNARY_FILE, "pieces": [["abc", "1/3"], ["2/3", "1"]]},
+            {**TERNARY_FILE, "branches": [{"kind": "moebius", "matrix": [[0, 1], [1, 0]]}] * 2},
+            WEAK_MOEBIUS_FILE,
+        ],
+        ids=["transition-string", "piece-triple", "matrix-one-row", "endpoint-string",
+             "pole-at-endpoint", "weak-expansion"],
+    )
+    def test_malformed_set_file_is_exit_three(self, capsys, tmp_path, doc):
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps(doc))
+        code, rec, _, err = run_cli(["thickness", "--set-file", str(path)], capsys)
+        assert code == EXIT_INVALID
+        assert rec is None
+        assert "invalid" in err
+
+    @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{"], ids=["syntax", "utf8"])
+    def test_set_file_that_is_not_json_is_exit_three(self, capsys, tmp_path, content):
+        path = tmp_path / "set.json"
+        path.write_bytes(content)
+        code, rec, _, err = run_cli(["thickness", "--set-file", str(path)], capsys)
+        assert code == EXIT_INVALID
+        assert "set.json" in err
+
+    def test_certificate_with_a_string_run_is_reported_malformed(self, capsys, tmp_path):
+        ternary = cantorlab.set_to_json(cantorlab.get_set("ternary"))
+        grid = {"s0": 0.0, "hs": 0.1, "ns": 1, "t0": 0.0, "ht": 0.1, "nt": 1, "types": [2, 2]}
+        doc = {"grid": grid, "margin": 0, "sets": {"first": ternary, "second": ternary},
+               "mask_rle": [4], "witnesses": []}
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        code, rec, _, _ = run_cli(["recur", "--verify", str(path)], capsys)
+        assert (code, rec["outputs"]["verified"]) == (EXIT_OK, True)
+        path.write_text(json.dumps({**doc, "mask_rle": ["4"]}))
+        code, rec, _, _ = run_cli(["recur", "--verify", str(path)], capsys)
+        assert code == EXIT_OK
+        assert rec["outputs"]["verified"] is False
+        assert rec["outputs"]["reason"].startswith("malformed certificate")
+
+
 class TestCommands:
     def test_list_sets(self, capsys):
         code, rec, _, _ = run_cli(["list-sets"], capsys)

@@ -25,7 +25,7 @@ DEPTHS = range(0, 11)
 def _reference_leaves(K, split):
     """(interval, address) of every leaf of the tree cut by split(iv, word),
     sorted by left endpoint."""
-    inverses = [b.forward.inverse() for b in K.branches]
+    inverses = [b.inverse() for b in K.branches]
     out = []
 
     def walk(word, comp):

@@ -260,6 +260,22 @@ def test_certificate_rejects_malformed_documents():
     assert message
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("margin", -1), ("margin", 1.0), ("witnesses", "ab"), ("types", [1, 2]), ("ht", -0.1)],
+)
+def test_certificate_fields_out_of_range_are_malformed(middle_fifth, field, value):
+    # a negative margin or cell size would shrink the boxes the verifier
+    # checks, so a valid certificate altered that way must not pass
+    out = recurrent_compact_search(middle_fifth, middle_fifth, SEARCH_BOX, SEARCH_GRID, margin=1)
+    doc = region_to_json(out.region, middle_fifth, middle_fifth)
+    target = doc["grid"] if field in doc["grid"] else doc
+    target[field] = value
+    ok, message = verify_certificate(doc)
+    assert not ok
+    assert message.startswith("malformed certificate")
+
+
 def test_position_maps_define_translated_scaled_copies(middle_fifth):
     K1, K2 = position_to_sets(middle_fifth, middle_fifth, 0.25, 0.5)
     # s, t are log-scale and offset of the second set relative to the first

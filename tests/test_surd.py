@@ -71,6 +71,14 @@ def test_float_conversion_handles_catastrophic_cancellation():
     assert abs(abs(got) - want) < want * 1e-6
 
 
+def test_float_conversion_is_correctly_rounded():
+    # 8*sqrt(14)/5 = 5.98665181883830621693...; the nearest double prints
+    # ...307, and the equal canonical form sqrt(22400)/25 must agree
+    x = QuadraticSurd.make(0, 8, 5, 14)
+    assert float(x) == 5.986651818838307
+    assert float(x.canonical()) == float(x)
+
+
 def test_floor_of_exact_values():
     assert QuadraticSurd.sqrt_of_int(2).floor() == 1
     assert QuadraticSurd.sqrt_of_int(99).floor() == 9
