@@ -39,7 +39,7 @@ CASES = (
               "--depth", "8"]),
     ("hall", ["hall", "--depth", "8"]),
     ("marstrand", ["marstrand", "--set1", "ternary", "--set2", "ternary",
-                   "--n-lambdas", "20", "--seed", "0"]),
+                   "--n-lambdas", "20", "--seed", "0", "--csv", "scan.csv"]),
     ("intersect", ["intersect", "--set1", "ternary", "--set2", "ternary",
                    "--t", "0.25", "--depth", "9"]),
     ("recur", ["recur", "--set1", "middle-fifth", "--set2", "middle-fifth",
@@ -47,7 +47,8 @@ CASES = (
     ("recur-verify", ["recur", "--verify", "cert.json"]),
     ("dstable", ["dstable", "--set1", "ternary", "--set2", "ternary", "--t", "0.25",
                  "--d", "0.3", "--seed", "0"]),
-    ("density", ["density", "--set1", "thin", "--set2", "thin", "--t0", "0.0"]),
+    ("density", ["density", "--set1", "thin", "--set2", "thin", "--t0", "0.0",
+                 "--csv", "density.csv"]),
     ("spectrum-period", ["spectrum", "--period", "2,1", "--window", "8"]),
     ("spectrum-sample", ["spectrum", "--sample", "--max-period", "6",
                          "--digit-bound", "4", "--csv", "spectrum.csv"]),
