@@ -40,6 +40,7 @@ which are reported by path).  The environment variable
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import sys
@@ -183,11 +184,17 @@ def _resolve_pair(cfg: dict) -> tuple[RegularCantorSet, RegularCantorSet, dict]:
     return K1, K2, {"set1": d1, "set2": d2}
 
 
-def _union_csv(U: IntervalUnion, path) -> None:
+def _write_csv(path, header, rows) -> None:
+    """Every --csv artifact: a header row, then one line per row."""
     with open(path, "w", newline="") as fh:
-        fh.write("lo,hi\n")
-        for lo, hi in zip(U.los, U.his):
-            fh.write(f"{lo!r},{hi!r}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _union_csv(U: IntervalUnion, path) -> None:
+    rows = ([repr(float(lo)), repr(float(hi))] for lo, hi in zip(U.los, U.his))
+    _write_csv(path, ["lo", "hi"], rows)
 
 
 def _union_outputs(U: IntervalUnion) -> dict:

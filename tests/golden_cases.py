@@ -34,7 +34,8 @@ CASES = (
     ("dim-box", ["dim", "--set", "gauss2", "--method", "box", "--depth-min", "2",
                  "--depth-max", "10", "--csv", "dim.csv"]),
     ("thickness", ["thickness", "--set", "middle-fifth", "--depth", "8"]),
-    ("sum", ["sum", "--set1", "ternary", "--set2", "ternary", "--depth", "10"]),
+    ("sum", ["sum", "--set1", "ternary", "--set2", "ternary", "--depth", "10",
+             "--csv", "sum.csv"]),
     ("diff", ["diff", "--set1", "thin", "--set2", "thin", "--lambda", "1.0",
               "--depth", "8"]),
     ("hall", ["hall", "--depth", "8"]),

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: result records, digests, exit
 codes, config-file precedence, and artifact files."""
 
+import csv
 import hashlib
 import json
 import math
@@ -79,6 +80,22 @@ class TestResultRecord:
         lines = sum_csv.read_text().strip().splitlines()
         assert lines[0] == "lo,hi"
         assert len(lines) == rec["outputs"]["n_components"] + 1
+
+    def test_union_csv_holds_numbers(self, capsys, tmp_path):
+        path = tmp_path / "sum.csv"
+        code, rec, _, _ = run_cli(
+            ["sum", "--set1", "ternary", "--set2", "ternary", "--depth", "3",
+             "--csv", str(path)],
+            capsys,
+        )
+        assert code == EXIT_OK
+        with open(path, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["lo", "hi"]
+        values = [[float(x) for x in row] for row in rows]
+        assert len(values) == rec["outputs"]["n_components"]
+        assert values[0][0] == rec["outputs"]["lo"]
+        assert values[-1][1] == rec["outputs"]["hi"]
 
 
 class TestConfigFile:
