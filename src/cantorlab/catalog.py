@@ -40,9 +40,6 @@ class CatalogEntry:
     description: str
     build: Callable[[], RegularCantorSet]
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "description": self.description}
-
 
 def _ternary() -> RegularCantorSet:
     return _two_piece_set(Fraction(1, 3))

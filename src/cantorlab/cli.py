@@ -22,12 +22,16 @@ Configuration precedence: command-line flags > ``--config`` JSON file >
 built-in defaults.  Config file keys use the flag names with underscores
 (``set1``, ``depth_max``, ``lam`` — ``lambda`` is accepted as an alias).
 
-Only commands that write a per-row artifact take ``--csv`` (dim, sum,
-diff, hall, marstrand, density, spectrum, stdmap).  ``--budget`` is a
-pair budget for sum, diff, hall, marstrand and density; elsewhere it
-caps the intervals per cover (dim, thickness, intersect, dstable), the
-grid cells (recur), the words (spectrum --sample) or the periodic points
-(catmap); the other commands do not take it.  An option a command does
+Each handler builds its own outputs dict from the library's result
+types; no library module formats a record or a CSV.  Only commands that
+write a per-row artifact take ``--csv`` (dim, sum, diff, hall, marstrand,
+density, spectrum, stdmap), and every such file goes through
+``_write_csv``: a header row, then comma-separated rows, with ``\r\n``
+line ends.  ``--budget`` is a pair budget for sum, diff, hall, marstrand
+and density; elsewhere it caps the intervals per cover (dim, thickness,
+intersect, dstable), the grid cells (recur), the words (spectrum
+--sample) or the periodic points (catmap); the other commands do not
+take it.  An option a command does
 not take exits 3, as a flag and as a config key.
 
 Exit codes: 0 success, 2 budget exhaustion, 3 invalid arguments,
@@ -45,6 +49,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 from functools import partial
 from typing import NamedTuple
@@ -60,7 +65,6 @@ from .cantor_core import (
 from .catalog import get_set, list_builtin_sets
 from .dimension import (
     box_dimension,
-    dimension_csv,
     hausdorff_dimension_moran,
     thickness,
 )
@@ -100,7 +104,6 @@ from .spectra import (
     hall_halfline_probe,
     k_alpha,
     lagrange_sample,
-    spectrum_csv,
 )
 
 __all__ = ["main", "build_parser", "HALL_TARGET"]
@@ -230,14 +233,27 @@ def _cmd_dim(cfg: dict) -> dict:
     else:
         raise ConfigInvalid(f"method must be 'moran' or 'box', got {method!r}")
     if cfg.get("csv"):
-        dimension_csv(est, cfg["csv"])
-    return {**est.to_json(), "set": desc}
+        rows = ([n, count, repr(r)] for n, count, r in zip(est.depths, est.counts, est.radii))
+        _write_csv(cfg["csv"], ["depth", "N", "r"], rows)
+    return {
+        "value": est.value,
+        "method": est.method,
+        "residual": est.residual,
+        "depth_used": est.depth_used,
+        "set": desc,
+    }
 
 
 def _cmd_thickness(cfg: dict) -> dict:
     K, desc = _resolve_set(cfg, "set")
     est = thickness(K, int(cfg["depth"]), budget=cfg["budget"])
-    return {**est.to_json(), "set": desc}
+    return {
+        "value": est.value,
+        "depth": est.depth,
+        "limiting_gap": list(est.limiting_gap.as_floats()),
+        "limiting_gap_address": list(est.limiting_gap_address),
+        "set": desc,
+    }
 
 
 def _cmd_cover_sum(cfg: dict, op: str) -> dict:
@@ -288,19 +304,24 @@ def _cmd_marstrand(cfg: dict) -> dict:
         theta=float(cfg["theta"]), pair_budget=_pair_budget(cfg, SCAN_PAIR_BUDGET),
     )
     if cfg.get("csv"):
-        scan.to_csv(cfg["csv"])
-    out = scan.summary_json()
-    out.update(
-        {
-            **names,
-            "n_lambdas": n_lam,
-            "lambda_lo": lo,
-            "lambda_hi": hi,
-            "seed": int(cfg["seed"]),
-            "finest_resolution": resolutions[-1],
-        }
-    )
-    return out
+        rows = (
+            [repr(lam), repr(res), repr(float(length))]
+            for lam, lengths in zip(scan.lambdas, scan.table)
+            for res, length in zip(scan.resolutions, lengths)
+        )
+        _write_csv(cfg["csv"], ["lambda", "resolution", "covered_length"], rows)
+    return {
+        **names,
+        "fraction_above_theta": scan.fraction_above(),
+        "median_slope": scan.median_slope(),
+        "theta": scan.theta,
+        "n": scan.depth,
+        "n_lambdas": n_lam,
+        "lambda_lo": lo,
+        "lambda_hi": hi,
+        "seed": int(cfg["seed"]),
+        "finest_resolution": resolutions[-1],
+    }
 
 
 def _cmd_intersect(cfg: dict) -> dict:
@@ -402,8 +423,9 @@ def _cmd_density(cfg: dict) -> dict:
         K1, K2, float(cfg["t0"]), deltas, int(cfg["depth"]), pair_budget=_pair_budget(cfg)
     )
     if cfg.get("csv"):
-        prof.to_csv(cfg["csv"])
-    return {**prof.to_json(), **names}
+        rows = ([repr(delta), repr(ratio)] for delta, ratio in zip(prof.deltas, prof.ratios))
+        _write_csv(cfg["csv"], ["delta", "ratio"], rows)
+    return {**asdict(prof), **names}
 
 
 def _cmd_spectrum(cfg: dict) -> dict:
@@ -412,7 +434,8 @@ def _cmd_spectrum(cfg: dict) -> dict:
             int(cfg["max_period"]), int(cfg["digit_bound"]), budget=cfg["budget"]
         )
         if cfg.get("csv"):
-            spectrum_csv(values, cfg["csv"])
+            rows = ([repr(v.value), "-".join(map(str, v.witness)), v.window] for v in values)
+            _write_csv(cfg["csv"], ["value", "witness_digits", "window"], rows)
         smallest = values[0]
         return {
             "mode": "sample",
@@ -464,22 +487,26 @@ def _cmd_horseshoe(cfg: dict) -> dict:
     expansion = _parse_ratio(cfg["expansion"], "expansion")
     if cfg.get("solve_unit"):
         report = solve_unit_dimension(float(expansion), tol)
-        out = report.to_json()
         # two equal pieces of ratio c have dimension log2/log(1/c)
-        out["contraction_solved"] = 2.0 ** (-1.0 / report.stable_dimension)
-        out["expansion"] = float(expansion)
-        return out
-    contraction = _parse_ratio(cfg["contraction"], "contraction")
-    h = AffineHorseshoe(contraction=contraction, expansion=expansion)
-    out = horseshoe_dimension(h, tol).to_json()
-    out["contraction"] = float(contraction)
-    out["expansion"] = float(expansion)
-    return out
+        solved = {"contraction_solved": 2.0 ** (-1.0 / report.stable_dimension)}
+    else:
+        contraction = _parse_ratio(cfg["contraction"], "contraction")
+        h = AffineHorseshoe(contraction=contraction, expansion=expansion)
+        report = horseshoe_dimension(h, tol)
+        solved = {"contraction": float(contraction)}
+    return {**asdict(report), **solved, "expansion": float(expansion)}
 
 
 def _cmd_catmap(cfg: dict) -> dict:
     report = cat_map_check(int(cfg["n"]), budget=cfg["budget"])
-    return report.to_json()
+    return {
+        "eigenvalue_unstable": float(report.eigenvalue_unstable),
+        "eigenvalue_stable": float(report.eigenvalue_stable),
+        "product_is_one": report.product_is_one,
+        "hyperbolic": report.hyperbolic,
+        "counts": [list(c) for c in report.counts],
+        "all_counts_match": report.all_counts_match,
+    }
 
 
 def _cmd_stdmap(cfg: dict) -> dict:
@@ -490,12 +517,21 @@ def _cmd_stdmap(cfg: dict) -> dict:
         int(cfg["seed"]),
     )
     if cfg.get("csv"):
-        report.to_csv(cfg["csv"])
-    return report.summary_json()
+        rows = ([i, repr(float(e))] for i, e in enumerate(report.top_exponents))
+        _write_csv(cfg["csv"], ["orbit_id", "exponent"], rows)
+    return {
+        "lambda": report.lam,
+        "orbits": report.orbits,
+        "iterates": report.iterates,
+        "seed": report.seed,
+        "mean_exponent": report.mean_exponent,
+        "fraction_positive": report.fraction_positive,
+        "max_abs_pair_sum": report.max_abs_pair_sum,
+    }
 
 
 def _cmd_list_sets(cfg: dict) -> dict:
-    return {"sets": [e.to_json() for e in list_builtin_sets()]}
+    return {"sets": [{"name": e.name, "description": e.description} for e in list_builtin_sets()]}
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ sum |I|^d = 1.
 from __future__ import annotations
 
 import bisect
-import csv
 import math
 from dataclasses import dataclass
 
@@ -41,14 +40,6 @@ class DimensionEstimate:
     counts: tuple[int, ...] = ()
     radii: tuple[float, ...] = ()
 
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "method": self.method,
-            "residual": self.residual,
-            "depth_used": self.depth_used,
-        }
-
 
 @dataclass(frozen=True)
 class ThicknessEstimate:
@@ -56,14 +47,6 @@ class ThicknessEstimate:
     depth: int
     limiting_gap: Interval
     limiting_gap_address: tuple[int, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "depth": self.depth,
-            "limiting_gap": list(self.limiting_gap.as_floats()),
-            "limiting_gap_address": list(self.limiting_gap_address),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +119,6 @@ def interval_box_dimension(iv: Interval, depths) -> DimensionEstimate:
         counts=tuple(counts),
         radii=tuple(radii),
     )
-
-
-def dimension_csv(est: DimensionEstimate, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["depth", "N", "r"])
-        for n, count, radius in zip(est.depths, est.counts, est.radii):
-            writer.writerow([n, count, repr(radius)])
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ Three small laboratories:
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,14 +80,6 @@ class HorseshoeReport:
     unstable_dimension: float
     total_dimension: float
     at_unit_dimension: bool
-
-    def to_json(self) -> dict:
-        return {
-            "stable_dimension": self.stable_dimension,
-            "unstable_dimension": self.unstable_dimension,
-            "total_dimension": self.total_dimension,
-            "at_unit_dimension": self.at_unit_dimension,
-        }
 
 
 def horseshoe_dimension(h: AffineHorseshoe, tol: float = 1e-12) -> HorseshoeReport:
@@ -187,16 +178,6 @@ class CatMapReport:
     counts: tuple[tuple[int, int, int], ...]  # (n, trace formula, enumerated)
     all_counts_match: bool
 
-    def to_json(self) -> dict:
-        return {
-            "eigenvalue_unstable": float(self.eigenvalue_unstable),
-            "eigenvalue_stable": float(self.eigenvalue_stable),
-            "product_is_one": self.product_is_one,
-            "hyperbolic": self.hyperbolic,
-            "counts": [list(c) for c in self.counts],
-            "all_counts_match": self.all_counts_match,
-        }
-
 
 def cat_map_check(n_periods: int, *, budget: int | None = None) -> CatMapReport:
     """Exact hyperbolicity data for the torus automorphism.
@@ -268,24 +249,6 @@ class LyapunovReport:
     @property
     def max_abs_pair_sum(self) -> float:
         return float(np.max(np.abs(self.exponents.sum(axis=1))))
-
-    def summary_json(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "orbits": self.orbits,
-            "iterates": self.iterates,
-            "seed": self.seed,
-            "mean_exponent": self.mean_exponent,
-            "fraction_positive": self.fraction_positive,
-            "max_abs_pair_sum": self.max_abs_pair_sum,
-        }
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["orbit_id", "exponent"])
-            for i, e in enumerate(self.exponents[:, 0]):
-                writer.writerow([i, repr(float(e))])
 
 
 def standard_family_lyapunov(

@@ -32,7 +32,6 @@ actually uses.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -116,14 +115,6 @@ class DifferenceProfile:
     ts: tuple[float, ...]
     outcomes: tuple[IntersectionOutcome, ...]
     depth: int
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "state", "depth"])
-            for t, o in zip(self.ts, self.outcomes):
-                state = "disjoint" if o.disjoint else "overlap"
-                writer.writerow([repr(t), state, o.depth])
 
 
 def difference_scan(
@@ -719,21 +710,6 @@ class DensityProfile:
     deltas: tuple[float, ...]
     ratios: tuple[float, ...]
     depth: int
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["delta", "ratio"])
-            for delta, ratio in zip(self.deltas, self.ratios):
-                writer.writerow([repr(delta), repr(ratio)])
-
-    def to_json(self) -> dict:
-        return {
-            "t0": self.t0,
-            "deltas": list(self.deltas),
-            "ratios": list(self.ratios),
-            "depth": self.depth,
-        }
 
 
 def tangency_density_experiment(

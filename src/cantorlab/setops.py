@@ -19,7 +19,6 @@ distinct cover is built once per call of `cover_sum` or `marstrand_scan`
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -294,22 +293,6 @@ class ProjectionScan:
 
     def median_slope(self) -> float:
         return float(np.median(self.slopes()))
-
-    def summary_json(self) -> dict:
-        return {
-            "fraction_above_theta": self.fraction_above(),
-            "median_slope": self.median_slope(),
-            "theta": self.theta,
-            "n": self.depth,
-        }
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["lambda", "resolution", "covered_length"])
-            for i, lam in enumerate(self.lambdas):
-                for j, res in enumerate(self.resolutions):
-                    writer.writerow([repr(lam), repr(res), repr(float(self.table[i, j]))])
 
 
 def marstrand_scan(

