@@ -722,7 +722,7 @@ def _load_config(path: str, command: str) -> dict:
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or bad UTF-8
             raise ConfigInvalid(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ConfigInvalid(f"config file {path} must hold a JSON object")

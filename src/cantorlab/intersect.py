@@ -557,6 +557,8 @@ def verify_certificate(doc: dict) -> tuple[bool, str]:
         return False, "mask run-length data does not match grid size"
     mask = flat.reshape((r1, r2, ns, nt))
     members = np.flatnonzero(flat)
+    if not len(members):
+        return False, "certificate has no member cells"
     if len(witnesses) != 2 * len(members):
         return False, "witness list length does not match member count"
 

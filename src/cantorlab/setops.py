@@ -55,7 +55,6 @@ class IntervalUnion:
 
     los: np.ndarray
     his: np.ndarray
-    depth: int
     meta: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -97,9 +96,9 @@ def merge_intervals(los: np.ndarray, his: np.ndarray, tol: float = MERGE_TOL) ->
     return lo_s[start_idx].copy(), hi_s[end_idx].copy()
 
 
-def union_from_cover(cover: Cover, depth: int | None = None) -> IntervalUnion:
+def union_from_cover(cover: Cover) -> IntervalUnion:
     los, his = merge_intervals(cover.los, cover.his)
-    return IntervalUnion(los=los, his=his, depth=cover.depth if depth is None else depth)
+    return IntervalUnion(los=los, his=his)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +131,7 @@ def _pair_sides(K1: RegularCantorSet, K2: RegularCantorSet, n: int, budget: int)
 
 
 def _pair_union(
-    side1: _SetCovers, side2: _SetCovers, n: int, op: str, lam: float, strict_budget: bool
+    side1: _SetCovers, side2: _SetCovers, op: str, lam: float, strict_budget: bool
 ) -> IntervalUnion:
     """Merged union of all pairwise interval sums (lam != 0)."""
     scale = 1.0 if op == "+" else abs(lam)
@@ -173,7 +172,7 @@ def _pair_union(
     lo = (a_lo[:, None] + t_lo[None, :]).ravel()
     hi = (a_hi[:, None] + t_hi[None, :]).ravel()
     los, his = merge_intervals(lo, hi)
-    u = IntervalUnion(los=los, his=his, depth=n)
+    u = IntervalUnion(los=los, his=his)
     u.meta.update(
         {
             "op": op,
@@ -212,10 +211,10 @@ def cover_sum(
         raise ValidationError("depth must be >= 0")
     budget = pair_budget if pair_budget is not None else pair_budget_default()
     if op == "-" and lam == 0.0:
-        u = union_from_cover(refine(K1, n, budget=budget), depth=n)
-        u.meta.update({"op": op, "lam": lam, "pairs": len(u)})
+        u = union_from_cover(refine(K1, n, budget=budget))
+        u.meta.update({"op": op, "lam": lam, "pairs": u.n_components})
         return u
-    return _pair_union(*_pair_sides(K1, K2, n, budget), n, op, lam, strict_budget)
+    return _pair_union(*_pair_sides(K1, K2, n, budget), op, lam, strict_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +320,7 @@ def marstrand_scan(
     if not res or res[-1] <= 0:
         raise ValidationError("resolutions must be positive")
     sides = _pair_sides(K1, K2, n, pair_budget)
-    unions = (_pair_union(*sides, n, "-", lam, False) for lam in lambdas)
+    unions = (_pair_union(*sides, "-", lam, False) for lam in lambdas)
     table = np.array([[covered_length(u, r) for r in res] for u in unions], dtype=float)
     return ProjectionScan(
         lambdas=tuple(lambdas),

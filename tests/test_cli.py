@@ -131,6 +131,11 @@ class TestConfigFile:
         code, _, _, _ = run_cli(["dim", "--config", str(cfg)], capsys)
         assert code == EXIT_INVALID
 
+    def test_config_that_is_not_utf8_is_exit_three(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xff\xfe{")
+        assert cli.main(["dim", "--config", str(cfg)]) == EXIT_INVALID
+
     def test_missing_config_file_names_path(self, capsys, tmp_path):
         missing = tmp_path / "nope.json"
         code, _, _, err = run_cli(["dim", "--config", str(missing)], capsys)
@@ -275,7 +280,8 @@ class TestMalformedFiles:
         path = tmp_path / "cert.json"
         path.write_text(json.dumps(doc))
         code, rec, _, _ = run_cli(["recur", "--verify", str(path)], capsys)
-        assert (code, rec["outputs"]["verified"]) == (EXIT_OK, True)
+        assert code == EXIT_OK
+        assert rec["outputs"]["reason"] == "certificate has no member cells"
         path.write_text(json.dumps({**doc, "mask_rle": ["4"]}))
         code, rec, _, _ = run_cli(["recur", "--verify", str(path)], capsys)
         assert code == EXIT_OK

@@ -27,6 +27,7 @@ from cantorlab import (
     region_to_json,
     renormalization_sensitivity,
     save_certificate,
+    set_to_json,
     tangency_density_experiment,
     thickness,
     verify_certificate,
@@ -258,6 +259,14 @@ def test_certificate_rejects_malformed_documents():
     ok, message = verify_certificate({"schema": "bogus"})
     assert not ok
     assert message
+
+
+def test_certificate_without_member_cells_does_not_verify(middle_fifth):
+    # well formed, but an empty region certifies nothing
+    grid = {"s0": 0.0, "hs": 0.1, "ns": 1, "t0": 0.0, "ht": 0.1, "nt": 1, "types": [2, 2]}
+    sets = {"first": set_to_json(middle_fifth), "second": set_to_json(middle_fifth)}
+    doc = {"grid": grid, "margin": 0, "sets": sets, "mask_rle": [4], "witnesses": []}
+    assert verify_certificate(doc) == (False, "certificate has no member cells")
 
 
 @pytest.mark.parametrize(
