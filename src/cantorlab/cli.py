@@ -31,8 +31,8 @@ line ends.  ``--budget`` is a pair budget for sum, diff, hall, marstrand
 and density; elsewhere it caps the intervals per cover (dim, thickness,
 intersect, dstable), the grid cells (recur), the words (spectrum
 --sample) or the periodic points (catmap); the other commands do not
-take it.  An option a command does
-not take exits 3, as a flag and as a config key.
+take it.  An option a command does not take exits 3, as a flag and as a
+config key.
 
 Exit codes: 0 success, 2 budget exhaustion, 3 invalid arguments,
 invalid configuration or validation failure (including missing files,

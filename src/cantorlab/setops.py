@@ -65,9 +65,6 @@ class IntervalUnion:
         if np.any(self.his < self.los) or np.any(self.los[1:] <= self.his[:-1]):
             raise ValidationError("union intervals must be sorted and disjoint")
 
-    def __len__(self) -> int:
-        return len(self.los)
-
     @property
     def n_components(self) -> int:
         return len(self.los)
