@@ -9,14 +9,17 @@ components of the n-th preimage of the piece union.  `RegularCantorSet`
 holds exactly these three things, `pieces`, `transitions` and
 `branches`, plus an `exact` flag and free-form `meta`.
 
-Every cover is read off one cylinder tree.  A node holds the composite of
-inverse branches along its address and its interval; one child step
-composes that with the set's precomputed inverse branch of the last
-symbol and applies it to each target piece.  `refine` and
-`refine_to_length` expand the tree level by level under a split rule
-(by depth, or by length up to a maximum depth), `maxlen_at_depth` runs a
-pruned depth-first search over the same step, and `contains` follows a
-single path down it.
+Every question about the cylinder tree is answered by one walk.  A node
+holds the composite of inverse branches along its address and its
+interval; one child step composes that with the set's precomputed
+inverse branch of the last symbol and applies it to each target piece.
+`_expand` expands the tree level by level, splitting every node for
+which a split rule holds, and each caller is its rule:
+`refine` splits by depth, `refine_to_length` by length up to a maximum
+depth, `maxlen_at_depth` splits only nodes longer than the depth-n leaf
+a greedy descent finds, `contains` splits the cylinders within a guard
+band of the point, and the gap lemma's `_meets_interval` splits the
+cylinders that touch its target without lying inside it.
 
 Exactness policy: affine data given as integers or fractions is kept in
 rational arithmetic all the way through cover construction, so cover
@@ -286,29 +289,6 @@ def _check_branch_images(
                 )
 
 
-def _finish_build(
-    pieces: Sequence[Interval],
-    transitions: Sequence[Sequence[int]],
-    branches: Sequence[MapLike],
-    exact: bool,
-    meta: dict | None = None,
-) -> RegularCantorSet:
-    pieces = tuple(pieces)
-    _check_pieces(pieces)
-    rows = _check_transitions(transitions, len(pieces))
-    branches = tuple(branches)
-    if len(branches) != len(pieces):
-        raise ValidationError("one branch per piece required")
-    _check_branch_images(pieces, rows, branches, exact)
-    return RegularCantorSet(
-        pieces=pieces,
-        transitions=rows,
-        branches=branches,
-        exact=exact,
-        meta=meta or {},
-    )
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -348,7 +328,8 @@ def build_affine(
                 f"branch {j} slope {slope} is not > 1; target hull no longer than piece"
             )
         branches.append(AffineMap(slope, hull.lo - slope * piece.lo))
-    return _finish_build(ivs, rows, branches, exact)
+    _check_branch_images(ivs, rows, branches, exact)
+    return RegularCantorSet(tuple(ivs), rows, tuple(branches), exact)
 
 
 def _gauss_hull_surds(n: int) -> tuple[QuadraticSurd, QuadraticSurd]:
@@ -381,9 +362,11 @@ def gauss_cantor(digit_bound: int) -> RegularCantorSet:
         hi_s = (QuadraticSurd.from_rational(a) + y_min).inverse()
         pieces.append(Interval(float(lo_s), float(hi_s)))
         branches.append(MoebiusMap(-a, 1, 1, 0))  # x -> (1 - a x)/x = 1/x - a
-    transitions = [tuple(range(n))] * n
+    _check_pieces(pieces)
+    rows = _check_transitions([range(n)] * n, n)
+    _check_branch_images(pieces, rows, branches, exact=False)
     meta = {"digit_bound": n, "hull_min_surd": y_min, "hull_max_surd": y_max}
-    return _finish_build(pieces, transitions, branches, exact=False, meta=meta)
+    return RegularCantorSet(tuple(pieces), rows, tuple(branches), exact=False, meta=meta)
 
 
 def scale_affine(K: RegularCantorSet, a: Num, b: Num) -> RegularCantorSet:
@@ -475,7 +458,7 @@ def _children(K: RegularCantorSet, node: _Node) -> list[_Node]:
     return [(k, deeper, addr + (k,), deeper.apply_interval(K.pieces[k])) for k in K.transitions[last]]
 
 
-def _expand(K: RegularCantorSet, split: Callable[[_Node], bool], limit: int) -> list[_Node]:
+def _expand(K: RegularCantorSet, split: Callable[[_Node], bool], limit: float) -> list[_Node]:
     """Leaves of the cylinder tree cut by `split`, expanded level by level.
 
     Every frontier node for which split(node) holds is replaced by its
@@ -572,26 +555,18 @@ def refine_to_length(
 def maxlen_at_depth(K: RegularCantorSet, n: int) -> Num:
     """Exact maximum interval length of the depth-n cover.
 
-    Depth-first search with pruning: a node whose interval is already no
-    longer than the best depth-n leaf cannot produce a longer leaf, so
-    almost all of the tree is skipped.
+    A greedy descent to the longest child gives one depth-n length; a
+    node no longer than that cannot hold a longer leaf, so only longer
+    nodes are split and almost all of the tree is skipped.
     """
     if n < 0:
         raise ValidationError("depth must be >= 0")
-    best: Num = 0
-    stack = _roots(K)
-    while stack:
-        node = stack.pop()
-        length = node[3].length
-        if length <= best:
-            continue
-        if len(node[2]) == n + 1:
-            best = length
-            continue
-        children = _children(K, node)
-        children.sort(key=lambda c: float(c[3].length))
-        stack.extend(children)
-    return best
+    node = max(_roots(K), key=lambda c: c[3].length)
+    for _ in range(n):
+        node = max(_children(K, node), key=lambda c: c[3].length)
+    bound = node[3].length
+    leaves = _expand(K, lambda node: len(node[2]) <= n and node[3].length > bound, math.inf)
+    return max([bound] + [iv.length for _, _, addr, iv in leaves if len(addr) == n + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -621,21 +596,42 @@ def contains(K: RegularCantorSet, x: Num, n: int) -> MembershipResult:
     xf = float(x)
     guard = 1e-12 * max(1.0, abs(float(K.hull.length)))
 
-    def pick(nodes: list[_Node]) -> _Node | None:
-        for node in nodes:
-            lo, hi = node[3].as_floats()
-            if lo - guard <= xf <= hi + guard:
-                return node
-        return None
+    def near(node: _Node) -> bool:
+        lo, hi = node[3].as_floats()
+        return lo - guard <= xf <= hi + guard
 
-    node = pick(_roots(K))
-    if node is None:
-        return MembershipResult(False, 0)
-    for depth in range(1, n + 1):
-        node = pick(_children(K, node))
-        if node is None:
-            return MembershipResult(False, depth)
-    return MembershipResult(True, n)
+    leaves = _expand(K, lambda node: near(node) and len(node[2]) <= n, math.inf)
+    if any(near(node) for node in leaves):
+        return MembershipResult(True, n)
+    return MembershipResult(False, max(len(node[2]) for node in leaves) - 1)
+
+
+def _meets_interval(K: RegularCantorSet, target: Interval, max_depth: int) -> bool | None:
+    """Certified test of K ∩ target != empty, for the gap lemma.
+
+    Only cylinders that touch target without lying inside it are split,
+    down to max_depth.  True: some cylinder lies inside target, and
+    cylinders always contain points of K.  False: no leaf touches
+    target, and the leaves cover K.  None: a cylinder at max_depth still
+    touches target without lying inside it (e.g. a boundary tangency);
+    callers must treat this as "no certificate".
+    """
+    t_lo, t_hi = target.as_floats()
+
+    def touches(node: _Node) -> bool:
+        lo, hi = node[3].as_floats()
+        return lo <= t_hi and hi >= t_lo
+
+    def inside(node: _Node) -> bool:
+        lo, hi = node[3].as_floats()
+        return lo >= t_lo and hi <= t_hi
+
+    leaves = _expand(
+        K, lambda node: touches(node) and not inside(node) and len(node[2]) <= max_depth, math.inf
+    )
+    if any(inside(node) for node in leaves):
+        return True
+    return None if any(touches(node) for node in leaves) else False
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +720,8 @@ def set_from_json(doc: dict) -> RegularCantorSet:
         if bound <= 1.0:
             raise ContractionViolation(f"branch {j} expansion bound {bound} is not > 1")
         branches.append(m)
-    return _finish_build(ivs, rows, branches, exact=False)
+    _check_branch_images(ivs, rows, branches, exact=False)
+    return RegularCantorSet(tuple(ivs), rows, tuple(branches), exact=False)
 
 
 def load_set(path) -> RegularCantorSet:

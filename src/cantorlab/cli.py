@@ -32,7 +32,8 @@ and density; elsewhere it caps the intervals per cover (dim, thickness,
 intersect, dstable), the grid cells (recur), the words (spectrum
 --sample) or the periodic points (catmap); the other commands do not
 take it.  An option a command does not take exits 3, as a flag and as a
-config key.
+config key, and so does a float setting that is not finite or a negative
+seed.
 
 Exit codes: 0 success, 2 budget exhaustion, 3 invalid arguments,
 invalid configuration or validation failure (including missing files,
@@ -47,6 +48,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import asdict
@@ -79,7 +81,6 @@ from .errors import (
     BudgetExceeded,
     CantorLabError,
     ConfigInvalid,
-    ResourceError,
     ValidationError,
 )
 from .intersect import (
@@ -157,16 +158,35 @@ def _parse_list(text, what: str, kind: type, noun: str) -> tuple:
     return out
 
 
+def finite_float(value) -> float:
+    """A float setting: any finite number."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{value!r} is not finite")
+    return x
+
+
+def nonnegative_int(value) -> int:
+    """A seed setting: an integer >= 0."""
+    n = int(value)
+    if n < 0:
+        raise ValueError(f"{value!r} is negative")
+    return n
+
+
 def _parse_ratio(value, what: str):
     """Exact rational when possible ('1/4', '0.25', 3), else float."""
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    if isinstance(value, float):
-        return value
     try:
-        return Fraction(str(value))
-    except (ValueError, ZeroDivisionError):
-        raise ConfigInvalid(f"{what} must be a number, got {value!r}")
+        if isinstance(value, (int, Fraction)):
+            x = Fraction(value)
+        elif isinstance(value, float):
+            x = value
+        else:
+            x = Fraction(str(value))
+        finite_float(x)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ConfigInvalid(f"{what} must be a finite number, got {value!r}")
+    return x
 
 
 def _resolve_set(cfg: dict, prefix: str) -> tuple[RegularCantorSet, object]:
@@ -571,7 +591,7 @@ COMMANDS: dict[str, tuple] = {
     "dim": (_cmd_dim, "box or Moran dimension of a set", {
         **_SET,
         "method": Setting("moran", str, "'moran' or 'box'"),
-        "tol": Setting(1e-9, float),
+        "tol": Setting(1e-9, finite_float),
         "depth": Setting(8, int),
         "depth_min": Setting(2, int),
         "depth_max": Setting(10, int),
@@ -592,41 +612,41 @@ COMMANDS: dict[str, tuple] = {
     "diff": (partial(_cmd_cover_sum, op="-"), "outer cover of the scaled difference K1 - lam*K2", {
         **_pair(),
         "depth": Setting(8, int),
-        "lam": Setting(1.0, float),
+        "lam": Setting(1.0, finite_float),
         **_CSV,
         **_PAIR_BUDGET,
     }),
     "hall": (_cmd_hall, "check the sum of two digit<=4 CF sets fills its interval", {
         "depth": Setting(8, int),
-        "margin": Setting(1e-3, float),
+        "margin": Setting(1e-3, finite_float),
         **_CSV,
         **_PAIR_BUDGET,
     }),
     "marstrand": (_cmd_marstrand, "covered length of random projections x - lam*y", {
         **_pair(),
         "n_lambdas": Setting(200, int),
-        "lambda_lo": Setting(0.1, float),
-        "lambda_hi": Setting(3.0, float),
+        "lambda_lo": Setting(0.1, finite_float),
+        "lambda_hi": Setting(3.0, finite_float),
         "depth": Setting(8, int),
         "res_exp_lo": Setting(6, int),
         "res_exp_hi": Setting(12, int),
-        "theta": Setting(0.1, float),
-        "seed": Setting(0, int),
+        "theta": Setting(0.1, finite_float),
+        "seed": Setting(0, nonnegative_int),
         **_CSV,
         **_PAIR_BUDGET,
     }),
     "intersect": (_cmd_intersect, "cover intersection and thickness certificate at t", {
         **_pair(),
-        "t": Setting(0.0, float),
+        "t": Setting(0.0, finite_float),
         "depth": Setting(8, int),
         **_INTERVAL_BUDGET,
     }),
     "recur": (_cmd_recur, "search/verify a recurrent region of relative positions", {
         **_pair("middle-fifth"),
-        "s_lo": Setting(-0.75, float),
-        "s_hi": Setting(0.75, float),
-        "t_lo": Setting(-2.25, float),
-        "t_hi": Setting(1.25, float),
+        "s_lo": Setting(-0.75, finite_float),
+        "s_hi": Setting(0.75, finite_float),
+        "t_lo": Setting(-2.25, finite_float),
+        "t_hi": Setting(1.25, finite_float),
         "ns": Setting(120, int),
         "nt": Setting(240, int),
         "margin": Setting(1, int),
@@ -636,18 +656,18 @@ COMMANDS: dict[str, tuple] = {
     }),
     "dstable": (_cmd_dstable, "fraction of perturbed pairs keeping a fat intersection", {
         **_pair(),
-        "t": Setting(0.0, float),
-        "d": Setting(0.3, float),
+        "t": Setting(0.0, finite_float),
+        "d": Setting(0.3, finite_float),
         "perturbations": Setting(20, int),
-        "radius": Setting(0.01, float),
+        "radius": Setting(0.01, finite_float),
         "depth": Setting(9, int),
-        "seed": Setting(0, int),
+        "seed": Setting(0, nonnegative_int),
         **_INTERVAL_BUDGET,
     }),
     "density": (_cmd_density, "density of the difference cover near a translation t0", {
         **_pair(),
-        "t0": Setting(0.0, float),
-        "delta_max": Setting(0.5, float),
+        "t0": Setting(0.0, finite_float),
+        "delta_max": Setting(0.5, finite_float),
         "n_deltas": Setting(8, int),
         "depth": Setting(8, int),
         **_CSV,
@@ -671,17 +691,17 @@ COMMANDS: dict[str, tuple] = {
         "contraction": Setting("1/4", str, "strip ratio, e.g. 1/4"),
         "expansion": Setting("5", str, "stretch factor > 2"),
         "solve_unit": Setting(False, bool),
-        "tol": Setting(1e-12, float),
+        "tol": Setting(1e-12, finite_float),
     }),
     "catmap": (_cmd_catmap, "torus map periodic-point counts vs the trace formula", {
         "n": Setting(10, int),
         "budget": Setting(None, int, "point budget: most periodic points enumerated"),
     }),
     "stdmap": (_cmd_stdmap, "Lyapunov exponents of the standard family", {
-        "lam": Setting(0.0, float),
+        "lam": Setting(0.0, finite_float),
         "orbits": Setting(100, int),
         "iterates": Setting(2000, int),
-        "seed": Setting(0, int),
+        "seed": Setting(0, nonnegative_int),
         **_CSV,
     }),
     "list-sets": (_cmd_list_sets, "names and descriptions of the built-in sets", {}),
@@ -820,10 +840,10 @@ def main(argv=None) -> int:
         path = exc.filename if exc.filename else str(exc)
         print(f"cantorlab: missing file: {path}", file=sys.stderr)
         return EXIT_INVALID
-    except (ConfigInvalid, ValidationError) as exc:
+    except ValidationError as exc:
         print(f"cantorlab: invalid: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (ResourceError, CantorLabError) as exc:
+    except CantorLabError as exc:
         print(f"cantorlab: error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:

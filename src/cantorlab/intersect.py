@@ -43,6 +43,7 @@ from .cantor_core import (
     Cover,
     Interval,
     RegularCantorSet,
+    _meets_interval,
     build_affine,
     refine,
     resolve_budget,
@@ -137,6 +138,8 @@ def difference_scan(
     if n < 0:
         raise ValidationError("depth must be >= 0")
     ts = [float(t) for t in t_grid]
+    if not all(math.isfinite(t) for t in ts):
+        raise ValidationError("translations must be finite")
     if ts != sorted(ts):
         raise ValidationError("t grid must be sorted")
     first = [None] * len(ts)  # first depth whose covers miss each other
@@ -168,26 +171,6 @@ class GapLemmaResult:
     reason: str
 
 
-def _set_meets_interval(K: RegularCantorSet, target: Interval, max_depth: int) -> bool | None:
-    """Certified test of K ∩ target != empty.
-
-    True: some cover interval lies inside target (cover intervals always
-    contain points of K).  False: some cover misses target entirely
-    (covers contain K).  None: undecided to max_depth (e.g. boundary
-    tangencies) — callers must treat this as "no certificate".
-    """
-    t_lo, t_hi = target.as_floats()
-    for d in range(max_depth + 1):
-        cover = refine(K, d)
-        los, his = cover.los, cover.his
-        touching = (los <= t_hi) & (his >= t_lo)
-        if not np.any(touching):
-            return False
-        if np.any((los >= t_lo) & (his <= t_hi)):
-            return True
-    return None
-
-
 def gap_lemma_test(
     K1: RegularCantorSet,
     K2: RegularCantorSet,
@@ -199,8 +182,9 @@ def gap_lemma_test(
 
     Requires tau(K1) * tau(K2) > 1 strictly and linkedness: the hulls
     overlap and each hull contains a point of the other set (so neither
-    hull sits inside a gap of the other).  A certified result holds for
-    the limit sets, with no depth bound.
+    hull sits inside a gap of the other).  Each hull is tested with
+    `cantor_core._meets_interval` down to `depth`.  A certified result
+    holds for the limit sets, with no depth bound.
     """
     t = float(t)
     tau1 = thickness(K1, depth).value
@@ -213,13 +197,13 @@ def gap_lemma_test(
         return GapLemmaResult(
             False, tau1, tau2, False, f"thickness product {tau1 * tau2} is not > 1"
         )
-    meets1 = _set_meets_interval(K1, Interval(h2_lo, h2_hi), depth)
+    meets1 = _meets_interval(K1, Interval(h2_lo, h2_hi), depth)
     if meets1 is not True:
         return GapLemmaResult(
             False, tau1, tau2, False, "first set not shown to meet the other hull"
         )
     shifted_hull1 = Interval(float(h1.lo) - t, float(h1.hi) - t)
-    meets2 = _set_meets_interval(K2, shifted_hull1, depth)
+    meets2 = _meets_interval(K2, shifted_hull1, depth)
     if meets2 is not True:
         return GapLemmaResult(
             False, tau1, tau2, False, "second set not shown to meet the other hull"

@@ -78,8 +78,8 @@ class IntervalUnion:
         return Interval(float(self.los[0]), float(self.his[-1]))
 
 
-def merge_intervals(los: np.ndarray, his: np.ndarray, tol: float = MERGE_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Merge possibly overlapping intervals; gaps <= tol are absorbed."""
+def merge_intervals(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge possibly overlapping intervals; gaps <= MERGE_TOL are absorbed."""
     if len(los) == 0:
         raise ValidationError("nothing to merge")
     order = np.argsort(los, kind="stable")
@@ -87,7 +87,7 @@ def merge_intervals(los: np.ndarray, his: np.ndarray, tol: float = MERGE_TOL) ->
     hi_s = np.maximum.accumulate(his[order])
     starts = np.empty(len(lo_s), dtype=bool)
     starts[0] = True
-    starts[1:] = lo_s[1:] > hi_s[:-1] + tol
+    starts[1:] = lo_s[1:] > hi_s[:-1] + MERGE_TOL
     start_idx = np.flatnonzero(starts)
     end_idx = np.append(start_idx[1:], len(lo_s)) - 1
     return lo_s[start_idx].copy(), hi_s[end_idx].copy()
@@ -127,9 +127,7 @@ def _pair_sides(K1: RegularCantorSet, K2: RegularCantorSet, n: int, budget: int)
     return side1, side1 if K2 == K1 else _SetCovers(K2, n, budget)
 
 
-def _pair_union(
-    side1: _SetCovers, side2: _SetCovers, op: str, lam: float, strict_budget: bool
-) -> IntervalUnion:
+def _pair_union(side1: _SetCovers, side2: _SetCovers, op: str, lam: float) -> IntervalUnion:
     """Merged union of all pairwise interval sums (lam != 0)."""
     scale = 1.0 if op == "+" else abs(lam)
     # match granularities: both covers contribute intervals of the same
@@ -143,19 +141,12 @@ def _pair_union(
             c1 = side1.cover(target1)
             c2 = side2.cover(target1 / scale)
         except BudgetExceeded:
-            # one factor alone outgrew the pair budget; coarsening both
-            # sides is the soft response, strict mode propagates
-            if strict_budget:
-                raise
+            # one factor alone outgrew the pair budget; coarsen both sides
             capped = True
             target1 *= 2.0
             continue
         if len(c1) * len(c2) <= side1.budget:
             break
-        if strict_budget:
-            raise BudgetExceeded(
-                f"pairwise combination needs {len(c1) * len(c2)} pairs, budget {side1.budget}"
-            )
         capped = True
         target1 *= 2.0
     else:
@@ -191,7 +182,6 @@ def cover_sum(
     lam: float = 1.0,
     *,
     pair_budget: int | None = None,
-    strict_budget: bool = False,
 ) -> IntervalUnion:
     """Outer approximation of K1 + K2 (op '+') or K1 - lam*K2 (op '-').
 
@@ -211,7 +201,7 @@ def cover_sum(
         u = union_from_cover(refine(K1, n, budget=budget))
         u.meta.update({"op": op, "lam": lam, "pairs": u.n_components})
         return u
-    return _pair_union(*_pair_sides(K1, K2, n, budget), op, lam, strict_budget)
+    return _pair_union(*_pair_sides(K1, K2, n, budget), op, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +307,7 @@ def marstrand_scan(
     if not res or res[-1] <= 0:
         raise ValidationError("resolutions must be positive")
     sides = _pair_sides(K1, K2, n, pair_budget)
-    unions = (_pair_union(*sides, "-", lam, False) for lam in lambdas)
+    unions = (_pair_union(*sides, "-", lam) for lam in lambdas)
     table = np.array([[covered_length(u, r) for r in res] for u in unions], dtype=float)
     return ProjectionScan(
         lambdas=tuple(lambdas),

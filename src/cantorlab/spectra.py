@@ -383,15 +383,12 @@ def lagrange_sample(
         raise BudgetExceeded(
             f"{digit_bound}^{max_period} cyclic sequences exceed budget {limit}"
         )
-    seen_words = set()
     results: list[SpectrumValue] = []
     seen_values: set[QuadraticSurd] = set()
     for length in range(1, max_period + 1):
         for word in product(range(1, digit_bound + 1), repeat=length):
-            canon = _canonical_rotation(word)
-            if canon != word or not _is_primitive(word) or canon in seen_words:
+            if _canonical_rotation(word) != word or not _is_primitive(word):
                 continue
-            seen_words.add(canon)
             value, exact, best_rot = _exact_periodic_k(word)
             if exact in seen_values:
                 continue

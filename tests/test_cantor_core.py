@@ -320,6 +320,24 @@ def test_moebius_branch_from_a_file_must_expand_on_its_whole_piece():
     assert str(err.value) == "branch 0 expansion bound 1.0 is not > 1"
 
 
+def test_every_constructor_runs_each_check_once(tmp_path, monkeypatch):
+    from cantorlab import cantor_core
+
+    path = tmp_path / "cf2.json"
+    dump_set(gauss_cantor(2), path)
+    calls = {}
+    for name in ("_check_pieces", "_check_transitions", "_check_branch_images"):
+        def counted(*args, _check=getattr(cantor_core, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _check(*args, **kwargs)
+
+        monkeypatch.setattr(cantor_core, name, counted)
+    for build in (lambda: get_set("middle-fifth"), lambda: gauss_cantor(4), lambda: load_set(path)):
+        calls.update(dict.fromkeys(("_check_pieces", "_check_transitions", "_check_branch_images"), 0))
+        build()
+        assert calls == dict.fromkeys(calls, 1)
+
+
 def test_builtin_catalog_names_resolve():
     from cantorlab import builtin_names
 

@@ -229,6 +229,40 @@ class TestExitCodes:
         assert "jobs" in err
 
 
+# (command line, key, flag value, config value as JSON text): each value
+# is out of range, as a flag and as a config key
+OUT_OF_RANGE = [
+    (["intersect", "--depth", "3"], "t", "nan", "NaN"),
+    (["dim"], "tol", "nan", "NaN"),
+    (["hall"], "margin", "nan", "NaN"),
+    (["stdmap"], "lambda", "nan", "NaN"),
+    (["marstrand"], "theta", "nan", "NaN"),
+    (["marstrand"], "seed", "-1", "-1"),
+    (["stdmap"], "seed", "-1", "-1"),
+    (["dstable"], "seed", "-1", "-1"),
+    (["horseshoe", "--contraction", "1/3"], "expansion", "1e400", '"1e400"'),
+    (["horseshoe", "--solve-unit"], "expansion", "1e400", "1e400"),  # JSON reads inf
+]
+
+
+class TestOutOfRangeNumbers:
+    @pytest.mark.parametrize("argv, key, flag, text", OUT_OF_RANGE)
+    def test_flag_is_exit_three(self, capsys, argv, key, flag, text):
+        code, rec, _, err = run_cli([*argv, f"--{key}", flag], capsys)
+        assert code == EXIT_INVALID
+        assert rec is None
+        assert key in err
+
+    @pytest.mark.parametrize("argv, key, flag, text", OUT_OF_RANGE)
+    def test_config_value_is_exit_three(self, capsys, tmp_path, argv, key, flag, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"{key}": {text}}}')
+        code, rec, _, err = run_cli([*argv, "--config", str(cfg)], capsys)
+        assert code == EXIT_INVALID
+        assert rec is None
+        assert key in err
+
+
 TERNARY_FILE = {
     "pieces": [["0", "1/3"], ["2/3", "1"]],
     "transitions": [[0, 0], [0, 1], [1, 0], [1, 1]],

@@ -4,16 +4,19 @@ certificates, recurrent-region search, and independent re-verification."""
 from __future__ import annotations
 
 import json
+import random
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from cantorlab import (
+    Interval,
     NonAffineInput,
     PositionRegion,
     TZeroNotInDifference,
     ValidationError,
+    builtin_names,
     d_stable_probe,
     difference_scan,
     gap_lemma_test,
@@ -32,6 +35,7 @@ from cantorlab import (
     thickness,
     verify_certificate,
 )
+from cantorlab.cantor_core import _meets_interval
 
 SEARCH_BOX = ((-0.75, 0.75), (-2.25, 1.25))
 SEARCH_GRID = (1.5 / 120, 3.5 / 240)
@@ -61,6 +65,14 @@ def test_difference_scan_matches_pointwise_tests(ternary, middle_fifth):
     # translates beyond the hull difference are always disjoint
     assert profile.outcomes[0].disjoint
     assert not profile.outcomes[4].disjoint  # t = 0
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_translation_is_rejected(ternary, t):
+    with pytest.raises(ValidationError):
+        intersect_test(ternary, ternary, t, 3)
+    with pytest.raises(ValidationError):
+        difference_scan(ternary, ternary, [0.0, t], 3)
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +137,42 @@ def test_thickness_certificate_needs_linked_hulls(middle_fifth):
 
 # ---------------------------------------------------------------------------
 # recurrent-region search
+
+
+def _reference_meets(covers, t_lo, t_hi, max_depth):
+    """The whole depth-d cover scanned at d = 0, 1, ..., max_depth."""
+    for d in range(max_depth + 1):
+        los, his = covers[d]
+        if not np.any((los <= t_hi) & (his >= t_lo)):
+            return False
+        if np.any((los >= t_lo) & (his <= t_hi)):
+            return True
+    return None
+
+
+def test_meets_interval_matches_whole_cover_scan():
+    rng = random.Random(20261018)
+    seen = set()
+    for name in builtin_names():
+        K = get_set(name)
+        covers = [(c.los, c.his) for c in (refine(K, d) for d in range(8))]
+        lo, hi = float(K.hull.lo), float(K.hull.hi)
+        for i in range(150):
+            if i % 3 == 2:
+                # a target with endpoints on cover endpoints: tangencies
+                d = rng.randrange(8)
+                j = rng.randrange(len(covers[d][0]))
+                t_lo = float(covers[d][0][j])
+                t_hi = float(covers[d][1][min(j + rng.randrange(2), len(covers[d][0]) - 1)])
+            else:
+                width = 10 ** rng.uniform(-6, 0) * (hi - lo)  # about half below 1e-3
+                t_lo = rng.uniform(lo - width, hi)
+                t_hi = t_lo + width
+            depth = rng.randrange(8)
+            got = _meets_interval(K, Interval(t_lo, t_hi), depth)
+            assert got is _reference_meets(covers, t_lo, t_hi, depth), (name, t_lo, t_hi, depth)
+            seen.add(got)
+    assert seen == {True, False, None}
 
 
 def test_recurrent_region_found_for_middle_fifth(middle_fifth):
