@@ -325,17 +325,18 @@ def test_every_constructor_runs_each_check_once(tmp_path, monkeypatch):
 
     path = tmp_path / "cf2.json"
     dump_set(gauss_cantor(2), path)
+    checks = ("_check_pieces", "_check_transitions", "_check_branch_images")
     calls = {}
-    for name in ("_check_pieces", "_check_transitions", "_check_branch_images"):
+    for name in checks:
         def counted(*args, _check=getattr(cantor_core, name), _name=name, **kwargs):
             calls[_name] += 1
             return _check(*args, **kwargs)
 
         monkeypatch.setattr(cantor_core, name, counted)
     for build in (lambda: get_set("middle-fifth"), lambda: gauss_cantor(4), lambda: load_set(path)):
-        calls.update(dict.fromkeys(("_check_pieces", "_check_transitions", "_check_branch_images"), 0))
+        calls.update(dict.fromkeys(checks, 0))
         build()
-        assert calls == dict.fromkeys(calls, 1)
+        assert calls == dict.fromkeys(checks, 1)
 
 
 def test_builtin_catalog_names_resolve():

@@ -135,10 +135,6 @@ def test_thickness_certificate_needs_linked_hulls(middle_fifth):
     assert not res.certified
 
 
-# ---------------------------------------------------------------------------
-# recurrent-region search
-
-
 def _reference_meets(covers, t_lo, t_hi, max_depth):
     """The whole depth-d cover scanned at d = 0, 1, ..., max_depth."""
     for d in range(max_depth + 1):
@@ -173,6 +169,10 @@ def test_meets_interval_matches_whole_cover_scan():
             assert got is _reference_meets(covers, t_lo, t_hi, depth), (name, t_lo, t_hi, depth)
             seen.add(got)
     assert seen == {True, False, None}
+
+
+# ---------------------------------------------------------------------------
+# recurrent-region search
 
 
 def test_recurrent_region_found_for_middle_fifth(middle_fifth):
