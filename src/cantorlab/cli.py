@@ -21,6 +21,10 @@ parsers, the default configuration and the keys a config file may hold.
 Configuration precedence: command-line flags > ``--config`` JSON file >
 built-in defaults.  Config file keys use the flag names with underscores
 (``set1``, ``depth_max``, ``lam`` — ``lambda`` is accepted as an alias).
+A config value is parsed as its flag's would be, so both give the same
+record and digest: a number setting refuses a JSON bool, and an integer
+setting a number with a fractional part.  A flag's value may be a
+negative number in exponent form (``--t -1e-3``).
 
 Each handler builds its own outputs dict from the library's result
 types; no library module formats a record or a CSV.  Only commands that
@@ -49,6 +53,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import asdict
@@ -117,6 +122,11 @@ EXIT_INVALID = 3
 # Keys that never enter the inputs digest: output locations do not
 # affect the numbers.
 _NON_DIGEST_KEYS = {"config", "out", "csv", "cert_out"}
+
+# A flag value that reads as a negative number, exponent form included:
+# argparse's own pattern takes only -3 and -0.5, so `--t -1e-3` would
+# read -1e-3 as an option.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +243,7 @@ def _union_outputs(U: IntervalUnion) -> dict:
 
 def _pair_budget(cfg: dict, default: int | None = None) -> int | None:
     """The --budget flag read as a pairwise budget, else `default`."""
-    return int(cfg["budget"]) if cfg["budget"] is not None else default
+    return cfg["budget"] if cfg["budget"] is not None else default
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +255,10 @@ def _cmd_dim(cfg: dict) -> dict:
     method = str(cfg["method"])
     if method == "moran":
         est = hausdorff_dimension_moran(
-            K, int(cfg["depth"]), float(cfg["tol"]), budget=cfg["budget"]
+            K, cfg["depth"], cfg["tol"], budget=cfg["budget"]
         )
     elif method == "box":
-        depths = range(int(cfg["depth_min"]), int(cfg["depth_max"]) + 1)
+        depths = range(cfg["depth_min"], cfg["depth_max"] + 1)
         est = box_dimension(K, depths, budget=cfg["budget"])
     else:
         raise ConfigInvalid(f"method must be 'moran' or 'box', got {method!r}")
@@ -266,7 +276,7 @@ def _cmd_dim(cfg: dict) -> dict:
 
 def _cmd_thickness(cfg: dict) -> dict:
     K, desc = _resolve_set(cfg, "set")
-    est = thickness(K, int(cfg["depth"]), budget=cfg["budget"])
+    est = thickness(K, cfg["depth"], budget=cfg["budget"])
     return {
         "value": est.value,
         "depth": est.depth,
@@ -278,16 +288,16 @@ def _cmd_thickness(cfg: dict) -> dict:
 
 def _cmd_cover_sum(cfg: dict, op: str) -> dict:
     K1, K2, names = _resolve_pair(cfg)
-    lam = float(cfg.get("lam", 1.0))
-    U = cover_sum(K1, K2, int(cfg["depth"]), op, lam, pair_budget=_pair_budget(cfg))
+    lam = cfg.get("lam", 1.0)
+    U = cover_sum(K1, K2, cfg["depth"], op, lam, pair_budget=_pair_budget(cfg))
     if cfg.get("csv"):
         _union_csv(U, cfg["csv"])
     return {**_union_outputs(U), **names}
 
 
 def _cmd_hall(cfg: dict) -> dict:
-    depth = int(cfg["depth"])
-    margin = float(cfg["margin"])
+    depth = cfg["depth"]
+    margin = cfg["margin"]
     K = gauss_cantor(4)
     U = cover_sum(K, K, depth, "+", pair_budget=_pair_budget(cfg))
     target = Interval(HALL_TARGET[0], HALL_TARGET[1])
@@ -309,19 +319,19 @@ def _cmd_hall(cfg: dict) -> dict:
 
 def _cmd_marstrand(cfg: dict) -> dict:
     K1, K2, names = _resolve_pair(cfg)
-    n_lam = int(cfg["n_lambdas"])
-    lo, hi = float(cfg["lambda_lo"]), float(cfg["lambda_hi"])
+    n_lam = cfg["n_lambdas"]
+    lo, hi = cfg["lambda_lo"], cfg["lambda_hi"]
     if not (n_lam >= 1 and hi > lo):
         raise ConfigInvalid("need n_lambdas >= 1 and lambda_hi > lambda_lo")
-    rng = np.random.default_rng(int(cfg["seed"]))
+    rng = np.random.default_rng(cfg["seed"])
     lambdas = rng.uniform(lo, hi, size=n_lam)
-    e_lo, e_hi = int(cfg["res_exp_lo"]), int(cfg["res_exp_hi"])
+    e_lo, e_hi = cfg["res_exp_lo"], cfg["res_exp_hi"]
     if e_hi < e_lo:
         raise ConfigInvalid("res_exp_hi must be >= res_exp_lo")
     resolutions = [2.0**-k for k in range(e_lo, e_hi + 1)]
     scan = marstrand_scan(
-        K1, K2, lambdas, int(cfg["depth"]), resolutions,
-        theta=float(cfg["theta"]), pair_budget=_pair_budget(cfg, SCAN_PAIR_BUDGET),
+        K1, K2, lambdas, cfg["depth"], resolutions,
+        theta=cfg["theta"], pair_budget=_pair_budget(cfg, SCAN_PAIR_BUDGET),
     )
     if cfg.get("csv"):
         rows = (
@@ -339,15 +349,15 @@ def _cmd_marstrand(cfg: dict) -> dict:
         "n_lambdas": n_lam,
         "lambda_lo": lo,
         "lambda_hi": hi,
-        "seed": int(cfg["seed"]),
+        "seed": cfg["seed"],
         "finest_resolution": resolutions[-1],
     }
 
 
 def _cmd_intersect(cfg: dict) -> dict:
     K1, K2, names = _resolve_pair(cfg)
-    t = float(cfg["t"])
-    depth = int(cfg["depth"])
+    t = cfg["t"]
+    depth = cfg["depth"]
     outcome = intersect_test(K1, K2, t, depth, budget=cfg["budget"])
     lemma = gap_lemma_test(K1, K2, t, depth=depth)
     return {
@@ -376,9 +386,9 @@ def _cmd_recur(cfg: dict) -> dict:
         ok, reason = verify_certificate(doc)
         return {"verified": bool(ok), "reason": reason, "certificate": str(cfg["verify"])}
     K1, K2, names = _resolve_pair(cfg)
-    s_lo, s_hi = float(cfg["s_lo"]), float(cfg["s_hi"])
-    t_lo, t_hi = float(cfg["t_lo"]), float(cfg["t_hi"])
-    ns, nt = int(cfg["ns"]), int(cfg["nt"])
+    s_lo, s_hi = cfg["s_lo"], cfg["s_hi"]
+    t_lo, t_hi = cfg["t_lo"], cfg["t_hi"]
+    ns, nt = cfg["ns"], cfg["nt"]
     if ns < 1 or nt < 1:
         raise ConfigInvalid("grid counts ns, nt must be >= 1")
     hs = (s_hi - s_lo) / ns
@@ -388,7 +398,7 @@ def _cmd_recur(cfg: dict) -> dict:
         K2,
         ((s_lo, s_hi), (t_lo, t_hi)),
         (hs, ht),
-        int(cfg["margin"]),
+        cfg["margin"],
         budget=cfg["budget"],
     )
     out = {
@@ -398,7 +408,7 @@ def _cmd_recur(cfg: dict) -> dict:
         "n_members": outcome.region.n_members if outcome.found else 0,
         "box": [[s_lo, s_hi], [t_lo, t_hi]],
         "grid": [hs, ht],
-        "margin": int(cfg["margin"]),
+        "margin": cfg["margin"],
     }
     if outcome.found and cfg.get("cert_out"):
         save_certificate(cfg["cert_out"], outcome.region, K1, K2)
@@ -411,36 +421,36 @@ def _cmd_dstable(cfg: dict) -> dict:
     frac = d_stable_probe(
         K1,
         K2,
-        float(cfg["t"]),
-        float(cfg["d"]),
-        int(cfg["perturbations"]),
-        float(cfg["radius"]),
-        int(cfg["depth"]),
-        seed=int(cfg["seed"]),
+        cfg["t"],
+        cfg["d"],
+        cfg["perturbations"],
+        cfg["radius"],
+        cfg["depth"],
+        seed=cfg["seed"],
         budget=cfg["budget"],
     )
     return {
         **names,
-        "t": float(cfg["t"]),
-        "d": float(cfg["d"]),
-        "perturbations": int(cfg["perturbations"]),
-        "radius": float(cfg["radius"]),
-        "depth": int(cfg["depth"]),
-        "seed": int(cfg["seed"]),
+        "t": cfg["t"],
+        "d": cfg["d"],
+        "perturbations": cfg["perturbations"],
+        "radius": cfg["radius"],
+        "depth": cfg["depth"],
+        "seed": cfg["seed"],
         "fraction_passing": frac,
     }
 
 
 def _cmd_density(cfg: dict) -> dict:
     K1, K2, names = _resolve_pair(cfg)
-    n_deltas = int(cfg["n_deltas"])
-    delta_max = float(cfg["delta_max"])
+    n_deltas = cfg["n_deltas"]
+    delta_max = cfg["delta_max"]
     for key, v in (("delta_max", delta_max), ("n_deltas", n_deltas)):
         if not v > 0:
             raise ConfigInvalid(f"{key} must be positive, got {v!r}")
     deltas = [delta_max * 2.0**-k for k in range(n_deltas)]
     prof = tangency_density_experiment(
-        K1, K2, float(cfg["t0"]), deltas, int(cfg["depth"]), pair_budget=_pair_budget(cfg)
+        K1, K2, cfg["t0"], deltas, cfg["depth"], pair_budget=_pair_budget(cfg)
     )
     if cfg.get("csv"):
         rows = ([repr(delta), repr(ratio)] for delta, ratio in zip(prof.deltas, prof.ratios))
@@ -451,7 +461,7 @@ def _cmd_density(cfg: dict) -> dict:
 def _cmd_spectrum(cfg: dict) -> dict:
     if cfg.get("sample"):
         values = lagrange_sample(
-            int(cfg["max_period"]), int(cfg["digit_bound"]), budget=cfg["budget"]
+            cfg["max_period"], cfg["digit_bound"], budget=cfg["budget"]
         )
         if cfg.get("csv"):
             rows = ([repr(v.value), "-".join(map(str, v.witness)), v.window] for v in values)
@@ -459,8 +469,8 @@ def _cmd_spectrum(cfg: dict) -> dict:
         smallest = values[0]
         return {
             "mode": "sample",
-            "max_period": int(cfg["max_period"]),
-            "digit_bound": int(cfg["digit_bound"]),
+            "max_period": cfg["max_period"],
+            "digit_bound": cfg["digit_bound"],
             "count": len(values),
             "min_value": float(smallest),
             "min_exact": _surd_json(smallest.exact),
@@ -471,7 +481,7 @@ def _cmd_spectrum(cfg: dict) -> dict:
     period = _parse_list(cfg["period"], "period", int, "integers")
     prefix = _parse_list(cfg["prefix"], "prefix", int, "integers") if cfg.get("prefix") else ()
     seq = CFSequence(prefix=prefix, period=period)
-    val = k_alpha(seq, int(cfg["window"]))
+    val = k_alpha(seq, cfg["window"])
     return {
         "mode": "single",
         "sequence": seq.describe(),
@@ -485,7 +495,7 @@ def _cmd_spectrum(cfg: dict) -> dict:
 
 def _cmd_halfline(cfg: dict) -> dict:
     targets = _parse_list(cfg["targets"], "targets", float, "numbers")
-    hits = hall_halfline_probe(targets, depth=int(cfg["depth"]))
+    hits = hall_halfline_probe(targets, depth=cfg["depth"])
     rows = [
         {
             "target": h.target,
@@ -496,14 +506,14 @@ def _cmd_halfline(cfg: dict) -> dict:
         for h in hits
     ]
     return {
-        "depth": int(cfg["depth"]),
+        "depth": cfg["depth"],
         "hits": rows,
         "max_hit_distance": max(h.hit_distance for h in hits),
     }
 
 
 def _cmd_horseshoe(cfg: dict) -> dict:
-    tol = float(cfg["tol"])
+    tol = cfg["tol"]
     expansion = _parse_ratio(cfg["expansion"], "expansion")
     if cfg.get("solve_unit"):
         report = solve_unit_dimension(float(expansion), tol)
@@ -518,7 +528,7 @@ def _cmd_horseshoe(cfg: dict) -> dict:
 
 
 def _cmd_catmap(cfg: dict) -> dict:
-    report = cat_map_check(int(cfg["n"]), budget=cfg["budget"])
+    report = cat_map_check(cfg["n"], budget=cfg["budget"])
     return {
         "eigenvalue_unstable": float(report.eigenvalue_unstable),
         "eigenvalue_stable": float(report.eigenvalue_stable),
@@ -531,10 +541,10 @@ def _cmd_catmap(cfg: dict) -> dict:
 
 def _cmd_stdmap(cfg: dict) -> dict:
     report = standard_family_lyapunov(
-        float(cfg["lam"]),
-        int(cfg["orbits"]),
-        int(cfg["iterates"]),
-        int(cfg["seed"]),
+        cfg["lam"],
+        cfg["orbits"],
+        cfg["iterates"],
+        cfg["seed"],
     )
     if cfg.get("csv"):
         rows = ([i, repr(float(e))] for i, e in enumerate(report.top_exponents))
@@ -725,6 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     for command, (_, help_text, _) in COMMANDS.items():
         sp = sub.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
+        sp._negative_number_matcher = _NEGATIVE_NUMBER
         for key, s in _settings(command).items():
             flag = "--lambda" if key == "lam" else "--" + key.replace("_", "-")
             if s.type is bool:
@@ -756,25 +767,35 @@ def _load_config(path: str, command: str) -> dict:
             raise ConfigInvalid(
                 f"config key {key!r} is not valid for command {command!r}"
             )
-        s = settings[k]
-        # checked with the setting's parser type but stored as written, so
-        # an accepted config keeps its inputs digest
-        if value is None:
-            ok = s.default is None
-        elif s.type is bool:
-            ok = isinstance(value, bool)
-        else:
-            try:
-                s.type(value)
-                ok = True
-            except (TypeError, ValueError):
-                ok = False
-        if not ok:
+        try:
+            out[k] = _config_value(settings[k], value)
+        except (TypeError, ValueError, OverflowError):
             raise ConfigInvalid(
-                f"config key {key!r} must be {s.type.__name__}, got {value!r}"
-            )
-        out[k] = value
+                f"config key {key!r} must be {settings[k].type.__name__}, got {value!r}"
+            ) from None
     return out
+
+
+def _config_value(s: Setting, value):
+    """A config value as its flag would hold it; raises where the flag would refuse it.
+
+    So a config and the flags it mirrors give the same values and the same
+    inputs digest.  A str setting keeps the value as written: its handler
+    also reads JSON lists and numbers there.
+    """
+    if value is None:
+        if s.default is None:
+            return None
+    elif s.type is str:
+        return value
+    elif s.type is bool:
+        if isinstance(value, bool):
+            return value
+    elif not isinstance(value, bool):
+        # a number setting; an int setting takes no fractional part
+        if s.type is finite_float or not isinstance(value, float) or value.is_integer():
+            return s.type(value)
+    raise ValueError(value)
 
 
 def _effective_config(command: str, cli_ns: dict) -> dict:
@@ -784,7 +805,7 @@ def _effective_config(command: str, cli_ns: dict) -> dict:
         cfg.update(_load_config(cfg_path, command))
         cfg["config"] = cfg_path
     cfg.update({k: v for k, v in cli_ns.items() if k != "command"})
-    if cfg.get("budget") is not None and int(cfg["budget"]) <= 0:
+    if cfg.get("budget") is not None and cfg["budget"] <= 0:
         raise ConfigInvalid(f"budget must be positive, got {cfg['budget']!r}")
     return cfg
 

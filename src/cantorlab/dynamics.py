@@ -64,14 +64,8 @@ def _two_piece_set(ratio) -> RegularCantorSet:
 def horseshoe_cantor_sets(h: AffineHorseshoe) -> tuple[RegularCantorSet, RegularCantorSet]:
     """Stable and unstable factor sets: two pieces of ratio `contraction`
     and two pieces of ratio 1/expansion, both spanning [0, 1]."""
-    ks = _two_piece_set(h.contraction)
-    inv = (
-        1 / Fraction(h.expansion)
-        if isinstance(h.expansion, (int, Fraction))
-        else 1.0 / float(h.expansion)
-    )
-    ku = _two_piece_set(inv)
-    return ks, ku
+    # a Fraction for int or Fraction expansions, a float for a float
+    return _two_piece_set(h.contraction), _two_piece_set(Fraction(1) / h.expansion)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -456,7 +455,7 @@ def position_to_sets(
     _require_affine(K2, "second set")
 
     def unit(K: RegularCantorSet) -> RegularCantorSet:
-        a = 1 / Fraction(K.hull.length) if K.exact else 1.0 / float(K.hull.length)
+        a = 1 / K.hull.length
         return scale_affine(K, a, -a * K.hull.lo)
 
     return unit(K1), scale_affine(unit(K2), math.exp(s), t)

@@ -11,9 +11,11 @@ the limsup is attained along the period and is a quadratic surd, so it
 is computed exactly for every period: the two-sided value at each
 rotation of the period is max'ed in exact arithmetic (rotations and
 reversals share a discriminant because each digit matrix [[a,1],[1,0]]
-is symmetric) and returned in canonical form.  Windowed floating
-estimates are kept only as a mandatory cross-check and for streamed
-digit sources.
+is symmetric) and returned in canonical form.  Two windowed estimators
+run in one loop as a mandatory cross-check, on x and its forward values
+in exact arithmetic: quadratic surds for periodic digits, rationals from
+a deep convergent for streamed digits, where the tail estimate is the
+value returned.
 
 cf_value note: convergent numerators and denominators are arbitrary-
 precision integers, so the documented overflow failure mode cannot
@@ -108,16 +110,6 @@ class CFSequence:
 # expansion and convergents
 
 
-def _expand_fraction(x: Fraction, n: int) -> list[int]:
-    digits: list[int] = []
-    while x != 0 and len(digits) < n:
-        inv = 1 / x
-        a = inv.numerator // inv.denominator
-        digits.append(int(a))
-        x = inv - a
-    return digits
-
-
 def _expand_surd(x: QuadraticSurd, n: int) -> list[int]:
     digits: list[int] = []
     while len(digits) < n and x.sign() != 0:
@@ -155,26 +147,20 @@ def _expand_float(x: float, n: int) -> list[int]:
 def cf_expand(x, n: int) -> CFSequence:
     """First n continued-fraction digits of x, reduced to (0, 1).
 
-    Exact inputs (Fraction, int pairs via Fraction, QuadraticSurd)
-    expand exactly and may terminate early (finite expansions).
-    Floats expand inside a rounding-error interval and raise
+    Exact inputs (int, Fraction, QuadraticSurd) expand exactly in surd
+    arithmetic and may terminate early (finite expansions).  Floats
+    expand inside a rounding-error interval and raise
     PrecisionExhausted once the next digit is ambiguous.
     """
     if n < 1:
         raise ValidationError("need at least one digit")
+    if isinstance(x, (int, Fraction)):
+        x = QuadraticSurd.from_rational(x)
     if isinstance(x, QuadraticSurd):
-        frac = x - QuadraticSurd.from_rational(x.floor())
+        frac = x - x.floor()
         if frac.sign() == 0:
             raise ValidationError("integer input has no digits")
-        if frac.d == 0:
-            return CFSequence(prefix=tuple(_expand_fraction(Fraction(frac.p, frac.r), n)))
         return CFSequence(prefix=tuple(_expand_surd(frac, n)))
-    if isinstance(x, (int, Fraction)):
-        x = Fraction(x)
-        frac = x - (x.numerator // x.denominator)
-        if frac == 0:
-            raise ValidationError("integer input has no digits")
-        return CFSequence(prefix=tuple(_expand_fraction(frac, n)))
     xf = float(x)
     frac = xf - math.floor(xf)
     if frac == 0.0:
@@ -257,20 +243,16 @@ def _exact_periodic_k(
     return float(best), best.canonical(), _rotations(word)[best_i]
 
 
-def _forward_values(prefix: tuple[int, ...], period: tuple[int, ...], count: int):
-    """Exact forward values F_j = [a_j; a_{j+1}, ...] for j = 1..count."""
-    p = len(period)
-    L = len(prefix)
-    rot_vals = {i: periodic_value(period[i:] + period[:i]) for i in range(p)}
-    values: dict[int, QuadraticSurd] = {}
-    deepest = max(count, L + 1)
-    # positions beyond the prefix are rotations of the period
-    for j in range(L + 1, deepest + 1):
-        values[j] = rot_vals[(j - L - 1) % p]
-    # fold the prefix backwards
-    for j in range(L, 0, -1):
-        values[j] = QuadraticSurd.from_rational(prefix[j - 1]) + values[j + 1].inverse()
-    return [values[j] for j in range(1, count + 1)]
+def _forward_values(prefix: tuple[int, ...], after: list[QuadraticSurd]) -> list[QuadraticSurd]:
+    """Exact forward values F_j = [a_j; a_{j+1}, ...] from j = 1 on.
+
+    `after` lists the values past the prefix, F_{L+1}, F_{L+2}, ...; the
+    prefix folds backwards onto them as F_j = a_j + 1/F_{j+1}.
+    """
+    values = list(after)
+    for a in reversed(prefix):
+        values.insert(0, QuadraticSurd.from_rational(a) + values[0].inverse())
+    return values
 
 
 def _estimator_positions(window: int) -> range:
@@ -286,50 +268,43 @@ def _estimator_positions(window: int) -> range:
 def k_alpha(seq: CFSequence, window: int) -> SpectrumValue:
     """Best-approximation constant of an infinite digit sequence.
 
-    Runs two windowed estimators over the same positions n — the direct
-    1/(q_n |q_n x - p_n|) from exact convergents of x, and the tail
-    formula [a_{n+1}; a_{n+2}, ...] + q_{n-1}/q_n — and raises
-    EstimatorMismatch when they disagree beyond 1e-9.  For periodic
-    sequences of any period the returned value is the exact attained
-    limsup (max of the two-sided values over the period, in `exact`),
-    independent of any finite prefix; for streamed sequences it is the
-    windowed tail estimate from a deep rational convergent of x.
+    One loop runs two windowed estimators over the same positions n —
+    the direct 1/(q_n |q_n x - p_n|) from exact convergents of x, and the
+    tail formula [a_{n+1}; a_{n+2}, ...] + q_{n-1}/q_n — and raises
+    EstimatorMismatch when they disagree beyond 1e-9.  Both are exact
+    until the final float conversion; the source only picks the type of
+    x and of its forward values: quadratic surds for a periodic
+    sequence, rationals from a deep convergent (60 digits past the
+    window) for a streamed one.  For periodic sequences of any period
+    the returned value is the exact attained limsup (max of the
+    two-sided values over the period, in `exact`), independent of any
+    finite prefix; for streamed sequences it is the largest tail
+    estimate.
     """
     if window < 2:
         raise ValidationError("window must be >= 2")
     if seq.is_finite:
         raise ValidationError("k is defined for infinite sequences")
     ds = seq.digits(window + 1)
-    cs = convergents(ds)
-    positions = _estimator_positions(window)
     if seq.is_periodic:
-        forwards = _forward_values(seq.prefix, seq.period, window + 1)
-        alpha = forwards[0].inverse()
-        direct: list[float] = []
-        tail: list[float] = []
-        for n in positions:
-            p_n, q_n = cs[n - 1]
-            q_prev = cs[n - 2][1] if n >= 2 else 1
-            rem = QuadraticSurd.from_rational(q_n) * alpha - QuadraticSurd.from_rational(p_n)
-            lam = (rem * QuadraticSurd.from_rational(q_n)).inverse()
-            direct.append(abs(float(lam)))
-            tail.append(float(forwards[n]) + q_prev / q_n)
+        rotations = [periodic_value(rot) for rot in _rotations(seq.period)]
+        after = rotations * (window // len(rotations) + 1)
+        forwards = _forward_values(seq.prefix, after)
+        value, exact, witness = _exact_periodic_k(seq.period)
     else:
-        # streamed: high-precision rational proxy
+        # a deep rational convergent of x stands in for x
         deep = seq.digits(window + 60)
-        p_deep, q_deep = cf_value(deep)
-        alpha_f = Fraction(p_deep, q_deep)
-        direct = []
-        tail = []
-        for n in positions:
-            p_n, q_n = cs[n - 1]
-            q_prev = cs[n - 2][1] if n >= 2 else 1
-            rem = q_n * alpha_f - p_n
-            direct.append(abs(1.0 / float(q_n * rem)))
-            t = 0.0
-            for d in reversed(deep[n:]):
-                t = 1.0 / (d + t)
-            tail.append(1.0 / t + q_prev / q_n)
+        forwards = _forward_values(deep[:-1], [QuadraticSurd.from_rational(deep[-1])])
+        value, exact, witness = None, None, ds[:window]
+    alpha = forwards[0].inverse()
+    cs = convergents(ds)
+    direct: list[float] = []
+    tail: list[float] = []
+    for n in _estimator_positions(window):
+        p_n, q_n = cs[n - 1]
+        q_prev = cs[n - 2][1]
+        direct.append(abs(float((q_n * (q_n * alpha - p_n)).inverse())))
+        tail.append(float(forwards[n]) + q_prev / q_n)
     best_direct = max(direct)
     best_tail = max(tail)
     gap = abs(best_direct - best_tail)
@@ -337,17 +312,10 @@ def k_alpha(seq: CFSequence, window: int) -> SpectrumValue:
         raise EstimatorMismatch(
             f"direct {best_direct} vs tail {best_tail} beyond {ESTIMATOR_TOL}"
         )
-    if seq.is_periodic:
-        value, exact, best_rot = _exact_periodic_k(seq.period)
-        return SpectrumValue(
-            value=value, witness=best_rot, window=window, exact=exact, estimator_gap=gap
-        )
+    if exact is None:
+        value = best_tail
     return SpectrumValue(
-        value=best_tail,
-        witness=ds[:window],
-        window=window,
-        exact=None,
-        estimator_gap=gap,
+        value=value, witness=witness, window=window, exact=exact, estimator_gap=gap
     )
 
 

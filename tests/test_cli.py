@@ -151,6 +151,13 @@ class TestConfigFile:
             ("diff", {"lambda": [1]}, "lambda"),
             ("spectrum", {"sample": "false"}, "sample"),
             ("horseshoe", {"solve_unit": 1}, "solve_unit"),
+            # numbers the flag would refuse
+            ("thickness", {"depth": 2.7}, "depth"),
+            ("thickness", {"depth": True}, "depth"),
+            ("thickness", {"budget": True}, "budget"),
+            ("marstrand", {"seed": 1.5}, "seed"),
+            ("intersect", {"t": True}, "t"),
+            ("intersect", {"t": 10**400}, "t"),
         ],
     )
     def test_config_value_of_the_wrong_type_is_exit_three(
@@ -163,14 +170,31 @@ class TestConfigFile:
         assert rec is None
         assert repr(key) in err
 
-    def test_config_values_are_stored_as_written(self, capsys, tmp_path):
+    def test_config_values_are_stored_as_parsed(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"depth": "3", "budget": None, "set": "thin"}))
         code, rec, _, _ = run_cli(["thickness", "--config", str(cfg)], capsys)
         assert code == EXIT_OK
-        assert rec["inputs"] == {"depth": "3", "set": "thin"}
+        assert rec["inputs"] == {"depth": 3, "set": "thin"}
         _, flagged, _, _ = run_cli(["thickness", "--depth", "3", "--set", "thin"], capsys)
+        assert flagged["inputs_digest"] == rec["inputs_digest"]
         assert flagged["outputs"] == rec["outputs"]
+
+    def test_config_number_gives_the_digest_of_its_flag(self, capsys, tmp_path):
+        digests = set()
+        for flags, text in (
+            (["--depth", "3"], '{"t": 0}'),
+            (["--depth", "3"], '{"t": 0.0}'),
+            (["--t", "0"], '{"depth": 3.0}'),
+        ):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(text)
+            code, rec, _, _ = run_cli(["intersect", *flags, "--config", str(cfg)], capsys)
+            assert code == EXIT_OK
+            assert rec["inputs"]["t"] == 0.0 and rec["inputs"]["depth"] == 3
+            digests.add(rec["inputs_digest"])
+        _, flagged, _, _ = run_cli(["intersect", "--depth", "3", "--t", "0"], capsys)
+        assert digests == {flagged["inputs_digest"]}
 
 
 class TestExitCodes:
@@ -242,6 +266,7 @@ OUT_OF_RANGE = [
     (["dstable"], "seed", "-1", "-1"),
     (["horseshoe", "--contraction", "1/3"], "expansion", "1e400", '"1e400"'),
     (["horseshoe", "--solve-unit"], "expansion", "1e400", "1e400"),  # JSON reads inf
+    (["intersect", "--depth", "3"], "t", "-inf", "-Infinity"),
 ]
 
 
@@ -261,6 +286,24 @@ class TestOutOfRangeNumbers:
         assert code == EXIT_INVALID
         assert rec is None
         assert key in err
+
+
+class TestNegativeFlagValues:
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["intersect", "--depth", "2"], "--t", "-1e-3"),
+            (["intersect", "--depth", "2"], "--t", "-.5E1"),
+            (["stdmap", "--orbits", "2", "--iterates", "10"], "--lambda", "-1e-3"),
+        ],
+    )
+    def test_exponent_form_reads_as_a_value(self, capsys, argv, flag, value):
+        code, spaced, _, _ = run_cli([*argv, flag, value], capsys)
+        assert code == EXIT_OK
+        _, joined, _, _ = run_cli([*argv, f"{flag}={value}"], capsys)
+        for rec in (spaced, joined):
+            del rec["runtime_seconds"]
+        assert spaced == joined
 
 
 TERNARY_FILE = {
