@@ -201,11 +201,6 @@ class RegularCantorSet:
     def is_affine(self) -> bool:
         return all(isinstance(b, AffineMap) for b in self.branches)
 
-    @property
-    def has_full_transitions(self) -> bool:
-        full = tuple(range(self.n_pieces))
-        return all(t == full for t in self.transitions)
-
     @cached_property
     def inverses(self) -> tuple[MapLike, ...]:
         """Inverse branch of each piece, computed once per set."""

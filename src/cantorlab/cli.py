@@ -154,20 +154,6 @@ def _surd_json(s):
     return {"p": s.p, "q": s.q, "r": s.r, "d": s.d, "float": float(s)}
 
 
-def _parse_list(text, what: str, kind: type, noun: str) -> tuple:
-    if isinstance(text, (list, tuple)):
-        items = list(text)
-    else:
-        items = [p for p in str(text).replace(" ", "").split(",") if p]
-    try:
-        out = tuple(kind(p) for p in items)
-    except (TypeError, ValueError):
-        raise ConfigInvalid(f"{what} must be comma-separated {noun}, got {text!r}")
-    if not out:
-        raise ConfigInvalid(f"{what} is empty")
-    return out
-
-
 def finite_float(value) -> float:
     """A float setting: any finite number."""
     x = float(value)
@@ -184,19 +170,43 @@ def nonnegative_int(value) -> int:
     return n
 
 
-def _parse_ratio(value, what: str):
-    """Exact rational when possible ('1/4', '0.25', 3), else float."""
+def exact_ratio(value) -> Fraction:
+    """A ratio setting: an exact fraction ('1/4', '0.25', 3) that a float
+    can hold.  A JSON float reads as it prints, so 0.25 is 1/4."""
     try:
-        if isinstance(value, (int, Fraction)):
-            x = Fraction(value)
-        elif isinstance(value, float):
-            x = value
-        else:
-            x = Fraction(str(value))
-        finite_float(x)
-    except (ValueError, ZeroDivisionError, OverflowError):
-        raise ConfigInvalid(f"{what} must be a finite number, got {value!r}")
+        x = Fraction(str(value))
+        float(x)
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError(f"{value!r} is not a finite ratio") from None
     return x
+
+
+def _json_value(kind, value):
+    """`kind(value)`, refusing what the flag would refuse: a JSON bool, or
+    a number whose fractional part an integer setting would drop."""
+    if isinstance(value, bool):
+        raise ValueError(value)
+    x = kind(value)
+    if isinstance(x, int) and isinstance(value, float) and x != value:
+        raise ValueError(value)
+    return x
+
+
+def _items(value) -> list:
+    """A list setting's items: a JSON list, or a comma-separated string."""
+    if isinstance(value, list):
+        return value
+    return [p for p in str(value).replace(" ", "").split(",") if p]
+
+
+def int_list(value) -> tuple[int, ...]:
+    """A digit-list setting: comma-separated integers, or a JSON list."""
+    return tuple(_json_value(int, x) for x in _items(value))
+
+
+def float_list(value) -> tuple[float, ...]:
+    """A number-list setting: comma-separated numbers, or a JSON list."""
+    return tuple(_json_value(float, x) for x in _items(value))
 
 
 def _resolve_set(cfg: dict, prefix: str) -> tuple[RegularCantorSet, object]:
@@ -478,9 +488,7 @@ def _cmd_spectrum(cfg: dict) -> dict:
         }
     if not cfg.get("period"):
         raise ConfigInvalid("spectrum needs --period DIGITS or --sample")
-    period = _parse_list(cfg["period"], "period", int, "integers")
-    prefix = _parse_list(cfg["prefix"], "prefix", int, "integers") if cfg.get("prefix") else ()
-    seq = CFSequence(prefix=prefix, period=period)
+    seq = CFSequence(prefix=cfg["prefix"] or (), period=cfg["period"])
     val = k_alpha(seq, cfg["window"])
     return {
         "mode": "single",
@@ -494,8 +502,7 @@ def _cmd_spectrum(cfg: dict) -> dict:
 
 
 def _cmd_halfline(cfg: dict) -> dict:
-    targets = _parse_list(cfg["targets"], "targets", float, "numbers")
-    hits = hall_halfline_probe(targets, depth=cfg["depth"])
+    hits = hall_halfline_probe(cfg["targets"], depth=cfg["depth"])
     rows = [
         {
             "target": h.target,
@@ -514,13 +521,13 @@ def _cmd_halfline(cfg: dict) -> dict:
 
 def _cmd_horseshoe(cfg: dict) -> dict:
     tol = cfg["tol"]
-    expansion = _parse_ratio(cfg["expansion"], "expansion")
+    expansion = cfg["expansion"]
     if cfg.get("solve_unit"):
         report = solve_unit_dimension(float(expansion), tol)
         # two equal pieces of ratio c have dimension log2/log(1/c)
         solved = {"contraction_solved": 2.0 ** (-1.0 / report.stable_dimension)}
     else:
-        contraction = _parse_ratio(cfg["contraction"], "contraction")
+        contraction = cfg["contraction"]
         h = AffineHorseshoe(contraction=contraction, expansion=expansion)
         report = horseshoe_dimension(h, tol)
         solved = {"contraction": float(contraction)}
@@ -684,8 +691,8 @@ COMMANDS: dict[str, tuple] = {
         **_PAIR_BUDGET,
     }),
     "spectrum": (_cmd_spectrum, "best-approximation constant of a CF sequence", {
-        "period": Setting(None, str, "comma-separated repeating digits, e.g. 2,1"),
-        "prefix": Setting(None, str, "comma-separated leading digits"),
+        "period": Setting(None, int_list, "comma-separated repeating digits, e.g. 2,1"),
+        "prefix": Setting(None, int_list, "comma-separated leading digits"),
         "window": Setting(6, int),
         "sample": Setting(False, bool, "enumerate periodic words"),
         "max_period": Setting(6, int),
@@ -694,12 +701,13 @@ COMMANDS: dict[str, tuple] = {
         "budget": Setting(None, int, "word budget: most cyclic words --sample lists"),
     }),
     "halfline": (_cmd_halfline, "hit large spectrum targets with digit<=4 words", {
-        "targets": Setting("6,7,8,9.5,12,20", str, "comma-separated targets, all >= 6"),
+        "targets": Setting((6.0, 7.0, 8.0, 9.5, 12.0, 20.0), float_list,
+                           "comma-separated targets, all >= 6"),
         "depth": Setting(8, int),
     }),
     "horseshoe": (_cmd_horseshoe, "stable/unstable/total dimension of an affine horseshoe", {
-        "contraction": Setting("1/4", str, "strip ratio, e.g. 1/4"),
-        "expansion": Setting("5", str, "stretch factor > 2"),
+        "contraction": Setting(Fraction(1, 4), exact_ratio, "strip ratio, e.g. 1/4"),
+        "expansion": Setting(Fraction(5), exact_ratio, "stretch factor > 2"),
         "solve_unit": Setting(False, bool),
         "tol": Setting(1e-12, finite_float),
     }),
@@ -780,8 +788,8 @@ def _config_value(s: Setting, value):
     """A config value as its flag would hold it; raises where the flag would refuse it.
 
     So a config and the flags it mirrors give the same values and the same
-    inputs digest.  A str setting keeps the value as written: its handler
-    also reads JSON lists and numbers there.
+    inputs digest.  A str setting (a set name or a path) keeps the value as
+    written.
     """
     if value is None:
         if s.default is None:
@@ -791,10 +799,8 @@ def _config_value(s: Setting, value):
     elif s.type is bool:
         if isinstance(value, bool):
             return value
-    elif not isinstance(value, bool):
-        # a number setting; an int setting takes no fractional part
-        if s.type is finite_float or not isinstance(value, float) or value.is_integer():
-            return s.type(value)
+    else:
+        return _json_value(s.type, value)
     raise ValueError(value)
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cantor_core import Cover, Interval, RegularCantorSet, refine
+from .cantor_core import Interval, RegularCantorSet, refine
 from .errors import DegenerateCover, NoGaps, ValidationError
 
 
@@ -84,31 +84,6 @@ def box_dimension(
         cover = refine(K, n, budget=budget)
         radii.append(float(cover.max_length))
         counts.append(len(cover))
-    slope, rms = box_regression(radii, counts)
-    return DimensionEstimate(
-        value=slope,
-        method="box",
-        residual=rms,
-        depth_used=depths[-1],
-        depths=tuple(depths),
-        counts=tuple(counts),
-        radii=tuple(radii),
-    )
-
-
-def interval_box_dimension(iv: Interval, depths) -> DimensionEstimate:
-    """Box dimension of a plain closed interval via dyadic subdivision.
-
-    A full interval has no gaps so it never forms a valid Cantor-set
-    input; it is still a useful calibration case, covered here by 2^n
-    equal cells at depth n.  The regression slope is exactly 1.
-    """
-    if not iv.length > 0:
-        raise ValidationError("interval must have positive length")
-    depths = sorted(set(int(n) for n in depths))
-    length = float(iv.length)
-    radii = [length * 2.0 ** (-n) for n in depths]
-    counts = [2**n for n in depths]
     slope, rms = box_regression(radii, counts)
     return DimensionEstimate(
         value=slope,
@@ -183,16 +158,6 @@ def hausdorff_dimension_moran(
         counts=(len(cover),),
         radii=(float(cover.max_length),),
     )
-
-
-def moran_drift(
-    K: RegularCantorSet, depths, tol: float = 1e-9, *, budget: int | None = None
-) -> list[tuple[int, float]]:
-    """Sequence of per-depth Moran roots; flat for equal-ratio affine sets."""
-    return [
-        (n, hausdorff_dimension_moran(K, n, tol, budget=budget).value)
-        for n in sorted(set(int(d) for d in depths))
-    ]
 
 
 # ---------------------------------------------------------------------------

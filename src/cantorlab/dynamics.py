@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cantor_core import RegularCantorSet, build_affine, resolve_budget
-from .dimension import moran_root
+from .dimension import moran_root, nonuniform_condition
 from .errors import BudgetExceeded, ValidationError
 from .surd import QuadraticSurd
 
@@ -74,13 +74,17 @@ class HorseshoeReport:
     unstable_dimension: float
     total_dimension: float
     at_unit_dimension: bool
+    nonuniform_condition: bool
 
 
 def horseshoe_dimension(h: AffineHorseshoe, tol: float = 1e-12) -> HorseshoeReport:
     """Dimension of the invariant set as the sum of the factor Moran roots.
 
     The boundary case total = 1 separates the thin regime (typically
-    trivial intersections) from the fat one, and is flagged.
+    trivial intersections) from the fat one, and is flagged.  So is the
+    Palis-Yoccoz condition on the two dimensions (`nonuniform_condition`):
+    under it, the unfolding of a homoclinic tangency of the horseshoe is
+    non-uniformly hyperbolic for most parameters.
     """
     ds = moran_root([float(h.contraction)] * 2, tol)
     du = moran_root([1.0 / float(h.expansion)] * 2, tol)
@@ -90,6 +94,9 @@ def horseshoe_dimension(h: AffineHorseshoe, tol: float = 1e-12) -> HorseshoeRepo
         unstable_dimension=du,
         total_dimension=total,
         at_unit_dimension=abs(total - 1.0) <= 1e-9,
+        # a root within tol of 1 may round up to 1; any dimension >= 1
+        # fails the condition, which needs both below 1
+        nonuniform_condition=max(ds, du) < 1.0 and nonuniform_condition(ds, du),
     )
 
 

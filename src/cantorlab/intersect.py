@@ -46,7 +46,6 @@ from .cantor_core import (
     build_affine,
     refine,
     resolve_budget,
-    scale_affine,
     set_from_json,
     set_to_json,
 )
@@ -409,56 +408,6 @@ def recurrent_compact_search(
         witness_k2=witness_k2,
     )
     return SearchOutcome(found=True, region=region, sweeps=sweeps)
-
-
-def renormalization_sensitivity(
-    K1: RegularCantorSet, K2: RegularCantorSet, region: PositionRegion
-) -> float:
-    """Conservative bound L on d(image position)/d(branch parameters).
-
-    Derivation: one renormalization step sends t to (t + e^s*v - w)/L_J
-    with v, w child-table offsets and L_J the child length, all ratios
-    of piece endpoints.  Perturbing every endpoint by eps moves each
-    table entry by at most c_K*eps with c_K = 4/min_piece_len^2
-    (quotient rule, normalized hull), so the image moves by at most
-    (c_K1*(1 + U) + c_K2*e^smax)/Jmin * eps with U the largest |t| over
-    the box.  Perturbations below margin*ht/L keep every witness image
-    inside its margin clearance.
-    """
-    s_max = region.s0 + region.ns * region.hs
-    u_max = max(abs(region.t0), abs(region.t0 + region.nt * region.ht)) + 1.0
-
-    def c_of(K: RegularCantorSet) -> tuple[float, float]:
-        hull_len = float(K.hull.length)
-        min_len = min(float(p.length) for p in K.pieces) / hull_len
-        tables = _child_tables(K)
-        j_min = min(L for row in tables for (_k, _lo, _hi, L) in row)
-        return 4.0 / min_len**2, j_min
-
-    c1, jmin1 = c_of(K1)
-    c2, _ = c_of(K2)
-    return (c1 * (1.0 + u_max) + c2 * math.exp(s_max)) / jmin1
-
-
-def position_to_sets(
-    K1: RegularCantorSet, K2: RegularCantorSet, s: float, t: float
-) -> tuple[RegularCantorSet, RegularCantorSet]:
-    """Concrete affine sets realizing a relative position (s, t).
-
-    Both sets are normalized to unit hull; the second is then scaled by
-    e^s and translated by t.  Meaningful for full-transition sets, whose
-    cylinders are affine copies of the whole set.
-    """
-    if not (K1.has_full_transitions and K2.has_full_transitions):
-        raise ValidationError("relative positions need full-transition sets")
-    _require_affine(K1, "first set")
-    _require_affine(K2, "second set")
-
-    def unit(K: RegularCantorSet) -> RegularCantorSet:
-        a = 1 / K.hull.length
-        return scale_affine(K, a, -a * K.hull.lo)
-
-    return unit(K1), scale_affine(unit(K2), math.exp(s), t)
 
 
 # ---------------------------------------------------------------------------

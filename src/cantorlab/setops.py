@@ -93,11 +93,6 @@ def merge_intervals(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.nd
     return lo_s[start_idx].copy(), hi_s[end_idx].copy()
 
 
-def union_from_cover(cover: Cover) -> IntervalUnion:
-    los, his = merge_intervals(cover.los, cover.his)
-    return IntervalUnion(los=los, his=his)
-
-
 # ---------------------------------------------------------------------------
 # pairwise combination
 
@@ -198,7 +193,8 @@ def cover_sum(
         raise ValidationError("depth must be >= 0")
     budget = pair_budget if pair_budget is not None else pair_budget_default()
     if op == "-" and lam == 0.0:
-        u = union_from_cover(refine(K1, n, budget=budget))
+        cover = refine(K1, n, budget=budget)
+        u = IntervalUnion(*merge_intervals(cover.los, cover.his))
         u.meta.update({"op": op, "lam": lam, "pairs": u.n_components})
         return u
     return _pair_union(*_pair_sides(K1, K2, n, budget), op, lam)
@@ -220,11 +216,6 @@ def contains_interval(U: IntervalUnion, target: Interval, margin: float) -> bool
     if i < 0:
         return False
     return bool(U.los[i] <= lo and hi <= U.his[i])
-
-
-def measure_estimate(U: IntervalUnion) -> float:
-    """Total length of the union: an upper bound for the limit set's measure."""
-    return U.total_length
 
 
 def covered_length(U: IntervalUnion, resolution: float) -> float:

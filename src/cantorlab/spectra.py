@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterator
 
@@ -107,65 +106,7 @@ class CFSequence:
 
 
 # ---------------------------------------------------------------------------
-# expansion and convergents
-
-
-def _expand_surd(x: QuadraticSurd, n: int) -> list[int]:
-    digits: list[int] = []
-    while len(digits) < n and x.sign() != 0:
-        inv = x.inverse()
-        a = inv.floor()
-        digits.append(int(a))
-        x = inv - QuadraticSurd.from_rational(a)
-        if x.sign() < 0:  # exact arithmetic keeps remainders in [0, 1)
-            raise ValidationError("expansion left (0,1); input was not in range")
-    return digits
-
-
-def _expand_float(x: float, n: int) -> list[int]:
-    # enclose x in a width-4ulp interval and emit digits while both ends agree
-    err = 4.0 * math.ulp(max(abs(x), 1.0))
-    lo, hi = x - err, x + err
-    digits: list[int] = []
-    while len(digits) < n:
-        if lo <= 0.0:
-            raise PrecisionExhausted(
-                f"floating expansion certified only {len(digits)} digits, need {n}"
-            )
-        a_lo, a_hi = math.floor(1.0 / hi), math.floor(1.0 / lo)
-        if a_lo != a_hi:
-            raise PrecisionExhausted(
-                f"floating expansion certified only {len(digits)} digits, need {n}"
-            )
-        digits.append(int(a_lo))
-        lo, hi = 1.0 / hi - a_lo, 1.0 / lo - a_lo
-        pad = 4.0 * math.ulp(max(abs(hi), 1.0))
-        lo, hi = lo - pad, hi + pad
-    return digits
-
-
-def cf_expand(x, n: int) -> CFSequence:
-    """First n continued-fraction digits of x, reduced to (0, 1).
-
-    Exact inputs (int, Fraction, QuadraticSurd) expand exactly in surd
-    arithmetic and may terminate early (finite expansions).  Floats
-    expand inside a rounding-error interval and raise
-    PrecisionExhausted once the next digit is ambiguous.
-    """
-    if n < 1:
-        raise ValidationError("need at least one digit")
-    if isinstance(x, (int, Fraction)):
-        x = QuadraticSurd.from_rational(x)
-    if isinstance(x, QuadraticSurd):
-        frac = x - x.floor()
-        if frac.sign() == 0:
-            raise ValidationError("integer input has no digits")
-        return CFSequence(prefix=tuple(_expand_surd(frac, n)))
-    xf = float(x)
-    frac = xf - math.floor(xf)
-    if frac == 0.0:
-        raise ValidationError("integer input has no digits")
-    return CFSequence(prefix=tuple(_expand_float(frac, n)))
+# convergents
 
 
 def cf_value(digits) -> tuple[int, int]:
@@ -418,8 +359,10 @@ def hall_halfline_probe(targets, depth: int = 8) -> list[HalflineHit]:
     if depth < 2:
         raise ValidationError("depth must be >= 2")
     targets = [float(t) for t in targets]
-    if any(t < 6.0 for t in targets):
-        raise ValidationError("targets must be >= 6")
+    if not targets:
+        raise ValidationError("need at least one target")
+    if not all(6.0 <= t < math.inf for t in targets):  # false for NaN too
+        raise ValidationError("targets must be finite and >= 6")
     hits = []
     for t in targets:
         a_big = math.floor(t - 1.0)

@@ -240,14 +240,6 @@ class QuadraticSurd:
                 return lo
             shift *= 2
 
-    def floor(self) -> int:
-        k = math.floor(float(self))
-        while self._cmp(k) < 0:
-            k -= 1
-        while self._cmp(k + 1) >= 0:
-            k += 1
-        return k
-
     def __repr__(self) -> str:
         if self.q == 0:
             return f"Surd({Fraction(self.p, self.r)})"

@@ -33,8 +33,6 @@ from cantorlab.setops import (
     cover_sum,
     covered_length,
     marstrand_scan,
-    measure_estimate,
-    union_from_cover,
 )
 from cantorlab.spectra import (
     CFSequence,
@@ -146,7 +144,7 @@ def test_criterion_03_ternary_sum_and_difference_exact(ternary):
 def test_criterion_04_thin_difference_measure_shrinks(thin_pair_set):
     with criterion(4, "thin-pair difference measure strictly decreasing, < 0.2"):
         measures = [
-            measure_estimate(cover_sum(thin_pair_set, thin_pair_set, n, "-"))
+            cover_sum(thin_pair_set, thin_pair_set, n, "-").total_length
             for n in range(1, 9)
         ]
         for a, b in zip(measures, measures[1:]):
@@ -300,8 +298,9 @@ def _suite_outer_measure_monotonicity(seed: int) -> int:
         K = random_affine_set(rng)
         shallow = rng.randrange(0, 3)
         deep = shallow + rng.randrange(1, 3)
-        m_coarse = measure_estimate(union_from_cover(refine(K, shallow)))
-        m_fine = measure_estimate(union_from_cover(refine(K, deep)))
+        # K - 0*K is the merged depth-n cover of K
+        m_coarse = cover_sum(K, K, shallow, "-", lam=0.0).total_length
+        m_fine = cover_sum(K, K, deep, "-", lam=0.0).total_length
         assert m_fine <= m_coarse + 1e-12
         ran += 1
     return ran

@@ -45,7 +45,7 @@ def test_symmetric_thirds_structure(ternary):
     assert ternary.n_pieces == 2
     assert ternary.hull == Interval(F(0), F(1))
     assert ternary.is_affine
-    assert ternary.has_full_transitions
+    assert ternary.transitions == ((0, 1), (0, 1))
 
 
 def test_pieces_must_be_sorted_with_positive_gaps():
@@ -96,7 +96,7 @@ def test_non_full_transitions_accepted_when_mixing():
         [(F(0), F(1, 5)), (F(2, 5), F(3, 5)), (F(4, 5), F(1))],
         [(0, 1), (0, 1, 2), (1, 2)],
     )
-    assert not K.has_full_transitions
+    assert K.transitions == ((0, 1), (0, 1, 2), (1, 2))
     assert K.n_pieces == 3
     assert refine(K, 3).depth == 3
 

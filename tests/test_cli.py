@@ -5,6 +5,7 @@ import csv
 import hashlib
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -196,6 +197,29 @@ class TestConfigFile:
         _, flagged, _, _ = run_cli(["intersect", "--depth", "3", "--t", "0"], capsys)
         assert digests == {flagged["inputs_digest"]}
 
+    @pytest.mark.parametrize(
+        "argv, flags, doc",
+        [
+            (["spectrum"], ["--period", "2,1"], {"period": [2, 1]}),
+            (["spectrum", "--period", "1"], ["--prefix", "4,2"], {"prefix": "4, 2"}),
+            (["halfline", "--depth", "3"], ["--targets", "6,7.5"], {"targets": [6, 7.5]}),
+            (["horseshoe"], ["--contraction", "0.25"], {"contraction": 0.25}),
+            (["horseshoe"], ["--contraction", "1/5", "--expansion", "6"],
+             {"contraction": "0.2", "expansion": 6.0}),
+        ],
+        ids=["period", "prefix", "targets", "contraction", "ratios"],
+    )
+    def test_list_and_ratio_configs_give_the_record_of_their_flags(
+        self, capsys, tmp_path, argv, flags, doc
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, rec, _, _ = run_cli([*argv, "--config", str(cfg)], capsys)
+        assert code == EXIT_OK
+        _, flagged, _, _ = run_cli([*argv, *flags], capsys)
+        assert rec["inputs_digest"] == flagged["inputs_digest"]
+        assert rec["outputs"] == flagged["outputs"]
+
 
 class TestExitCodes:
     def test_budget_exhaustion_is_exit_two(self, capsys):
@@ -235,6 +259,13 @@ class TestExitCodes:
         assert code == EXIT_INVALID
         assert rec is None
         assert "error:" in err  # argparse's own message
+
+    @pytest.mark.parametrize("targets", ["nan", "inf", "6,inf", "-inf"])
+    def test_halfline_target_that_is_not_finite_is_exit_three(self, capsys, targets):
+        code, rec, _, err = run_cli(["halfline", f"--targets={targets}"], capsys)
+        assert code == EXIT_INVALID
+        assert rec is None
+        assert "targets must be finite" in err
 
     def test_help_is_exit_zero(self, capsys):
         code, _, out, _ = run_cli(["thickness", "--help"], capsys)
@@ -560,8 +591,13 @@ EXPECTED_SETTINGS = {
         "csv": None,
         "budget": None,
     },
-    "halfline": {"targets": "6,7,8,9.5,12,20", "depth": 8},
-    "horseshoe": {"contraction": "1/4", "expansion": "5", "solve_unit": False, "tol": 1e-12},
+    "halfline": {"targets": (6.0, 7.0, 8.0, 9.5, 12.0, 20.0), "depth": 8},
+    "horseshoe": {
+        "contraction": Fraction(1, 4),
+        "expansion": Fraction(5),
+        "solve_unit": False,
+        "tol": 1e-12,
+    },
     "catmap": {"n": 10, "budget": None},
     "stdmap": {"lam": 0.0, "orbits": 100, "iterates": 2000, "seed": 0, "csv": None},
     "list-sets": {},
@@ -585,7 +621,7 @@ class TestCommandTable:
     def test_config_file_accepts_exactly_the_settings(self, command, tmp_path):
         keys = {"out": None, **EXPECTED_SETTINGS[command]}
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(keys))
+        path.write_text(json.dumps(keys, default=str))  # a Fraction as "1/4"
         assert cli._load_config(str(path), command) == keys
         for extra in ("config", "jobs", "csv", "budget"):
             if extra in keys:

@@ -10,7 +10,6 @@ import pytest
 
 from cantorlab import (
     DegenerateCover,
-    Interval,
     NoGaps,
     ValidationError,
     box_dimension,
@@ -18,8 +17,6 @@ from cantorlab import (
     gauss_cantor,
     get_set,
     hausdorff_dimension_moran,
-    interval_box_dimension,
-    moran_drift,
     moran_root,
     nonuniform_condition,
     scale_affine,
@@ -68,8 +65,8 @@ def test_moran_dimension_cf_two_digit_set_matches_reference():
 
 
 def test_moran_drift_decreases_for_cf_set():
-    drift = moran_drift(gauss_cantor(2), range(2, 9))
-    values = [v for _, v in drift]
+    K = gauss_cantor(2)
+    values = [hausdorff_dimension_moran(K, n).value for n in range(2, 9)]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert values[0] - values[-1] < 1e-3
 
@@ -109,13 +106,6 @@ def test_box_dimension_middle_fifth(middle_fifth):
     want = math.log(2) / math.log(5 / 2)
     est = box_dimension(middle_fifth, range(2, 11))
     assert est.value == pytest.approx(want, abs=0.01)
-
-
-def test_box_dimension_full_interval_is_one():
-    est = interval_box_dimension(Interval(F(0), F(1)), range(2, 11))
-    assert est.value == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValidationError):
-        interval_box_dimension(Interval(F(1), F(1)), range(2, 11))
 
 
 def test_box_and_moran_agree_for_affine_sets(ternary, middle_fifth, thick_pair_set):

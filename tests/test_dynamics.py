@@ -69,6 +69,20 @@ class TestHorseshoe:
         assert rep.at_unit_dimension is True
         assert rep.total_dimension == rep.stable_dimension + rep.unstable_dimension
 
+    def test_report_carries_the_palis_yoccoz_condition(self):
+        # ds = du = log2/log3: (2d)^2 + d^2 = 5d^2 > 3d, so the condition fails
+        fat = horseshoe_dimension(AffineHorseshoe(contraction=Fraction(1, 3), expansion=3))
+        assert fat.nonuniform_condition is False
+        # total dimension 1 with max(ds, du) < 1: 1 + m^2 < 1 + m holds
+        assert solve_unit_dimension(5.0).nonuniform_condition is True
+        assert solve_unit_dimension(4.0).nonuniform_condition is True
+
+    def test_condition_is_false_where_a_root_rounds_up_to_one(self):
+        # a contraction within 1e-13 of 1/2 gives a stable root just above 1
+        rep = horseshoe_dimension(AffineHorseshoe(contraction=0.4999999999999, expansion=3))
+        assert rep.stable_dimension >= 1.0
+        assert rep.nonuniform_condition is False
+
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValidationError):
             AffineHorseshoe(contraction=Fraction(1, 2), expansion=5)

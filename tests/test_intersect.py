@@ -24,11 +24,9 @@ from cantorlab import (
     get_set,
     intersect,
     intersect_test,
-    position_to_sets,
     recurrent_compact_search,
     refine,
     region_to_json,
-    renormalization_sensitivity,
     save_certificate,
     set_to_json,
     tangency_density_experiment,
@@ -331,21 +329,6 @@ def test_certificate_fields_out_of_range_are_malformed(middle_fifth, field, valu
     ok, message = verify_certificate(doc)
     assert not ok
     assert message.startswith("malformed certificate")
-
-
-def test_position_maps_define_translated_scaled_copies(middle_fifth):
-    K1, K2 = position_to_sets(middle_fifth, middle_fifth, 0.25, 0.5)
-    # s, t are log-scale and offset of the second set relative to the first
-    assert K1.hull == middle_fifth.hull
-    assert float(K2.hull.length) == pytest.approx(np.exp(0.25) * float(middle_fifth.hull.length))
-    assert float(K2.hull.lo) == pytest.approx(0.5)
-
-
-def test_renormalization_sensitivity_is_finite(middle_fifth):
-    out = recurrent_compact_search(middle_fifth, middle_fifth, SEARCH_BOX, SEARCH_GRID, margin=1)
-    sens = renormalization_sensitivity(middle_fifth, middle_fifth, out.region)
-    assert np.isfinite(sens)
-    assert sens >= 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,9 @@ from cantorlab import (
     gauss_cantor,
     get_set,
     marstrand_scan,
-    measure_estimate,
     merge_intervals,
     refine,
     refine_to_length,
-    union_from_cover,
 )
 from cantorlab import setops
 from cantorlab.cantor_core import _length_cover, maxlen_at_depth
@@ -54,11 +52,12 @@ def test_merge_intervals_handles_unsorted_input():
 
 
 def test_union_from_cover_matches_cover(ternary):
+    # K - 0*K is K: its union is the depth-n cover, merged
     cover = refine(ternary, 3)
-    union = union_from_cover(cover)
+    union = cover_sum(ternary, ternary, 3, "-", lam=0.0)
     assert union.n_components == len(cover)
     assert union.total_length == pytest.approx(float(sum(cover.lengths)), abs=1e-15)
-    assert measure_estimate(union) == pytest.approx(union.total_length)
+    assert list(union.los) == [float(x) for x in cover.los]
 
 
 # ---------------------------------------------------------------------------

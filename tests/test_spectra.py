@@ -13,7 +13,6 @@ from cantorlab import (
     PrecisionExhausted,
     QuadraticSurd,
     ValidationError,
-    cf_expand,
     cf_value,
     convergents,
     hall_halfline_probe,
@@ -53,32 +52,7 @@ def test_sequence_digit_access():
 
 
 # ---------------------------------------------------------------------------
-# expansion and convergents
-
-
-def test_expand_fixed_point_digit_patterns():
-    # 1/(2 + x) fixed point: sqrt(2) - 1 expands to all twos
-    assert cf_expand(math.sqrt(2) - 1, 10).prefix == (2,) * 10
-    # 1/(1 + x) fixed point: (sqrt(5) - 1)/2 expands to all ones
-    assert cf_expand((math.sqrt(5) - 1) / 2, 10).prefix == (1,) * 10
-    # values outside (0,1) are reduced modulo their integer part first
-    assert cf_expand(math.sqrt(2), 10).prefix == (2,) * 10
-
-
-def test_expand_exact_rational_terminates():
-    assert cf_expand(Fraction(3, 7), 10).prefix == (2, 3)
-
-
-def test_expand_exact_surd_is_uncapped():
-    x = SQRT(2) - QuadraticSurd.from_rational(1)
-    assert cf_expand(x, 40).prefix == (2,) * 40
-
-
-def test_expand_float_raises_when_digits_become_ambiguous():
-    with pytest.raises(PrecisionExhausted):
-        cf_expand(0.5, 3)  # exactly representable: one certain digit only
-    with pytest.raises(ValidationError):
-        cf_expand(2, 4)  # integers carry no digits
+# convergents
 
 
 def test_convergents_fibonacci_and_recursion():
@@ -285,3 +259,13 @@ def test_halfline_targets_are_hit_with_digit_bounded_words():
         # digits after the leading one stay within the bound used to
         # build the dense tail set
         assert all(d <= 4 for d in hit.witness[1:])
+
+
+@pytest.mark.parametrize(
+    "targets",
+    [[math.nan], [math.inf], [6.0, math.inf], [-math.inf], [5.5], []],
+    ids=["nan", "inf", "6-inf", "minus-inf", "below-6", "empty"],
+)
+def test_halfline_rejects_targets_that_are_not_finite_and_at_least_six(targets):
+    with pytest.raises(ValidationError):
+        hall_halfline_probe(targets, depth=3)

@@ -79,13 +79,6 @@ def test_float_conversion_is_correctly_rounded():
     assert float(x.canonical()) == float(x)
 
 
-def test_floor_of_exact_values():
-    assert QuadraticSurd.sqrt_of_int(2).floor() == 1
-    assert QuadraticSurd.sqrt_of_int(99).floor() == 9
-    assert QuadraticSurd.from_rational(Fraction(-7, 2)).floor() == -4
-    assert (-QuadraticSurd.sqrt_of_int(2)).floor() == -2
-
-
 def test_mixed_radicand_arithmetic_rejected():
     s2 = QuadraticSurd.sqrt_of_int(2)
     s3 = QuadraticSurd.sqrt_of_int(3)
