@@ -811,6 +811,9 @@ def _effective_config(command: str, cli_ns: dict) -> dict:
         cfg.update(_load_config(cfg_path, command))
         cfg["config"] = cfg_path
     cfg.update({k: v for k, v in cli_ns.items() if k != "command"})
+    # no leading digits is no prefix, so both give one inputs digest
+    if cfg.get("prefix") == ():
+        cfg["prefix"] = None
     if cfg.get("budget") is not None and cfg["budget"] <= 0:
         raise ConfigInvalid(f"budget must be positive, got {cfg['budget']!r}")
     return cfg

@@ -101,7 +101,8 @@ def box_dimension(
 
 
 def moran_root(ratios: list[float], tol: float = 1e-9) -> float:
-    """Root of d -> sum ratios^d - 1 on [0, 1 + 1e-9] by bisection.
+    """Root of d -> sum ratios^d - 1 on [0, 1 + 1e-9] by bisection; at
+    most 1 where the sum at d = 1 is at most 1.
 
     Each ratio must lie strictly inside (0, 1) and the ratios must sum
     to more than 1 at d = 0 (i.e. at least two of them), which makes the
@@ -131,6 +132,10 @@ def moran_root(ratios: list[float], tol: float = 1e-9) -> float:
             lo = mid
         else:
             hi = mid
+    # the bracket tops out above 1 to admit roots that rounding puts just
+    # past it; where the root is at most 1, so is the answer
+    if hi > 1.0 and f(1.0) <= 0.0:
+        hi = 1.0
     return 0.5 * (lo + hi)
 
 

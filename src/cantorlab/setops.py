@@ -15,10 +15,17 @@ budget the common length target is coarsened until it fits.  Coarsening
 preserves outer-approximation semantics; it only loses sharpness.  Each
 distinct cover is built once per call of `cover_sum` or `marstrand_scan`
 (once for both sets when they are equal); nothing outlives the call.
+
+`cover_sum` sorts and merges the pair intervals into an `IntervalUnion`.
+`marstrand_scan` needs each union only through its grid-cell counts, so
+it counts the cells straight from the pair endpoints and merges only
+where the resolutions are not nested or the finest grid would hold more
+cells than there are pairs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,8 +129,11 @@ def _pair_sides(K1: RegularCantorSet, K2: RegularCantorSet, n: int, budget: int)
     return side1, side1 if K2 == K1 else _SetCovers(K2, n, budget)
 
 
-def _pair_union(side1: _SetCovers, side2: _SetCovers, op: str, lam: float) -> IntervalUnion:
-    """Merged union of all pairwise interval sums (lam != 0)."""
+def _pair_endpoints(
+    side1: _SetCovers, side2: _SetCovers, op: str, lam: float
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Endpoints of all pairwise interval sums (lam != 0), unsorted, and
+    the meta of the covers behind them."""
     scale = 1.0 if op == "+" else abs(lam)
     # match granularities: both covers contribute intervals of the same
     # scale to the sum, anchored at the coarser of the two depth-n
@@ -154,18 +164,22 @@ def _pair_union(side1: _SetCovers, side2: _SetCovers, op: str, lam: float) -> In
         t_lo, t_hi = np.minimum(x, y), np.maximum(x, y)
     lo = (a_lo[:, None] + t_lo[None, :]).ravel()
     hi = (a_hi[:, None] + t_hi[None, :]).ravel()
-    los, his = merge_intervals(lo, hi)
-    u = IntervalUnion(los=los, his=his)
-    u.meta.update(
-        {
-            "op": op,
-            "lam": lam,
-            "pairs": len(a_lo) * len(t_lo),
-            "counts": (len(c1), len(c2)),
-            "target_length": target1,
-            "capped": capped,
-        }
-    )
+    meta = {
+        "op": op,
+        "lam": lam,
+        "pairs": len(lo),
+        "counts": (len(c1), len(c2)),
+        "target_length": target1,
+        "capped": capped,
+    }
+    return lo, hi, meta
+
+
+def _pair_union(side1: _SetCovers, side2: _SetCovers, op: str, lam: float) -> IntervalUnion:
+    """Merged union of all pairwise interval sums (lam != 0)."""
+    lo, hi, meta = _pair_endpoints(side1, side2, op, lam)
+    u = IntervalUnion(*merge_intervals(lo, hi))
+    u.meta.update(meta)
     return u
 
 
@@ -239,6 +253,48 @@ def _grid_cells(los: np.ndarray, his: np.ndarray, resolution: float) -> int:
 # projection scans
 
 
+def _dyadic_shifts(res: list[float]) -> list[int] | None:
+    """Right shifts that take the cell indices of each resolution (sorted
+    coarse -> fine) to those of the next coarser one, or None unless each
+    resolution is exactly the finest times a power of two and the finest
+    cell is longer than any gap the merge absorbs."""
+    parts = [math.frexp(r) for r in res]
+    if res[-1] <= MERGE_TOL or any(m != parts[-1][0] for m, _ in parts):
+        return None
+    return [e - e_finer for (_, e), (_, e_finer) in zip(parts, parts[1:])]
+
+
+def _scan_row(lo: np.ndarray, hi: np.ndarray, res: list[float], shifts: list[int] | None) -> list[float]:
+    """Covered length of the union of the intervals [lo, hi] at each resolution.
+
+    The cells meeting an interval at resolution r are floor(lo/r) ..
+    floor(hi/r), and floor(x/2r) = floor(floor(x/r)/2); so on a nested
+    ladder the covered cells of the finest grid, marked from the endpoints
+    by two bincounts and a cumulative sum, give every coarser row by
+    shifting.  The result equals `covered_length` of the merged union.  A
+    ladder that is not nested, or a finest grid with more cells than there
+    are intervals, falls back to merging.
+    """
+    r_f = res[-1]
+    kmin = np.floor(lo.min() / r_f)
+    kmax = np.floor(hi.max() / r_f)
+    if shifts is None or kmax - kmin + 1 > len(lo):
+        u = IntervalUnion(*merge_intervals(lo, hi))
+        return [covered_length(u, r) for r in res]
+    size = int(kmax - kmin) + 2
+    kmin = int(kmin)
+    klo = np.floor(lo / r_f).astype(np.int64) - kmin
+    khi = np.floor(hi / r_f).astype(np.int64) - kmin
+    edges = np.bincount(klo, minlength=size) - np.bincount(khi + 1, minlength=size)
+    cells = np.flatnonzero(np.cumsum(edges[:-1]) > 0) + kmin
+    counts = [len(cells)]
+    for shift in reversed(shifts):
+        cells = cells >> shift
+        cells = cells[np.append(True, cells[1:] != cells[:-1])]
+        counts.append(len(cells))
+    return [count * r for count, r in zip(reversed(counts), res)]
+
+
 @dataclass(frozen=True)
 class ProjectionScan:
     lambdas: tuple[float, ...]
@@ -284,10 +340,12 @@ def marstrand_scan(
 ) -> ProjectionScan:
     """Covered-length table of the scaled differences K1 - lam*K2.
 
-    For each lam the depth-n outer union is built and measured against
-    each grid resolution; the summary statistic is the fraction of lam
-    whose covered length at the finest resolution exceeds theta.  All
-    lam share one set of covers.
+    For each lam the depth-n outer union is measured against each grid
+    resolution; the summary statistic is the fraction of lam whose
+    covered length at the finest resolution exceeds theta.  All lam
+    share one set of covers.  Each row equals `covered_length` of the
+    `cover_sum` union, but is counted straight from the pair endpoints
+    without merging them (see `_scan_row`).
     """
     lambdas = [float(x) for x in lambdas]
     if not lambdas:
@@ -298,8 +356,12 @@ def marstrand_scan(
     if not res or res[-1] <= 0:
         raise ValidationError("resolutions must be positive")
     sides = _pair_sides(K1, K2, n, pair_budget)
-    unions = (_pair_union(*sides, "-", lam) for lam in lambdas)
-    table = np.array([[covered_length(u, r) for r in res] for u in unions], dtype=float)
+    shifts = _dyadic_shifts(res)
+    rows = []
+    for lam in lambdas:
+        lo, hi, _ = _pair_endpoints(*sides, "-", lam)
+        rows.append(_scan_row(lo, hi, res, shifts))
+    table = np.array(rows, dtype=float)
     return ProjectionScan(
         lambdas=tuple(lambdas),
         resolutions=tuple(res),

@@ -61,6 +61,21 @@ class TestResultRecord:
         _, rec2, _, _ = run_cli(["thickness", "--depth", "5"], capsys)
         assert rec1["inputs_digest"] != rec2["inputs_digest"]
 
+    def test_empty_prefix_gives_the_digest_of_no_prefix(self, capsys, tmp_path):
+        _, plain, _, _ = run_cli(["spectrum", "--period", "2,1"], capsys)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"prefix": []}))
+        for extra in (["--prefix="], ["--config", str(cfg)]):
+            code, rec, _, _ = run_cli(["spectrum", "--period", "2,1", *extra], capsys)
+            assert code == EXIT_OK
+            assert "prefix" not in rec["inputs"]
+            assert rec["inputs_digest"] == plain["inputs_digest"]
+            assert rec["outputs"] == plain["outputs"]
+        # an empty period is no period, which is still refused
+        code, _, _, err = run_cli(["spectrum", "--period="], capsys)
+        assert code == EXIT_INVALID
+        assert "period" in err
+
     def test_csv_artifacts(self, capsys, tmp_path):
         dim_csv = tmp_path / "dim.csv"
         code, _, _, _ = run_cli(

@@ -83,6 +83,16 @@ def test_moran_root_rejects_bad_inputs():
         moran_root([0.7, 0.7])
 
 
+@pytest.mark.parametrize("c", [0.4999999999999, 0.49999999999999994])
+def test_moran_root_is_at_most_one_when_the_sum_at_one_is(c):
+    # 2c <= 1, so the root is at most 1; the bisection bracket reaches
+    # 1 + 1e-9 and its midpoint once came out as 1.0000000000000107
+    assert 2 * c <= 1.0
+    root = moran_root([c, c], 1e-12)
+    assert root <= 1.0
+    assert root == pytest.approx(math.log(2) / -math.log(c), abs=1e-12)
+
+
 def test_moran_map_is_monotone_in_dimension():
     ratios = [0.4, 0.3, 0.2]
     values = [sum(r**d for r in ratios) for d in (0.2, 0.5, 0.8, 1.0)]

@@ -78,9 +78,11 @@ class TestHorseshoe:
         assert solve_unit_dimension(4.0).nonuniform_condition is True
 
     def test_condition_is_false_where_a_root_rounds_up_to_one(self):
-        # a contraction within 1e-13 of 1/2 gives a stable root just above 1
+        # a contraction within 1e-13 of 1/2 gives a stable root within the
+        # tolerance of 1; it once rounded up past 1, and it now stays at
+        # most 1 while the condition still fails
         rep = horseshoe_dimension(AffineHorseshoe(contraction=0.4999999999999, expansion=3))
-        assert rep.stable_dimension >= 1.0
+        assert 1.0 - 1e-12 <= rep.stable_dimension <= 1.0
         assert rep.nonuniform_condition is False
 
     def test_invalid_parameters_rejected(self):

@@ -240,22 +240,60 @@ def test_projection_scan_validates_inputs(ternary):
         marstrand_scan(ternary, ternary, [0.5], 4, resolutions=[])
 
 
+# resolution ladders for the scan rows; at n = 5 a cover pair holds 480 to
+# 4096 pairs, so the default ladder's 2^-14 grid outgrows them on every row
+# while 2^-9 does not on most rows
+SCAN_LADDERS = {
+    "default": setops.DEFAULT_RESOLUTIONS,
+    "nested with a skipped step": (2.0**-5, 2.0**-7, 2.0**-8, 2.0**-9),
+    "not nested": (0.1, 0.03, 2.0**-9),
+    "finer than the pairs": (2.0**-6, 2.0**-30),
+}
+
+
 @pytest.mark.parametrize(
     "names",
     [("ternary", "ternary"), ("thin", "thin"), ("middle-fifth", "ternary"), ("gauss2", "gauss2")],
     ids="-".join,
 )
-def test_projection_scan_rows_match_direct_cover_sum(names):
+def test_projection_scan_rows_match_direct_cover_sum(names, monkeypatch):
     # separate but equal set objects for equal names, so the scan shares
     # one side between them; lam straddles the granularity ratio m1/m2
     K1, K2 = get_set(names[0]), get_set(names[1])
     n = 5
     m1, m2 = float(maxlen_at_depth(K1, n)), float(maxlen_at_depth(K2, n))
     lambdas = [m1 / m2 * f for f in (0.3, 0.8, 0.99, 1.0, 1.01, 1.3, 3.7)] + [0.1, 2.9]
-    scan = marstrand_scan(K1, K2, lambdas, n)
-    for lam, row in zip(lambdas, scan.table):
+    merged, grids = [], []
+
+    def counting_merge(los, his):
+        merged.append(len(los))
+        return merge_intervals(los, his)
+
+    def recording_bincount(x, weights=None, minlength=0):
+        grids.append(minlength - len(x))
+        return bincount(x, weights, minlength)
+
+    bincount = np.bincount
+    monkeypatch.setattr(setops, "merge_intervals", counting_merge)
+    monkeypatch.setattr(np, "bincount", recording_bincount)
+    scans, paths = {}, {}
+    for name, ladder in SCAN_LADDERS.items():
+        merged.clear()
+        grids.clear()
+        scans[name] = marstrand_scan(K1, K2, lambdas, n, ladder)
+        paths[name] = (len(merged), len(grids), max(grids, default=None))
+    monkeypatch.undo()
+    # a merged row merges its pairs once; a counted row's grid holds at
+    # most one cell per pair, plus one end slot
+    merges, counted, excess = paths["nested with a skipped step"]
+    assert merges < len(lambdas) // 2 and counted == 2 * (len(lambdas) - merges)
+    assert excess <= 1
+    assert paths["not nested"] == (len(lambdas), 0, None)
+    assert paths["finer than the pairs"] == (len(lambdas), 0, None)
+    for i, lam in enumerate(lambdas):
         u = cover_sum(K1, K2, n, "-", lam, pair_budget=setops.SCAN_PAIR_BUDGET)
-        assert list(row) == [covered_length(u, r) for r in scan.resolutions]
+        for scan in scans.values():
+            assert list(scan.table[i]) == [covered_length(u, r) for r in scan.resolutions]
         # the covers behind u are those of direct calls on each set
         t1 = max(m1, lam * m2) * (1.0 + 1e-12)
         assert u.meta["target_length"] == t1
