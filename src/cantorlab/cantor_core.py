@@ -429,10 +429,6 @@ class Cover:
     def max_length(self) -> Num:
         return max(iv.length for iv in self.intervals)
 
-    @property
-    def min_length(self) -> Num:
-        return min(iv.length for iv in self.intervals)
-
 
 # A node of the cylinder tree: (last symbol, composite of inverse branches,
 # address, interval).  The interval is the composite applied to the piece

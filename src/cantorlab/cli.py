@@ -149,8 +149,6 @@ def _jsonable(v):
 
 
 def _surd_json(s):
-    if s is None:
-        return None
     return {"p": s.p, "q": s.q, "r": s.r, "d": s.d, "float": float(s)}
 
 

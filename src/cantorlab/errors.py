@@ -71,10 +71,6 @@ class NonAffineInput(CantorLabError):
     """An operation restricted to affine sets received a non-affine one."""
 
 
-class PrecisionExhausted(CantorLabError):
-    """A floating input cannot certify any further continued-fraction digits."""
-
-
 class EstimatorMismatch(CantorLabError):
     """Two independent estimators disagree beyond the allowed tolerance."""
 

@@ -51,7 +51,7 @@ from .cantor_core import (
 )
 from .dimension import box_regression, thickness
 from .errors import BudgetExceeded, NonAffineInput, TZeroNotInDifference, ValidationError
-from .setops import _grid_cells, cover_sum, merge_intervals
+from .setops import _grid_cells, cover_sum
 
 GRID_SNAP_EPS = 1e-9
 MAX_SWEEPS = 10_000
@@ -623,8 +623,6 @@ def d_stable_probe(
         c1 = refine(P1, n, budget=budget)
         c2 = refine(P2, n, budget=budget)
         los, his = _cover_meet(c1, c2, float(t))
-        if len(los):
-            los, his = merge_intervals(los, his)
         scale = max(float(c1.max_length), float(c2.max_length))
         estimate = _union_box_estimate(los, his, scale)
         if estimate >= d:

@@ -6,16 +6,19 @@ digits (a_1, a_2, ...), the limsup over n of
     [a_{n+1}; a_{n+2}, ...] + [0; a_n, a_{n-1}, ..., a_1],
 
 equal to the classical best-approximation constant
-limsup 1/|q_n (q_n x - p_n)|.  For eventually periodic digit sequences
-the limsup is attained along the period and is a quadratic surd, so it
-is computed exactly for every period: the two-sided value at each
-rotation of the period is max'ed in exact arithmetic (rotations and
-reversals share a discriminant because each digit matrix [[a,1],[1,0]]
-is symmetric) and returned in canonical form.  Two windowed estimators
-run in one loop as a mandatory cross-check, on x and its forward values
-in exact arithmetic: quadratic surds for periodic digits, rationals from
-a deep convergent for streamed digits, where the tail estimate is the
-value returned.
+limsup 1/|q_n (q_n x - p_n)|.  For an eventually periodic digit
+sequence the limsup is attained along the period and is a quadratic
+surd.  At rotation i of the period w, the forward value
+x_i = [w_i; w_{i+1}, ...] is a root of that rotation's word matrix
+quadratic, and Galois' theorem on purely periodic continued fractions
+gives [0; w_{i-1}, w_{i-2}, ...] = -x̄_i for its other root x̄_i.  So
+the two-sided value is x_i - x̄_i = sqrt(D) / c_i, where
+D = trace^2 - 4*det of the word matrix is the same for every rotation
+and c_i is the lower-left entry of rotation i's matrix: the limsup is
+sqrt(D) / min c_i, from integer matrix entries alone, returned in
+canonical form.  Two windowed estimators run in one loop as a
+mandatory cross-check, on x and its forward values in exact surd
+arithmetic.
 
 cf_value note: convergent numerators and denominators are arbitrary-
 precision integers, so the documented overflow failure mode cannot
@@ -25,18 +28,13 @@ trigger here; the continuant recursion is exact at every size.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterator
 
 from .cantor_core import _gauss_hull_surds, resolve_budget
-from .errors import (
-    BudgetExceeded,
-    EstimatorMismatch,
-    PrecisionExhausted,
-    ValidationError,
-)
-from .surd import QuadraticSurd, periodic_tail_value, periodic_value
+from .errors import BudgetExceeded, EstimatorMismatch, ValidationError
+from .surd import QuadraticSurd, periodic_value, word_matrix
 
 ESTIMATOR_TOL = 1e-9
 
@@ -45,64 +43,39 @@ ESTIMATOR_TOL = 1e-9
 # digit sequences
 
 
+def _digit_tuple(digits) -> tuple[int, ...]:
+    """The digits as Python ints; each must be an integer >= 1 (not a bool)."""
+    out = []
+    for d in digits:
+        if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1:
+            raise ValidationError(f"digits must be integers >= 1, got {d!r}")
+        out.append(int(d))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class CFSequence:
-    """Continued-fraction digit sequence a_1, a_2, ... (all >= 1).
-
-    prefix followed by: nothing (finite sequence), a repeating period,
-    or a streamed source (a zero-argument callable returning a fresh
-    digit iterator).
-    """
+    """Eventually periodic continued-fraction digits a_1, a_2, ... (all >= 1):
+    `prefix` once, then the nonempty `period` repeated forever."""
 
     prefix: tuple[int, ...] = ()
     period: tuple[int, ...] = ()
-    stream: Callable[[], Iterator[int]] | None = None
 
     def __post_init__(self) -> None:
-        if self.period and self.stream is not None:
-            raise ValidationError("sequence cannot be both periodic and streamed")
-        for d in self.prefix + self.period:
-            if int(d) != d or d < 1:
-                raise ValidationError(f"digits must be integers >= 1, got {d}")
-
-    @property
-    def is_finite(self) -> bool:
-        return not self.period and self.stream is None
-
-    @property
-    def is_periodic(self) -> bool:
-        return bool(self.period)
+        object.__setattr__(self, "prefix", _digit_tuple(self.prefix))
+        object.__setattr__(self, "period", _digit_tuple(self.period))
+        if not self.period:
+            raise ValidationError("k is defined for infinite sequences: give a nonempty period")
 
     def digits(self, n: int) -> tuple[int, ...]:
-        """First n digits; raises if a finite/streamed source runs dry."""
-        if n <= len(self.prefix):
-            return self.prefix[:n]
-        out = list(self.prefix)
-        if self.period:
-            i = 0
-            while len(out) < n:
-                out.append(self.period[i % len(self.period)])
-                i += 1
-        elif self.stream is not None:
-            it = self.stream()
-            for d in it:
-                if int(d) != d or d < 1:
-                    raise ValidationError(f"streamed digit {d} is not an integer >= 1")
-                out.append(int(d))
-                if len(out) >= n:
-                    break
-        if len(out) < n:
-            raise PrecisionExhausted(f"sequence provides only {len(out)} digits, need {n}")
-        return tuple(out[:n])
+        """First n digits."""
+        repeats = max(0, n - len(self.prefix)) // len(self.period) + 1
+        return (self.prefix + self.period * repeats)[:n]
 
     def describe(self) -> str:
         head = ",".join(str(d) for d in self.prefix)
-        if self.is_periodic:
-            tail = ",".join(str(d) for d in self.period)
-            return f"[{head};({tail})*]" if head else f"[({tail})*]"
-        if self.stream is not None:
-            return f"[{head};...]" if head else "[stream]"
-        return f"[{head}]"
+        tail = ",".join(str(d) for d in self.period)
+        return f"[{head};({tail})*]" if head else f"[({tail})*]"
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +111,9 @@ def convergents(digits) -> list[tuple[int, int]]:
 class SpectrumValue:
     """A best-approximation constant together with how it was attained.
 
-    `witness` is the digit word realizing the value: the maximizing
-    rotation for periodic sequences, the inspected digit window
-    otherwise.  `exact` is the canonical surd (`QuadraticSurd.canonical`)
-    of every periodic value, None only for streamed digits.
+    `witness` is the digit word realizing the value: the first rotation
+    of the period with the largest two-sided value.  `exact` is that
+    value, sqrt(D) / c, in canonical form (`QuadraticSurd.canonical`).
     `estimator_gap` is the disagreement between the two independent
     windowed estimators (always checked against the mismatch tolerance
     before a value is returned).
@@ -150,7 +122,7 @@ class SpectrumValue:
     value: float
     witness: tuple[int, ...]
     window: int
-    exact: QuadraticSurd | None = None
+    exact: QuadraticSurd
     estimator_gap: float = 0.0
 
     def __float__(self) -> float:
@@ -161,26 +133,38 @@ def _rotations(word: tuple[int, ...]) -> list[tuple[int, ...]]:
     return [word[i:] + word[:i] for i in range(len(word))]
 
 
+def _discriminant_and_lower_lefts(word: tuple[int, ...]) -> tuple[int, list[int]]:
+    """D = trace^2 - 4*det of the word matrix, and the lower-left entry
+    c_i of each rotation's matrix (rotation matrices are conjugate, so
+    they share D)."""
+    matrices = [word_matrix(rot) for rot in _rotations(word)]
+    m00, m01, m10, m11 = matrices[0]
+    disc = (m00 + m11) ** 2 - 4 * (m00 * m11 - m01 * m10)
+    return disc, [m[2] for m in matrices]
+
+
 def two_sided_values(word: tuple[int, ...]) -> list[QuadraticSurd]:
     """Exact two-sided value at each position of the bi-infinite periodic word.
 
     At the position holding digit w[i] the value is
-    [w_i; w_{i+1}, ...] + [0; w_{i-1}, w_{i-2}, ...]; all positions live
-    in the same quadratic field.
+    [w_i; w_{i+1}, ...] + [0; w_{i-1}, w_{i-2}, ...] = sqrt(D) / c_i
+    (see the module docstring); all positions live in one quadratic field.
     """
-    out = []
-    for rot in _rotations(word):
-        out.append(periodic_value(rot) + periodic_tail_value(tuple(reversed(rot))))
-    return out
+    disc, lower_lefts = _discriminant_and_lower_lefts(word)
+    return [QuadraticSurd.make(0, 1, c, disc) for c in lower_lefts]
 
 
 def _exact_periodic_k(
     word: tuple[int, ...]
 ) -> tuple[float, QuadraticSurd, tuple[int, ...]]:
-    """(value, canonical exact surd, maximizing rotation) for a periodic word."""
-    values = two_sided_values(word)
-    best_i = max(range(len(values)), key=values.__getitem__)  # first maximum
-    best = values[best_i]
+    """(value, canonical exact surd, maximizing rotation) for a periodic word.
+
+    The largest sqrt(D) / c_i has the smallest c_i; `index` takes the
+    first such rotation.
+    """
+    disc, lower_lefts = _discriminant_and_lower_lefts(word)
+    best_i = lower_lefts.index(min(lower_lefts))
+    best = QuadraticSurd.make(0, 1, lower_lefts[best_i], disc)
     return float(best), best.canonical(), _rotations(word)[best_i]
 
 
@@ -207,38 +191,25 @@ def _estimator_positions(window: int) -> range:
 
 
 def k_alpha(seq: CFSequence, window: int) -> SpectrumValue:
-    """Best-approximation constant of an infinite digit sequence.
+    """Best-approximation constant of an eventually periodic digit sequence.
 
-    One loop runs two windowed estimators over the same positions n —
-    the direct 1/(q_n |q_n x - p_n|) from exact convergents of x, and the
-    tail formula [a_{n+1}; a_{n+2}, ...] + q_{n-1}/q_n — and raises
-    EstimatorMismatch when they disagree beyond 1e-9.  Both are exact
-    until the final float conversion; the source only picks the type of
-    x and of its forward values: quadratic surds for a periodic
-    sequence, rationals from a deep convergent (60 digits past the
-    window) for a streamed one.  For periodic sequences of any period
-    the returned value is the exact attained limsup (max of the
-    two-sided values over the period, in `exact`), independent of any
-    finite prefix; for streamed sequences it is the largest tail
-    estimate.
+    The returned value is the exact attained limsup sqrt(D) / min c_i
+    over the rotations of the period (in `exact`), independent of any
+    finite prefix.  As a cross-check, one loop runs two windowed
+    estimators over the same positions n — the direct
+    1/(q_n |q_n x - p_n|) from exact convergents of x, and the tail
+    formula [a_{n+1}; a_{n+2}, ...] + q_{n-1}/q_n — on x and its forward
+    values as quadratic surds, and raises EstimatorMismatch when they
+    disagree beyond 1e-9.  Both are exact until the final float
+    conversion.
     """
     if window < 2:
         raise ValidationError("window must be >= 2")
-    if seq.is_finite:
-        raise ValidationError("k is defined for infinite sequences")
-    ds = seq.digits(window + 1)
-    if seq.is_periodic:
-        rotations = [periodic_value(rot) for rot in _rotations(seq.period)]
-        after = rotations * (window // len(rotations) + 1)
-        forwards = _forward_values(seq.prefix, after)
-        value, exact, witness = _exact_periodic_k(seq.period)
-    else:
-        # a deep rational convergent of x stands in for x
-        deep = seq.digits(window + 60)
-        forwards = _forward_values(deep[:-1], [QuadraticSurd.from_rational(deep[-1])])
-        value, exact, witness = None, None, ds[:window]
+    rotations = [periodic_value(rot) for rot in _rotations(seq.period)]
+    forwards = _forward_values(seq.prefix, rotations * (window // len(rotations) + 1))
+    value, exact, witness = _exact_periodic_k(seq.period)
     alpha = forwards[0].inverse()
-    cs = convergents(ds)
+    cs = convergents(seq.digits(window + 1))
     direct: list[float] = []
     tail: list[float] = []
     for n in _estimator_positions(window):
@@ -253,8 +224,6 @@ def k_alpha(seq: CFSequence, window: int) -> SpectrumValue:
         raise EstimatorMismatch(
             f"direct {best_direct} vs tail {best_tail} beyond {ESTIMATOR_TOL}"
         )
-    if exact is None:
-        value = best_tail
     return SpectrumValue(
         value=value, witness=witness, window=window, exact=exact, estimator_gap=gap
     )

@@ -10,7 +10,9 @@ other pairs lie in distinct fields and raise ValidationError.  `==` and
 The module also evaluates purely periodic continued fractions exactly:
 [a1; a2, ..., ap, a1, a2, ...] is the attracting fixed point of the
 composition of x -> a + 1/x steps, hence the positive root of an integer
-quadratic whose discriminant is trace^2 - 4*det of the word matrix.
+quadratic whose discriminant is D = trace^2 - 4*det of the word matrix.
+The two roots differ by sqrt(D) / c, c the lower-left entry of the word
+matrix; `spectra` reads two-sided values from exactly that.
 """
 
 from __future__ import annotations
@@ -78,17 +80,6 @@ class QuadraticSurd:
         if disc < 0:
             raise ValidationError("complex roots")
         return QuadraticSurd.make(-b, branch, 2 * a, disc)
-
-    # -- predicates ----------------------------------------------------
-
-    @property
-    def is_rational(self) -> bool:
-        return self.q == 0
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValidationError("irrational surd")
-        return Fraction(self.p, self.r)
 
     # -- identity -------------------------------------------------------
 
@@ -182,9 +173,6 @@ class QuadraticSurd:
     def __rtruediv__(self, other: "SurdLike") -> "QuadraticSurd":
         return self._coerce(other) * self.inverse()
 
-    def conjugate(self) -> "QuadraticSurd":
-        return QuadraticSurd.make(self.p, -self.q, self.r, self.d)
-
     # -- order ----------------------------------------------------------
 
     def sign(self) -> int:
@@ -272,9 +260,3 @@ def periodic_value(word: Sequence[int]) -> QuadraticSurd:
     m00, m01, m10, m11 = word_matrix(word)
     # x = (m00 x + m01)/(m10 x + m11)  ->  m10 x^2 + (m11 - m00) x - m01 = 0
     return QuadraticSurd.quadratic_root(m10, m11 - m00, -m01, branch=+1)
-
-
-def periodic_tail_value(word: Sequence[int]) -> QuadraticSurd:
-    """Exact value of [0; w, w, w, ...] in (0, 1)."""
-    return periodic_value(word).inverse()
-

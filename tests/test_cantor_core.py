@@ -155,7 +155,6 @@ def test_refinement_counts_and_lengths(ternary):
         cover = refine(ternary, n)
         assert len(cover) == 2 ** (n + 1)
         assert cover.max_length == F(1, 3 ** (n + 1))
-        assert cover.min_length == F(1, 3 ** (n + 1))
         assert cover.uniform
 
 

@@ -24,6 +24,8 @@ from cantorlab import (
     get_set,
     intersect,
     intersect_test,
+    merge_intervals,
+    perturb_set,
     recurrent_compact_search,
     refine,
     region_to_json,
@@ -34,6 +36,7 @@ from cantorlab import (
     verify_certificate,
 )
 from cantorlab.cantor_core import _meets_interval
+from cantorlab.setops import _grid_cells
 
 SEARCH_BOX = ((-0.75, 0.75), (-2.25, 1.25))
 SEARCH_GRID = (1.5 / 120, 3.5 / 240)
@@ -351,6 +354,34 @@ def test_probe_fraction_is_deterministic_per_seed(ternary):
     c = d_stable_probe(ternary, ternary, 0.25, 0.3, 20, 0.01, 9, seed=1)
     assert a == b == pytest.approx(0.35)
     assert 0.0 <= c <= 1.0
+
+
+@pytest.mark.parametrize(
+    "names",
+    [("ternary", "ternary"), ("middle-fifth", "middle-fifth"), ("thick", "thick"),
+     ("thin", "thick")],
+)
+def test_probe_meet_needs_no_merge(names):
+    # d_stable_probe counts grid cells of the raw pairwise meet: it must
+    # already be strictly increasing and disjoint, and count as its merge
+    K1, K2 = (get_set(name) for name in names)
+    met = 0
+    for index in range(3):
+        rng = np.random.default_rng([0, index])
+        P1, P2 = perturb_set(K1, 0.01, rng), perturb_set(K2, 0.01, rng)
+        for n in (5, 9):
+            c1, c2 = refine(P1, n), refine(P2, n)
+            for t in (0.0, 0.1, 0.25, -0.3):
+                lo, hi = intersect._cover_meet(c1, c2, t)
+                if len(lo) == 0:
+                    continue
+                met += 1
+                assert np.all(lo <= hi) and np.all(lo[1:] > hi[:-1])
+                m_lo, m_hi = merge_intervals(lo, hi)
+                for k in range(3, 21):
+                    r = 2.0**-k
+                    assert _grid_cells(lo, hi, r) == _grid_cells(m_lo, m_hi, r)
+    assert met >= 12
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,11 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from cantorlab import (
     CFSequence,
-    PrecisionExhausted,
     QuadraticSurd,
     ValidationError,
     cf_value,
@@ -18,10 +18,10 @@ from cantorlab import (
     hall_halfline_probe,
     k_alpha,
     lagrange_sample,
-    periodic_tail_value,
     periodic_value,
     two_sided_values,
 )
+from cantorlab import spectra
 from cantorlab.cli import _surd_json
 from cantorlab.surd import word_matrix
 
@@ -38,17 +38,22 @@ def test_sequence_digit_validation():
     with pytest.raises(ValidationError):
         CFSequence(period=(1, -2))
     with pytest.raises(ValidationError):
-        CFSequence(period=(1,), stream=lambda: iter(()))
+        CFSequence(period=(2.0,))
+    with pytest.raises(ValidationError):
+        CFSequence(period=(1, True))
+    with pytest.raises(ValidationError):
+        CFSequence(prefix=(False,), period=(1,))
 
 
 def test_sequence_digit_access():
-    s = CFSequence(prefix=(3,), period=(1, 2))
+    s = CFSequence(prefix=[np.int64(3)], period=(np.int8(1), 2))
+    assert s.prefix == (3,) and s.period == (1, 2)
+    assert all(type(d) is int for d in s.prefix + s.period)
     assert s.digits(6) == (3, 1, 2, 1, 2, 1)
-    assert s.is_periodic and not s.is_finite
-    f = CFSequence(prefix=(5, 4))
-    assert f.is_finite
-    with pytest.raises(PrecisionExhausted):
-        f.digits(3)
+    assert s.digits(1) == (3,)
+    assert CFSequence(period=(4, 5)).digits(3) == (4, 5, 4)
+    assert s.describe() == "[3;(1,2)*]"
+    assert CFSequence(period=(2,)).describe() == "[(2)*]"
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +89,7 @@ def test_periodic_word_values_satisfy_their_quadratics():
     assert golden.equals(QuadraticSurd.make(1, 1, 2, 5))
     silver = periodic_value((2,))
     assert silver.equals(QuadraticSurd.make(1, 1, 1, 2))
-    tail = periodic_tail_value((2, 1))
+    tail = periodic_value((2, 1)).inverse()
     # the tail value x = [0; 2, 1, 2, 1, ...] satisfies x = 1/(2 + 1/(1 + x))
     one = QuadraticSurd.from_rational(1)
     relation = tail - one / (2 + one / (1 + tail))
@@ -96,6 +101,47 @@ def test_two_sided_values_cover_all_rotations():
     assert len(vals) == 2
     floats = sorted(float(v) for v in vals)
     assert floats[1] == pytest.approx(2 * math.sqrt(3), abs=1e-14)
+
+
+def _two_sided_by_definition(word):
+    """[w_i; w_{i+1}, ...] + [0; w_{i-1}, w_{i-2}, ...] at each rotation,
+    the backward tail evaluated as 1 / [reversed rotation, repeated]."""
+    out = []
+    for i in range(len(word)):
+        rot = word[i:] + word[:i]
+        out.append(periodic_value(rot) + 1 / periodic_value(rot[::-1]))
+    return out
+
+
+def test_two_sided_values_match_the_definition_on_every_short_word():
+    # every word of length 1..6 over the digits 1..4: 5,460 words
+    count = 0
+    for length in range(1, 7):
+        for word in product(range(1, 5), repeat=length):
+            reference = _two_sided_by_definition(word)
+            assert two_sided_values(word) == reference, word
+            best_i = max(range(len(reference)), key=reference.__getitem__)
+            best = reference[best_i].canonical()
+            value, exact, rotation = spectra._exact_periodic_k(word)
+            assert rotation == word[best_i:] + word[:best_i], word
+            assert value == float(reference[best_i]), word
+            assert (exact.p, exact.q, exact.r, exact.d) == (best.p, best.q, best.r, best.d)
+            count += 1
+    assert count == 5460
+
+
+def test_k_alpha_evaluates_each_rotation_once(monkeypatch):
+    calls = []
+
+    def counted(word):
+        calls.append(tuple(word))
+        return periodic_value(word)
+
+    monkeypatch.setattr(spectra, "periodic_value", counted)
+    word = (1, 2, 3, 1, 4)
+    sv = k_alpha(CFSequence(prefix=(2, 2), period=word), 12)
+    assert sorted(calls) == sorted(word[i:] + word[:i] for i in range(len(word)))
+    assert sv.exact == max(_two_sided_by_definition(word))
 
 
 # ---------------------------------------------------------------------------
@@ -174,23 +220,6 @@ def test_equal_values_over_different_discriminants_are_one_value():
     assert _surd_json(exacts[0]) == _surd_json(exacts[1])
 
 
-def test_constant_from_streamed_digits_runs_without_exact_form():
-    def digits():
-        yield 2
-        k = 2
-        while True:
-            yield 1
-            yield 1
-            yield k
-            k += 2
-
-    sv = k_alpha(CFSequence(stream=digits), 10)
-    assert sv.exact is None
-    assert sv.value > math.sqrt(5)
-    assert sv.estimator_gap <= 1e-9
-    assert len(sv.witness) == 10
-
-
 def test_constant_requires_infinite_sequence():
     with pytest.raises(ValidationError):
         k_alpha(CFSequence(prefix=(1, 2, 3)), 6)
@@ -235,8 +264,15 @@ def test_sample_discrete_part_matches_markov_chain(sample_6_4):
 
 
 def test_sample_deduplicates_rotations(sample_6_4):
-    keys = [(sv.exact.p, sv.exact.q, sv.exact.r, sv.exact.d) for sv in sample_6_4 if sv.exact]
+    keys = [(sv.exact.p, sv.exact.q, sv.exact.r, sv.exact.d) for sv in sample_6_4]
     assert len(keys) == len(set(keys))
+
+
+def test_sample_values_are_canonical(sample_6_4):
+    for sv in sample_6_4:
+        c = sv.exact.canonical()
+        assert (sv.exact.p, sv.exact.q, sv.exact.r, sv.exact.d) == (c.p, c.q, c.r, c.d)
+        assert sv.value == float(sv.exact)
 
 
 def test_sample_budget_guard():
