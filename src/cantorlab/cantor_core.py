@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -57,19 +56,10 @@ Num = Union[int, float, Fraction]
 TAU_MARKOV = 1e-9       # relative tolerance for floating Markov validation
 EPS_LEN = 1e-14         # interval-length floor for covers
 DEFAULT_COVER_BUDGET = 2_000_000
-BUDGET_ENV_VAR = "CANTORLAB_BUDGET"
 
 
 def resolve_budget(budget: int | None) -> int:
-    if budget is not None:
-        return int(budget)
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValidationError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from exc
-    return DEFAULT_COVER_BUDGET
+    return DEFAULT_COVER_BUDGET if budget is None else int(budget)
 
 
 # ---------------------------------------------------------------------------

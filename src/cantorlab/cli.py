@@ -41,9 +41,7 @@ seed.
 
 Exit codes: 0 success, 2 budget exhaustion, 3 invalid arguments,
 invalid configuration or validation failure (including missing files,
-which are reported by path).  The environment variable
-``CANTORLAB_BUDGET`` overrides the default interval budget when no
-``--budget`` flag is given.
+which are reported by path).
 """
 
 from __future__ import annotations
@@ -98,7 +96,6 @@ from .intersect import (
     verify_certificate,
 )
 from .setops import (
-    SCAN_PAIR_BUDGET,
     IntervalUnion,
     contains_interval,
     cover_sum,
@@ -249,11 +246,6 @@ def _union_outputs(U: IntervalUnion) -> dict:
     }
 
 
-def _pair_budget(cfg: dict, default: int | None = None) -> int | None:
-    """The --budget flag read as a pairwise budget, else `default`."""
-    return cfg["budget"] if cfg["budget"] is not None else default
-
-
 # ---------------------------------------------------------------------------
 # command handlers (each returns the outputs dict)
 
@@ -297,7 +289,7 @@ def _cmd_thickness(cfg: dict) -> dict:
 def _cmd_cover_sum(cfg: dict, op: str) -> dict:
     K1, K2, names = _resolve_pair(cfg)
     lam = cfg.get("lam", 1.0)
-    U = cover_sum(K1, K2, cfg["depth"], op, lam, pair_budget=_pair_budget(cfg))
+    U = cover_sum(K1, K2, cfg["depth"], op, lam, pair_budget=cfg["budget"])
     if cfg.get("csv"):
         _union_csv(U, cfg["csv"])
     return {**_union_outputs(U), **names}
@@ -307,7 +299,7 @@ def _cmd_hall(cfg: dict) -> dict:
     depth = cfg["depth"]
     margin = cfg["margin"]
     K = gauss_cantor(4)
-    U = cover_sum(K, K, depth, "+", pair_budget=_pair_budget(cfg))
+    U = cover_sum(K, K, depth, "+", pair_budget=cfg["budget"])
     target = Interval(HALL_TARGET[0], HALL_TARGET[1])
     ok = contains_interval(U, target, margin)
     if cfg.get("csv"):
@@ -339,7 +331,7 @@ def _cmd_marstrand(cfg: dict) -> dict:
     resolutions = [2.0**-k for k in range(e_lo, e_hi + 1)]
     scan = marstrand_scan(
         K1, K2, lambdas, cfg["depth"], resolutions,
-        theta=cfg["theta"], pair_budget=_pair_budget(cfg, SCAN_PAIR_BUDGET),
+        theta=cfg["theta"], pair_budget=cfg["budget"],
     )
     if cfg.get("csv"):
         rows = (
@@ -458,7 +450,7 @@ def _cmd_density(cfg: dict) -> dict:
             raise ConfigInvalid(f"{key} must be positive, got {v!r}")
     deltas = [delta_max * 2.0**-k for k in range(n_deltas)]
     prof = tangency_density_experiment(
-        K1, K2, cfg["t0"], deltas, cfg["depth"], pair_budget=_pair_budget(cfg)
+        K1, K2, cfg["t0"], deltas, cfg["depth"], pair_budget=cfg["budget"]
     )
     if cfg.get("csv"):
         rows = ([repr(delta), repr(ratio)] for delta, ratio in zip(prof.deltas, prof.ratios))

@@ -146,9 +146,10 @@ def _mat_pow(a, n: int):
     return result
 
 
-def enumerate_torus_periodic_points(n: int) -> list[tuple[Fraction, Fraction]]:
-    """All fixed points of the n-th iterate on the torus, as exact
-    rationals in [0,1)^2, via the lattice (A^n - I) x in Z^2."""
+def enumerate_torus_periodic_points(n: int) -> tuple[int, list[tuple[int, int]]]:
+    """All fixed points of the n-th iterate on the torus, as (m, points):
+    each point is (u/m, v/m) for an integer pair (u, v) in [0, m)^2, where
+    m = |det(A^n - I)|, via the lattice (A^n - I) x in Z^2."""
     an = _mat_pow(CAT_MATRIX, n)
     a, b, c, d = an[0][0] - 1, an[0][1], an[1][0], an[1][1] - 1
     det = a * d - b * c
@@ -156,18 +157,20 @@ def enumerate_torus_periodic_points(n: int) -> list[tuple[Fraction, Fraction]]:
         raise ValidationError("iterate has non-isolated fixed points")
     # M = A^n - I has column Hermite form [[g, 0], [h, det/g]] with
     # g = gcd(a, b), so the (i, j) below run once over Z^2 / M Z^2 and
-    # x = M^-1 (i, j) mod 1 runs once over the fixed points
+    # x = M^-1 (i, j) mod 1 runs once over the fixed points; M^-1 is
+    # adj(M) / det, so m x = sign(det) adj(M) (i, j) is an integer pair
+    m, s = abs(det), (1 if det > 0 else -1)
     g = math.gcd(a, b)
     points = []
     seen = set()
     for i in range(g):
-        for j in range(abs(det) // g):
-            x = (Fraction(d * i - b * j, det) % 1, Fraction(a * j - c * i, det) % 1)
+        for j in range(m // g):
+            x = (s * (d * i - b * j) % m, s * (a * j - c * i) % m)
             if x in seen:
                 raise ValidationError("lattice enumeration produced a duplicate point")
             seen.add(x)
             points.append(x)
-    return points
+    return m, points
 
 
 @dataclass(frozen=True)
@@ -186,7 +189,8 @@ def cat_map_check(n_periods: int, *, budget: int | None = None) -> CatMapReport:
     Eigenvalues are exact surds (3 +- sqrt(5))/2; for each n up to
     n_periods the periodic-point count is computed from the trace of
     the n-th matrix power and independently by enumerating the rational
-    lattice of fixed points, each point re-verified in exact arithmetic.
+    lattice of fixed points, each point re-verified by the congruence
+    A^n (u, v) = (u, v) mod m in integers.
     """
     if n_periods < 1:
         raise ValidationError("need n_periods >= 1")
@@ -205,12 +209,10 @@ def cat_map_check(n_periods: int, *, budget: int | None = None) -> CatMapReport:
             raise BudgetExceeded(
                 f"{formula} periodic points at n={n} exceed budget {limit}"
             )
-        points = enumerate_torus_periodic_points(n)
-        for x1, x2 in points:
-            y1 = (an[0][0] * x1 + an[0][1] * x2) % 1
-            y2 = (an[1][0] * x1 + an[1][1] * x2) % 1
-            if (y1, y2) != (x1, x2):
-                raise ValidationError(f"enumerated point {(x1, x2)} is not fixed")
+        m, points = enumerate_torus_periodic_points(n)
+        for u, v in points:
+            if ((an[0][0] * u + an[0][1] * v) % m, (an[1][0] * u + an[1][1] * v) % m) != (u, v):
+                raise ValidationError(f"enumerated point {(u, v)}/{m} is not fixed")
         counts.append((n, formula, len(points)))
         all_match = all_match and formula == len(points)
     return CatMapReport(

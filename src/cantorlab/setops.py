@@ -31,25 +31,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cantor_core import (
+    DEFAULT_COVER_BUDGET,
     Cover,
     Interval,
     RegularCantorSet,
     _length_cover,
     maxlen_at_depth,
     refine,
-    resolve_budget,
 )
 from .errors import BudgetExceeded, EmptyTarget, ValidationError
 
 MERGE_TOL = 1e-13
-PAIR_BUDGET_FACTOR = 10  # pairwise budget = factor * cover budget
+PAIR_BUDGET = 10 * DEFAULT_COVER_BUDGET
 SCAN_PAIR_BUDGET = 4_000_000
 DEFAULT_THETA = 0.05
 DEFAULT_RESOLUTIONS = tuple(2.0**-k for k in range(6, 15))
-
-
-def pair_budget_default() -> int:
-    return PAIR_BUDGET_FACTOR * resolve_budget(None)
 
 
 # ---------------------------------------------------------------------------
@@ -196,16 +192,19 @@ def cover_sum(
 
     The result is the merged union of all pairwise interval sums at
     granularity matched to depth n; it contains the true arithmetic set,
-    and shrinks monotonically as n grows.
+    and shrinks monotonically as n grows.  At most `pair_budget` pairs
+    are formed (None means PAIR_BUDGET).
     """
     if op not in ("+", "-"):
         raise ValidationError(f"op must be '+' or '-', got {op!r}")
     lam = float(lam)
+    if not math.isfinite(lam):
+        raise ValidationError(f"lambda must be finite, got {lam!r}")
     if op == "+" and lam != 1.0:
         raise ValidationError("sum takes no scale factor; use op '-' for x - lam*y")
     if n < 0:
         raise ValidationError("depth must be >= 0")
-    budget = pair_budget if pair_budget is not None else pair_budget_default()
+    budget = PAIR_BUDGET if pair_budget is None else pair_budget
     if op == "-" and lam == 0.0:
         cover = refine(K1, n, budget=budget)
         u = IntervalUnion(*merge_intervals(cover.los, cover.his))
@@ -336,7 +335,7 @@ def marstrand_scan(
     resolutions=DEFAULT_RESOLUTIONS,
     *,
     theta: float = DEFAULT_THETA,
-    pair_budget: int = SCAN_PAIR_BUDGET,
+    pair_budget: int | None = None,
 ) -> ProjectionScan:
     """Covered-length table of the scaled differences K1 - lam*K2.
 
@@ -345,17 +344,19 @@ def marstrand_scan(
     covered length at the finest resolution exceeds theta.  All lam
     share one set of covers.  Each row equals `covered_length` of the
     `cover_sum` union, but is counted straight from the pair endpoints
-    without merging them (see `_scan_row`).
+    without merging them (see `_scan_row`).  Each lam forms at most
+    `pair_budget` pairs (None means SCAN_PAIR_BUDGET).
     """
     lambdas = [float(x) for x in lambdas]
     if not lambdas:
         raise ValidationError("no lambda samples given")
-    if any(x == 0.0 for x in lambdas):
-        raise ValidationError("lambda samples must be nonzero")
+    if not all(math.isfinite(x) and x != 0.0 for x in lambdas):
+        raise ValidationError("lambda samples must be finite and nonzero")
     res = sorted(set(float(r) for r in resolutions), reverse=True)
-    if not res or res[-1] <= 0:
-        raise ValidationError("resolutions must be positive")
-    sides = _pair_sides(K1, K2, n, pair_budget)
+    if not res or not all(0 < r < math.inf for r in res):
+        raise ValidationError("resolutions must be finite and positive")
+    budget = SCAN_PAIR_BUDGET if pair_budget is None else pair_budget
+    sides = _pair_sides(K1, K2, n, budget)
     shifts = _dyadic_shifts(res)
     rows = []
     for lam in lambdas:

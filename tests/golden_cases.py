@@ -99,7 +99,6 @@ def stored() -> dict[str, str]:
 def main() -> int:
     import tempfile
 
-    os.environ.pop("CANTORLAB_BUDGET", None)
     with tempfile.TemporaryDirectory() as tmp:
         files = produce(Path(tmp))
     GOLDEN_DIR.mkdir(exist_ok=True)

@@ -259,6 +259,25 @@ class TestExitCodes:
                                  "--depth-max", "3"], capsys)
         assert code == EXIT_INVALID
 
+    def test_budget_environment_variable_is_not_read(self, capsys, monkeypatch):
+        # an environment variable never enters the inputs, so it must not
+        # change the record: at 1000 intervals this diff would be capped
+        argv = ["diff", "--set1", "thin", "--set2", "thin", "--depth", "6"]
+        monkeypatch.delenv("CANTORLAB_BUDGET", raising=False)
+        code, plain, _, _ = run_cli(argv, capsys)
+        monkeypatch.setenv("CANTORLAB_BUDGET", "1000")
+        code_env, rec, _, _ = run_cli(argv, capsys)
+        assert code == code_env == EXIT_OK
+        assert plain["outputs"]["n_components"] == 2187
+        for r in (plain, rec):
+            del r["runtime_seconds"]
+        assert rec == plain
+
+    def test_budget_environment_variable_cannot_exhaust_a_budget(self, capsys, monkeypatch):
+        monkeypatch.setenv("CANTORLAB_BUDGET", "1")
+        code, _, _, _ = run_cli(["dim", "--set", "ternary"], capsys)
+        assert code == EXIT_OK
+
     def test_nonpositive_budget_rejected(self, capsys):
         code, _, _, err = run_cli(["dim", "--budget", "-5"], capsys)
         assert code == EXIT_INVALID

@@ -124,14 +124,31 @@ class TestCatMap:
         ]
 
     def test_enumerated_points_are_exact_fixed_points(self):
-        pts = enumerate_torus_periodic_points(3)
-        assert len(pts) == 16
+        m, pts = enumerate_torus_periodic_points(3)
+        assert m == 16 and len(pts) == 16
         a11, a12, a21, a22 = 13, 8, 8, 5  # third power of [[2,1],[1,1]]
-        for x, y in pts:
-            assert (a11 * x + a12 * y) % 1 == x
-            assert (a21 * x + a22 * y) % 1 == y
-        assert (Fraction(0), Fraction(0)) in pts
+        for u, v in pts:
+            assert 0 <= u < m and 0 <= v < m
+            assert (a11 * u + a12 * v) % m == u
+            assert (a21 * u + a22 * v) % m == v
+        assert (0, 0) in pts
         assert len(set(pts)) == len(pts)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_enumeration_matches_a_grid_scan(self, n):
+        # every fixed point of A^n has denominator m = |det(A^n - I)|, so a
+        # brute-force scan of the whole (1/m)-grid finds them all; m <= 121
+        m, pts = enumerate_torus_periodic_points(n)
+        a, b, c, d = 1, 0, 0, 1
+        for _ in range(n):
+            a, b, c, d = 2 * a + b, a + b, 2 * c + d, c + d
+        assert m == abs((a - 1) * (d - 1) - b * c)
+        grid = {
+            (u, v) for u in range(m) for v in range(m)
+            if ((a * u + b * v) % m, (c * u + d * v) % m) == (u, v)
+        }
+        assert set(pts) == grid
+        assert len(pts) == len(grid)
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceeded):

@@ -8,8 +8,7 @@ from pathlib import Path
 import golden_cases
 
 
-def test_readme_commands_match_golden_outputs(tmp_path, monkeypatch):
-    monkeypatch.delenv("CANTORLAB_BUDGET", raising=False)
+def test_readme_commands_match_golden_outputs(tmp_path):
     produced = golden_cases.produce(tmp_path)
     stored = golden_cases.stored()
     assert sorted(produced) == sorted(stored)

@@ -240,6 +240,30 @@ def test_projection_scan_validates_inputs(ternary):
         marstrand_scan(ternary, ternary, [0.5], 4, resolutions=[])
 
 
+NOT_FINITE = [math.nan, math.inf, -math.inf]
+
+
+# a length target of nan or inf splits every cover node to the depth cap on
+# each coarsening round, so these inputs must be refused before any cover
+# is built; the small pair budget keeps a missing check from running long
+@pytest.mark.parametrize("lam", NOT_FINITE, ids=str)
+def test_difference_rejects_a_scale_that_is_not_finite(ternary, lam):
+    with pytest.raises(ValidationError):
+        cover_sum(ternary, ternary, 2, "-", lam, pair_budget=100)
+
+
+@pytest.mark.parametrize("lam", NOT_FINITE, ids=str)
+def test_projection_scan_rejects_a_lambda_that_is_not_finite(ternary, lam):
+    with pytest.raises(ValidationError):
+        marstrand_scan(ternary, ternary, [0.5, lam], 2, pair_budget=100)
+
+
+@pytest.mark.parametrize("res", [math.nan, math.inf], ids=str)
+def test_projection_scan_rejects_a_resolution_that_is_not_finite(ternary, res):
+    with pytest.raises(ValidationError):
+        marstrand_scan(ternary, ternary, [0.5], 2, [0.25, res], pair_budget=100)
+
+
 # resolution ladders for the scan rows; at n = 5 a cover pair holds 480 to
 # 4096 pairs, so the default ladder's 2^-14 grid outgrows them on every row
 # while 2^-9 does not on most rows
