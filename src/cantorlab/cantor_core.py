@@ -30,6 +30,7 @@ finally produced.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -52,6 +53,7 @@ from .errors import (
 from .surd import QuadraticSurd
 
 Num = Union[int, float, Fraction]
+Exact = Union[Fraction, QuadraticSurd]
 
 TAU_MARKOV = 1e-9       # relative tolerance for floating Markov validation
 EPS_LEN = 1e-14         # interval-length floor for covers
@@ -195,6 +197,12 @@ class RegularCantorSet:
     def inverses(self) -> tuple[MapLike, ...]:
         """Inverse branch of each piece, computed once per set."""
         return tuple(b.inverse() for b in self.branches)
+
+    @cached_property
+    def _gap_bounds(self) -> tuple[Exact, Exact] | None:
+        """(tau, rho), exact, or None; see `_thickness_bounds`.  Computed
+        on first use, never when the set is built."""
+        return _thickness_bounds(self)
 
     def admissible_count(self, n: int, cap: int | None = None) -> int:
         """Exact number of admissible words of length n+1 (cap-aware)."""
@@ -376,6 +384,83 @@ def scale_affine(K: RegularCantorSet, a: Num, b: Num) -> RegularCantorSet:
 
 
 # ---------------------------------------------------------------------------
+# proved thickness bounds
+
+
+def _presentation_bounds(
+    hull: tuple[Exact, Exact], parts: list[tuple[Exact, Exact]], poles: tuple[int, int] | None
+) -> tuple[Exact, Exact]:
+    """Thickness lower bound and gap-to-hull upper bound of one cylinder
+    whose children are `parts` (exact, sorted) inside `hull`.
+
+    The gaps between the children are removed largest first (ties left
+    to right), and each bridge runs to the nearest gap removed before it
+    or to the cylinder's end.  Any order of removal bounds the Newhouse
+    thickness from below.  `poles` = (s_lo, s_hi) also bounds every image
+    of the cylinder under a map x -> 1/(s + x) (up to an affine factor)
+    with pole distance s in [s_lo, s_hi]: an image interval [u, v] has
+    length proportional to (v - u) / ((s + u)(s + v)), so a bridge over
+    its adjacent gap scales by a factor monotone in s, and the extremes
+    at s_lo, s_hi and s = inf (the cylinder itself) bound it.
+    """
+    h_lo, h_hi = hull
+    gaps = [(left[1], right[0]) for left, right in zip(parts, parts[1:])]
+    barriers = [h_lo, h_hi]
+    tau, rho = None, Fraction(0)
+    for g_lo, g_hi in sorted(gaps, key=lambda g: -float(g[1] - g[0])):
+        i = bisect.bisect_right(barriers, g_lo)
+        left, right = barriers[i - 1], barriers[i]
+        gap = g_hi - g_lo
+        ratios = [(g_lo - left) / gap, (right - g_hi) / gap]
+        spread = 1
+        if poles is not None:
+            for s in poles:
+                ratios += [ratios[0] * (s + g_hi) / (s + left), ratios[1] * (s + g_lo) / (s + right)]
+            # (s+h_lo)/(s+g_lo) rises and (s+h_hi)/(s+g_hi) falls with s
+            s_lo, s_hi = poles
+            spread = max(spread, (s_hi + h_lo) / (s_hi + g_lo) * (s_lo + h_hi) / (s_lo + g_hi))
+        tau = min(ratios if tau is None else [tau, *ratios])
+        rho = max(rho, gap / (h_hi - h_lo) * spread)
+        bisect.insort(barriers, g_lo)
+        bisect.insort(barriers, g_hi)
+    return tau, rho
+
+
+def _thickness_bounds(K: RegularCantorSet) -> tuple[Exact, Exact] | None:
+    """(tau, rho) holding in every cylinder of K: the limit set inside a
+    cylinder I has Newhouse thickness >= tau and no gap longer than
+    rho*|I|.  None for a float affine set or a Moebius set other than
+    `gauss_cantor`'s.
+
+    Every gap of K lies between two children of exactly one cylinder, so
+    it suffices to bound each cylinder's children.  Exact affine sets:
+    the children of a cylinder ending in piece j are an affine image of
+    the children of piece j, so the bounds are the extremes over the hull
+    and the r pieces.  `gauss<N>`: a depth-k cylinder is the image of the
+    hull's configuration under x -> [0; a1, ..., ak + x], whose pole lies
+    at distance q_k/q_(k-1) in [1, N+1] (inf at depth 0).
+    """
+    if K.is_affine:
+        if not K.exact:
+            return None
+        configs = [((K.hull.lo, K.hull.hi), [(p.lo, p.hi) for p in K.pieces])]
+        for j, piece in enumerate(K.pieces):
+            kids = [K.inverses[j].apply_interval(K.pieces[k]) for k in K.transitions[j]]
+            configs.append(((piece.lo, piece.hi), [(iv.lo, iv.hi) for iv in kids]))
+        poles = None
+    elif "digit_bound" in K.meta:
+        y_min, y_max = K.meta["hull_min_surd"], K.meta["hull_max_surd"]
+        # the inverse branches x -> 1/(a + x) reverse orientation
+        parts = [(m.apply(y_max), m.apply(y_min)) for m in K.inverses]
+        configs = [((y_min, y_max), parts)]
+        poles = (1, K.meta["digit_bound"] + 1)
+    else:
+        return None
+    bounds = [_presentation_bounds(hull, parts, poles) for hull, parts in configs if len(parts) > 1]
+    return min(t for t, _ in bounds), max(r for _, r in bounds)
+
+
+# ---------------------------------------------------------------------------
 # covers
 
 
@@ -538,7 +623,11 @@ def maxlen_at_depth(K: RegularCantorSet, n: int) -> Num:
 
     A greedy descent to the longest child gives one depth-n length; a
     node no longer than that cannot hold a longer leaf, so only longer
-    nodes are split and almost all of the tree is skipped.
+    nodes are split and almost all of the tree is skipped.  On an exact
+    affine set a depth-n leaf below a depth-k node ending in piece j is
+    at most |node| * c^(n-k) * max|P| / |P_j| long, c the largest
+    inverse-branch slope; a node whose bound does not pass the greedy
+    length is skipped too, so equal-ratio sets split no node at all.
     """
     if n < 0:
         raise ValidationError("depth must be >= 0")
@@ -546,7 +635,22 @@ def maxlen_at_depth(K: RegularCantorSet, n: int) -> Num:
     for _ in range(n):
         node = max(_children(K, node), key=lambda c: c[3].length)
     bound = node[3].length
-    leaves = _expand(K, lambda node: len(node[2]) <= n and node[3].length > bound, math.inf)
+    grows = None
+    if K.exact:
+        c = max(m.slope for m in K.inverses)
+        longest = max(p.length for p in K.pieces)
+        reach = [c ** (n - k) * longest for k in range(n + 1)]
+        # how far a leaf below a node ending in piece j outgrows the node,
+        # by the node's depth k
+        grows = [[r / p.length for r in reach] for p in K.pieces]
+
+    def split(node: _Node) -> bool:
+        last, _, addr, iv = node
+        if len(addr) > n or iv.length <= bound:
+            return False
+        return grows is None or iv.length * grows[last][len(addr) - 1] > bound
+
+    leaves = _expand(K, split, math.inf)
     return max([bound] + [iv.length for _, _, addr, iv in leaves if len(addr) == n + 1])
 
 

@@ -13,7 +13,10 @@ Every run emits one JSON result record::
 
 written to ``--out`` (default stdout).  Records are byte-identical for
 identical configuration and seed, apart from ``runtime_seconds``.  The
-digest covers the semantic inputs only — artifact paths are excluded.
+digest covers the semantic inputs only — artifact paths are excluded,
+and a file the command reads (``--set-file``, ``--set1-file``,
+``--set2-file``, ``--verify``) enters by its path and the SHA-256 of its
+bytes.
 
 Each command's settings are declared once, in ``COMMANDS``: a default,
 a parser type and a help text per key.  That table builds the subcommand
@@ -119,6 +122,9 @@ EXIT_INVALID = 3
 # Keys that never enter the inputs digest: output locations do not
 # affect the numbers.
 _NON_DIGEST_KEYS = {"config", "out", "csv", "cert_out"}
+# Settings that name a file the command reads: the inputs hold the
+# SHA-256 of its bytes next to its path, so the digest follows its content.
+_INPUT_FILE_KEYS = ("set_file", "set1_file", "set2_file", "verify")
 
 # A flag value that reads as a negative number, exponent form included:
 # argparse's own pattern takes only -3 and -0.5, so `--t -1e-3` would
@@ -133,6 +139,19 @@ _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 def _digest(inputs: dict) -> str:
     canonical = json.dumps(inputs, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _inputs(command: str, cfg: dict) -> dict:
+    """The record's inputs: every setting except output locations and
+    unset values, plus the SHA-256 of each input file.  `recur --verify`
+    keeps the certificate alone, the one input verification reads."""
+    keys = ["verify"] if command == "recur" and cfg.get("verify") else sorted(cfg)
+    inputs = {k: _jsonable(cfg[k]) for k in keys if k not in _NON_DIGEST_KEYS and cfg[k] is not None}
+    for k in _INPUT_FILE_KEYS:
+        if inputs.get(k):
+            with open(inputs[k], "rb") as fh:
+                inputs[f"{k}_sha256"] = hashlib.sha256(fh.read()).hexdigest()
+    return inputs
 
 
 def _jsonable(v):
@@ -814,11 +833,7 @@ def run(command: str, cli_ns: dict) -> tuple[dict, str | None]:
     if command not in COMMANDS:
         raise ConfigInvalid(f"unknown command {command!r}")
     cfg = _effective_config(command, cli_ns)
-    inputs = {
-        k: _jsonable(v)
-        for k, v in sorted(cfg.items())
-        if k not in _NON_DIGEST_KEYS and v is not None
-    }
+    inputs = _inputs(command, cfg)
     start = time.perf_counter()
     outputs = COMMANDS[command][0](cfg)
     runtime = time.perf_counter() - start

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from test_acceptance import random_affine_set
 
 from cantorlab import (
     BudgetExceeded,
@@ -32,7 +34,8 @@ from cantorlab import (
     set_from_json,
     set_to_json,
 )
-from cantorlab.cantor_core import _length_cover
+from cantorlab import cantor_core
+from cantorlab.cantor_core import _length_cover, maxlen_at_depth
 
 F = Fraction
 
@@ -156,6 +159,23 @@ def test_refinement_counts_and_lengths(ternary):
         assert len(cover) == 2 ** (n + 1)
         assert cover.max_length == F(1, 3 ** (n + 1))
         assert cover.uniform
+
+
+def test_maxlen_at_depth_on_unequal_affine_sets(monkeypatch):
+    # a leaf below a node ending in the short piece C can outgrow the node
+    # times the largest contraction: C's one child is C itself
+    skewed = build_affine([(F(0), F(1, 10)), (F(2, 10), F(5, 10)), (F(9, 10), F(1))],
+                          [(0, 1, 2), (0, 1, 2), (1,)])
+    rng = random.Random(3)
+    for K in [skewed] + [random_affine_set(rng) for _ in range(20)]:
+        for n in range(6):
+            assert maxlen_at_depth(K, n) == refine(K, n).max_length
+    # on an equal-ratio set no node below the greedy path is split
+    calls = []
+    children = cantor_core._children
+    monkeypatch.setattr(cantor_core, "_children", lambda K, node: calls.append(1) or children(K, node))
+    assert maxlen_at_depth(get_set("ternary"), 10) == F(1, 3**11)
+    assert len(calls) == 10
 
 
 def test_cover_bounds_are_built_once_and_read_only(ternary):

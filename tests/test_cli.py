@@ -61,6 +61,38 @@ class TestResultRecord:
         _, rec2, _, _ = run_cli(["thickness", "--depth", "5"], capsys)
         assert rec1["inputs_digest"] != rec2["inputs_digest"]
 
+    def test_set_file_content_enters_the_digest(self, capsys, tmp_path):
+        # one path holding ternary, then thin: two values, two digests
+        path = tmp_path / "s.json"
+        records = []
+        for name in ("ternary", "thin"):
+            cantorlab.dump_set(cantorlab.get_set(name), path)
+            code, rec, _, _ = run_cli(["dim", "--set-file", str(path)], capsys)
+            assert code == EXIT_OK
+            assert rec["inputs"]["set_file"] == str(path)
+            assert rec["inputs"]["set_file_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+            records.append(rec)
+        assert records[0]["outputs"]["value"] != records[1]["outputs"]["value"]
+        assert records[0]["inputs_digest"] != records[1]["inputs_digest"]
+
+    def test_recur_verify_records_only_the_certificate(self, capsys, tmp_path):
+        ternary = cantorlab.set_to_json(cantorlab.get_set("ternary"))
+        grid = {"s0": 0.0, "hs": 0.1, "ns": 1, "t0": 0.0, "ht": 0.1, "nt": 1, "types": [2, 2]}
+        doc = {"grid": grid, "margin": 0, "sets": {"first": ternary, "second": ternary},
+               "mask_rle": [4], "witnesses": []}
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        digests = set()
+        for extra in ([], ["--ns", "7", "--margin", "2", "--set1", "thin"]):
+            code, rec, _, _ = run_cli(["recur", "--verify", str(path), *extra], capsys)
+            assert code == EXIT_OK
+            assert rec["inputs"] == {
+                "verify": str(path),
+                "verify_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+            }
+            digests.add(rec["inputs_digest"])
+        assert len(digests) == 1
+
     def test_empty_prefix_gives_the_digest_of_no_prefix(self, capsys, tmp_path):
         _, plain, _, _ = run_cli(["spectrum", "--period", "2,1"], capsys)
         cfg = tmp_path / "cfg.json"

@@ -4,28 +4,35 @@ differences, containment certificates, and projection scans."""
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from test_acceptance import random_affine_set
 
 from cantorlab import (
     EmptyTarget,
     Interval,
     ValidationError,
     build_affine,
+    builtin_names,
     contains_interval,
     cover_sum,
     covered_length,
+    dump_set,
     gauss_cantor,
     get_set,
+    load_set,
     marstrand_scan,
     merge_intervals,
     refine,
     refine_to_length,
+    thickness,
 )
 from cantorlab import setops
-from cantorlab.cantor_core import _length_cover, maxlen_at_depth
+from cantorlab.cantor_core import _children, _length_cover, _roots, maxlen_at_depth
+from cantorlab.surd import QuadraticSurd
 
 F = Fraction
 
@@ -142,12 +149,17 @@ def test_sum_rejects_scale_factor_and_bad_op(ternary):
         cover_sum(ternary, ternary, -1, "+")
 
 
-def test_soft_pair_budget_coarsens_but_still_contains(ternary):
+def test_soft_pair_budget_coarsens_but_still_contains(thin_pair_set):
     # with a tiny budget the cover is coarser, but it must still contain
-    # the full-budget answer (here the exact interval [0, 2])
-    u = cover_sum(ternary, ternary, 10, "+", pair_budget=100)
-    assert u.los[0] <= 1e-12 and u.his[-1] >= 2.0 - 1e-12
-    assert int(u.meta["pairs"]) <= 100
+    # the full-budget answer; thin sets are too thin for the gap lemma to
+    # close a pair, so every pair is summed
+    full = cover_sum(thin_pair_set, thin_pair_set, 8, "+")
+    u = cover_sum(thin_pair_set, thin_pair_set, 8, "+", pair_budget=100)
+    assert u.meta["capped"] and not full.meta["capped"]
+    assert 0 < int(u.meta["pairs"]) <= 100 and u.meta["pruned"] == 0
+    assert u.n_components < full.n_components
+    k = np.searchsorted(u.los, full.los + 1e-12) - 1
+    assert np.all(k >= 0) and np.all(u.his[k] >= full.his - 1e-12)
 
 
 def test_mismatched_ratio_pair_matches_granularities(ternary):
@@ -318,10 +330,15 @@ def test_projection_scan_rows_match_direct_cover_sum(names, monkeypatch):
         u = cover_sum(K1, K2, n, "-", lam, pair_budget=setops.SCAN_PAIR_BUDGET)
         for scan in scans.values():
             assert list(scan.table[i]) == [covered_length(u, r) for r in scan.resolutions]
-        # the covers behind u are those of direct calls on each set
+        # the scan sums every pair, as the outer-sum path does; the covers
+        # behind it are those of direct calls on each set (cover_sum may
+        # close the pairs of ternary sets without building them)
+        v = setops._pair_union(*setops._pair_sides(K1, K2, n, setops.SCAN_PAIR_BUDGET), "-", lam)
         t1 = max(m1, lam * m2) * (1.0 + 1e-12)
-        assert u.meta["target_length"] == t1
-        assert u.meta["counts"] == (len(refine_to_length(K1, t1)), len(refine_to_length(K2, t1 / lam)))
+        assert v.meta["target_length"] == t1
+        assert v.meta["counts"] == (len(refine_to_length(K1, t1)), len(refine_to_length(K2, t1 / lam)))
+        assert u.n_components == v.n_components
+        assert np.allclose(u.los, v.los, rtol=0, atol=1e-12) and np.allclose(u.his, v.his, rtol=0, atol=1e-12)
 
 
 def test_projection_scan_builds_each_cover_once(monkeypatch):
@@ -342,3 +359,140 @@ def test_projection_scan_builds_each_cover_once(monkeypatch):
     marstrand_scan(get_set("ternary"), get_set("ternary"), lambdas, 6)
     assert walks == [6]  # one walk serves both equal sides
     assert len(set(built)) == len(built)
+
+
+# ---------------------------------------------------------------------------
+# proved thickness bounds and the cylinder-pair descent
+
+
+def _children_gap_shares(K, depth):
+    """Largest gap between a cylinder's children over its length, for
+    every cylinder of K down to `depth` (exact where K is)."""
+    shares, frontier = [], [None]
+    for _ in range(depth):
+        deeper = []
+        for node in frontier:
+            kids = _roots(K) if node is None else _children(K, node)
+            ivs = sorted((kid[3].lo, kid[3].hi) for kid in kids)
+            iv = K.hull if node is None else node[3]
+            if len(ivs) > 1:
+                shares.append(max(b[0] - a[1] for a, b in zip(ivs, ivs[1:])) / (iv.hi - iv.lo))
+            deeper.extend(kids)
+        frontier = deeper
+    return shares
+
+
+@pytest.mark.parametrize(
+    "name, tau, rho",
+    [("ternary", F(1), F(1, 3)), ("middle-fifth", F(2), F(1, 5)),
+     ("thick", F(9, 2), F(1, 10)), ("thin", F(1, 8), F(4, 5))],
+)
+def test_affine_gap_bounds_are_exact(name, tau, rho):
+    bounds = get_set(name)._gap_bounds
+    assert bounds == (tau, rho)
+    assert all(isinstance(x, Fraction) for x in bounds)
+
+
+def test_gauss_thickness_bounds_are_surds_above_and_below_one():
+    taus = {N: get_set(f"gauss{N}")._gap_bounds[0] for N in (2, 3, 4)}
+    assert all(isinstance(t, QuadraticSurd) for t in taus.values())
+    assert taus[4] > 1 and taus[3] < 1
+    for N, value in ((2, 0.366025), (3, 0.822020), (4, 1.300943)):
+        assert float(taus[N]) == pytest.approx(value, abs=1e-6)
+
+
+def test_gap_bounds_are_lazy_and_only_for_exact_data(tmp_path):
+    K = get_set("ternary")
+    assert "_gap_bounds" not in K.__dict__  # building a set computes none
+    cover_sum(K, K, 3, "+")
+    assert "_gap_bounds" in K.__dict__
+    floats = build_affine([(0.0, 1 / 3), (2 / 3, 1.0)], [(0, 1), (0, 1)])
+    assert floats._gap_bounds is None
+    path = tmp_path / "g4.json"
+    dump_set(get_set("gauss4"), path)
+    assert load_set(path)._gap_bounds is None
+
+
+def test_gap_bounds_hold_against_covers():
+    rng = random.Random(11)
+    sets = [(name, get_set(name)) for name in builtin_names()]
+    sets += [(f"random-{i}", random_affine_set(rng)) for i in range(200)]
+    for name, K in sets:
+        tau, rho = K._gap_bounds
+        # tau is a lower bound: never above the depth-6 thickness estimate,
+        # whose float gaps (down to 1e-9 long) carry relative errors of 1e-7
+        assert float(tau) <= thickness(K, 6).value * (1 + 1e-6), name
+        # rho bounds every cylinder's largest child gap over its length
+        share = max(_children_gap_shares(K, 4))
+        assert share <= rho if K.exact else share <= float(rho) * (1 + 1e-9), name
+
+
+def test_exact_comparison_across_quadratic_fields():
+    t3, t4 = get_set("gauss3")._gap_bounds[0], get_set("gauss4")._gap_bounds[0]
+    with pytest.raises(ValidationError):
+        t3 < t4  # sqrt(21) and sqrt(32) do not mix
+    assert setops._at_least(t4, t3) and not setops._at_least(t3, t4)
+    assert setops._at_least(t3, t3) and setops._at_least(F(1, 3), F(1, 3))
+    # t3*t4 > 1 > t3*t3
+    assert setops._at_least(t4, 1 / t3) and setops._at_least(t3, 1 / t4)
+    assert not setops._at_least(t3, 1 / t3)
+
+
+def _assert_same_union(u, v):
+    assert u.n_components == v.n_components
+    assert np.allclose(u.los, v.los, rtol=0, atol=1e-12)
+    assert np.allclose(u.his, v.his, rtol=0, atol=1e-12)
+
+
+def _outer_sum(K1, K2, n, op, lam):
+    return setops._pair_union(*setops._pair_sides(K1, K2, n, setops.PAIR_BUDGET), op, lam)
+
+
+def test_pruned_sums_match_the_outer_sum():
+    rng = random.Random(7)
+    cases = []
+    for _ in range(40):
+        op = rng.choice("+-")
+        lam = 1.0 if op == "+" else rng.choice((-1, 1)) * rng.uniform(0.05, 4.0)
+        cases.append((random_affine_set(rng), random_affine_set(rng), rng.randrange(2, 6), op, lam))
+    T, M = get_set("ternary"), get_set("middle-fifth")
+    G3, G4 = get_set("gauss3"), get_set("gauss4")
+    for lam in (0.01, 0.1, 0.3, 0.7, 1.0, 1.7, 3.0, 12.0, -0.6):
+        cases += [(T, M, 6, "-", lam), (M, T, 6, "-", lam), (G3, G4, 5, "-", lam), (G4, G4, 5, "-", lam)]
+    cases += [(T, M, 6, "+", 1.0), (G4, G3, 5, "+", 1.0)]
+    pruned = 0
+    for K1, K2, n, op, lam in cases:
+        u = cover_sum(K1, K2, n, op, lam)
+        _assert_same_union(u, _outer_sum(K1, K2, n, op, lam))
+        pruned += u.meta["pruned"] > 0
+    assert pruned > len(cases) // 2
+
+
+def test_a_root_closed_sum_builds_no_cover(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a cover was built")
+
+    monkeypatch.setattr(setops, "maxlen_at_depth", refuse)
+    monkeypatch.setattr(setops, "_length_cover", refuse)
+    for name, lo, hi in (("ternary", 0.0, 2.0), ("gauss4", SQRT2 - 1, 4 * SQRT2 - 4)):
+        K = get_set(name)
+        u = cover_sum(K, K, 10, "+")
+        assert u.n_components == 1 and u.meta["pruned"] == 1 and u.meta["pairs"] == 0
+        assert "counts" not in u.meta and "target_length" not in u.meta
+        assert u.los[0] == pytest.approx(lo, abs=1e-15) and u.his[0] == pytest.approx(hi, abs=1e-15)
+
+
+def test_unprovable_pairs_take_the_outer_sum_path(tmp_path):
+    r = F(999, 2998)  # two pieces of this ratio: tau = 999/1000
+    nearly = build_affine([(F(0), r), (1 - r, F(1))], [(0, 1), (0, 1)])
+    assert nearly._gap_bounds[0] == F(999, 1000)
+    floats = build_affine([(0.0, 1 / 3), (2 / 3, 1.0)], [(0, 1), (0, 1)])
+    path = tmp_path / "g4.json"
+    dump_set(get_set("gauss4"), path)
+    T = get_set("ternary")
+    for K1, K2, op, lam in ((T, nearly, "+", 1.0), (nearly, T, "-", 0.8), (floats, floats, "+", 1.0),
+                            (load_set(path), load_set(path), "+", 1.0)):
+        u = cover_sum(K1, K2, 5, op, lam)
+        v = _outer_sum(K1, K2, 5, op, lam)
+        assert u.meta == v.meta and u.meta["pruned"] == 0 and u.meta["pairs"] > 1
+        assert np.array_equal(u.los, v.los) and np.array_equal(u.his, v.his)
