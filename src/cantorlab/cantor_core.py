@@ -576,14 +576,18 @@ def refine(K: RegularCantorSet, n: int, *, budget: int | None = None) -> Cover:
     return _sorted_cover(_expand(K, lambda node: len(node[2]) <= n, limit), f"depth-{n} cover")
 
 
+def _check_target_length(target_length: float) -> None:
+    if target_length < EPS_LEN:
+        raise PrecisionLoss(f"target length {target_length} below floor {EPS_LEN}")
+
+
 def _length_cover(
     K: RegularCantorSet, target_length: float, max_depth: int, budget: int | None
 ) -> tuple[Cover, float, float]:
     """`refine_to_length` with the range [lo, hi) of targets that split the
     same nodes: lo is the longest leaf that stopped for being short enough
     (at least EPS_LEN), hi the shortest node split (inf if none was)."""
-    if target_length < EPS_LEN:
-        raise PrecisionLoss(f"target length {target_length} below floor {EPS_LEN}")
+    _check_target_length(target_length)
     lo, hi = EPS_LEN, math.inf
 
     def split(node: _Node) -> bool:

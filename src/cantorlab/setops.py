@@ -28,18 +28,16 @@ hull at least as long as the other set's largest gap, have A + B =
 hull(A) + hull(B).  Each exact affine set and each `gauss<N>` carries an
 exact bound pair (tau, rho) valid in every cylinder I: the set inside I
 has thickness >= tau and no gap longer than rho*|I|
-(`RegularCantorSet._gap_bounds`).  The part of a depth-n cover inside I
-keeps a subset of those gaps, and each of its bridges is at least as
-long, so the bounds hold for it too.  Hence, when tau1*tau2 >= 1, a cylinder pair (I, J)
-with |I| >= rho2*lam*|J| and lam*|J| >= rho1*|I| has as its outer sum
-exactly the interval I + lam*J, and `cover_sum` closes it without
-looking inside.  It descends from the hull pair, splitting the longer
-side of each open pair where the length-balanced cover would split that
-node; pairs that reach the covers' leaves are summed and merged as
-before, so the union does not change.  Every verdict compares
-`Fraction`s or `QuadraticSurd`s.  Sets without a bound (float data,
-Moebius sets from files) and pairs with tau1*tau2 < 1 take the plain
-outer sum.  `marstrand_scan` does not prune yet.
+(`RegularCantorSet._gap_bounds`).  A depth-n cover keeps a subset of
+those gaps, and each of its bridges is at least as long, so the bounds
+hold for it too.  Hence, when tau1*tau2 >= 1, |H1| >= rho2*lam*|H2| and
+lam*|H2| >= rho1*|H1| for the hulls H1, H2, the outer sum at every depth
+is exactly the interval H1 + lam*H2, and `cover_sum` returns it without
+building a cover.  The verdict compares `Fraction`s or `QuadraticSurd`s;
+surds of two fields that do not mix prove nothing.  Every other pair
+(thin sets, float data, Moebius sets from files, unbalanced hulls) takes
+the plain outer sum.  Cylinder pairs below the hull pair are not pruned,
+and `marstrand_scan` does not prune.
 """
 
 from __future__ import annotations
@@ -56,18 +54,14 @@ from .cantor_core import (
     Exact,
     Interval,
     RegularCantorSet,
-    _children,
+    _check_target_length,
     _length_cover,
-    _Node,
-    _roots,
     maxlen_at_depth,
     refine,
 )
 from .errors import BudgetExceeded, EmptyTarget, ValidationError
-from .surd import QuadraticSurd
 
 MERGE_TOL = 1e-13
-_MAX_SPLIT_DEPTH = 64
 PAIR_BUDGET = 10 * DEFAULT_COVER_BUDGET
 SCAN_PAIR_BUDGET = 4_000_000
 DEFAULT_THETA = 0.05
@@ -141,7 +135,7 @@ class _SetCovers:
         for lo, hi, cover in self._built:
             if lo <= target < hi:
                 return cover
-        cover, lo, hi = _length_cover(self.K, target, _MAX_SPLIT_DEPTH, self.budget)
+        cover, lo, hi = _length_cover(self.K, target, 64, self.budget)
         self._built.append((lo, hi, cover))
         return cover
 
@@ -219,142 +213,43 @@ def _pair_union(side1: _SetCovers, side2: _SetCovers, op: str, lam: float) -> In
 
 
 # ---------------------------------------------------------------------------
-# cylinder-pair descent
+# the gap lemma on the hull pair
 
 
-def _enclosure(x: Exact, bits: int) -> tuple[Fraction, Fraction]:
-    """Rational lo <= x <= hi with hi - lo <= |q| / (r * 2^bits)."""
-    if not isinstance(x, QuadraticSurd):
-        return x, x
-    root = math.isqrt(x.d << (2 * bits))  # floor(2^bits * sqrt(d))
-    ends = sorted((x.p << bits) + x.q * k for k in (root, root + 1))
-    return Fraction(ends[0], x.r << bits), Fraction(ends[1], x.r << bits)
+def _exact_hull_length(K: RegularCantorSet) -> Exact:
+    """|hull(K)| for a set that carries `_gap_bounds`: exact affine, or
+    `gauss<N>` with its hull ends as surds."""
+    if K.is_affine:
+        return K.hull.length
+    return K.meta["hull_max_surd"] - K.meta["hull_min_surd"]
 
 
-def _at_least(x: Exact, y: Exact) -> bool:
-    """x >= y, decided exactly.  Surds whose radicands do not mix (say
-    gauss3 against gauss4) differ whenever either is irrational, so
-    rational enclosures narrowed until they part decide them."""
-    try:
-        return x >= y
-    except ValidationError:
-        pass
-    bits = 64
-    while True:
-        (x_lo, x_hi), (y_lo, y_hi) = _enclosure(x, bits), _enclosure(y, bits)
-        if x_lo > y_hi or x_hi < y_lo:
-            return x_lo > y_hi
-        bits *= 2
-
-
-class _Cylinders:
-    """One set's cylinder tree as the pair descent reads it: each node's
-    children are built once, its exact length on demand.  The node None
-    is the set's hull, whose children are the pieces."""
-
-    def __init__(self, K: RegularCantorSet) -> None:
-        self.K = K
-        self.tau, self.rho = K._gap_bounds
-        self.hull = (float(K.pieces[0].lo), float(K.pieces[-1].hi))
-        self._kids: dict = {}
-
-    def children(self, node: _Node | None) -> list[_Node]:
-        key = None if node is None else node[2]
-        if key not in self._kids:
-            self._kids[key] = _roots(self.K) if node is None else _children(self.K, node)
-        return self._kids[key]
-
-    def floats(self, node: _Node | None) -> tuple[float, float]:
-        return self.hull if node is None else node[3].as_floats()
-
-    def exact_length(self, node: _Node | None) -> Exact:
-        K = self.K
-        if K.is_affine:
-            return K.hull.length if node is None else node[3].length
-        # |M(y_max) - M(y_min)| for the Moebius map M of the node (det +-1);
-        # c*y + d keeps one sign on the hull, so the product is positive
-        y_min, y_max = K.meta["hull_min_surd"], K.meta["hull_max_surd"]
-        if node is None:
-            return y_max - y_min
-        m = node[1].compose(K.inverses[node[0]])
-        return (y_max - y_min) / ((m.c * y_min + m.d) * (m.c * y_max + m.d))
-
-
-def _descend(
-    tree1: _Cylinders, tree2: _Cylinders, scale: float, target, limit: int
-) -> tuple[list, list]:
-    """Closed and leaf cylinder pairs of the descent from the hull pair.
-
-    A pair closes when |I| >= rho2*scale*|J| and scale*|J| >= rho1*|I|,
-    compared exactly.  Otherwise it splits its longer side among those
-    `_length_cover` would split at target() (first side) and
-    target()/scale (second side); a pair with neither is a leaf pair.
-    target() is called only once a pair below the hull pair stays open.
-    """
-    mu = Fraction(scale)
-    closed, leaves = [], []
-    frontier = [(None, None)]
-    while frontier:
-        deeper = []
-        for I, J in frontier:
-            len1, len2 = tree1.exact_length(I), mu * tree2.exact_length(J)
-            if _at_least(len1, tree2.rho * len2) and _at_least(len2, tree1.rho * len1):
-                closed.append((I, J))
-                continue
-            split1 = I is None or (float(I[3].length) > target() and len(I[2]) <= _MAX_SPLIT_DEPTH)
-            split2 = J is None or (float(J[3].length) > target() / scale and len(J[2]) <= _MAX_SPLIT_DEPTH)
-            if split1 and (not split2 or float(len1) >= float(len2)):
-                deeper.extend((kid, J) for kid in tree1.children(I))
-            elif split2:
-                deeper.extend((I, kid) for kid in tree2.children(J))
-            else:
-                leaves.append((I, J))
-        frontier = deeper
-        if len(closed) + len(leaves) + len(frontier) > limit:
-            raise BudgetExceeded(f"cylinder pair descent needs more than {limit} pairs")
-    return closed, leaves
-
-
-def _descent_union(
-    K1: RegularCantorSet, K2: RegularCantorSet, n: int, op: str, lam: float, budget: int
-) -> IntervalUnion | None:
-    """The union of `cover_sum` by cylinder-pair descent, or None when the
-    gap lemma cannot close a pair: a set without a thickness bound, or
-    tau1*tau2 < 1."""
+def _hull_pair_closes(K1: RegularCantorSet, K2: RegularCantorSet, scale: float) -> bool:
+    """Whether the gap lemma proves the outer sum of the two hulls full:
+    both sets carry (tau, rho), tau1*tau2 >= 1, |H1| >= rho2*scale*|H2|
+    and scale*|H2| >= rho1*|H1|, decided exactly.  Surds of two fields
+    that do not mix (gauss3 against gauss4) cannot be compared and prove
+    nothing."""
     if K1._gap_bounds is None or K2._gap_bounds is None:
-        return None
-    tree1 = _Cylinders(K1)
-    tree2 = tree1 if K2 == K1 else _Cylinders(K2)
-    if not _at_least(tree1.tau, 1 / tree2.tau):
-        return None
-    scale = 1.0 if op == "+" else abs(lam)
-    target1 = None
-    capped = False
+        return False
+    (tau1, rho1), (tau2, rho2) = K1._gap_bounds, K2._gap_bounds
+    len1, len2 = _exact_hull_length(K1), Fraction(scale) * _exact_hull_length(K2)
+    try:
+        return tau1 * tau2 >= 1 and len1 >= rho2 * len2 and len2 >= rho1 * len1
+    except ValidationError:
+        return False
 
-    def target() -> float:
-        nonlocal target1
-        if target1 is None:
-            target1 = _first_target(*_pair_sides(K1, K2, n, budget), scale)
-        return target1
 
-    for _ in range(64):
-        try:
-            closed, leaves = _descend(tree1, tree2, scale, target, budget)
-            break
-        except BudgetExceeded:
-            capped = True
-            target()
-            target1 *= 2.0
-    else:
-        raise BudgetExceeded("could not close the cylinder pairs within the pairwise budget")
-    pairs = closed + leaves
-    ends = np.array([tree1.floats(I) + tree2.floats(J) for I, J in pairs], dtype=float)
-    t_lo, t_hi = _second_ends(op, lam, ends[:, 2], ends[:, 3])
-    u = IntervalUnion(*merge_intervals(ends[:, 0] + t_lo, ends[:, 1] + t_hi))
-    u.meta.update({"op": op, "lam": lam, "pairs": len(leaves), "pruned": len(closed), "capped": capped})
-    if leaves:
-        u.meta["counts"] = tuple(len({side[2] for side in group}) for group in zip(*leaves))
-        u.meta["target_length"] = target1
+def _hull_pair_union(side1: _SetCovers, side2: _SetCovers, op: str, lam: float, scale: float) -> IntervalUnion:
+    """hull(K1) + hull(K2) (or hull(K1) - lam*hull(K2)) as a one-component
+    union, for a hull pair the gap lemma closes.  No cover is built, but
+    a length target below the float floor raises PrecisionLoss, as it
+    does when the outer sum builds its covers."""
+    _check_target_length(_first_target(side1, side2, scale))
+    (a_lo, a_hi), (b_lo, b_hi) = side1.K.hull.as_floats(), side2.K.hull.as_floats()
+    t_lo, t_hi = _second_ends(op, lam, np.array([b_lo]), np.array([b_hi]))
+    u = IntervalUnion(a_lo + t_lo, a_hi + t_hi)
+    u.meta.update({"op": op, "lam": lam, "pairs": 0, "pruned": 1, "capped": False})
     return u
 
 
@@ -374,12 +269,11 @@ def cover_sum(
     and shrinks monotonically as n grows.  At most `pair_budget` pairs
     are formed (None means PAIR_BUDGET).
 
-    When both sets carry a proved thickness bound and tau1*tau2 >= 1,
-    the union is found by descending over cylinder pairs (I, J) from the
-    hull pair: a pair the gap lemma proves full is closed as the single
-    interval I + lam*J, and only the rest are split, down to the pairs
-    of the length-balanced covers.  The union is the same; meta
-    `pruned` counts the closed pairs and `pairs` the leaf pairs summed.
+    When the gap lemma proves the hull pair full (see the module
+    docstring), the union is the single interval hull(K1) + lam*hull(K2),
+    the union the pairs would merge into, found without building a cover;
+    meta `pruned` is then 1 and `pairs` 0.  Otherwise `pruned` is 0 and
+    `pairs` counts the pair intervals summed.
     """
     if op not in ("+", "-"):
         raise ValidationError(f"op must be '+' or '-', got {op!r}")
@@ -396,8 +290,11 @@ def cover_sum(
         u = IntervalUnion(*merge_intervals(cover.los, cover.his))
         u.meta.update({"op": op, "lam": lam, "pairs": u.n_components})
         return u
-    u = _descent_union(K1, K2, n, op, lam, budget)
-    return u if u is not None else _pair_union(*_pair_sides(K1, K2, n, budget), op, lam)
+    sides = _pair_sides(K1, K2, n, budget)
+    scale = 1.0 if op == "+" else abs(lam)
+    if _hull_pair_closes(K1, K2, scale):
+        return _hull_pair_union(*sides, op, lam, scale)
+    return _pair_union(*sides, op, lam)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from test_acceptance import random_affine_set
 from cantorlab import (
     EmptyTarget,
     Interval,
+    PrecisionLoss,
     ValidationError,
     build_affine,
     builtin_names,
@@ -427,17 +428,6 @@ def test_gap_bounds_hold_against_covers():
         assert share <= rho if K.exact else share <= float(rho) * (1 + 1e-9), name
 
 
-def test_exact_comparison_across_quadratic_fields():
-    t3, t4 = get_set("gauss3")._gap_bounds[0], get_set("gauss4")._gap_bounds[0]
-    with pytest.raises(ValidationError):
-        t3 < t4  # sqrt(21) and sqrt(32) do not mix
-    assert setops._at_least(t4, t3) and not setops._at_least(t3, t4)
-    assert setops._at_least(t3, t3) and setops._at_least(F(1, 3), F(1, 3))
-    # t3*t4 > 1 > t3*t3
-    assert setops._at_least(t4, 1 / t3) and setops._at_least(t3, 1 / t4)
-    assert not setops._at_least(t3, 1 / t3)
-
-
 def _assert_same_union(u, v):
     assert u.n_components == v.n_components
     assert np.allclose(u.los, v.los, rtol=0, atol=1e-12)
@@ -446,6 +436,18 @@ def _assert_same_union(u, v):
 
 def _outer_sum(K1, K2, n, op, lam):
     return setops._pair_union(*setops._pair_sides(K1, K2, n, setops.PAIR_BUDGET), op, lam)
+
+
+def test_bounds_of_two_quadratic_fields_prove_nothing():
+    G3, G4 = get_set("gauss3"), get_set("gauss4")
+    t3, t4 = G3._gap_bounds[0], G4._gap_bounds[0]
+    with pytest.raises(ValidationError):
+        t3 * t4 >= 1  # sqrt(21) and sqrt(32) do not mix
+    for K1, K2, op, lam in ((G3, G4, "+", 1.0), (G4, G3, "-", 1.0)):
+        u = cover_sum(K1, K2, 4, op, lam)
+        v = _outer_sum(K1, K2, 4, op, lam)
+        assert u.meta == v.meta and u.meta["pruned"] == 0
+        assert np.array_equal(u.los, v.los) and np.array_equal(u.his, v.his)
 
 
 def test_pruned_sums_match_the_outer_sum():
@@ -465,15 +467,17 @@ def test_pruned_sums_match_the_outer_sum():
         u = cover_sum(K1, K2, n, op, lam)
         _assert_same_union(u, _outer_sum(K1, K2, n, op, lam))
         pruned += u.meta["pruned"] > 0
-    assert pruned > len(cases) // 2
+    # both paths run: the gap lemma closes ternary/middle-fifth and
+    # gauss4/gauss4 at balanced lam, and no gauss3/gauss4 pair
+    assert len(cases) // 4 < pruned < len(cases)
 
 
 def test_a_root_closed_sum_builds_no_cover(monkeypatch):
     def refuse(*args):
         raise AssertionError("a cover was built")
 
-    monkeypatch.setattr(setops, "maxlen_at_depth", refuse)
     monkeypatch.setattr(setops, "_length_cover", refuse)
+    monkeypatch.setattr(setops, "merge_intervals", refuse)
     for name, lo, hi in (("ternary", 0.0, 2.0), ("gauss4", SQRT2 - 1, 4 * SQRT2 - 4)):
         K = get_set(name)
         u = cover_sum(K, K, 10, "+")
@@ -496,3 +500,16 @@ def test_unprovable_pairs_take_the_outer_sum_path(tmp_path):
         v = _outer_sum(K1, K2, 5, op, lam)
         assert u.meta == v.meta and u.meta["pruned"] == 0 and u.meta["pairs"] > 1
         assert np.array_equal(u.los, v.los) and np.array_equal(u.his, v.his)
+
+
+def test_the_precision_floor_holds_on_both_paths():
+    # a depth-29 ternary interval is 3^-30 < EPS_LEN long: the closed hull
+    # pair (lam = 1) refuses the depth as the outer sum (lam = 0.2, whose
+    # hull pair the gap lemma cannot close) does
+    T = get_set("ternary")
+    assert cover_sum(T, T, 28, "-", 1.0).meta["pruned"] == 1
+    for lam in (1.0, 0.2):
+        with pytest.raises(PrecisionLoss):
+            cover_sum(T, T, 29, "-", lam)
+    with pytest.raises(PrecisionLoss):
+        cover_sum(T, T, 29, "+")
