@@ -271,21 +271,21 @@ def standard_family_lyapunov(
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 1.0, size=orbits)
     y = rng.uniform(0.0, 1.0, size=orbits)
-    q0 = np.tile(np.array([1.0, 0.0]), (orbits, 1))
-    q1 = np.tile(np.array([0.0, 1.0]), (orbits, 1))
+    q0x, q0y = np.ones(orbits), np.zeros(orbits)
+    q1x, q1y = np.zeros(orbits), np.ones(orbits)
     log0 = np.zeros(orbits)
     log1 = np.zeros(orbits)
     for step in range(LYAPUNOV_BURN_IN + iterates):
         a = 2.0 + 2.0 * math.pi * lam * np.cos(2.0 * math.pi * x)
         # push both frame vectors through [[a, -1], [1, 0]]
-        b0 = np.stack([a * q0[:, 0] - q0[:, 1], q0[:, 0]], axis=1)
-        b1 = np.stack([a * q1[:, 0] - q1[:, 1], q1[:, 0]], axis=1)
-        r00 = np.sqrt(np.sum(b0 * b0, axis=1))
-        q0 = b0 / r00[:, None]
-        r01 = np.sum(q0 * b1, axis=1)
-        b1 = b1 - r01[:, None] * q0
-        r11 = np.sqrt(np.sum(b1 * b1, axis=1))
-        q1 = b1 / r11[:, None]
+        b0x, b0y = a * q0x - q0y, q0x
+        b1x, b1y = a * q1x - q1y, q1x
+        r00 = np.sqrt(b0x * b0x + b0y * b0y)
+        q0x, q0y = b0x / r00, b0y / r00
+        r01 = q0x * b1x + q0y * b1y
+        b1x, b1y = b1x - r01 * q0x, b1y - r01 * q0y
+        r11 = np.sqrt(b1x * b1x + b1y * b1y)
+        q1x, q1y = b1x / r11, b1y / r11
         if step >= LYAPUNOV_BURN_IN:
             log0 += np.log(r00)
             log1 += np.log(r11)

@@ -16,8 +16,9 @@ Four layers of evidence about K1 and a translated copy K2 + t:
   relative translation in the unit frame of the first set's cylinder);
   cells that cannot renormalize back into the surviving region with a
   one-cell safety margin are deleted until a greatest fixed point
-  remains.  Every surviving cell carries a child-pair witness, and the
-  whole object can be re-verified by an independent plain-loop checker.
+  remains.  The certificate is the mask alone: an independent checker
+  confirms that every member cell has some child pair whose image stays
+  inside the mask.
 * `d_stable_probe` / `tangency_density_experiment`: stochastic and
   measure-theoretic probes of how robust the intersection is.
 
@@ -217,12 +218,12 @@ def gap_lemma_test(
 
 @dataclass(frozen=True)
 class PositionRegion:
-    """Surviving (s, t) cells per cylinder-type pair, with witnesses.
+    """Surviving (s, t) cells per cylinder-type pair.
 
-    mask has shape (r1, r2, ns, nt); witness_k1/witness_k2 hold, for
-    every member cell, the child-pair indices whose renormalization
-    image (bounding box over the whole cell, margin-expanded in t)
-    stays inside the mask.  Non-member cells hold -1.
+    mask has shape (r1, r2, ns, nt).  Every member cell has some child
+    pair whose renormalization image (bounding box over the whole cell,
+    margin-expanded in t) stays inside the mask; the mask names no pair,
+    so a checker tries them all.
     """
 
     s0: float
@@ -233,8 +234,6 @@ class PositionRegion:
     nt: int
     margin: int
     mask: np.ndarray
-    witness_k1: np.ndarray
-    witness_k2: np.ndarray
 
     @property
     def n_members(self) -> int:
@@ -360,9 +359,8 @@ def recurrent_compact_search(
                 integrals[(k1, k2)] = s
         return integrals
 
-    # Each sweep records, per cell, the index of the first child pair that
-    # supports it (len(entries) for none, and for every non-member); the
-    # sweep that leaves the mask unchanged supplies the witnesses.
+    # a member survives a sweep when some child pair's image box lies in
+    # the grid and holds only members
     sweeps = 0
     while True:
         sweeps += 1
@@ -370,43 +368,20 @@ def recurrent_compact_search(
             raise BudgetExceeded(f"fixed-point iteration exceeded {MAX_SWEEPS} sweeps")
         integrals = prefix_sums(mask)
         new_mask = np.empty_like(mask)
-        firsts = {}
         for (j1, j2), entries in moves.items():
-            none = len(entries)
-            first = np.full((ns, nt), none, dtype=np.min_scalar_type(none))
-            for index in range(none - 1, -1, -1):
-                k1, k2, r_lo, r_hi, c_lo, c_hi, valid = entries[index]
+            supported = np.zeros((ns, nt), dtype=bool)
+            for k1, k2, r_lo, r_hi, c_lo, c_hi, valid in entries:
                 s = integrals[(k1, k2)]
                 total = s[r_hi, c_hi] - s[r_lo, c_hi] - s[r_hi, c_lo] + s[r_lo, c_lo]
-                first[valid & (total == (r_hi - r_lo) * (c_hi - c_lo))] = index
-            first[~mask[j1, j2]] = none
-            new_mask[j1, j2] = first < none
-            firsts[(j1, j2)] = first
+                supported |= valid & (total == (r_hi - r_lo) * (c_hi - c_lo))
+            new_mask[j1, j2] = supported & mask[j1, j2]
         if np.array_equal(new_mask, mask):
             break
         mask = new_mask
 
     if not mask.any():
         return SearchOutcome(found=False, region=None, sweeps=sweeps)
-
-    witness_k1 = np.empty(mask.shape, dtype=np.int64)
-    witness_k2 = np.empty(mask.shape, dtype=np.int64)
-    for (j1, j2), entries in moves.items():
-        witness_k1[j1, j2] = np.array([mv[0] for mv in entries] + [-1])[firsts[(j1, j2)]]
-        witness_k2[j1, j2] = np.array([mv[1] for mv in entries] + [-1])[firsts[(j1, j2)]]
-
-    region = PositionRegion(
-        s0=s_lo,
-        hs=hs,
-        ns=ns,
-        t0=t_lo,
-        ht=ht,
-        nt=nt,
-        margin=margin,
-        mask=mask,
-        witness_k1=witness_k1,
-        witness_k2=witness_k2,
-    )
+    region = PositionRegion(s0=s_lo, hs=hs, ns=ns, t0=t_lo, ht=ht, nt=nt, margin=margin, mask=mask)
     return SearchOutcome(found=True, region=region, sweeps=sweeps)
 
 
@@ -423,11 +398,8 @@ def region_to_json(
     runs = np.diff(np.concatenate(([0], edges, [flat.size])))
     if flat[:1].any():
         runs = np.concatenate(([0], runs))
-    members = np.flatnonzero(flat)
-    wk1, wk2 = region.witness_k1.ravel(), region.witness_k2.ravel()
-    witnesses = np.stack((wk1[members], wk2[members]), axis=1)
     return {
-        "schema": 1,
+        "schema": 2,
         "kind": "recurrent-region",
         "sets": {"first": set_to_json(K1), "second": set_to_json(K2)},
         "grid": {
@@ -442,7 +414,6 @@ def region_to_json(
         "margin": region.margin,
         "margin_axis": "t",
         "mask_rle": runs.tolist(),
-        "witnesses": witnesses.ravel().tolist(),
     }
 
 
@@ -453,12 +424,15 @@ def save_certificate(path, region: PositionRegion, K1, K2) -> None:
 
 
 def verify_certificate(doc: dict) -> tuple[bool, str]:
-    """Re-check a certificate with plain loops, independent of the search.
+    """Re-check a certificate, independent of the search.
 
     Decodes the mask, rebuilds both sets from their embedded
-    definitions, recomputes every member cell's witness image box from
-    scratch and confirms (a) hull overlap on the whole cell and (b)
-    margin-expanded containment of the image in the member mask.
+    definitions and confirms, for every member cell, (a) hull overlap on
+    the whole cell and (b) some child pair of the cell's types whose
+    margin-expanded image box lies in the grid and holds only member
+    cells.  Image boxes are recomputed from scratch, per child pair and
+    vectorised over the cells, against a summed-area table of the
+    decoded mask.
     """
     try:
         grid = doc["grid"]
@@ -466,7 +440,7 @@ def verify_certificate(doc: dict) -> tuple[bool, str]:
         r1, r2 = (int(x) for x in grid["types"])
         s0, hs = float(grid["s0"]), float(grid["hs"])
         t0, ht = float(grid["t0"]), float(grid["ht"])
-        margin, runs, witnesses = doc["margin"], list(doc["mask_rle"]), list(doc["witnesses"])
+        margin, runs = doc["margin"], list(doc["mask_rle"])
         K1 = set_from_json(doc["sets"]["first"])
         K2 = set_from_json(doc["sets"]["second"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -474,66 +448,70 @@ def verify_certificate(doc: dict) -> tuple[bool, str]:
     # a negative margin or cell size would shrink the checked image boxes
     if not (ns > 0 and nt > 0 and hs > 0 and ht > 0) or (r1, r2) != (K1.n_pieces, K2.n_pieces):
         return False, "malformed certificate: grid sizes must be positive and types match the sets"
-    if not all(type(x) is int and x >= 0 for x in [margin, *runs, *witnesses]):
-        return False, "malformed certificate: margin, runs and witnesses must be non-negative integers"
-
-    total = r1 * r2 * ns * nt
-    flat = np.zeros(total, dtype=bool)
-    pos, value = 0, False
-    for run in runs:
-        if value:
-            flat[pos : pos + run] = True
-        pos += run
-        value = not value
-    if pos != total:
+    # a margin wider than the grid leaves no image box inside it
+    if not all(type(x) is int and x >= 0 for x in [margin, *runs]) or margin > nt:
+        return False, "malformed certificate: margin and runs must be non-negative integers, margin <= nt"
+    if sum(runs) != r1 * r2 * ns * nt:
         return False, "mask run-length data does not match grid size"
-    mask = flat.reshape((r1, r2, ns, nt))
-    members = np.flatnonzero(flat)
-    if not len(members):
+    # run lengths alternate non-member, member, ... starting with non-members
+    mask = np.repeat(np.arange(len(runs)) % 2 == 1, runs).reshape((r1, r2, ns, nt))
+    n_members = int(mask.sum())
+    if not n_members:
         return False, "certificate has no member cells"
-    if len(witnesses) != 2 * len(members):
-        return False, "witness list length does not match member count"
 
-    tab1 = _child_tables(K1)
-    tab2 = _child_tables(K2)
+    # cell edges s0 + i * hs, and e^s by math.exp at the ns + 1 row edges,
+    # so each box is the one a loop over cells computes (np.exp may
+    # differ by an ulp)
+    cs = s0 + np.arange(ns + 1) * hs
+    ct = t0 + np.arange(nt + 1) * ht
+    try:
+        es = np.array([math.exp(x) for x in cs])
+    except OverflowError:
+        return False, "malformed certificate: e^s overflows on the grid"
+    cs_lo, cs_hi, e_a, e_b = cs[:-1, None], cs[1:, None], es[:-1, None], es[1:, None]
+    ct_lo, ct_hi = ct[None, :-1], ct[None, 1:]
 
-    for m_index, flat_i in enumerate(members):
-        j1, rem = divmod(int(flat_i), r2 * ns * nt)
-        j2, rem = divmod(rem, ns * nt)
-        i, k = divmod(rem, nt)
-        k1 = witnesses[2 * m_index]
-        k2 = witnesses[2 * m_index + 1]
-        cs_lo, cs_hi = s0 + i * hs, s0 + (i + 1) * hs
-        ct_lo, ct_hi = t0 + k * ht, t0 + (k + 1) * ht
-        # hull-overlap invariant on the whole cell
-        if not (ct_hi <= 1.0 and ct_lo + math.exp(cs_lo) >= 0.0):
-            return False, f"member cell ({j1},{j2},{i},{k}) does not force hull overlap"
-        row1 = [e for e in tab1[j1] if e[0] == k1]
-        row2 = [e for e in tab2[j2] if e[0] == k2]
-        if not row1 or not row2:
-            return False, f"witness ({k1},{k2}) is not a child pair of types ({j1},{j2})"
-        _, w_lo, _w_hi, L = row1[0]
-        _, v_lo, _v_hi, Lp = row2[0]
-        shift = math.log(Lp) - math.log(L)
-        # image bounding box over the cell corners
-        e_a, e_b = math.exp(cs_lo), math.exp(cs_hi)
-        ev = (min(e_a * v_lo, e_b * v_lo), max(e_a * v_lo, e_b * v_lo))
-        u_min = (ct_lo + ev[0] - w_lo) / L
-        u_max = (ct_hi + ev[1] - w_lo) / L
-        is_lo = math.floor((cs_lo + shift - s0) / hs + GRID_SNAP_EPS)
-        is_hi = math.ceil((cs_hi + shift - s0) / hs - GRID_SNAP_EPS) - 1
-        it_lo = math.floor((u_min - t0) / ht + GRID_SNAP_EPS) - margin
-        it_hi = math.ceil((u_max - t0) / ht - GRID_SNAP_EPS) - 1 + margin
-        if is_lo < 0 or is_hi >= ns or it_lo < 0 or it_hi >= nt:
-            return False, f"image of cell ({j1},{j2},{i},{k}) leaves the grid"
-        for ii in range(is_lo, is_hi + 1):
-            for kk in range(it_lo, it_hi + 1):
-                if not mask[k1, k2, ii, kk]:
-                    return (
-                        False,
-                        f"image of cell ({j1},{j2},{i},{k}) hits non-member ({k1},{k2},{ii},{kk})",
-                    )
-    return True, f"verified {len(members)} member cells"
+    # hull-overlap invariant on the whole cell
+    hull = (ct_hi <= 1.0) & (ct_lo + e_a >= 0.0)
+    sat = np.zeros((r1, r2, ns + 1, nt + 1), dtype=np.int64)
+    np.cumsum(np.cumsum(mask, axis=2, dtype=np.int64), axis=3, out=sat[:, :, 1:, 1:])
+
+    def span(lo: np.ndarray, hi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Inclusive float index range lo..hi as half-open integer bounds
+        clipped to 0..n (an empty range stays empty, NaN becomes empty)."""
+        lo = np.fmin(np.fmax(lo, 0), n)
+        return lo.astype(np.int64), np.fmin(np.fmax(hi + 1, lo), n).astype(np.int64)
+
+    tab1, tab2 = _child_tables(K1), _child_tables(K2)
+    supported = np.zeros_like(mask)
+    for j1 in range(r1):
+        for j2 in range(r2):
+            for k1, w_lo, _w_hi, L in tab1[j1]:
+                for k2, v_lo, _v_hi, Lp in tab2[j2]:
+                    shift = math.log(Lp) - math.log(L)
+                    # image bounding box over the cell corners
+                    u_min = (ct_lo + np.minimum(e_a * v_lo, e_b * v_lo) - w_lo) / L
+                    u_max = (ct_hi + np.maximum(e_a * v_lo, e_b * v_lo) - w_lo) / L
+                    is_lo = np.floor((cs_lo + shift - s0) / hs + GRID_SNAP_EPS)
+                    is_hi = np.ceil((cs_hi + shift - s0) / hs - GRID_SNAP_EPS) - 1
+                    it_lo = np.floor((u_min - t0) / ht + GRID_SNAP_EPS) - margin
+                    it_hi = np.ceil((u_max - t0) / ht - GRID_SNAP_EPS) - 1 + margin
+                    # compared as floats, so a bound that is not finite is never inside
+                    inside = (is_lo >= 0) & (is_hi < ns) & (it_lo >= 0) & (it_hi < nt)
+                    a, b = span(is_lo, is_hi, ns)
+                    c, d = span(it_lo, it_hi, nt)
+                    s = sat[k1, k2]
+                    count = s[b, d] - s[a, d] - s[b, c] + s[a, c]
+                    supported[j1, j2] |= inside & (count == (b - a) * (d - c))
+
+    for bad, why in (
+        (mask & ~hull, "does not force hull overlap"),
+        (mask & ~supported, "has no child pair whose image stays in the mask"),
+    ):
+        if bad.any():
+            cell = ",".join(str(int(x)) for x in np.unravel_index(int(np.argmax(bad)), bad.shape))
+            return False, f"member cell ({cell}) {why}"
+    return True, f"verified {n_members} member cells"
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,7 @@ class TestResultRecord:
         ternary = cantorlab.set_to_json(cantorlab.get_set("ternary"))
         grid = {"s0": 0.0, "hs": 0.1, "ns": 1, "t0": 0.0, "ht": 0.1, "nt": 1, "types": [2, 2]}
         doc = {"grid": grid, "margin": 0, "sets": {"first": ternary, "second": ternary},
-               "mask_rle": [4], "witnesses": []}
+               "mask_rle": [4]}
         path = tmp_path / "cert.json"
         path.write_text(json.dumps(doc))
         digests = set()
@@ -450,7 +450,7 @@ class TestMalformedFiles:
         ternary = cantorlab.set_to_json(cantorlab.get_set("ternary"))
         grid = {"s0": 0.0, "hs": 0.1, "ns": 1, "t0": 0.0, "ht": 0.1, "nt": 1, "types": [2, 2]}
         doc = {"grid": grid, "margin": 0, "sets": {"first": ternary, "second": ternary},
-               "mask_rle": [4], "witnesses": []}
+               "mask_rle": [4]}
         path = tmp_path / "cert.json"
         path.write_text(json.dumps(doc))
         code, rec, _, _ = run_cli(["recur", "--verify", str(path)], capsys)

@@ -3,7 +3,9 @@ certificates, recurrent-region search, and independent re-verification."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import random
 from types import SimpleNamespace
 
@@ -30,6 +32,7 @@ from cantorlab import (
     refine,
     region_to_json,
     save_certificate,
+    set_from_json,
     set_to_json,
     tangency_density_experiment,
     thickness,
@@ -228,6 +231,102 @@ def test_certificate_round_trip_verifies(tmp_path, middle_fifth):
     assert ok2
 
 
+def test_every_promoted_cell_is_rejected(tmp_path, middle_fifth):
+    # the greatest fixed point holds every self-supporting set of cells,
+    # so no pruned cell has a supporting child pair: promoting any one of
+    # them, on a small grid that takes six sweeps, must fail
+    out = recurrent_compact_search(middle_fifth, middle_fifth, ((-0.25, 0.25), (-1.5, 1.0)),
+                                   (0.5 / 6, 2.5 / 24), margin=1)
+    assert out.found and out.sweeps > 2
+    region = out.region
+    pruned = np.flatnonzero(~region.mask.ravel())
+    assert len(pruned) > 400
+    for index in pruned:
+        mask = region.mask.copy()
+        mask.flat[index] = True
+        doc = region_to_json(dataclasses.replace(region, mask=mask), middle_fifth, middle_fifth)
+        ok, message = verify_certificate(doc)
+        assert not ok, index
+        assert "no child pair" in message or "hull" in message
+
+    # the README certificate is its mask: a few kilobytes, no pair lists
+    readme = recurrent_compact_search(middle_fifth, middle_fifth, SEARCH_BOX, SEARCH_GRID, margin=1)
+    path = tmp_path / "cert.json"
+    save_certificate(path, readme.region, middle_fifth, middle_fifth)
+    assert path.stat().st_size < 10_000
+    assert "witnesses" not in json.loads(path.read_text())
+
+
+def _plain_loop_verdict(doc):
+    """Reference verifier: a plain loop over member cells and child pairs.
+
+    Returns (True, None) or (False, first failing member cell), hull
+    failures first, with the per-cell arithmetic of the verifier.
+    """
+    g = doc["grid"]
+    r1, r2 = g["types"]
+    ns, nt, s0, hs, t0, ht = g["ns"], g["nt"], g["s0"], g["hs"], g["t0"], g["ht"]
+    margin, eps = doc["margin"], intersect.GRID_SNAP_EPS
+    mask = _decode_mask(doc).reshape((r1, r2, ns, nt))
+    members = [tuple(int(x) for x in cell) for cell in np.argwhere(mask)]
+    for j1, j2, i, k in members:
+        if not (t0 + (k + 1) * ht <= 1.0 and t0 + k * ht + math.exp(s0 + i * hs) >= 0.0):
+            return False, (j1, j2, i, k)
+    tab1 = intersect._child_tables(set_from_json(doc["sets"]["first"]))
+    tab2 = intersect._child_tables(set_from_json(doc["sets"]["second"]))
+
+    def supports(j1, j2, i, k, child1, child2):
+        k1, w_lo, _, L = child1
+        k2, v_lo, _, Lp = child2
+        cs_lo, cs_hi = s0 + i * hs, s0 + (i + 1) * hs
+        ct_lo, ct_hi = t0 + k * ht, t0 + (k + 1) * ht
+        shift = math.log(Lp) - math.log(L)
+        e_a, e_b = math.exp(cs_lo), math.exp(cs_hi)
+        u_min = (ct_lo + min(e_a * v_lo, e_b * v_lo) - w_lo) / L
+        u_max = (ct_hi + max(e_a * v_lo, e_b * v_lo) - w_lo) / L
+        is_lo = math.floor((cs_lo + shift - s0) / hs + eps)
+        is_hi = math.ceil((cs_hi + shift - s0) / hs - eps) - 1
+        it_lo = math.floor((u_min - t0) / ht + eps) - margin
+        it_hi = math.ceil((u_max - t0) / ht - eps) - 1 + margin
+        if is_lo < 0 or is_hi >= ns or it_lo < 0 or it_hi >= nt:
+            return False
+        return all(
+            mask[k1, k2, ii, kk]
+            for ii in range(is_lo, is_hi + 1)
+            for kk in range(it_lo, it_hi + 1)
+        )
+
+    for j1, j2, i, k in members:
+        if not any(supports(j1, j2, i, k, c1, c2) for c1 in tab1[j1] for c2 in tab2[j2]):
+            return False, (j1, j2, i, k)
+    return True, None
+
+
+def test_verifier_matches_a_plain_loop_over_cells(middle_fifth):
+    # the vectorised verifier against the per-cell loop, on the search's
+    # masks, on masks with a few cells flipped either way, and with the
+    # margin changed
+    rng = np.random.default_rng(20261019)
+    verdicts = []
+    for grid, margin in (((0.5 / 6, 2.5 / 24), 1), ((0.5 / 8, 2.5 / 16), 0)):
+        out = recurrent_compact_search(middle_fifth, middle_fifth, ((-0.25, 0.25), (-1.5, 1.0)),
+                                       grid, margin=margin)
+        region = out.region
+        cases = [region.mask, *(region.mask ^ (rng.random(region.mask.shape) < 0.005)
+                                for _ in range(12))]
+        for mask in cases:
+            for m in {margin, 0, 2}:
+                tampered = dataclasses.replace(region, mask=mask, margin=m)
+                doc = region_to_json(tampered, middle_fifth, middle_fifth)
+                expected, cell = _plain_loop_verdict(doc)
+                ok, message = verify_certificate(doc)
+                assert ok == expected, (message, cell)
+                if not ok:
+                    assert message.startswith("member cell (%d,%d,%d,%d) " % cell)
+                verdicts.append(ok)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
 def _decode_mask(doc):
     grid = doc["grid"]
     r1, r2 = grid["types"]
@@ -264,32 +363,20 @@ def test_certificate_verifier_rejects_tampering(middle_fifth):
     # search pruned it because every child-pair image escapes, so the
     # verifier's recomputation must reject the enlarged mask
     flat = _decode_mask(doc)
-    members = np.flatnonzero(flat)
-    member_set = set(members.tolist())
-    grown = None
-    for m in members:
-        for delta in (1, -1):
-            j = int(m) + delta
-            if 0 <= j < len(flat) and j not in member_set:
-                grown = (int(m), j)
-                break
-        if grown:
-            break
-    assert grown is not None
-    source, added = grown
+    members = set(np.flatnonzero(flat).tolist())
+    added = next(
+        m + delta
+        for m in sorted(members)
+        for delta in (1, -1)
+        if 0 <= m + delta < len(flat) and m + delta not in members
+    )
     flat2 = flat.copy()
     flat2[added] = True
-    members2 = np.flatnonzero(flat2)
-    # splice in a witness pair for the new member, copied from its neighbor
-    w = doc["witnesses"]
-    pos_new = int(np.searchsorted(members2, added))
-    pos_src = int(np.searchsorted(members, source))
     tampered = json.loads(json.dumps(doc))
     tampered["mask_rle"] = _encode_mask(flat2)
-    tampered["witnesses"] = w[: 2 * pos_new] + [w[2 * pos_src], w[2 * pos_src + 1]] + w[2 * pos_new :]
     ok, message = verify_certificate(tampered)
     assert not ok
-    assert "non-member" in message or "leaves the grid" in message or "hull" in message
+    assert "no child pair" in message or "hull" in message
 
     # corrupting the declared grid geometry must also fail
     broken = json.loads(json.dumps(doc))
@@ -314,17 +401,27 @@ def test_certificate_without_member_cells_does_not_verify(middle_fifth):
     # well formed, but an empty region certifies nothing
     grid = {"s0": 0.0, "hs": 0.1, "ns": 1, "t0": 0.0, "ht": 0.1, "nt": 1, "types": [2, 2]}
     sets = {"first": set_to_json(middle_fifth), "second": set_to_json(middle_fifth)}
-    doc = {"grid": grid, "margin": 0, "sets": sets, "mask_rle": [4], "witnesses": []}
+    doc = {"grid": grid, "margin": 0, "sets": sets, "mask_rle": [4]}
     assert verify_certificate(doc) == (False, "certificate has no member cells")
 
 
 @pytest.mark.parametrize(
     "field, value",
-    [("margin", -1), ("margin", 1.0), ("witnesses", "ab"), ("types", [1, 2]), ("ht", -0.1)],
+    [
+        ("margin", -1),
+        ("margin", 1.0),
+        ("margin", 10**400),
+        ("mask_rle", [5, -1]),
+        ("types", [1, 2]),
+        ("ht", -0.1),
+        ("s0", 800.0),
+    ],
 )
 def test_certificate_fields_out_of_range_are_malformed(middle_fifth, field, value):
     # a negative margin or cell size would shrink the boxes the verifier
-    # checks, so a valid certificate altered that way must not pass
+    # checks, so a valid certificate altered that way must not pass; a
+    # margin wider than the grid or an s range where e^s overflows cannot
+    # be checked in floats at all
     out = recurrent_compact_search(middle_fifth, middle_fifth, SEARCH_BOX, SEARCH_GRID, margin=1)
     doc = region_to_json(out.region, middle_fifth, middle_fifth)
     target = doc["grid"] if field in doc["grid"] else doc
@@ -470,17 +567,9 @@ def test_gap_lemma_reuses_thickness_for_equal_sets(monkeypatch, middle_fifth, te
 def test_certificate_encoding_with_members_at_both_ends(middle_fifth):
     mask = np.zeros((2, 2, 3, 4), dtype=bool)
     mask.flat[[0, 1, 5, 6, 7, 20, 47]] = True
-    wk1 = np.where(mask, np.arange(mask.size).reshape(mask.shape) % 2, -1)
-    wk2 = np.where(mask, 1 - wk1, -1)
-    region = PositionRegion(
-        s0=0.0, hs=0.1, ns=3, t0=0.0, ht=0.1, nt=4, margin=1,
-        mask=mask, witness_k1=wk1, witness_k2=wk2,
-    )
+    region = PositionRegion(s0=0.0, hs=0.1, ns=3, t0=0.0, ht=0.1, nt=4, margin=1, mask=mask)
     doc = region_to_json(region, middle_fifth, middle_fifth)
     assert doc["mask_rle"] == [0, 2, 3, 3, 12, 1, 26, 1]
-    assert all(type(x) is int for x in doc["mask_rle"] + doc["witnesses"])
+    assert all(type(x) is int for x in doc["mask_rle"])
     assert np.array_equal(_decode_mask(doc), mask.ravel())
-    members = np.flatnonzero(mask.ravel())
-    pairs = [(int(wk1.flat[i]), int(wk2.flat[i])) for i in members]
-    assert list(zip(doc["witnesses"][0::2], doc["witnesses"][1::2])) == pairs
     assert doc["mask_rle"] == _encode_mask(mask.ravel())
