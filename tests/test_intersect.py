@@ -410,10 +410,10 @@ def test_certificate_without_member_cells_does_not_verify(middle_fifth):
     [
         ("margin", -1),
         ("margin", 1.0),
-        ("margin", 10**400),
         ("mask_rle", [5, -1]),
         ("types", [1, 2]),
         ("ht", -0.1),
+        pytest.param("margin", 10**400, id="margin-huge"),
         ("s0", 800.0),
     ],
 )
