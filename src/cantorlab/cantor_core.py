@@ -17,9 +17,8 @@ inverse branch of the last symbol and applies it to each target piece.
 which a split rule holds, and each caller is its rule:
 `refine` splits by depth, `refine_to_length` by length up to a maximum
 depth, `maxlen_at_depth` splits only nodes longer than the depth-n leaf
-a greedy descent finds, `contains` splits the cylinders within a guard
-band of the point, and the gap lemma's `_meets_interval` splits the
-cylinders that touch its target without lying inside it.
+a greedy descent finds, and `contains` splits the cylinders within a
+guard band of the point.
 
 Exactness policy: affine data given as integers or fractions is kept in
 rational arithmetic all the way through cover construction, so cover
@@ -36,7 +35,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -384,7 +383,28 @@ def scale_affine(K: RegularCantorSet, a: Num, b: Num) -> RegularCantorSet:
 
 
 # ---------------------------------------------------------------------------
-# proved thickness bounds
+# ordered gaps and proved thickness bounds
+
+
+def _ordered_gaps(hull: tuple, gaps: list[tuple]) -> Iterator[tuple]:
+    """Newhouse's ordered gaps: yield (gap, left, right) for each gap of
+    `gaps` (tuples starting (g_lo, g_hi), sorted left to right inside
+    `hull`), removed largest first with ties left to right.  The bridges
+    of a gap run from `left` to g_lo and from g_hi to `right`, the
+    nearest ends of gaps removed before it or of the hull.  Lengths are
+    compared in the endpoints' own arithmetic."""
+    # (float, exact) pairs: rounding is monotone, so the floats order all
+    # values but float ties, and only those compare in exact arithmetic
+    def key(x):
+        return float(x), x
+
+    barriers = [key(hull[0]), key(hull[1])]
+    for gap in sorted(gaps, key=lambda g: key(g[0] - g[1])):
+        lo = key(gap[0])
+        i = bisect.bisect_right(barriers, lo)
+        yield gap, barriers[i - 1][1], barriers[i][1]
+        bisect.insort(barriers, lo)
+        bisect.insort(barriers, key(gap[1]))
 
 
 def _presentation_bounds(
@@ -393,23 +413,19 @@ def _presentation_bounds(
     """Thickness lower bound and gap-to-hull upper bound of one cylinder
     whose children are `parts` (exact, sorted) inside `hull`.
 
-    The gaps between the children are removed largest first (ties left
-    to right), and each bridge runs to the nearest gap removed before it
-    or to the cylinder's end.  Any order of removal bounds the Newhouse
-    thickness from below.  `poles` = (s_lo, s_hi) also bounds every image
-    of the cylinder under a map x -> 1/(s + x) (up to an affine factor)
-    with pole distance s in [s_lo, s_hi]: an image interval [u, v] has
-    length proportional to (v - u) / ((s + u)(s + v)), so a bridge over
-    its adjacent gap scales by a factor monotone in s, and the extremes
-    at s_lo, s_hi and s = inf (the cylinder itself) bound it.
+    The gaps between the children are taken in `_ordered_gaps`' order;
+    any order of removal bounds the Newhouse thickness from below.
+    `poles` = (s_lo, s_hi) also bounds every image of the cylinder under
+    a map x -> 1/(s + x) (up to an affine factor) with pole distance s
+    in [s_lo, s_hi]: an image interval [u, v] has length proportional to
+    (v - u) / ((s + u)(s + v)), so a bridge over its adjacent gap scales
+    by a factor monotone in s, and the extremes at s_lo, s_hi and
+    s = inf (the cylinder itself) bound it.
     """
     h_lo, h_hi = hull
     gaps = [(left[1], right[0]) for left, right in zip(parts, parts[1:])]
-    barriers = [h_lo, h_hi]
     tau, rho = None, Fraction(0)
-    for g_lo, g_hi in sorted(gaps, key=lambda g: -float(g[1] - g[0])):
-        i = bisect.bisect_right(barriers, g_lo)
-        left, right = barriers[i - 1], barriers[i]
+    for (g_lo, g_hi), left, right in _ordered_gaps(hull, gaps):
         gap = g_hi - g_lo
         ratios = [(g_lo - left) / gap, (right - g_hi) / gap]
         spread = 1
@@ -421,8 +437,6 @@ def _presentation_bounds(
             spread = max(spread, (s_hi + h_lo) / (s_hi + g_lo) * (s_lo + h_hi) / (s_lo + g_hi))
         tau = min(ratios if tau is None else [tau, *ratios])
         rho = max(rho, gap / (h_hi - h_lo) * spread)
-        bisect.insort(barriers, g_lo)
-        bisect.insort(barriers, g_hi)
     return tau, rho
 
 
@@ -693,34 +707,6 @@ def contains(K: RegularCantorSet, x: Num, n: int) -> MembershipResult:
     if any(near(node) for node in leaves):
         return MembershipResult(True, n)
     return MembershipResult(False, max(len(node[2]) for node in leaves) - 1)
-
-
-def _meets_interval(K: RegularCantorSet, target: Interval, max_depth: int) -> bool | None:
-    """Certified test of K ∩ target != empty, for the gap lemma.
-
-    Only cylinders that touch target without lying inside it are split,
-    down to max_depth.  True: some cylinder lies inside target, and
-    cylinders always contain points of K.  False: no leaf touches
-    target, and the leaves cover K.  None: a cylinder at max_depth still
-    touches target without lying inside it (e.g. a boundary tangency);
-    callers must treat this as "no certificate".
-    """
-    t_lo, t_hi = target.as_floats()
-
-    def touches(node: _Node) -> bool:
-        lo, hi = node[3].as_floats()
-        return lo <= t_hi and hi >= t_lo
-
-    def inside(node: _Node) -> bool:
-        lo, hi = node[3].as_floats()
-        return lo >= t_lo and hi <= t_hi
-
-    leaves = _expand(
-        K, lambda node: touches(node) and not inside(node) and len(node[2]) <= max_depth, math.inf
-    )
-    if any(inside(node) for node in leaves):
-        return True
-    return None if any(touches(node) for node in leaves) else False
 
 
 # ---------------------------------------------------------------------------

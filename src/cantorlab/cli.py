@@ -376,9 +376,8 @@ def _cmd_marstrand(cfg: dict) -> dict:
 def _cmd_intersect(cfg: dict) -> dict:
     K1, K2, names = _resolve_pair(cfg)
     t = cfg["t"]
-    depth = cfg["depth"]
-    outcome = intersect_test(K1, K2, t, depth, budget=cfg["budget"])
-    lemma = gap_lemma_test(K1, K2, t, depth=depth)
+    outcome = intersect_test(K1, K2, t, cfg["depth"], budget=cfg["budget"])
+    lemma = gap_lemma_test(K1, K2, t)
     return {
         **names,
         "t": t,
@@ -661,7 +660,7 @@ COMMANDS: dict[str, tuple] = {
         **_CSV,
         **_PAIR_BUDGET,
     }),
-    "intersect": (_cmd_intersect, "cover intersection and thickness certificate at t", {
+    "intersect": (_cmd_intersect, "cover intersection and gap-lemma certificate at t", {
         **_pair(),
         "t": Setting(0.0, finite_float),
         "depth": Setting(8, int),

@@ -20,13 +20,12 @@ sum |I|^d = 1.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cantor_core import Interval, RegularCantorSet, refine
+from .cantor_core import Interval, RegularCantorSet, _ordered_gaps, refine
 from .errors import DegenerateCover, NoGaps, ValidationError
 
 
@@ -176,41 +175,34 @@ def thickness(
 
     Gaps are processed in decreasing length (ties left to right); the
     bridges L and R of a gap run from its endpoints to the nearest
-    endpoint of an already-processed (larger) gap or of the hull.  The
-    reported address is that of the cover interval immediately to the
-    left of the minimizing gap.
+    endpoint of an already-processed (larger) gap or of the hull
+    (`cantor_core._ordered_gaps`).  The cover's own endpoints are used,
+    so the value is exact up to the final rounding on exact sets; Moebius
+    covers are in floats.  The reported address is that of the cover
+    interval immediately to the left of the minimizing gap.
     """
     if n < 1:
         raise ValidationError("thickness needs depth >= 1")
     cover = refine(K, n, budget=budget)
-    los, his = cover.los, cover.his
-    gaps = []
-    for i in range(len(cover) - 1):
-        length = los[i + 1] - his[i]
-        if length > 0.0:
-            gaps.append((length, his[i], los[i + 1], cover.addresses[i]))
+    ivs = cover.intervals
+    gaps = [
+        (left.hi, right.lo, addr)
+        for left, right, addr in zip(ivs, ivs[1:], cover.addresses)
+        if right.lo > left.hi
+    ]
     if not gaps:
         raise NoGaps(f"depth-{n} cover exposes no gaps")
-    gaps.sort(key=lambda g: (-g[0], g[1]))
-    hull = K.hull
-    barriers = [float(hull.lo), float(hull.hi)]
-    best = math.inf
-    best_gap = gaps[0]
-    for length, g_lo, g_hi, addr in gaps:
-        i = bisect.bisect_right(barriers, g_lo)
-        left_bridge = g_lo - barriers[i - 1]
-        right_bridge = barriers[i] - g_hi
-        ratio = min(left_bridge, right_bridge) / length
+    best, best_gap = math.inf, gaps[0]
+    for gap, left, right in _ordered_gaps((K.hull.lo, K.hull.hi), gaps):
+        g_lo, g_hi, _ = gap
+        ratio = min(g_lo - left, right - g_hi) / (g_hi - g_lo)
         if ratio < best:
-            best = ratio
-            best_gap = (length, g_lo, g_hi, addr)
-        bisect.insort(barriers, g_lo)
-        bisect.insort(barriers, g_hi)
+            best, best_gap = ratio, gap
     return ThicknessEstimate(
-        value=best,
+        value=float(best),
         depth=n,
-        limiting_gap=Interval(best_gap[1], best_gap[2]),
-        limiting_gap_address=best_gap[3],
+        limiting_gap=Interval(best_gap[0], best_gap[1]),
+        limiting_gap_address=best_gap[2],
     )
 
 

@@ -7,9 +7,11 @@ Four layers of evidence about K1 and a translated copy K2 + t:
   the deepest tested cover is evidence only.  Depth d is built only
   while some translation is undecided, so BudgetExceeded is raised only
   for depths actually reached.
-* `gap_lemma_test`: thickness certificate.  When the thickness product
-  exceeds 1 strictly and the sets are linked (each hull meets the other
-  set), the intersection is nonempty at every depth — no budget enters.
+* `gap_lemma_test`: Newhouse's gap lemma in the form of Astels.  When
+  the proved thickness bounds multiply to at least 1 and each hull is
+  at least as long as the other set's largest gap, K1 - K2 is the whole
+  hull difference, so K1 meets K2 + t exactly for t in it, decided
+  exactly from the hull ends — no cover, depth or budget enters.
 * `recurrent_compact_search`: a machine-checkable certificate of stable
   intersection.  Relative positions of renormalized cylinder pairs are
   discretized on an (s, t) grid (s the log relative scale, t the
@@ -36,23 +38,22 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .cantor_core import (
     Cover,
-    Interval,
     RegularCantorSet,
-    _meets_interval,
     build_affine,
     refine,
     resolve_budget,
     set_from_json,
     set_to_json,
 )
-from .dimension import box_regression, thickness
+from .dimension import box_regression
 from .errors import BudgetExceeded, NonAffineInput, TZeroNotInDifference, ValidationError
-from .setops import _grid_cells, cover_sum
+from .setops import _exact_hull, _grid_cells, _hull_pair_closes, cover_sum
 
 GRID_SNAP_EPS = 1e-9
 MAX_SWEEPS = 10_000
@@ -163,53 +164,49 @@ def difference_scan(
 
 @dataclass(frozen=True)
 class GapLemmaResult:
+    """Gap-lemma verdict on K1 ∩ (K2 + t) != empty.
+
+    certified=True holds for the limit sets.  tau1 and tau2 are the
+    proved thickness bounds of the sets (None where a set carries none);
+    linked is None when the lemma does not apply, since linkedness was
+    then not tested.
+    """
+
     certified: bool
-    tau1: float
-    tau2: float
-    linked: bool
+    tau1: float | None
+    tau2: float | None
+    linked: bool | None
     reason: str
 
 
-def gap_lemma_test(
-    K1: RegularCantorSet,
-    K2: RegularCantorSet,
-    t: float,
-    *,
-    depth: int = 8,
-) -> GapLemmaResult:
-    """Thickness certificate for K1 ∩ (K2 + t) != empty.
+def gap_lemma_test(K1: RegularCantorSet, K2: RegularCantorSet, t: float) -> GapLemmaResult:
+    """Gap-lemma certificate for K1 ∩ (K2 + t) != empty, in the form of
+    Astels (Trans. AMS 2000).
 
-    Requires tau(K1) * tau(K2) > 1 strictly and linkedness: the hulls
-    overlap and each hull contains a point of the other set (so neither
-    hull sits inside a gap of the other).  Each hull is tested with
-    `cantor_core._meets_interval` down to `depth`.  A certified result
-    holds for the limit sets, with no depth bound.
+    When the gap lemma closes the hull pair (`setops._hull_pair_closes`
+    at scale 1, the test `cover_sum` uses), K1 - K2 is the whole
+    interval H1 - H2 of the hulls.  K1 then meets K2 + t exactly when t
+    lies in H1 - H2, and the hulls are linked exactly then.  The test
+    compares `Fraction(t)` with the exact hull ends, so it builds no
+    cover and has no depth.  Any other pair is refused with linked None.
     """
     t = float(t)
-    tau1 = thickness(K1, depth).value
-    tau2 = tau1 if K2 == K1 else thickness(K2, depth).value
-    h1 = K1.hull
-    h2_lo, h2_hi = float(K2.hull.lo) + t, float(K2.hull.hi) + t
-    if float(h1.hi) < h2_lo or h2_hi < float(h1.lo):
-        return GapLemmaResult(False, tau1, tau2, False, "hulls are disjoint")
-    if tau1 * tau2 <= 1.0:
+    if not math.isfinite(t):
+        raise ValidationError("translation must be finite")
+    tau1, tau2 = (None if K._gap_bounds is None else float(K._gap_bounds[0]) for K in (K1, K2))
+    if not _hull_pair_closes(K1, K2, 1.0):
         return GapLemmaResult(
-            False, tau1, tau2, False, f"thickness product {tau1 * tau2} is not > 1"
+            False, tau1, tau2, None,
+            "gap lemma does not apply: it needs proved thickness bounds with "
+            "tau1*tau2 >= 1 and each hull as long as the other set's largest gap",
         )
-    meets1 = _meets_interval(K1, Interval(h2_lo, h2_hi), depth)
-    if meets1 is not True:
+    (lo1, hi1), (lo2, hi2) = _exact_hull(K1), _exact_hull(K2)
+    if lo1 - hi2 <= Fraction(t) <= hi1 - lo2:
         return GapLemmaResult(
-            False, tau1, tau2, False, "first set not shown to meet the other hull"
+            True, tau1, tau2, True,
+            "gap lemma: tau1*tau2 >= 1 with balanced hulls gives K1 - K2 = H1 - H2, which contains t",
         )
-    shifted_hull1 = Interval(float(h1.lo) - t, float(h1.hi) - t)
-    meets2 = _meets_interval(K2, shifted_hull1, depth)
-    if meets2 is not True:
-        return GapLemmaResult(
-            False, tau1, tau2, False, "second set not shown to meet the other hull"
-        )
-    return GapLemmaResult(
-        True, tau1, tau2, True, "thickness product > 1 with linked hulls"
-    )
+    return GapLemmaResult(False, tau1, tau2, False, "t lies outside H1 - H2: the hulls are disjoint")
 
 
 # ---------------------------------------------------------------------------

@@ -216,12 +216,12 @@ def _pair_union(side1: _SetCovers, side2: _SetCovers, op: str, lam: float) -> In
 # the gap lemma on the hull pair
 
 
-def _exact_hull_length(K: RegularCantorSet) -> Exact:
-    """|hull(K)| for a set that carries `_gap_bounds`: exact affine, or
-    `gauss<N>` with its hull ends as surds."""
+def _exact_hull(K: RegularCantorSet) -> tuple[Exact, Exact]:
+    """Ends of hull(K) for a set that carries `_gap_bounds`: exact affine,
+    or `gauss<N>` with its hull ends as surds."""
     if K.is_affine:
-        return K.hull.length
-    return K.meta["hull_max_surd"] - K.meta["hull_min_surd"]
+        return K.hull.lo, K.hull.hi
+    return K.meta["hull_min_surd"], K.meta["hull_max_surd"]
 
 
 def _hull_pair_closes(K1: RegularCantorSet, K2: RegularCantorSet, scale: float) -> bool:
@@ -233,7 +233,8 @@ def _hull_pair_closes(K1: RegularCantorSet, K2: RegularCantorSet, scale: float) 
     if K1._gap_bounds is None or K2._gap_bounds is None:
         return False
     (tau1, rho1), (tau2, rho2) = K1._gap_bounds, K2._gap_bounds
-    len1, len2 = _exact_hull_length(K1), Fraction(scale) * _exact_hull_length(K2)
+    (lo1, hi1), (lo2, hi2) = _exact_hull(K1), _exact_hull(K2)
+    len1, len2 = hi1 - lo1, Fraction(scale) * (hi2 - lo2)
     try:
         return tau1 * tau2 >= 1 and len1 >= rho2 * len2 and len2 >= rho1 * len1
     except ValidationError:

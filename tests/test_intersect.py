@@ -1,24 +1,27 @@
-"""Intersection experiments: cover overlap scans, thickness-based
+"""Intersection experiments: cover overlap scans, gap-lemma
 certificates, recurrent-region search, and independent re-verification."""
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
-import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from cantorlab import (
-    Interval,
     NonAffineInput,
     PositionRegion,
     TZeroNotInDifference,
     ValidationError,
+    build_affine,
     builtin_names,
+    cantor_core,
+    cover_sum,
     d_stable_probe,
     difference_scan,
     gap_lemma_test,
@@ -32,13 +35,12 @@ from cantorlab import (
     refine,
     region_to_json,
     save_certificate,
+    scale_affine,
     set_from_json,
     set_to_json,
     tangency_density_experiment,
-    thickness,
     verify_certificate,
 )
-from cantorlab.cantor_core import _meets_interval
 from cantorlab.setops import _grid_cells
 
 SEARCH_BOX = ((-0.75, 0.75), (-2.25, 1.25))
@@ -77,10 +79,12 @@ def test_non_finite_translation_is_rejected(ternary, t):
         intersect_test(ternary, ternary, t, 3)
     with pytest.raises(ValidationError):
         difference_scan(ternary, ternary, [0.0, t], 3)
+    with pytest.raises(ValidationError):
+        gap_lemma_test(ternary, ternary, t)
 
 
 # ---------------------------------------------------------------------------
-# thickness certificate
+# gap-lemma certificate
 
 
 def _first_disjoint_depth(K1, K2, t, n):
@@ -127,11 +131,15 @@ def test_thickness_certificate_for_fat_pairs(middle_fifth, thick_pair_set):
         assert res.linked
 
 
-def test_thickness_certificate_refuses_boundary_product(ternary):
-    # thickness product is 1 up to float error: never strictly above
+def test_thickness_certificate_refuses_boundary_product(ternary, thin_pair_set):
+    # Astels' form of the lemma needs only tau1*tau2 >= 1: ternary's is 1
     res = gap_lemma_test(ternary, ternary, 0.0)
-    assert not res.certified
-    assert "not > 1" in res.reason
+    assert res.certified and res.tau1 * res.tau2 == 1.0
+    # thin sets: 1/8 * 1/8 < 1, so the lemma does not apply
+    res = gap_lemma_test(thin_pair_set, thin_pair_set, 0.0)
+    assert not res.certified and res.linked is None
+    assert (res.tau1, res.tau2) == (0.125, 0.125)
+    assert "does not apply" in res.reason
 
 
 def test_thickness_certificate_needs_linked_hulls(middle_fifth):
@@ -139,40 +147,44 @@ def test_thickness_certificate_needs_linked_hulls(middle_fifth):
     assert not res.certified
 
 
-def _reference_meets(covers, t_lo, t_hi, max_depth):
-    """The whole depth-d cover scanned at d = 0, 1, ..., max_depth."""
-    for d in range(max_depth + 1):
-        los, his = covers[d]
-        if not np.any((los <= t_hi) & (his >= t_lo)):
-            return False
-        if np.any((los >= t_lo) & (his <= t_hi)):
-            return True
-    return None
+def _hull_difference_grid(K1, K2):
+    """Translations at and around the ends of H1 - H2.  An end that is a
+    float comes with the float one ulp outside it; an irrational end (a
+    gauss hull) has no float, so points 1e-12 to either side stand in."""
+    (lo1, hi1), (lo2, hi2) = K1.hull.as_floats(), K2.hull.as_floats()
+    lo, hi = lo1 - hi2, hi1 - lo2
+    if K1.exact and K2.exact:
+        assert (Fraction(lo), Fraction(hi)) == (K1.hull.lo - K2.hull.hi, K1.hull.hi - K2.hull.lo)
+        ends = [lo, np.nextafter(lo, -np.inf), hi, np.nextafter(hi, np.inf)]
+    else:
+        ends = [lo + 1e-12, lo - 1e-12, hi - 1e-12, hi + 1e-12]
+    return [float(t) for t in ends + list(np.linspace(lo - 0.5, hi + 0.5, 7))]
 
 
-def test_meets_interval_matches_whole_cover_scan():
-    rng = random.Random(20261018)
-    seen = set()
-    for name in builtin_names():
-        K = get_set(name)
-        covers = [(c.los, c.his) for c in (refine(K, d) for d in range(8))]
-        lo, hi = float(K.hull.lo), float(K.hull.hi)
-        for i in range(150):
-            if i % 3 == 2:
-                # a target with endpoints on cover endpoints: tangencies
-                d = rng.randrange(8)
-                j = rng.randrange(len(covers[d][0]))
-                t_lo = float(covers[d][0][j])
-                t_hi = float(covers[d][1][min(j + rng.randrange(2), len(covers[d][0]) - 1)])
-            else:
-                width = 10 ** rng.uniform(-6, 0) * (hi - lo)  # about half below 1e-3
-                t_lo = rng.uniform(lo - width, hi)
-                t_hi = t_lo + width
-            depth = rng.randrange(8)
-            got = _meets_interval(K, Interval(t_lo, t_hi), depth)
-            assert got is _reference_meets(covers, t_lo, t_hi, depth), (name, t_lo, t_hi, depth)
-            seen.add(got)
-    assert seen == {True, False, None}
+def test_gap_lemma_agrees_with_the_hull_pair_union():
+    for name1, name2 in itertools.product(builtin_names(), repeat=2):
+        K1, K2 = get_set(name1), get_set(name2)
+        # only `pruned` and the hull-pair union are read, so a small pair
+        # budget keeps the outer sums of the refused pairs cheap
+        U = cover_sum(K1, K2, 8, "-", 1.0, pair_budget=100_000)
+        for t in _hull_difference_grid(K1, K2):
+            i = int(np.searchsorted(U.los, t, side="right")) - 1
+            holds = U.meta["pruned"] == 1 and i >= 0 and bool(U.los[i] <= t <= U.his[i])
+            res = gap_lemma_test(K1, K2, t)
+            assert res.certified is holds, (name1, name2, t)
+            assert res.linked is (res.certified if U.meta["pruned"] == 1 else None)
+    thin, floats = get_set("thin"), build_affine([(0.0, 0.4), (0.6, 1.0)], [(0, 1), (0, 1)])
+    narrow = scale_affine(get_set("ternary"), Fraction(1, 100), Fraction(1, 2))
+    refused = [
+        (thin, thin),
+        (get_set("gauss3"), get_set("gauss4")),  # surds of two fields
+        (floats, floats),  # no proved bound
+        (get_set("middle-fifth"), narrow),  # unbalanced hulls
+    ]
+    for K1, K2 in refused:
+        res = gap_lemma_test(K1, K2, 0.5)
+        assert not res.certified and res.linked is None
+    assert gap_lemma_test(floats, thin, 0.5).tau1 is None
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +516,7 @@ def test_density_profile_requires_base_point_in_difference(ternary):
 
 
 # ---------------------------------------------------------------------------
-# pairwise cover intersections, equal-set thickness reuse, certificate encoding
+# pairwise cover intersections, a gap lemma without covers, certificate encoding
 
 
 def _random_family(rng, n):
@@ -546,22 +558,20 @@ def test_cover_meet_matches_pairwise_reference():
     assert len(intersect._cover_meet(c, c, -5.5)[0]) == 0
 
 
-def test_gap_lemma_reuses_thickness_for_equal_sets(monkeypatch, middle_fifth, ternary):
-    expected = {
-        pair: gap_lemma_test(*pair, 0.0)
-        for pair in ((middle_fifth, middle_fifth), (middle_fifth, ternary))
-    }
-    calls = []
+def test_gap_lemma_builds_no_cover(monkeypatch, middle_fifth, ternary, thin_pair_set):
+    cases = [
+        (K1, K2, t)
+        for K1, K2 in ((middle_fifth, middle_fifth), (middle_fifth, ternary), (thin_pair_set, ternary))
+        for t in (0.0, 0.25, 1.5)
+    ]
+    expected = [gap_lemma_test(*case) for case in cases]
 
-    def counting_thickness(K, depth, **kw):
-        calls.append(K)
-        return thickness(K, depth, **kw)
+    def no_cover(*args, **kwargs):
+        raise AssertionError("gap_lemma_test walked the cylinder tree")
 
-    monkeypatch.setattr(intersect, "thickness", counting_thickness)
-    for pair, result in expected.items():
-        calls.clear()
-        assert gap_lemma_test(*pair, 0.0) == result
-        assert len(calls) == (1 if pair[1] == pair[0] else 2)
+    monkeypatch.setattr(cantor_core, "_expand", no_cover)
+    assert [gap_lemma_test(*case) for case in cases] == expected
+    assert [r.certified for r in expected] == [True, True, False] * 2 + [False] * 3
 
 
 def test_certificate_encoding_with_members_at_both_ends(middle_fifth):
