@@ -29,7 +29,6 @@ finally produced.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -391,20 +390,23 @@ def _ordered_gaps(hull: tuple, gaps: list[tuple]) -> Iterator[tuple]:
     `gaps` (tuples starting (g_lo, g_hi), sorted left to right inside
     `hull`), removed largest first with ties left to right.  The bridges
     of a gap run from `left` to g_lo and from g_hi to `right`, the
-    nearest ends of gaps removed before it or of the hull.  Lengths are
-    compared in the endpoints' own arithmetic."""
-    # (float, exact) pairs: rounding is monotone, so the floats order all
-    # values but float ties, and only those compare in exact arithmetic
-    def key(x):
-        return float(x), x
-
-    barriers = [key(hull[0]), key(hull[1])]
-    for gap in sorted(gaps, key=lambda g: key(g[0] - g[1])):
-        lo = key(gap[0])
-        i = bisect.bisect_right(barriers, lo)
-        yield gap, barriers[i - 1][1], barriers[i][1]
-        bisect.insort(barriers, lo)
-        bisect.insort(barriers, key(gap[1]))
+    nearest ends of gaps removed before it or of the hull: the nearest
+    gap to the left at least as long, to the right strictly longer, both
+    found in one monotone-stack pass.  Lengths are compared in the
+    endpoints' own arithmetic."""
+    # keys of the negated lengths as (float, exact) pairs: rounding is
+    # monotone, so only float ties compare in exact arithmetic
+    keys = [(float(g[0] - g[1]), g[0] - g[1]) for g in gaps]
+    left, right = [hull[0]] * len(gaps), [hull[1]] * len(gaps)
+    stack: list[int] = []
+    for j, k in enumerate(keys):
+        while stack and keys[stack[-1]] > k:
+            right[stack.pop()] = gaps[j][0]
+        if stack:
+            left[j] = gaps[stack[-1]][1]
+        stack.append(j)
+    for j in sorted(range(len(gaps)), key=keys.__getitem__):
+        yield gaps[j], left[j], right[j]
 
 
 def _presentation_bounds(

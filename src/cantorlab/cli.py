@@ -13,10 +13,10 @@ Every run emits one JSON result record::
 
 written to ``--out`` (default stdout).  Records are byte-identical for
 identical configuration and seed, apart from ``runtime_seconds``.  The
-digest covers the semantic inputs only — artifact paths are excluded,
-and a file the command reads (``--set-file``, ``--set1-file``,
-``--set2-file``, ``--verify``) enters by its path and the SHA-256 of its
-bytes.
+digest covers the semantic inputs only — artifact paths and settings
+the chosen mode never reads are excluded, and a file the command reads
+(``--set-file``, ``--set1-file``, ``--set2-file``, ``--verify``) enters
+by its path and the SHA-256 of its bytes.
 
 Each command's settings are declared once, in ``COMMANDS``: a default,
 a parser type and a help text per key.  That table builds the subcommand
@@ -142,11 +142,19 @@ def _digest(inputs: dict) -> str:
 
 
 def _inputs(command: str, cfg: dict) -> dict:
-    """The record's inputs: every setting except output locations and
-    unset values, plus the SHA-256 of each input file.  `recur --verify`
-    keeps the certificate alone, the one input verification reads."""
-    keys = ["verify"] if command == "recur" and cfg.get("verify") else sorted(cfg)
-    inputs = {k: _jsonable(cfg[k]) for k in keys if k not in _NON_DIGEST_KEYS and cfg[k] is not None}
+    """The record's inputs: every setting the chosen mode reads except
+    output locations and unset values, plus the SHA-256 of each input
+    file.  `recur --verify` reads the certificate alone, `dim --method
+    moran` no depth range, `dim --method box` no single depth and
+    `horseshoe --solve-unit` no contraction."""
+    skip = set(_NON_DIGEST_KEYS)
+    if command == "recur" and cfg.get("verify"):
+        skip |= set(cfg) - {"verify"}
+    elif command == "dim":
+        skip |= {"moran": {"depth_min", "depth_max"}, "box": {"depth"}}.get(str(cfg["method"]), set())
+    elif command == "horseshoe" and cfg["solve_unit"]:
+        skip.add("contraction")
+    inputs = {k: _jsonable(cfg[k]) for k in sorted(cfg) if k not in skip and cfg[k] is not None}
     for k in _INPUT_FILE_KEYS:
         if inputs.get(k):
             with open(inputs[k], "rb") as fh:
@@ -273,9 +281,7 @@ def _cmd_dim(cfg: dict) -> dict:
     K, desc = _resolve_set(cfg, "set")
     method = str(cfg["method"])
     if method == "moran":
-        est = hausdorff_dimension_moran(
-            K, cfg["depth"], cfg["tol"], budget=cfg["budget"]
-        )
+        est = hausdorff_dimension_moran(K, cfg["depth"], budget=cfg["budget"])
     elif method == "box":
         depths = range(cfg["depth_min"], cfg["depth_max"] + 1)
         est = box_dimension(K, depths, budget=cfg["budget"])
@@ -528,17 +534,14 @@ def _cmd_halfline(cfg: dict) -> dict:
 
 
 def _cmd_horseshoe(cfg: dict) -> dict:
-    tol = cfg["tol"]
     expansion = cfg["expansion"]
     if cfg.get("solve_unit"):
-        report = solve_unit_dimension(float(expansion), tol)
+        report = solve_unit_dimension(float(expansion))
         # two equal pieces of ratio c have dimension log2/log(1/c)
         solved = {"contraction_solved": 2.0 ** (-1.0 / report.stable_dimension)}
     else:
-        contraction = cfg["contraction"]
-        h = AffineHorseshoe(contraction=contraction, expansion=expansion)
-        report = horseshoe_dimension(h, tol)
-        solved = {"contraction": float(contraction)}
+        report = horseshoe_dimension(AffineHorseshoe(cfg["contraction"], expansion))
+        solved = {"contraction": float(cfg["contraction"])}
     return {**asdict(report), **solved, "expansion": float(expansion)}
 
 
@@ -616,7 +619,6 @@ COMMANDS: dict[str, tuple] = {
     "dim": (_cmd_dim, "box or Moran dimension of a set", {
         **_SET,
         "method": Setting("moran", str, "'moran' or 'box'"),
-        "tol": Setting(1e-9, finite_float),
         "depth": Setting(8, int),
         "depth_min": Setting(2, int),
         "depth_max": Setting(10, int),
@@ -717,7 +719,6 @@ COMMANDS: dict[str, tuple] = {
         "contraction": Setting(Fraction(1, 4), exact_ratio, "strip ratio, e.g. 1/4"),
         "expansion": Setting(Fraction(5), exact_ratio, "stretch factor > 2"),
         "solve_unit": Setting(False, bool),
-        "tol": Setting(1e-12, finite_float),
     }),
     "catmap": (_cmd_catmap, "torus map periodic-point counts vs the trace formula", {
         "n": Setting(10, int),

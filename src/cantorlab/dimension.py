@@ -6,8 +6,8 @@ Three estimators are provided:
   -log(radius) across a schedule of cover depths, where the radius at
   each depth is the longest interval of that cover;
 * Moran/Hausdorff dimension: the unique root of the strictly decreasing
-  map d -> sum (|I|/|hull|)^d - 1 over a single cover, bracketed by
-  bisection;
+  map d -> sum (|I|/|hull|)^d - 1 over a single cover, found by
+  bisection to full double precision, with no tolerance to choose;
 * thickness: Newhouse's ordered-gap quantity min over gaps of
   min(|L|,|R|)/|gap|, with bridges measured to the nearest larger
   (previously processed) gap or to the hull endpoints.
@@ -99,16 +99,15 @@ def box_dimension(
 # Moran / Hausdorff
 
 
-def moran_root(ratios: list[float], tol: float = 1e-9) -> float:
-    """Root of d -> sum ratios^d - 1 on [0, 1 + 1e-9] by bisection; at
-    most 1 where the sum at d = 1 is at most 1.
+def moran_root(ratios: list[float]) -> float:
+    """Root of d -> sum ratios^d - 1 on [0, 1 + 1e-9], bisected until the
+    ends are neighbouring floats; at most 1 where the sum at d = 1 is at
+    most 1.
 
     Each ratio must lie strictly inside (0, 1) and the ratios must sum
     to more than 1 at d = 0 (i.e. at least two of them), which makes the
     map strictly decreasing with a sign change across the bracket.
     """
-    if tol <= 0:
-        raise ValidationError("tolerance must be positive")
     for rho in ratios:
         if not rho > 0.0:
             raise DegenerateCover("cover contains an interval of zero length")
@@ -120,17 +119,14 @@ def moran_root(ratios: list[float], tol: float = 1e-9) -> float:
         return float(np.exp(d * log_r).sum()) - 1.0
 
     lo, hi = 0.0, 1.0 + 1e-9
-    flo = f(lo)
-    if flo <= 0.0:
+    if f(lo) <= 0.0:
         return 0.0
     if f(hi) > 0.0:
         raise ValidationError("length ratios keep the Moran sum above 1 at d = 1")
-    while hi - lo > tol:
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        lo, hi = (mid, hi) if f(mid) > 0.0 else (lo, mid)
         mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
     # the bracket tops out above 1 to admit roots that rounding puts just
     # past it; where the root is at most 1, so is the answer
     if hi > 1.0 and f(1.0) <= 0.0:
@@ -139,7 +135,7 @@ def moran_root(ratios: list[float], tol: float = 1e-9) -> float:
 
 
 def hausdorff_dimension_moran(
-    K: RegularCantorSet, n: int, tol: float = 1e-9, *, budget: int | None = None
+    K: RegularCantorSet, n: int, *, budget: int | None = None
 ) -> DimensionEstimate:
     """Moran-equation dimension from the depth-n cover.
 
@@ -151,7 +147,7 @@ def hausdorff_dimension_moran(
     cover = refine(K, n, budget=budget)
     hull_len = float(K.hull.length)
     ratios = [float(iv.length) / hull_len for iv in cover.intervals]
-    value = moran_root(ratios, tol)
+    value = moran_root(ratios)
     residual = abs(float(np.exp(value * np.log(ratios)).sum()) - 1.0)
     return DimensionEstimate(
         value=value,

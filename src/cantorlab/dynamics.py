@@ -4,7 +4,8 @@ Three small laboratories:
 
 * the idealized affine two-strip horseshoe, whose invariant set is the
   product of a stable and an unstable regular Cantor set, with its
-  Hausdorff dimension computed as the sum of the factor Moran roots;
+  Hausdorff dimension the sum of the two factor dimensions, each in the
+  closed form log 2 / log(1/ratio) (Moran 1946);
 * the hyperbolic torus automorphism (x, y) -> (2x + y, x + y) mod 1,
   with exact surd eigenvalues and exact periodic-point counts verified
   two independent ways (trace formula vs rational lattice enumeration);
@@ -22,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cantor_core import RegularCantorSet, build_affine, resolve_budget
-from .dimension import moran_root, nonuniform_condition
+from .dimension import nonuniform_condition
 from .errors import BudgetExceeded, ValidationError
 from .surd import QuadraticSurd
 
@@ -45,8 +46,8 @@ class AffineHorseshoe:
     expansion: float | Fraction
 
     def __post_init__(self) -> None:
-        if not (0 < self.contraction < Fraction(1, 2)):
-            raise ValidationError("contraction must lie in (0, 1/2)")
+        if not (0 < float(self.contraction) and self.contraction < Fraction(1, 2)):
+            raise ValidationError("contraction must lie in (0, 1/2) and not round to 0 as a float")
         if not (self.expansion > 2):
             raise ValidationError("expansion must exceed 2")
 
@@ -77,8 +78,10 @@ class HorseshoeReport:
     nonuniform_condition: bool
 
 
-def horseshoe_dimension(h: AffineHorseshoe, tol: float = 1e-12) -> HorseshoeReport:
-    """Dimension of the invariant set as the sum of the factor Moran roots.
+def horseshoe_dimension(h: AffineHorseshoe) -> HorseshoeReport:
+    """Dimension of the invariant set, d_s + d_u: each factor is two
+    pieces of one ratio r, whose Moran equation 2 r^d = 1 has the root
+    log 2 / log(1/r), with r = `contraction` and 1/`expansion`.
 
     The boundary case total = 1 separates the thin regime (typically
     trivial intersections) from the fat one, and is flagged.  So is the
@@ -86,42 +89,30 @@ def horseshoe_dimension(h: AffineHorseshoe, tol: float = 1e-12) -> HorseshoeRepo
     under it, the unfolding of a homoclinic tangency of the horseshoe is
     non-uniformly hyperbolic for most parameters.
     """
-    ds = moran_root([float(h.contraction)] * 2, tol)
-    du = moran_root([1.0 / float(h.expansion)] * 2, tol)
+    ds = math.log(2.0) / -math.log(h.contraction)
+    du = math.log(2.0) / math.log(h.expansion)
     total = ds + du
     return HorseshoeReport(
         stable_dimension=ds,
         unstable_dimension=du,
         total_dimension=total,
         at_unit_dimension=abs(total - 1.0) <= 1e-9,
-        # a root within tol of 1 may round up to 1; any dimension >= 1
-        # fails the condition, which needs both below 1
+        # a contraction within rounding of 1/2 may give ds = 1; any
+        # dimension >= 1 fails the condition, which needs both below 1
         nonuniform_condition=max(ds, du) < 1.0 and nonuniform_condition(ds, du),
     )
 
 
-def solve_unit_dimension(expansion: float, tol: float = 1e-12) -> HorseshoeReport:
-    """Contraction ratio making the horseshoe dimension exactly 1, by
-    bisection in the contraction parameter; the returned report carries
-    the boundary flag."""
+def solve_unit_dimension(expansion: float) -> HorseshoeReport:
+    """The horseshoe of total dimension 1 for this expansion: d_s = 1 - d_u
+    gives the contraction c = 2^(-1/(1 - d_u)) in closed form, below 1/2
+    since the expansion exceeds 2.  The returned report carries the
+    boundary flag."""
     if not expansion > 2:
         raise ValidationError("expansion must exceed 2")
-    du = moran_root([1.0 / float(expansion)] * 2, tol)
-
-    def total(c: float) -> float:
-        return moran_root([c, c], tol) + du
-
-    lo, hi = 1e-9, 0.5 - 1e-12
-    if total(hi) < 1.0:
-        raise ValidationError("no contraction below 1/2 reaches dimension 1")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if total(mid) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    c = 0.5 * (lo + hi)
-    return horseshoe_dimension(AffineHorseshoe(contraction=c, expansion=expansion), tol)
+    du = math.log(2.0) / math.log(expansion)
+    c = 2.0 ** (-1.0 / (1.0 - du))
+    return horseshoe_dimension(AffineHorseshoe(contraction=c, expansion=expansion))
 
 
 # ---------------------------------------------------------------------------

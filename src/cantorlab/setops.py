@@ -32,8 +32,8 @@ has thickness >= tau and no gap longer than rho*|I|
 those gaps, and each of its bridges is at least as long, so the bounds
 hold for it too.  Hence, when tau1*tau2 >= 1, |H1| >= rho2*lam*|H2| and
 lam*|H2| >= rho1*|H1| for the hulls H1, H2, the outer sum at every depth
-is exactly the interval H1 + lam*H2, and `cover_sum` returns it without
-building a cover.  The verdict compares `Fraction`s or `QuadraticSurd`s;
+is exactly the interval H1 + lam*H2, and `cover_sum` returns it, its
+exact ends rounded outward, without building a cover.  The verdict compares `Fraction`s or `QuadraticSurd`s;
 surds of two fields that do not mix prove nothing.  Every other pair
 (thin sets, float data, Moebius sets from files, unbalanced hulls) takes
 the plain outer sum.  Cylinder pairs below the hull pair are not pruned,
@@ -156,15 +156,6 @@ def _first_target(side1: _SetCovers, side2: _SetCovers, scale: float) -> float:
     return max(side1.maxlen, scale * side2.maxlen) * (1.0 + 1e-12)
 
 
-def _second_ends(op: str, lam: float, los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ends of the second set's intervals as they enter the sum: J for
-    op '+', -lam*J for op '-'."""
-    if op == "+":
-        return los, his
-    x, y = -lam * los, -lam * his
-    return np.minimum(x, y), np.maximum(x, y)
-
-
 def _pair_endpoints(
     side1: _SetCovers, side2: _SetCovers, op: str, lam: float
 ) -> tuple[np.ndarray, np.ndarray, dict]:
@@ -189,7 +180,11 @@ def _pair_endpoints(
     else:
         raise BudgetExceeded("could not balance covers within the pairwise budget")
     a_lo, a_hi = c1.los, c1.his
-    t_lo, t_hi = _second_ends(op, lam, c2.los, c2.his)
+    # the second set's intervals as they enter the sum: J, or -lam*J
+    t_lo, t_hi = c2.los, c2.his
+    if op == "-":
+        x, y = -lam * t_lo, -lam * t_hi
+        t_lo, t_hi = np.minimum(x, y), np.maximum(x, y)
     lo = (a_lo[:, None] + t_lo[None, :]).ravel()
     hi = (a_hi[:, None] + t_hi[None, :]).ravel()
     meta = {
@@ -241,15 +236,28 @@ def _hull_pair_closes(K1: RegularCantorSet, K2: RegularCantorSet, scale: float) 
         return False
 
 
+def _round_out(x: Exact, up: bool) -> float:
+    """The float next to the exact x on the outer side: the nearest float
+    if that already lies outside, else its neighbour outward."""
+    f = float(x)
+    if (x > Fraction(f)) if up else (x < Fraction(f)):
+        f = math.nextafter(f, math.inf if up else -math.inf)
+    return f
+
+
 def _hull_pair_union(side1: _SetCovers, side2: _SetCovers, op: str, lam: float, scale: float) -> IntervalUnion:
     """hull(K1) + hull(K2) (or hull(K1) - lam*hull(K2)) as a one-component
-    union, for a hull pair the gap lemma closes.  No cover is built, but
-    a length target below the float floor raises PrecisionLoss, as it
-    does when the outer sum builds its covers."""
+    union, for a hull pair the gap lemma closes.  Its ends are formed
+    exactly from the hull ends and rounded outward, so the union holds
+    the exact one.  No cover is built, but a length target below the
+    float floor raises PrecisionLoss, as it does when the outer sum
+    builds its covers."""
     _check_target_length(_first_target(side1, side2, scale))
-    (a_lo, a_hi), (b_lo, b_hi) = side1.K.hull.as_floats(), side2.K.hull.as_floats()
-    t_lo, t_hi = _second_ends(op, lam, np.array([b_lo]), np.array([b_hi]))
-    u = IntervalUnion(a_lo + t_lo, a_hi + t_hi)
+    (a_lo, a_hi), (b_lo, b_hi) = _exact_hull(side1.K), _exact_hull(side2.K)
+    if op == "-":
+        b_lo, b_hi = sorted((-Fraction(lam) * b_lo, -Fraction(lam) * b_hi))
+    lo, hi = _round_out(a_lo + b_lo, up=False), _round_out(a_hi + b_hi, up=True)
+    u = IntervalUnion(np.array([lo]), np.array([hi]))
     u.meta.update({"op": op, "lam": lam, "pairs": 0, "pruned": 1, "capped": False})
     return u
 

@@ -312,17 +312,17 @@ def _suite_moran_map_monotonicity(seed: int) -> int:
     while ran < CASES:
         k = rng.choice((2, 3, 4))
         ratios = [rng.uniform(0.02, 0.9 / k) for _ in range(k)]
-        base = moran_root(ratios, 1e-12)
+        base = moran_root(ratios)
         grown = list(ratios)
         j = rng.randrange(k)
         room = 0.98 - (sum(ratios) - ratios[j])
         grown[j] = min(ratios[j] + rng.uniform(0.01, 0.05), room)
         if grown[j] <= ratios[j]:
             continue
-        assert moran_root(grown, 1e-12) > base + 1e-7
+        assert moran_root(grown) > base + 1e-7
         extended = ratios + [rng.uniform(0.005, 0.02)]
         if sum(extended) < 0.99:
-            assert moran_root(extended, 1e-12) > base + 1e-7
+            assert moran_root(extended) > base + 1e-7
         ran += 1
     return ran
 
@@ -340,8 +340,8 @@ def _suite_affine_equivariance(seed: int) -> int:
         lo = min(a * K.hull.lo + b, a * K.hull.hi + b)
         hi = max(a * K.hull.lo + b, a * K.hull.hi + b)
         assert (moved.hull.lo, moved.hull.hi) == (lo, hi)
-        d0 = hausdorff_dimension_moran(K, 3, 1e-12).value
-        d1 = hausdorff_dimension_moran(moved, 3, 1e-12).value
+        d0 = hausdorff_dimension_moran(K, 3).value
+        d1 = hausdorff_dimension_moran(moved, 3).value
         assert abs(d0 - d1) <= 1e-11
         t0 = thickness(K, 3).value
         t1 = thickness(moved, 3).value

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import random
@@ -357,6 +358,42 @@ def test_every_constructor_runs_each_check_once(tmp_path, monkeypatch):
         calls.update(dict.fromkeys(checks, 0))
         build()
         assert calls == dict.fromkeys(checks, 1)
+
+
+def _ordered_gaps_by_barriers(hull, gaps):
+    """The reference order: the ends of every removed gap go into a sorted
+    list of barriers, and a gap's bridges end at its neighbours there."""
+
+    def key(x):
+        return float(x), x
+
+    barriers = [key(hull[0]), key(hull[1])]
+    for gap in sorted(gaps, key=lambda g: key(g[0] - g[1])):
+        lo = key(gap[0])
+        i = bisect.bisect_right(barriers, lo)
+        yield gap, barriers[i - 1][1], barriers[i][1]
+        bisect.insort(barriers, lo)
+        bisect.insort(barriers, key(gap[1]))
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_ordered_gaps_match_the_barrier_list(exact):
+    # few distinct lengths give many ties; a length 10^-20 above another
+    # ties with it in floats and is longer in exact arithmetic
+    rng = random.Random(5)
+    for _ in range(400):
+        x, gaps = F(0), []
+        for j in range(rng.randrange(1, 40)):
+            x += rng.choice((1, 2, 3))
+            length = rng.choice((1, 2, 3)) + rng.choice((0, 0, F(1, 10**20)))
+            gaps.append((x, x + length, j))
+            x += length
+        hull = (F(0), x + rng.choice((1, 2, 3)))
+        if not exact:
+            hull = tuple(map(float, hull))
+            gaps = [(float(lo), float(hi), j) for lo, hi, j in gaps]
+        got = list(cantor_core._ordered_gaps(hull, gaps))
+        assert got == list(_ordered_gaps_by_barriers(hull, gaps))
 
 
 def test_builtin_catalog_names_resolve():

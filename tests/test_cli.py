@@ -93,6 +93,29 @@ class TestResultRecord:
             digests.add(rec["inputs_digest"])
         assert len(digests) == 1
 
+    @pytest.mark.parametrize(
+        "argv, unread",
+        [
+            (["dim", "--method", "moran", "--depth", "4"],
+             [["--depth-min", "3"], ["--depth-max", "6"]]),
+            (["dim", "--method", "box", "--depth-min", "2", "--depth-max", "4"],
+             [["--depth", "3"], ["--depth", "5"]]),
+            (["horseshoe", "--solve-unit", "--expansion", "5"],
+             [["--contraction", "1/4"], ["--contraction", "1/3"]]),
+        ],
+        ids=["moran-depth-range", "box-depth", "solve-unit-contraction"],
+    )
+    def test_a_setting_the_mode_never_reads_leaves_the_digest(self, capsys, argv, unread):
+        records = []
+        for extra in ([], *unread):
+            code, rec, _, _ = run_cli([*argv, *extra], capsys)
+            assert code == EXIT_OK
+            records.append(rec)
+        assert len({rec["inputs_digest"] for rec in records}) == 1
+        assert all(rec["outputs"] == records[0]["outputs"] for rec in records)
+        for extra in unread:
+            assert extra[0][2:].replace("-", "_") not in records[0]["inputs"]
+
     def test_empty_prefix_gives_the_digest_of_no_prefix(self, capsys, tmp_path):
         _, plain, _, _ = run_cli(["spectrum", "--period", "2,1"], capsys)
         cfg = tmp_path / "cfg.json"
@@ -338,6 +361,20 @@ class TestExitCodes:
         assert code == EXIT_OK
         assert "usage:" in out
 
+    def test_tol_is_neither_a_flag_nor_a_config_key(self, capsys, tmp_path):
+        # dimensions are bisected to full precision or in closed form
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tol": 1e-9}))
+        for command in ("dim", "horseshoe"):
+            code, rec, _, err = run_cli([command, "--tol", "1e-9"], capsys)
+            assert code == EXIT_INVALID
+            assert rec is None
+            assert "--tol" in err
+            code, rec, _, err = run_cli([command, "--config", str(cfg)], capsys)
+            assert code == EXIT_INVALID
+            assert rec is None
+            assert "tol" in err
+
     def test_jobs_is_neither_a_flag_nor_a_config_key(self, capsys, tmp_path):
         for command in ("thickness", "marstrand"):
             code, _, _, err = run_cli([command, "--jobs", "2"], capsys)
@@ -354,7 +391,7 @@ class TestExitCodes:
 # is out of range, as a flag and as a config key
 OUT_OF_RANGE = [
     (["intersect", "--depth", "3"], "t", "nan", "NaN"),
-    (["dim"], "tol", "nan", "NaN"),
+    (["dstable"], "radius", "nan", "NaN"),
     (["hall"], "margin", "nan", "NaN"),
     (["stdmap"], "lambda", "nan", "NaN"),
     (["marstrand"], "theta", "nan", "NaN"),
@@ -545,7 +582,15 @@ class TestCommands:
         assert code == EXIT_OK
         out = rec["outputs"]
         assert out["at_unit_dimension"] is True
-        assert out["contraction_solved"] == pytest.approx(0.25, abs=1e-9)
+        assert out["contraction_solved"] == 0.25
+        assert out["total_dimension"] == 1.0
+
+    def test_dim_moran_is_full_precision(self, capsys):
+        # the README example: log 2 / log 3 to within 2 ulp
+        code, rec, _, _ = run_cli(["dim", "--set", "ternary", "--method", "moran"], capsys)
+        assert code == EXIT_OK
+        want = math.log(2.0) / math.log(3.0)
+        assert abs(rec["outputs"]["value"] - want) <= 2 * math.ulp(want)
 
     def test_catmap_record(self, capsys):
         code, rec, _, _ = run_cli(["catmap", "--n", "3"], capsys)
@@ -587,7 +632,6 @@ EXPECTED_SETTINGS = {
         "set": "ternary",
         "set_file": None,
         "method": "moran",
-        "tol": 1e-9,
         "depth": 8,
         "depth_min": 2,
         "depth_max": 10,
@@ -662,7 +706,6 @@ EXPECTED_SETTINGS = {
         "contraction": Fraction(1, 4),
         "expansion": Fraction(5),
         "solve_unit": False,
-        "tol": 1e-12,
     },
     "catmap": {"n": 10, "budget": None},
     "stdmap": {"lam": 0.0, "orbits": 100, "iterates": 2000, "seed": 0, "csv": None},

@@ -54,15 +54,19 @@ class TestHorseshoe:
         # root must be 1/2 as well, i.e. contraction 1/4
         rep = solve_unit_dimension(4.0)
         assert rep.at_unit_dimension
-        assert rep.total_dimension == pytest.approx(1.0, abs=1e-9)
-        assert rep.stable_dimension == pytest.approx(0.5, abs=1e-9)
+        assert rep.total_dimension == 1.0
+        assert rep.stable_dimension == 0.5
 
     def test_unit_dimension_solver_generic_expansion(self):
         rep = solve_unit_dimension(5.0)
         assert rep.at_unit_dimension
         assert rep.stable_dimension == pytest.approx(
-            1.0 - math.log(2.0) / math.log(5.0), abs=1e-9
+            1.0 - math.log(2.0) / math.log(5.0), abs=1e-15
         )
+        # the closed form lands on 1 exactly, and its contraction
+        # log 2 / log(1/c) = d_s recovers in floats
+        assert rep.total_dimension == 1.0
+        assert 2.0 ** (-1.0 / rep.stable_dimension) == 0.2959713023347002
 
     def test_report_json_round_trip(self):
         rep = horseshoe_dimension(AffineHorseshoe(contraction=0.25, expansion=4.0))
@@ -78,9 +82,9 @@ class TestHorseshoe:
         assert solve_unit_dimension(4.0).nonuniform_condition is True
 
     def test_condition_is_false_where_a_root_rounds_up_to_one(self):
-        # a contraction within 1e-13 of 1/2 gives a stable root within the
-        # tolerance of 1; it once rounded up past 1, and it now stays at
-        # most 1 while the condition still fails
+        # a contraction within 1e-13 of 1/2 gives a stable dimension
+        # within 1e-12 of 1; a bisection once rounded it up past 1, and it
+        # stays at most 1 while the condition still fails
         rep = horseshoe_dimension(AffineHorseshoe(contraction=0.4999999999999, expansion=3))
         assert 1.0 - 1e-12 <= rep.stable_dimension <= 1.0
         assert rep.nonuniform_condition is False
@@ -92,6 +96,16 @@ class TestHorseshoe:
             AffineHorseshoe(contraction=Fraction(1, 5), expansion=2)
         with pytest.raises(ValidationError):
             solve_unit_dimension(2.0)
+
+    def test_a_contraction_that_rounds_to_zero_is_refused(self):
+        # the dimensions are logs of floats; near expansion 2 the unit
+        # contraction 2^(-1/(1 - d_u)) underflows (2.001 needs 2^-1388),
+        # where a bisection bracketed at 1e-9 once reported c = 1e-9
+        with pytest.raises(ValidationError):
+            AffineHorseshoe(contraction=Fraction(1, 10**400), expansion=5)
+        with pytest.raises(ValidationError):
+            solve_unit_dimension(2.001)
+        assert solve_unit_dimension(2.01).total_dimension == pytest.approx(1.0, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

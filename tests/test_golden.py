@@ -33,6 +33,6 @@ def test_readme_library_example_prints_what_it_annotates(capsys):
     annotated = {
         line.split("#")[1].strip(): out for line, out in zip(prints, printed) if "#" in line
     }
-    assert annotated.keys() == {"0.6309297533...", "0.5"}
-    assert annotated["0.6309297533..."].startswith("0.6309297533")
+    assert annotated.keys() == {"0.6309297535...", "0.5"}
+    assert annotated["0.6309297535..."].startswith("0.6309297535")
     assert annotated["0.5"] == "0.5"

@@ -488,6 +488,28 @@ def test_a_root_closed_sum_builds_no_cover(monkeypatch):
         assert u.los[0] == pytest.approx(lo, abs=1e-15) and u.his[0] == pytest.approx(hi, abs=1e-15)
 
 
+def test_a_closed_hull_pair_union_holds_the_exact_ends():
+    # the union's float ends are the exact hull-pair ends rounded outward
+    # (gauss<N> hull ends are surds); round to nearest once put an end of
+    # gauss4 + gauss4 inside the exact sum
+    closed = 0
+    for name1 in builtin_names():
+        for name2 in builtin_names():
+            K1, K2 = get_set(name1), get_set(name2)
+            (lo1, hi1), (lo2, hi2) = setops._exact_hull(K1), setops._exact_hull(K2)
+            for op, lam in (("+", 1.0), ("-", 1.0), ("-", -0.5)):
+                u = cover_sum(K1, K2, 4, op, lam)
+                if not u.meta["pruned"]:
+                    continue
+                closed += 1
+                ends = (lo2, hi2) if op == "+" else (-F(lam) * lo2, -F(lam) * hi2)
+                lo, hi = lo1 + min(ends), hi1 + max(ends)
+                assert lo >= F(float(u.los[0])) and hi <= F(float(u.his[0])), (name1, name2, op, lam)
+                assert float(u.los[0]) == math.nextafter(float(lo), -math.inf) or float(u.los[0]) == float(lo)
+                assert float(u.his[0]) == math.nextafter(float(hi), math.inf) or float(u.his[0]) == float(hi)
+    assert closed > 40
+
+
 def test_unprovable_pairs_take_the_outer_sum_path(tmp_path):
     r = F(999, 2998)  # two pieces of this ratio: tau = 999/1000
     nearly = build_affine([(F(0), r), (1 - r, F(1))], [(0, 1), (0, 1)])
