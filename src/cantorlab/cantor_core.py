@@ -7,7 +7,8 @@ transition targets.  The attractor is the set of points whose full
 forward orbit stays inside the pieces; depth-n covers are the connected
 components of the n-th preimage of the piece union.  `RegularCantorSet`
 holds exactly these three things, `pieces`, `transitions` and
-`branches`, plus an `exact` flag and free-form `meta`.
+`branches`; everything else it knows (exactness, the exact hull ends,
+the proved thickness bounds) is derived from them, once, on first use.
 
 Every question about the cylinder tree is answered by one walk.  A node
 holds the composite of inverse branches along its address and its
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence, Union
@@ -176,8 +177,6 @@ class RegularCantorSet:
     pieces: tuple[Interval, ...]
     transitions: tuple[tuple[int, ...], ...]
     branches: tuple[MapLike, ...]
-    exact: bool
-    meta: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n_pieces(self) -> int:
@@ -190,6 +189,21 @@ class RegularCantorSet:
     @property
     def is_affine(self) -> bool:
         return all(isinstance(b, AffineMap) for b in self.branches)
+
+    @cached_property
+    def exact(self) -> bool:
+        """Affine with every piece end a `Fraction`: covers are exact."""
+        return self.is_affine and all(isinstance(x, Fraction) for p in self.pieces for x in (p.lo, p.hi))
+
+    @cached_property
+    def _exact_hull(self) -> tuple[Exact, Exact] | None:
+        """Ends of the hull, exact: the pieces' own for an exact set, the
+        2-cycle surds for a set equal to `gauss_cantor(r)`, else None."""
+        if self.exact:
+            return self.hull.lo, self.hull.hi
+        if not self.is_affine and self.n_pieces > 1 and self == gauss_cantor(self.n_pieces):
+            return _gauss_hull_surds(self.n_pieces)
+        return None
 
     @cached_property
     def inverses(self) -> tuple[MapLike, ...]:
@@ -253,31 +267,25 @@ def _check_transitions(transitions: Sequence[Sequence[int]], r: int) -> tuple[tu
     raise NonMixingTransitions("no power of the transition matrix is strictly positive")
 
 
-def _check_branch_images(
-    pieces: Sequence[Interval],
-    transitions: Sequence[tuple[int, ...]],
-    branches: Sequence[MapLike],
-    exact: bool,
-) -> None:
-    scale = float(pieces[-1].hi - pieces[0].lo)
-    for j, br in enumerate(branches):
-        ts = transitions[j]
-        hull = Interval(pieces[ts[0]].lo, pieces[ts[-1]].hi)
-        image = br.apply_interval(pieces[j])
-        if exact:
+def _check_branch_images(K: RegularCantorSet) -> RegularCantorSet:
+    """K, once each branch maps its piece onto its target hull: exactly
+    for an exact set, else to within TAU_MARKOV relative to the hull."""
+    tol = TAU_MARKOV * max(1.0, float(K.hull.length))
+    for j, br in enumerate(K.branches):
+        ts = K.transitions[j]
+        hull = Interval(K.pieces[ts[0]].lo, K.pieces[ts[-1]].hi)
+        image = br.apply_interval(K.pieces[j])
+        if K.exact:
             if image.lo != hull.lo or image.hi != hull.hi:
                 raise ValidationError(
                     f"branch {j} image {image} differs from target hull {hull}"
                 )
-        else:
-            tol = TAU_MARKOV * max(1.0, scale)
-            if abs(float(image.lo) - float(hull.lo)) > tol or abs(
-                float(image.hi) - float(hull.hi)
-            ) > tol:
-                raise ValidationError(
-                    f"branch {j} image {image.as_floats()} misses target hull "
-                    f"{hull.as_floats()} beyond tolerance {tol}"
-                )
+        elif abs(float(image.lo) - float(hull.lo)) > tol or abs(float(image.hi) - float(hull.hi)) > tol:
+            raise ValidationError(
+                f"branch {j} image {image.as_floats()} misses target hull "
+                f"{hull.as_floats()} beyond tolerance {tol}"
+            )
+    return K
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +327,7 @@ def build_affine(
                 f"branch {j} slope {slope} is not > 1; target hull no longer than piece"
             )
         branches.append(AffineMap(slope, hull.lo - slope * piece.lo))
-    _check_branch_images(ivs, rows, branches, exact)
-    return RegularCantorSet(tuple(ivs), rows, tuple(branches), exact)
+    return _check_branch_images(RegularCantorSet(tuple(ivs), rows, tuple(branches)))
 
 
 def _gauss_hull_surds(n: int) -> tuple[QuadraticSurd, QuadraticSurd]:
@@ -355,9 +362,7 @@ def gauss_cantor(digit_bound: int) -> RegularCantorSet:
         branches.append(MoebiusMap(-a, 1, 1, 0))  # x -> (1 - a x)/x = 1/x - a
     _check_pieces(pieces)
     rows = _check_transitions([range(n)] * n, n)
-    _check_branch_images(pieces, rows, branches, exact=False)
-    meta = {"digit_bound": n, "hull_min_surd": y_min, "hull_max_surd": y_max}
-    return RegularCantorSet(tuple(pieces), rows, tuple(branches), exact=False, meta=meta)
+    return _check_branch_images(RegularCantorSet(tuple(pieces), rows, tuple(branches)))
 
 
 def scale_affine(K: RegularCantorSet, a: Num, b: Num) -> RegularCantorSet:
@@ -445,8 +450,8 @@ def _presentation_bounds(
 def _thickness_bounds(K: RegularCantorSet) -> tuple[Exact, Exact] | None:
     """(tau, rho) holding in every cylinder of K: the limit set inside a
     cylinder I has Newhouse thickness >= tau and no gap longer than
-    rho*|I|.  None for a float affine set or a Moebius set other than
-    `gauss_cantor`'s.
+    rho*|I|.  None for a set without an exact hull: a float affine set
+    or a Moebius set not equal to a `gauss_cantor` set.
 
     Every gap of K lies between two children of exactly one cylinder, so
     it suffices to bound each cylinder's children.  Exact affine sets:
@@ -456,22 +461,20 @@ def _thickness_bounds(K: RegularCantorSet) -> tuple[Exact, Exact] | None:
     hull's configuration under x -> [0; a1, ..., ak + x], whose pole lies
     at distance q_k/q_(k-1) in [1, N+1] (inf at depth 0).
     """
+    hull = K._exact_hull
+    if hull is None:
+        return None
     if K.is_affine:
-        if not K.exact:
-            return None
-        configs = [((K.hull.lo, K.hull.hi), [(p.lo, p.hi) for p in K.pieces])]
+        configs = [(hull, [(p.lo, p.hi) for p in K.pieces])]
         for j, piece in enumerate(K.pieces):
             kids = [K.inverses[j].apply_interval(K.pieces[k]) for k in K.transitions[j]]
             configs.append(((piece.lo, piece.hi), [(iv.lo, iv.hi) for iv in kids]))
         poles = None
-    elif "digit_bound" in K.meta:
-        y_min, y_max = K.meta["hull_min_surd"], K.meta["hull_max_surd"]
-        # the inverse branches x -> 1/(a + x) reverse orientation
-        parts = [(m.apply(y_max), m.apply(y_min)) for m in K.inverses]
-        configs = [((y_min, y_max), parts)]
-        poles = (1, K.meta["digit_bound"] + 1)
     else:
-        return None
+        y_min, y_max = hull
+        # the inverse branches x -> 1/(a + x) reverse orientation
+        configs = [(hull, [(m.apply(y_max), m.apply(y_min)) for m in K.inverses])]
+        poles = (1, K.n_pieces + 1)
     bounds = [_presentation_bounds(hull, parts, poles) for hull, parts in configs if len(parts) > 1]
     return min(t for t, _ in bounds), max(r for _, r in bounds)
 
@@ -797,8 +800,7 @@ def set_from_json(doc: dict) -> RegularCantorSet:
         if bound <= 1.0:
             raise ContractionViolation(f"branch {j} expansion bound {bound} is not > 1")
         branches.append(m)
-    _check_branch_images(ivs, rows, branches, exact=False)
-    return RegularCantorSet(tuple(ivs), rows, tuple(branches), exact=False)
+    return _check_branch_images(RegularCantorSet(tuple(ivs), rows, tuple(branches)))
 
 
 def load_set(path) -> RegularCantorSet:

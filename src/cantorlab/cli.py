@@ -13,8 +13,8 @@ Every run emits one JSON result record::
 
 written to ``--out`` (default stdout).  Records are byte-identical for
 identical configuration and seed, apart from ``runtime_seconds``.  The
-digest covers the semantic inputs only — artifact paths and settings
-the chosen mode never reads are excluded, and a file the command reads
+inputs, and so the digest, hold the settings the handler read, minus
+output locations and unset values, and a file the command reads
 (``--set-file``, ``--set1-file``, ``--set2-file``, ``--verify``) enters
 by its path and the SHA-256 of its bytes.
 
@@ -141,20 +141,25 @@ def _digest(inputs: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _inputs(command: str, cfg: dict) -> dict:
-    """The record's inputs: every setting the chosen mode reads except
-    output locations and unset values, plus the SHA-256 of each input
-    file.  `recur --verify` reads the certificate alone, `dim --method
-    moran` no depth range, `dim --method box` no single depth and
-    `horseshoe --solve-unit` no contraction."""
-    skip = set(_NON_DIGEST_KEYS)
-    if command == "recur" and cfg.get("verify"):
-        skip |= set(cfg) - {"verify"}
-    elif command == "dim":
-        skip |= {"moran": {"depth_min", "depth_max"}, "box": {"depth"}}.get(str(cfg["method"]), set())
-    elif command == "horseshoe" and cfg["solve_unit"]:
-        skip.add("contraction")
-    inputs = {k: _jsonable(cfg[k]) for k in sorted(cfg) if k not in skip and cfg[k] is not None}
+class _Settings(dict):
+    """A command's settings; `read` holds every key looked up in them."""
+
+    def __init__(self, values: dict) -> None:
+        super().__init__(values)
+        self.read: set[str] = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+
+def _inputs(cfg: _Settings) -> dict:
+    """The record's inputs: every setting the handler read except output
+    locations and unset values, plus the SHA-256 of each input file."""
+    inputs = {k: _jsonable(cfg[k]) for k in sorted(cfg.read - _NON_DIGEST_KEYS) if cfg.get(k) is not None}
     for k in _INPUT_FILE_KEYS:
         if inputs.get(k):
             with open(inputs[k], "rb") as fh:
@@ -407,7 +412,7 @@ def _cmd_recur(cfg: dict) -> dict:
                 doc = json.load(fh)
             except ValueError as exc:  # bad JSON or bad UTF-8
                 raise ValidationError(f"certificate {cfg['verify']} is not valid JSON: {exc}") from exc
-        ok, reason = verify_certificate(doc)
+        ok, reason = verify_certificate(doc, budget=cfg["budget"])
         return {"verified": bool(ok), "reason": reason, "certificate": str(cfg["verify"])}
     K1, K2, names = _resolve_pair(cfg)
     s_lo, s_hi = cfg["s_lo"], cfg["s_hi"]
@@ -832,11 +837,11 @@ def run(command: str, cli_ns: dict) -> tuple[dict, str | None]:
     """Execute one command; returns (result record, output path)."""
     if command not in COMMANDS:
         raise ConfigInvalid(f"unknown command {command!r}")
-    cfg = _effective_config(command, cli_ns)
-    inputs = _inputs(command, cfg)
+    cfg = _Settings(_effective_config(command, cli_ns))
     start = time.perf_counter()
     outputs = COMMANDS[command][0](cfg)
     runtime = time.perf_counter() - start
+    inputs = _inputs(cfg)
     record = {
         "schema": SCHEMA_VERSION,
         "command": command,

@@ -53,7 +53,7 @@ from .cantor_core import (
 )
 from .dimension import box_regression
 from .errors import BudgetExceeded, NonAffineInput, TZeroNotInDifference, ValidationError
-from .setops import _exact_hull, _grid_cells, _hull_pair_closes, cover_sum
+from .setops import _grid_cells, _hull_pair_closes, cover_sum
 
 GRID_SNAP_EPS = 1e-9
 MAX_SWEEPS = 10_000
@@ -200,7 +200,7 @@ def gap_lemma_test(K1: RegularCantorSet, K2: RegularCantorSet, t: float) -> GapL
             "gap lemma does not apply: it needs proved thickness bounds with "
             "tau1*tau2 >= 1 and each hull as long as the other set's largest gap",
         )
-    (lo1, hi1), (lo2, hi2) = _exact_hull(K1), _exact_hull(K2)
+    (lo1, hi1), (lo2, hi2) = K1._exact_hull, K2._exact_hull
     if lo1 - hi2 <= Fraction(t) <= hi1 - lo2:
         return GapLemmaResult(
             True, tau1, tau2, True,
@@ -420,7 +420,7 @@ def save_certificate(path, region: PositionRegion, K1, K2) -> None:
         fh.write("\n")
 
 
-def verify_certificate(doc: dict) -> tuple[bool, str]:
+def verify_certificate(doc: dict, *, budget: int | None = None) -> tuple[bool, str]:
     """Re-check a certificate, independent of the search.
 
     Decodes the mask, rebuilds both sets from their embedded
@@ -429,7 +429,8 @@ def verify_certificate(doc: dict) -> tuple[bool, str]:
     margin-expanded image box lies in the grid and holds only member
     cells.  Image boxes are recomputed from scratch, per child pair and
     vectorised over the cells, against a summed-area table of the
-    decoded mask.
+    decoded mask.  A grid of more cells than `budget` (as for the
+    search) raises BudgetExceeded before the mask is decoded.
     """
     try:
         grid = doc["grid"]
@@ -445,6 +446,9 @@ def verify_certificate(doc: dict) -> tuple[bool, str]:
     # a negative margin or cell size would shrink the checked image boxes
     if not (ns > 0 and nt > 0 and hs > 0 and ht > 0) or (r1, r2) != (K1.n_pieces, K2.n_pieces):
         return False, "malformed certificate: grid sizes must be positive and types match the sets"
+    limit = resolve_budget(budget)
+    if r1 * r2 * ns * nt > limit:
+        raise BudgetExceeded(f"{r1 * r2 * ns * nt} grid cells exceed budget {limit}")
     # a margin wider than the grid leaves no image box inside it
     if not all(type(x) is int and x >= 0 for x in [margin, *runs]) or margin > nt:
         return False, "malformed certificate: margin and runs must be non-negative integers, margin <= nt"

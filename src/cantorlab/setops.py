@@ -33,11 +33,12 @@ those gaps, and each of its bridges is at least as long, so the bounds
 hold for it too.  Hence, when tau1*tau2 >= 1, |H1| >= rho2*lam*|H2| and
 lam*|H2| >= rho1*|H1| for the hulls H1, H2, the outer sum at every depth
 is exactly the interval H1 + lam*H2, and `cover_sum` returns it, its
-exact ends rounded outward, without building a cover.  The verdict compares `Fraction`s or `QuadraticSurd`s;
-surds of two fields that do not mix prove nothing.  Every other pair
-(thin sets, float data, Moebius sets from files, unbalanced hulls) takes
-the plain outer sum.  Cylinder pairs below the hull pair are not pruned,
-and `marstrand_scan` does not prune.
+exact ends rounded outward, without building a cover.  The verdict
+compares `Fraction`s or `QuadraticSurd`s; surds of two fields that do
+not mix prove nothing.  Every other pair (thin sets, float data, Moebius
+sets other than `gauss<N>`, unbalanced hulls) takes the plain outer sum.
+Cylinder pairs below the hull pair are not pruned, and `marstrand_scan`
+does not prune.
 """
 
 from __future__ import annotations
@@ -211,14 +212,6 @@ def _pair_union(side1: _SetCovers, side2: _SetCovers, op: str, lam: float) -> In
 # the gap lemma on the hull pair
 
 
-def _exact_hull(K: RegularCantorSet) -> tuple[Exact, Exact]:
-    """Ends of hull(K) for a set that carries `_gap_bounds`: exact affine,
-    or `gauss<N>` with its hull ends as surds."""
-    if K.is_affine:
-        return K.hull.lo, K.hull.hi
-    return K.meta["hull_min_surd"], K.meta["hull_max_surd"]
-
-
 def _hull_pair_closes(K1: RegularCantorSet, K2: RegularCantorSet, scale: float) -> bool:
     """Whether the gap lemma proves the outer sum of the two hulls full:
     both sets carry (tau, rho), tau1*tau2 >= 1, |H1| >= rho2*scale*|H2|
@@ -228,7 +221,7 @@ def _hull_pair_closes(K1: RegularCantorSet, K2: RegularCantorSet, scale: float) 
     if K1._gap_bounds is None or K2._gap_bounds is None:
         return False
     (tau1, rho1), (tau2, rho2) = K1._gap_bounds, K2._gap_bounds
-    (lo1, hi1), (lo2, hi2) = _exact_hull(K1), _exact_hull(K2)
+    (lo1, hi1), (lo2, hi2) = K1._exact_hull, K2._exact_hull
     len1, len2 = hi1 - lo1, Fraction(scale) * (hi2 - lo2)
     try:
         return tau1 * tau2 >= 1 and len1 >= rho2 * len2 and len2 >= rho1 * len1
@@ -253,7 +246,7 @@ def _hull_pair_union(side1: _SetCovers, side2: _SetCovers, op: str, lam: float, 
     float floor raises PrecisionLoss, as it does when the outer sum
     builds its covers."""
     _check_target_length(_first_target(side1, side2, scale))
-    (a_lo, a_hi), (b_lo, b_hi) = _exact_hull(side1.K), _exact_hull(side2.K)
+    (a_lo, a_hi), (b_lo, b_hi) = side1.K._exact_hull, side2.K._exact_hull
     if op == "-":
         b_lo, b_hi = sorted((-Fraction(lam) * b_lo, -Fraction(lam) * b_hi))
     lo, hi = _round_out(a_lo + b_lo, up=False), _round_out(a_hi + b_hi, up=True)

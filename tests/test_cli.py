@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import cantorlab
-from cantorlab import cli, gauss_cantor
+from cantorlab import BudgetExceeded, cli, gauss_cantor
 from cantorlab.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, HALL_TARGET
 
 from conftest import run_cli
@@ -102,10 +102,19 @@ class TestResultRecord:
              [["--depth", "3"], ["--depth", "5"]]),
             (["horseshoe", "--solve-unit", "--expansion", "5"],
              [["--contraction", "1/4"], ["--contraction", "1/3"]]),
+            (["thickness", "--set-file", "{tmp}/t.json", "--depth", "3"],
+             [["--set", "thin"], ["--set", "ternary"]]),
+            (["spectrum", "--sample", "--max-period", "4", "--digit-bound", "3"],
+             [["--window", "4"], ["--window", "12"]]),
+            (["spectrum", "--period", "2,1"],
+             [["--max-period", "3"], ["--digit-bound", "5"]]),
         ],
-        ids=["moran-depth-range", "box-depth", "solve-unit-contraction"],
+        ids=["moran-depth-range", "box-depth", "solve-unit-contraction", "set-file-name",
+             "sample-window", "period-sample-sizes"],
     )
-    def test_a_setting_the_mode_never_reads_leaves_the_digest(self, capsys, argv, unread):
+    def test_a_setting_the_mode_never_reads_leaves_the_digest(self, capsys, tmp_path, argv, unread):
+        cantorlab.dump_set(cantorlab.get_set("ternary"), tmp_path / "t.json")
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
         records = []
         for extra in ([], *unread):
             code, rec, _, _ = run_cli([*argv, *extra], capsys)
@@ -499,6 +508,23 @@ class TestMalformedFiles:
         assert rec["outputs"]["verified"] is False
         assert rec["outputs"]["reason"].startswith("malformed certificate")
 
+    def test_verifying_a_grid_over_budget_exits_2(self, capsys, tmp_path):
+        # 4 * 10^12 cells in a certificate of under 1 KB: the verifier
+        # refuses the grid before it decodes the mask
+        ternary = cantorlab.set_to_json(cantorlab.get_set("ternary"))
+        n = 10**6
+        grid = {"s0": 0.0, "hs": 1e-6, "ns": n, "t0": 0.0, "ht": 1e-6, "nt": n, "types": [2, 2]}
+        doc = {"grid": grid, "margin": 0, "sets": {"first": ternary, "second": ternary},
+               "mask_rle": [4 * n * n - 1, 1]}
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        assert path.stat().st_size < 1024
+        code, rec, _, err = run_cli(["recur", "--verify", str(path)], capsys)
+        assert code == EXIT_BUDGET and rec is None
+        assert "4000000000000 grid cells exceed budget 2000000" in err
+        with pytest.raises(BudgetExceeded):
+            cantorlab.verify_certificate(doc, budget=10**9)
+
 
 class TestCommands:
     def test_list_sets(self, capsys):
@@ -571,7 +597,7 @@ class TestCommands:
 
     def test_hall_target_is_twice_the_exact_digit_bound_four_hull(self):
         K = gauss_cantor(4)
-        hull = (K.meta["hull_min_surd"], K.meta["hull_max_surd"])
+        hull = K._exact_hull
         assert HALL_TARGET == tuple(float(2 * y) for y in hull)
         assert HALL_TARGET == (0.41421356237309503, 1.6568542494923801)
 

@@ -3,6 +3,7 @@ differences, containment certificates, and projection scans."""
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -22,6 +23,7 @@ from cantorlab import (
     cover_sum,
     covered_length,
     dump_set,
+    gap_lemma_test,
     gauss_cantor,
     get_set,
     load_set,
@@ -29,6 +31,8 @@ from cantorlab import (
     merge_intervals,
     refine,
     refine_to_length,
+    set_from_json,
+    set_to_json,
     thickness,
 )
 from cantorlab import setops
@@ -402,6 +406,16 @@ def test_gauss_thickness_bounds_are_surds_above_and_below_one():
         assert float(taus[N]) == pytest.approx(value, abs=1e-6)
 
 
+def _moved_gauss4(tmp_path):
+    """gauss4 as a set file with one piece end moved by 1e-12: it passes
+    validation, but it is no longer gauss4."""
+    doc = set_to_json(get_set("gauss4"))
+    doc["pieces"][1][1] += 1e-12
+    path = tmp_path / "g4-moved.json"
+    path.write_text(json.dumps(doc))
+    return load_set(path)
+
+
 def test_gap_bounds_are_lazy_and_only_for_exact_data(tmp_path):
     K = get_set("ternary")
     assert "_gap_bounds" not in K.__dict__  # building a set computes none
@@ -409,9 +423,39 @@ def test_gap_bounds_are_lazy_and_only_for_exact_data(tmp_path):
     assert "_gap_bounds" in K.__dict__
     floats = build_affine([(0.0, 1 / 3), (2 / 3, 1.0)], [(0, 1), (0, 1)])
     assert floats._gap_bounds is None
-    path = tmp_path / "g4.json"
-    dump_set(get_set("gauss4"), path)
-    assert load_set(path)._gap_bounds is None
+    assert _moved_gauss4(tmp_path)._gap_bounds is None
+
+
+@pytest.mark.parametrize("name", [*builtin_names(), "gauss5"])
+def test_a_set_loaded_from_its_dump_proves_what_it_proves(name):
+    K = get_set(name)
+    loaded = set_from_json(json.loads(json.dumps(set_to_json(K))))
+    assert loaded == K
+    assert loaded.exact == K.exact
+    assert loaded._gap_bounds == K._gap_bounds
+    assert loaded._exact_hull == K._exact_hull
+
+
+@pytest.mark.parametrize("name", ["ternary", "gauss4"])
+def test_a_loaded_pair_gives_the_named_pair_results(name, tmp_path):
+    K = get_set(name)
+    path = tmp_path / "set.json"
+    dump_set(K, path)
+    L = load_set(path)
+    for op, lam in (("+", 1.0), ("-", 0.8)):
+        u, v = cover_sum(L, L, 8, op, lam), cover_sum(K, K, 8, op, lam)
+        assert u.meta == v.meta and u.meta["pruned"] == 1 and u.meta["pairs"] == 0
+        assert np.array_equal(u.los, v.los) and np.array_equal(u.his, v.his)
+    for t in (-2.0, -0.5, 0.0, 0.25, 0.5, 1.5):
+        assert gap_lemma_test(L, L, t) == gap_lemma_test(K, K, t), t
+
+
+def test_a_moved_piece_end_proves_nothing(tmp_path):
+    # its sums take the outer sum: see test_unprovable_pairs_take_the_outer_sum_path
+    moved = _moved_gauss4(tmp_path)
+    assert moved != get_set("gauss4") and moved._exact_hull is None
+    res = gap_lemma_test(moved, moved, 0.5)
+    assert not res.certified and res.linked is None and res.tau1 is None
 
 
 def test_gap_bounds_hold_against_covers():
@@ -496,7 +540,7 @@ def test_a_closed_hull_pair_union_holds_the_exact_ends():
     for name1 in builtin_names():
         for name2 in builtin_names():
             K1, K2 = get_set(name1), get_set(name2)
-            (lo1, hi1), (lo2, hi2) = setops._exact_hull(K1), setops._exact_hull(K2)
+            (lo1, hi1), (lo2, hi2) = K1._exact_hull, K2._exact_hull
             for op, lam in (("+", 1.0), ("-", 1.0), ("-", -0.5)):
                 u = cover_sum(K1, K2, 4, op, lam)
                 if not u.meta["pruned"]:
@@ -515,11 +559,10 @@ def test_unprovable_pairs_take_the_outer_sum_path(tmp_path):
     nearly = build_affine([(F(0), r), (1 - r, F(1))], [(0, 1), (0, 1)])
     assert nearly._gap_bounds[0] == F(999, 1000)
     floats = build_affine([(0.0, 1 / 3), (2 / 3, 1.0)], [(0, 1), (0, 1)])
-    path = tmp_path / "g4.json"
-    dump_set(get_set("gauss4"), path)
+    moved = _moved_gauss4(tmp_path)
     T = get_set("ternary")
     for K1, K2, op, lam in ((T, nearly, "+", 1.0), (nearly, T, "-", 0.8), (floats, floats, "+", 1.0),
-                            (load_set(path), load_set(path), "+", 1.0)):
+                            (moved, moved, "+", 1.0)):
         u = cover_sum(K1, K2, 5, op, lam)
         v = _outer_sum(K1, K2, 5, op, lam)
         assert u.meta == v.meta and u.meta["pruned"] == 0 and u.meta["pairs"] > 1
