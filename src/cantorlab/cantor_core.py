@@ -178,6 +178,13 @@ class RegularCantorSet:
     transitions: tuple[tuple[int, ...], ...]
     branches: tuple[MapLike, ...]
 
+    def __eq__(self, other: object) -> bool:
+        """Equal fields and equally exact (dyadic floats are not `Fraction`s)."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.pieces, self.transitions, self.branches, self.exact) == (
+            other.pieces, other.transitions, other.branches, other.exact)
+
     @property
     def n_pieces(self) -> int:
         return len(self.pieces)
@@ -641,23 +648,28 @@ def refine_to_length(
     return _length_cover(K, target_length, max_depth, budget)[0]
 
 
-def maxlen_at_depth(K: RegularCantorSet, n: int) -> Num:
-    """Exact maximum interval length of the depth-n cover.
-
-    A greedy descent to the longest child gives one depth-n length; a
-    node no longer than that cannot hold a longer leaf, so only longer
-    nodes are split and almost all of the tree is skipped.  On an exact
-    affine set a depth-n leaf below a depth-k node ending in piece j is
-    at most |node| * c^(n-k) * max|P| / |P_j| long, c the largest
-    inverse-branch slope; a node whose bound does not pass the greedy
-    length is skipped too, so equal-ratio sets split no node at all.
-    """
+def _greedy_length(K: RegularCantorSet, n: int) -> Num:
+    """Depth-n length a greedy descent to the longest child reaches."""
     if n < 0:
         raise ValidationError("depth must be >= 0")
     node = max(_roots(K), key=lambda c: c[3].length)
     for _ in range(n):
         node = max(_children(K, node), key=lambda c: c[3].length)
-    bound = node[3].length
+    return node[3].length
+
+
+def maxlen_at_depth(K: RegularCantorSet, n: int) -> Num:
+    """Exact maximum interval length of the depth-n cover.
+
+    The greedy depth-n length (`_greedy_length`) bounds it below; a node
+    no longer than that cannot hold a longer leaf, so only longer nodes
+    are split and almost all of the tree is skipped.  On an exact
+    affine set a depth-n leaf below a depth-k node ending in piece j is
+    at most |node| * c^(n-k) * max|P| / |P_j| long, c the largest
+    inverse-branch slope; a node whose bound does not pass the greedy
+    length is skipped too, so equal-ratio sets split no node at all.
+    """
+    bound = _greedy_length(K, n)
     grows = None
     if K.exact:
         c = max(m.slope for m in K.inverses)

@@ -16,11 +16,12 @@ preserves outer-approximation semantics; it only loses sharpness.  Each
 distinct cover is built once per call of `cover_sum` or `marstrand_scan`
 (once for both sets when they are equal); nothing outlives the call.
 
-`cover_sum` sorts and merges the pair intervals into an `IntervalUnion`.
-`marstrand_scan` needs each union only through its grid-cell counts, so
-it counts the cells straight from the pair endpoints and merges only
-where the resolutions are not nested or the finest grid would hold more
-cells than there are pairs.
+Both `cover_sum`, which merges them into an `IntervalUnion`, and
+`marstrand_scan`, which counts its grid cells straight from them, take
+the intervals of a sum from `_sum_endpoints`: every pair, or the hull
+interval the gap lemma below proves.  The scan merges only where the
+resolutions are not nested or the finest grid has more cells than there
+are intervals.
 
 Gap-lemma pruning.  Newhouse's gap lemma, in the form of Astels (Trans.
 AMS 2000): compact sets A, B with thickness tau(A)*tau(B) >= 1, each
@@ -32,13 +33,12 @@ has thickness >= tau and no gap longer than rho*|I|
 those gaps, and each of its bridges is at least as long, so the bounds
 hold for it too.  Hence, when tau1*tau2 >= 1, |H1| >= rho2*lam*|H2| and
 lam*|H2| >= rho1*|H1| for the hulls H1, H2, the outer sum at every depth
-is exactly the interval H1 + lam*H2, and `cover_sum` returns it, its
-exact ends rounded outward, without building a cover.  The verdict
-compares `Fraction`s or `QuadraticSurd`s; surds of two fields that do
-not mix prove nothing.  Every other pair (thin sets, float data, Moebius
-sets other than `gauss<N>`, unbalanced hulls) takes the plain outer sum.
-Cylinder pairs below the hull pair are not pruned, and `marstrand_scan`
-does not prune.
+is exactly the interval H1 + lam*H2, taken, its exact ends rounded
+outward, without building a cover.  The verdict compares `Fraction`s or
+`QuadraticSurd`s; surds of two fields that do not mix prove nothing.
+Every other pair (thin sets, float data, Moebius sets other than
+`gauss<N>`, unbalanced hulls) takes the plain outer sum.  Cylinder pairs
+below the hull pair are not pruned.
 """
 
 from __future__ import annotations
@@ -46,16 +46,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .cantor_core import (
     DEFAULT_COVER_BUDGET,
+    EPS_LEN,
     Cover,
     Exact,
     Interval,
     RegularCantorSet,
     _check_target_length,
+    _greedy_length,
     _length_cover,
     maxlen_at_depth,
     refine,
@@ -122,15 +125,18 @@ def merge_intervals(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 class _SetCovers:
-    """The depth-n maximum length and the length-balanced covers of one
-    set, each built once per public call: a cover is handed out again
-    for every target in the range that reproduces it exactly."""
+    """The depth-n greedy length, maximum length (on first use) and covers
+    of one set, each built once per public call: a cover is handed out
+    again for every target in the range that reproduces it exactly."""
 
     def __init__(self, K: RegularCantorSet, n: int, budget: int) -> None:
-        self.K = K
-        self.budget = budget
-        self.maxlen = float(maxlen_at_depth(K, n))
+        self.K, self.n, self.budget = K, n, budget
+        self.greedy = float(_greedy_length(K, n))
         self._built: list[tuple[float, float, Cover]] = []
+
+    @cached_property
+    def maxlen(self) -> float:
+        return float(maxlen_at_depth(self.K, self.n))
 
     def cover(self, target: float) -> Cover:
         for lo, hi, cover in self._built:
@@ -146,15 +152,16 @@ def _pair_sides(K1: RegularCantorSet, K2: RegularCantorSet, n: int, budget: int)
     return side1, side1 if K2 == K1 else _SetCovers(K2, n, budget)
 
 
-def _first_target(side1: _SetCovers, side2: _SetCovers, scale: float) -> float:
-    """Length target of the first cover (the second's is it over scale).
+def _first_target(len1: float, len2: float, scale: float) -> float:
+    """Length target of the first cover (the second's is it over scale),
+    from the depth-n maximum lengths of the two sets.
 
     Match granularities: both covers contribute intervals of the same
     scale to the sum, anchored at the coarser of the two depth-n
     granularities — refining one side far beyond the other only
     multiplies the pair count without shrinking the outer union.
     """
-    return max(side1.maxlen, scale * side2.maxlen) * (1.0 + 1e-12)
+    return max(len1, scale * len2) * (1.0 + 1e-12)
 
 
 def _pair_endpoints(
@@ -163,7 +170,7 @@ def _pair_endpoints(
     """Endpoints of all pairwise interval sums (lam != 0), unsorted, and
     the meta of the covers behind them."""
     scale = 1.0 if op == "+" else abs(lam)
-    target1 = _first_target(side1, side2, scale)
+    target1 = _first_target(side1.maxlen, side2.maxlen, scale)
     capped = False
     for _ in range(64):
         try:
@@ -195,17 +202,9 @@ def _pair_endpoints(
         "counts": (len(c1), len(c2)),
         "target_length": target1,
         "capped": capped,
+        "pruned": 0,
     }
     return lo, hi, meta
-
-
-def _pair_union(side1: _SetCovers, side2: _SetCovers, op: str, lam: float) -> IntervalUnion:
-    """Merged union of all pairwise interval sums (lam != 0)."""
-    lo, hi, meta = _pair_endpoints(side1, side2, op, lam)
-    u = IntervalUnion(*merge_intervals(lo, hi))
-    u.meta.update(meta)
-    u.meta["pruned"] = 0
-    return u
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +212,9 @@ def _pair_union(side1: _SetCovers, side2: _SetCovers, op: str, lam: float) -> In
 
 
 def _hull_pair_closes(K1: RegularCantorSet, K2: RegularCantorSet, scale: float) -> bool:
-    """Whether the gap lemma proves the outer sum of the two hulls full:
-    both sets carry (tau, rho), tau1*tau2 >= 1, |H1| >= rho2*scale*|H2|
-    and scale*|H2| >= rho1*|H1|, decided exactly.  Surds of two fields
-    that do not mix (gauss3 against gauss4) cannot be compared and prove
-    nothing."""
+    """Whether the gap lemma proves the outer sum of the two hulls full
+    (see the module docstring), decided exactly; surds of two fields that
+    do not mix (gauss3 against gauss4) cannot be compared, proving nothing."""
     if K1._gap_bounds is None or K2._gap_bounds is None:
         return False
     (tau1, rho1), (tau2, rho2) = K1._gap_bounds, K2._gap_bounds
@@ -238,21 +235,24 @@ def _round_out(x: Exact, up: bool) -> float:
     return f
 
 
-def _hull_pair_union(side1: _SetCovers, side2: _SetCovers, op: str, lam: float, scale: float) -> IntervalUnion:
-    """hull(K1) + hull(K2) (or hull(K1) - lam*hull(K2)) as a one-component
-    union, for a hull pair the gap lemma closes.  Its ends are formed
-    exactly from the hull ends and rounded outward, so the union holds
-    the exact one.  No cover is built, but a length target below the
-    float floor raises PrecisionLoss, as it does when the outer sum
-    builds its covers."""
-    _check_target_length(_first_target(side1, side2, scale))
+def _sum_endpoints(
+    side1: _SetCovers, side2: _SetCovers, op: str, lam: float
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Endpoints and meta of the depth-n outer sum (lam != 0): every pair
+    sum, or for a closed hull pair H1 + H2 (H1 - lam*H2), exact ends rounded
+    outward, with no cover built.  The precision floor walks for the maximum
+    lengths only when the greedy ones, a lower bound, fall below it."""
+    scale = 1.0 if op == "+" else abs(lam)
+    if not _hull_pair_closes(side1.K, side2.K, scale):
+        return _pair_endpoints(side1, side2, op, lam)
+    if _first_target(side1.greedy, side2.greedy, scale) < EPS_LEN:
+        _check_target_length(_first_target(side1.maxlen, side2.maxlen, scale))
     (a_lo, a_hi), (b_lo, b_hi) = side1.K._exact_hull, side2.K._exact_hull
     if op == "-":
         b_lo, b_hi = sorted((-Fraction(lam) * b_lo, -Fraction(lam) * b_hi))
     lo, hi = _round_out(a_lo + b_lo, up=False), _round_out(a_hi + b_hi, up=True)
-    u = IntervalUnion(np.array([lo]), np.array([hi]))
-    u.meta.update({"op": op, "lam": lam, "pairs": 0, "pruned": 1, "capped": False})
-    return u
+    meta = {"op": op, "lam": lam, "pairs": 0, "pruned": 1, "capped": False}
+    return np.array([lo]), np.array([hi]), meta
 
 
 def cover_sum(
@@ -266,16 +266,13 @@ def cover_sum(
 ) -> IntervalUnion:
     """Outer approximation of K1 + K2 (op '+') or K1 - lam*K2 (op '-').
 
-    The result is the merged union of all pairwise interval sums at
-    granularity matched to depth n; it contains the true arithmetic set,
-    and shrinks monotonically as n grows.  At most `pair_budget` pairs
-    are formed (None means PAIR_BUDGET).
-
-    When the gap lemma proves the hull pair full (see the module
-    docstring), the union is the single interval hull(K1) + lam*hull(K2),
-    the union the pairs would merge into, found without building a cover;
-    meta `pruned` is then 1 and `pairs` 0.  Otherwise `pruned` is 0 and
-    `pairs` counts the pair intervals summed.
+    The merged union of all pairwise interval sums at granularity matched
+    to depth n, at most `pair_budget` of them (None means PAIR_BUDGET):
+    meta `pruned` 0, `pairs` their count.  When the gap lemma proves the
+    hull pair full (see the module docstring) it is the one interval
+    hull(K1) + lam*hull(K2) they merge into, found without building a
+    cover: `pruned` 1, `pairs` 0.  It contains the true arithmetic set and
+    shrinks monotonically as n grows.
     """
     if op not in ("+", "-"):
         raise ValidationError(f"op must be '+' or '-', got {op!r}")
@@ -292,11 +289,10 @@ def cover_sum(
         u = IntervalUnion(*merge_intervals(cover.los, cover.his))
         u.meta.update({"op": op, "lam": lam, "pairs": u.n_components})
         return u
-    sides = _pair_sides(K1, K2, n, budget)
-    scale = 1.0 if op == "+" else abs(lam)
-    if _hull_pair_closes(K1, K2, scale):
-        return _hull_pair_union(*sides, op, lam, scale)
-    return _pair_union(*sides, op, lam)
+    lo, hi, meta = _sum_endpoints(*_pair_sides(K1, K2, n, budget), op, lam)
+    u = IntervalUnion(*merge_intervals(lo, hi))
+    u.meta.update(meta)
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +425,11 @@ def marstrand_scan(
     resolution; the summary statistic is the fraction of lam whose
     covered length at the finest resolution exceeds theta.  All lam
     share one set of covers.  Each row equals `covered_length` of the
-    `cover_sum` union, but is counted straight from the pair endpoints
-    without merging them (see `_scan_row`).  Each lam forms at most
-    `pair_budget` pairs (None means SCAN_PAIR_BUDGET).
+    `cover_sum` union, but is counted straight from the endpoints without
+    merging them (see `_scan_row`).  A row whose hull pair the gap lemma
+    closes is the one hull interval and forms no pairs, so the budget
+    never coarsens it; any other lam forms at most `pair_budget` pairs
+    (None means SCAN_PAIR_BUDGET).
     """
     lambdas = [float(x) for x in lambdas]
     if not lambdas:
@@ -446,7 +444,7 @@ def marstrand_scan(
     shifts = _dyadic_shifts(res)
     rows = []
     for lam in lambdas:
-        lo, hi, _ = _pair_endpoints(*sides, "-", lam)
+        lo, hi, _ = _sum_endpoints(*sides, "-", lam)
         rows.append(_scan_row(lo, hi, res, shifts))
     table = np.array(rows, dtype=float)
     return ProjectionScan(

@@ -304,6 +304,8 @@ def test_projection_scan_rows_match_direct_cover_sum(names, monkeypatch):
     n = 5
     m1, m2 = float(maxlen_at_depth(K1, n)), float(maxlen_at_depth(K2, n))
     lambdas = [m1 / m2 * f for f in (0.3, 0.8, 0.99, 1.0, 1.01, 1.3, 3.7)] + [0.1, 2.9]
+    unions = [cover_sum(K1, K2, n, "-", lam, pair_budget=setops.SCAN_PAIR_BUDGET) for lam in lambdas]
+    n_open = sum(u.meta["pruned"] == 0 for u in unions)
     merged, grids = [], []
 
     def counting_merge(los, his):
@@ -322,23 +324,26 @@ def test_projection_scan_rows_match_direct_cover_sum(names, monkeypatch):
         merged.clear()
         grids.clear()
         scans[name] = marstrand_scan(K1, K2, lambdas, n, ladder)
-        paths[name] = (len(merged), len(grids), max(grids, default=None))
+        paths[name] = (list(merged), len(grids), max(grids, default=None))
     monkeypatch.undo()
-    # a merged row merges its pairs once; a counted row's grid holds at
-    # most one cell per pair, plus one end slot
+    # a row the gap lemma closes is its one hull interval, which meets more
+    # than one cell of every finest grid here, so every ladder merges it
+    for merges, _, _ in paths.values():
+        assert merges.count(1) == len(lambdas) - n_open
+    # an open row merges its pairs once; a counted row's grid holds at most
+    # one cell per pair, plus one end slot
     merges, counted, excess = paths["nested with a skipped step"]
-    assert merges < len(lambdas) // 2 and counted == 2 * (len(lambdas) - merges)
-    assert excess <= 1
-    assert paths["not nested"] == (len(lambdas), 0, None)
-    assert paths["finer than the pairs"] == (len(lambdas), 0, None)
-    for i, lam in enumerate(lambdas):
-        u = cover_sum(K1, K2, n, "-", lam, pair_budget=setops.SCAN_PAIR_BUDGET)
+    assert 2 * (len(merges) - len(lambdas) + n_open) <= n_open
+    assert counted == 2 * (len(lambdas) - len(merges)) and excess <= 1
+    for name in ("not nested", "finer than the pairs"):
+        merges, counted, excess = paths[name]
+        assert (len(merges), counted, excess) == (len(lambdas), 0, None)
+    for i, (lam, u) in enumerate(zip(lambdas, unions)):
         for scan in scans.values():
             assert list(scan.table[i]) == [covered_length(u, r) for r in scan.resolutions]
-        # the scan sums every pair, as the outer-sum path does; the covers
-        # behind it are those of direct calls on each set (cover_sum may
-        # close the pairs of ternary sets without building them)
-        v = setops._pair_union(*setops._pair_sides(K1, K2, n, setops.SCAN_PAIR_BUDGET), "-", lam)
+        # the covers behind an open row are those of direct calls on each
+        # set; a closed row's interval is the one every pair merges into
+        v = _outer_sum(K1, K2, n, "-", lam, setops.SCAN_PAIR_BUDGET)
         t1 = max(m1, lam * m2) * (1.0 + 1e-12)
         assert v.meta["target_length"] == t1
         assert v.meta["counts"] == (len(refine_to_length(K1, t1)), len(refine_to_length(K2, t1 / lam)))
@@ -480,8 +485,13 @@ def _assert_same_union(u, v):
     assert np.allclose(u.his, v.his, rtol=0, atol=1e-12)
 
 
-def _outer_sum(K1, K2, n, op, lam):
-    return setops._pair_union(*setops._pair_sides(K1, K2, n, setops.PAIR_BUDGET), op, lam)
+def _outer_sum(K1, K2, n, op, lam, budget=setops.PAIR_BUDGET):
+    """The union of every pair sum, merged, whether or not the gap lemma
+    closes the hull pair."""
+    lo, hi, meta = setops._pair_endpoints(*setops._pair_sides(K1, K2, n, budget), op, lam)
+    u = setops.IntervalUnion(*merge_intervals(lo, hi))
+    u.meta.update(meta)
+    return u
 
 
 def test_bounds_of_two_quadratic_fields_prove_nothing():
@@ -523,7 +533,7 @@ def test_a_root_closed_sum_builds_no_cover(monkeypatch):
         raise AssertionError("a cover was built")
 
     monkeypatch.setattr(setops, "_length_cover", refuse)
-    monkeypatch.setattr(setops, "merge_intervals", refuse)
+    monkeypatch.setattr(setops, "_pair_endpoints", refuse)
     for name, lo, hi in (("ternary", 0.0, 2.0), ("gauss4", SQRT2 - 1, 4 * SQRT2 - 4)):
         K = get_set(name)
         u = cover_sum(K, K, 10, "+")
@@ -580,3 +590,59 @@ def test_the_precision_floor_holds_on_both_paths():
             cover_sum(T, T, 29, "-", lam)
     with pytest.raises(PrecisionLoss):
         cover_sum(T, T, 29, "+")
+
+
+def test_equal_sets_are_the_same_kind(tmp_path):
+    # dyadic float ends equal the Fraction ends by value, but only the
+    # Fraction set is exact and carries the proved bounds; the two must not
+    # share one side of a sum, whose hull pair only the exact set closes
+    pieces = [(F(0), F(1, 4)), (F(3, 8), F(5, 8)), (F(3, 4), F(1))]
+    A = build_affine(pieces, [(0, 1, 2)] * 3)
+    B = build_affine([(float(lo), float(hi)) for lo, hi in pieces], [(0, 1, 2)] * 3)
+    assert A != B and A.exact and not B.exact and hash(A) == hash(B)
+    for K1, K2 in ((A, B), (B, A)):
+        u, v = cover_sum(K1, K2, 5), _outer_sum(K1, K2, 5, "+", 1.0)
+        assert u.meta == v.meta and u.meta["pruned"] == 0
+        assert np.array_equal(u.los, v.los) and np.array_equal(u.his, v.his)
+    assert cover_sum(A, A, 5).meta["pruned"] == 1
+    path = tmp_path / "g4.json"
+    dump_set(get_set("gauss4"), path)
+    assert load_set(path) == gauss_cantor(4)
+
+
+def test_a_closed_hull_pair_walks_no_tree(monkeypatch):
+    # the greedy depth-n leaf settles the precision floor: a closed sum or
+    # scan row builds no cover and walks for no maximum length
+    def refuse(*args):
+        raise AssertionError("a cover or a maximum length was built")
+
+    for name in ("_length_cover", "_pair_endpoints", "maxlen_at_depth"):
+        monkeypatch.setattr(setops, name, refuse)
+    G4, T = get_set("gauss4"), get_set("ternary")
+    u = cover_sum(G4, G4, 13)
+    assert u.n_components == 1 and u.meta["pruned"] == 1
+    lambdas = np.linspace(0.34, 3.0, 25)
+    scan = marstrand_scan(T, T, lambdas, 8)
+    monkeypatch.undo()
+    # each row is covered_length of the cover_sum union, the one hull interval
+    for lam, row in zip(lambdas, scan.table):
+        v = cover_sum(T, T, 8, "-", lam, pair_budget=setops.SCAN_PAIR_BUDGET)
+        assert v.meta["pruned"] == 1
+        assert list(row) == [covered_length(v, r) for r in scan.resolutions]
+
+
+@pytest.mark.parametrize("budget", [10, 1])
+def test_a_closed_row_forms_no_pairs_for_the_budget_to_coarsen(budget):
+    # a budget of 1 admits no pair of covers: only a closed row survives it
+    T = get_set("ternary")
+    lambdas = [0.5, 1.0, 2.0]
+    tight = marstrand_scan(T, T, lambdas, 8, pair_budget=budget)
+    assert np.array_equal(tight.table, marstrand_scan(T, T, lambdas, 8).table)
+
+
+def test_a_closed_scan_row_keeps_the_precision_floor():
+    # as cover_sum does: see test_the_precision_floor_holds_on_both_paths
+    T = get_set("ternary")
+    assert marstrand_scan(T, T, [1.0], 28).table.shape == (1, len(setops.DEFAULT_RESOLUTIONS))
+    with pytest.raises(PrecisionLoss):
+        marstrand_scan(T, T, [1.0], 29)
