@@ -16,10 +16,10 @@ interval; one child step composes that with the set's precomputed
 inverse branch of the last symbol and applies it to each target piece.
 `_expand` expands the tree level by level, splitting every node for
 which a split rule holds, and each caller is its rule:
-`refine` splits by depth, `refine_to_length` by length up to a maximum
-depth, `maxlen_at_depth` splits only nodes longer than the depth-n leaf
-a greedy descent finds, and `contains` splits the cylinders within a
-guard band of the point.
+`refine` splits by depth, `maxlen_at_depth` nodes longer than the greedy
+depth-n leaf, and `contains` the cylinders within a guard band of the
+point.  `_LengthWalk` splits the longest node first, so one walk answers
+every length target: `refine_to_length` asks one, a pair budget a ladder.
 
 Exactness policy: affine data given as integers or fractions is kept in
 rational arithmetic all the way through cover construction, so cover
@@ -30,6 +30,7 @@ finally produced.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -607,28 +608,48 @@ def _check_target_length(target_length: float) -> None:
         raise PrecisionLoss(f"target length {target_length} below floor {EPS_LEN}")
 
 
-def _length_cover(
-    K: RegularCantorSet, target_length: float, max_depth: int, budget: int | None
-) -> tuple[Cover, float, float]:
-    """`refine_to_length` with the range [lo, hi) of targets that split the
-    same nodes: lo is the longest leaf that stopped for being short enough
-    (at least EPS_LEN), hi the shortest node split (inf if none was)."""
-    _check_target_length(target_length)
-    lo, hi = EPS_LEN, math.inf
+class _LengthWalk:
+    """K's cylinder tree split longest node first.  Each node leaves a row
+    (length, parent's length, too deep to split, lo, hi), and a split node
+    nothing more.  The length-t cover is every row no longer than t, or too
+    deep, whose parent is longer than t: one walk answers every target.  It
+    stops once the cover passes `budget`; a target below `floor`, the length
+    of the node whose split passed it, raises BudgetExceeded."""
 
-    def split(node: _Node) -> bool:
-        nonlocal lo, hi
-        length = float(node[3].length)
-        if length <= target_length:
-            lo = max(lo, length)
-            return False
-        if len(node[2]) > max_depth:
-            return False
-        hi = min(hi, length)
-        return True
+    def __init__(self, K: RegularCantorSet, max_depth: int, budget: int) -> None:
+        self.K, self.max_depth, self.budget = K, max_depth, budget
+        self.floor = math.inf if K.n_pieces > budget else 0.0
+        self._rows, self._heap, self._table = [], [], np.empty((0, 5))
+        self._add(_roots(K), math.inf)
 
-    leaves = _expand(K, split, resolve_budget(budget))
-    return _sorted_cover(leaves, "length-balanced cover"), lo, hi
+    def _add(self, nodes: list[_Node], parent: float) -> None:
+        for node in nodes:
+            length, deep = float(node[3].length), len(node[2]) > self.max_depth
+            self._rows.append((length, parent, deep, float(node[3].lo), float(node[3].hi)))
+            # a node too deep to split keys last and is never popped
+            heapq.heappush(self._heap, (0.0 if deep else -length, len(self._rows), node))
+
+    def fits(self, target: float) -> bool:
+        """Whether the length-target cover fits the budget, once every node longer is split."""
+        _check_target_length(target)
+        while target >= self.floor and -self._heap[0][0] > target:
+            key, _, node = heapq.heappop(self._heap)
+            self._add(_children(self.K, node), -key)
+            if len(self._heap) > self.budget:
+                self.floor = -key
+        return target >= self.floor
+
+    def cover(self, target: float) -> np.ndarray:
+        """Rows of the length-target cover, sorted by lo."""
+        if not self.fits(target):
+            raise BudgetExceeded(f"cover needs more than {self.budget} intervals (budget)")
+        if len(self._table) < len(self._rows):
+            self._table = np.array(self._rows, dtype=float)
+        length, parent, deep, _, _ = self._table.T
+        rows = self._table[((length <= target) | (deep > 0)) & (parent > target)]
+        if np.any(rows[:, 0] < EPS_LEN):
+            raise PrecisionLoss(f"length-balanced cover has intervals below the length floor {EPS_LEN}")
+        return rows[np.argsort(rows[:, 3], kind="stable")]
 
 
 def refine_to_length(
@@ -645,7 +666,9 @@ def refine_to_length(
     contraction everywhere the result coincides with a plain depth-n
     cover.
     """
-    return _length_cover(K, target_length, max_depth, budget)[0]
+    walk = _LengthWalk(K, max_depth, resolve_budget(budget))
+    walk.cover(target_length)  # the nodes left unsplit are the cover's
+    return _sorted_cover([node for _, _, node in walk._heap], "length-balanced cover")
 
 
 def _greedy_length(K: RegularCantorSet, n: int) -> Num:

@@ -38,9 +38,11 @@ line ends.  ``--budget`` is a pair budget for sum, diff, hall, marstrand
 and density; elsewhere it caps the intervals per cover (dim, thickness,
 intersect, dstable), the grid cells (recur), the words (spectrum
 --sample) or the periodic points (catmap); the other commands do not
-take it.  An option a command does not take exits 3, as a flag and as a
-config key, and so does a float setting that is not finite or a negative
-seed.
+take it.  When the pair budget coarsens a sum (meta ``capped``, or a scan's
+``capped_rows``), the command prints one note to stderr; the record is the
+same either way.  An option a command does not take exits 3, as a flag
+and as a config key, and so does a float setting that is not finite or a
+negative seed.
 
 Exit codes: 0 success, 2 budget exhaustion, 3 invalid arguments,
 invalid configuration or validation failure (including missing files,
@@ -267,6 +269,14 @@ def _union_csv(U: IntervalUnion, path) -> None:
     _write_csv(path, ["lo", "hi"], rows)
 
 
+def _note_capped(capped: int, of: int) -> None:
+    """One stderr line when the pair budget coarsened `capped` of `of`
+    sums; the record is the same either way."""
+    if capped:
+        print(f"cantorlab: note: the pair budget coarsened {int(capped)} of {of} sums "
+              "below the depth asked for (raise --budget)", file=sys.stderr)
+
+
 def _union_outputs(U: IntervalUnion) -> dict:
     meta = {k: _jsonable(v) for k, v in sorted(U.meta.items())}
     return {
@@ -320,6 +330,7 @@ def _cmd_cover_sum(cfg: dict, op: str) -> dict:
     K1, K2, names = _resolve_pair(cfg)
     lam = cfg.get("lam", 1.0)
     U = cover_sum(K1, K2, cfg["depth"], op, lam, pair_budget=cfg["budget"])
+    _note_capped(U.meta.get("capped", False), 1)
     if cfg.get("csv"):
         _union_csv(U, cfg["csv"])
     return {**_union_outputs(U), **names}
@@ -330,6 +341,7 @@ def _cmd_hall(cfg: dict) -> dict:
     margin = cfg["margin"]
     K = gauss_cantor(4)
     U = cover_sum(K, K, depth, "+", pair_budget=cfg["budget"])
+    _note_capped(U.meta["capped"], 1)
     target = Interval(HALL_TARGET[0], HALL_TARGET[1])
     ok = contains_interval(U, target, margin)
     if cfg.get("csv"):
@@ -363,6 +375,7 @@ def _cmd_marstrand(cfg: dict) -> dict:
         K1, K2, lambdas, cfg["depth"], resolutions,
         theta=cfg["theta"], pair_budget=cfg["budget"],
     )
+    _note_capped(scan.capped_rows, len(scan.lambdas))
     if cfg.get("csv"):
         rows = (
             [repr(lam), repr(res), repr(float(length))]
@@ -484,7 +497,9 @@ def _cmd_density(cfg: dict) -> dict:
     if cfg.get("csv"):
         rows = ([repr(delta), repr(ratio)] for delta, ratio in zip(prof.deltas, prof.ratios))
         _write_csv(cfg["csv"], ["delta", "ratio"], rows)
-    return {**asdict(prof), **names}
+    out = asdict(prof)
+    _note_capped(out.pop("capped"), 1)
+    return {**out, **names}
 
 
 def _cmd_spectrum(cfg: dict) -> dict:

@@ -53,7 +53,7 @@ from .cantor_core import (
 )
 from .dimension import box_regression
 from .errors import BudgetExceeded, NonAffineInput, TZeroNotInDifference, ValidationError
-from .setops import _grid_cells, _hull_pair_closes, cover_sum
+from .setops import _grid_cells, _hull_pair_refusal, cover_sum
 
 GRID_SNAP_EPS = 1e-9
 MAX_SWEEPS = 10_000
@@ -183,23 +183,21 @@ def gap_lemma_test(K1: RegularCantorSet, K2: RegularCantorSet, t: float) -> GapL
     """Gap-lemma certificate for K1 ∩ (K2 + t) != empty, in the form of
     Astels (Trans. AMS 2000).
 
-    When the gap lemma closes the hull pair (`setops._hull_pair_closes`
+    When the gap lemma closes the hull pair (`setops._hull_pair_refusal`
     at scale 1, the test `cover_sum` uses), K1 - K2 is the whole
     interval H1 - H2 of the hulls.  K1 then meets K2 + t exactly when t
     lies in H1 - H2, and the hulls are linked exactly then.  The test
     compares `Fraction(t)` with the exact hull ends, so it builds no
-    cover and has no depth.  Any other pair is refused with linked None.
+    cover and has no depth.  Any other pair is refused with linked None,
+    and its reason names the condition that failed.
     """
     t = float(t)
     if not math.isfinite(t):
         raise ValidationError("translation must be finite")
     tau1, tau2 = (None if K._gap_bounds is None else float(K._gap_bounds[0]) for K in (K1, K2))
-    if not _hull_pair_closes(K1, K2, 1.0):
-        return GapLemmaResult(
-            False, tau1, tau2, None,
-            "gap lemma does not apply: it needs proved thickness bounds with "
-            "tau1*tau2 >= 1 and each hull as long as the other set's largest gap",
-        )
+    refusal = _hull_pair_refusal(K1, K2, 1.0)
+    if refusal is not None:
+        return GapLemmaResult(False, tau1, tau2, None, f"gap lemma does not apply: {refusal}")
     (lo1, hi1), (lo2, hi2) = K1._exact_hull, K2._exact_hull
     if lo1 - hi2 <= Fraction(t) <= hi1 - lo2:
         return GapLemmaResult(
@@ -621,6 +619,7 @@ class DensityProfile:
     deltas: tuple[float, ...]
     ratios: tuple[float, ...]
     depth: int
+    capped: bool  # whether the pair budget coarsened the difference cover
 
 
 def tangency_density_experiment(
@@ -655,4 +654,4 @@ def tangency_density_experiment(
         hi = np.clip(U.his, t0, t0 + delta)
         covered = float(np.sum(np.maximum(0.0, hi - lo)))
         ratios.append(min(1.0, covered / delta))
-    return DensityProfile(t0=t0, deltas=tuple(ds), ratios=tuple(ratios), depth=n)
+    return DensityProfile(t0=t0, deltas=tuple(ds), ratios=tuple(ratios), depth=n, capped=U.meta["capped"])

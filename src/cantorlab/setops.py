@@ -11,10 +11,12 @@ gap at some depth is certified to be outside the limit set.
 Pair blowup control: the two covers are refined to matching interval
 lengths (|I| of the first roughly t*|J| of the second) instead of
 matching depths, and when the pairwise count would still exceed the
-budget the common length target is coarsened until it fits.  Coarsening
-preserves outer-approximation semantics; it only loses sharpness.  Each
-distinct cover is built once per call of `cover_sum` or `marstrand_scan`
-(once for both sets when they are equal); nothing outlives the call.
+budget the common length target is doubled until it fits (meta `capped`).
+Coarsening preserves outer-approximation semantics; it only loses
+sharpness.  Each set's tree is walked once per call of `cover_sum` or
+`marstrand_scan` (once for both sets when they are equal), longest node
+first, and every target tried reads its cover from that one walk
+(`cantor_core._LengthWalk`); nothing outlives the call.
 
 Both `cover_sum`, which merges them into an `IntervalUnion`, and
 `marstrand_scan`, which counts its grid cells straight from them, take
@@ -53,17 +55,17 @@ import numpy as np
 from .cantor_core import (
     DEFAULT_COVER_BUDGET,
     EPS_LEN,
-    Cover,
     Exact,
     Interval,
     RegularCantorSet,
     _check_target_length,
     _greedy_length,
-    _length_cover,
+    _LengthWalk,
     maxlen_at_depth,
     refine,
 )
 from .errors import BudgetExceeded, EmptyTarget, ValidationError
+from .surd import QuadraticSurd
 
 MERGE_TOL = 1e-13
 PAIR_BUDGET = 10 * DEFAULT_COVER_BUDGET
@@ -125,26 +127,20 @@ def merge_intervals(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 class _SetCovers:
-    """The depth-n greedy length, maximum length (on first use) and covers
-    of one set, each built once per public call: a cover is handed out
-    again for every target in the range that reproduces it exactly."""
+    """The depth-n greedy length of one set, and on first use its maximum
+    length and its length walk, each built once per public call."""
 
     def __init__(self, K: RegularCantorSet, n: int, budget: int) -> None:
         self.K, self.n, self.budget = K, n, budget
         self.greedy = float(_greedy_length(K, n))
-        self._built: list[tuple[float, float, Cover]] = []
 
     @cached_property
     def maxlen(self) -> float:
         return float(maxlen_at_depth(self.K, self.n))
 
-    def cover(self, target: float) -> Cover:
-        for lo, hi, cover in self._built:
-            if lo <= target < hi:
-                return cover
-        cover, lo, hi = _length_cover(self.K, target, 64, self.budget)
-        self._built.append((lo, hi, cover))
-        return cover
+    @cached_property
+    def walk(self) -> _LengthWalk:
+        return _LengthWalk(self.K, 64, self.budget)
 
 
 def _pair_sides(K1: RegularCantorSet, K2: RegularCantorSet, n: int, budget: int) -> tuple[_SetCovers, _SetCovers]:
@@ -171,25 +167,17 @@ def _pair_endpoints(
     the meta of the covers behind them."""
     scale = 1.0 if op == "+" else abs(lam)
     target1 = _first_target(side1.maxlen, side2.maxlen, scale)
-    capped = False
-    for _ in range(64):
-        try:
-            c1 = side1.cover(target1)
-            c2 = side2.cover(target1 / scale)
-        except BudgetExceeded:
-            # one factor alone outgrew the pair budget; coarsen both sides
-            capped = True
-            target1 *= 2.0
-            continue
-        if len(c1) * len(c2) <= side1.budget:
-            break
-        capped = True
+    for step in range(64):
+        if side1.walk.fits(target1) and side2.walk.fits(target1 / scale):
+            c1, c2 = side1.walk.cover(target1), side2.walk.cover(target1 / scale)
+            if len(c1) * len(c2) <= side1.budget:
+                break
         target1 *= 2.0
     else:
         raise BudgetExceeded("could not balance covers within the pairwise budget")
-    a_lo, a_hi = c1.los, c1.his
+    a_lo, a_hi = c1[:, 3], c1[:, 4]
     # the second set's intervals as they enter the sum: J, or -lam*J
-    t_lo, t_hi = c2.los, c2.his
+    t_lo, t_hi = c2[:, 3], c2[:, 4]
     if op == "-":
         x, y = -lam * t_lo, -lam * t_hi
         t_lo, t_hi = np.minimum(x, y), np.maximum(x, y)
@@ -201,7 +189,7 @@ def _pair_endpoints(
         "pairs": len(lo),
         "counts": (len(c1), len(c2)),
         "target_length": target1,
-        "capped": capped,
+        "capped": step > 0,
         "pruned": 0,
     }
     return lo, hi, meta
@@ -211,19 +199,31 @@ def _pair_endpoints(
 # the gap lemma on the hull pair
 
 
-def _hull_pair_closes(K1: RegularCantorSet, K2: RegularCantorSet, scale: float) -> bool:
-    """Whether the gap lemma proves the outer sum of the two hulls full
-    (see the module docstring), decided exactly; surds of two fields that
-    do not mix (gauss3 against gauss4) cannot be compared, proving nothing."""
+def _hull_pair_refusal(K1: RegularCantorSet, K2: RegularCantorSet, scale: float) -> str | None:
+    """Why the gap lemma cannot prove the outer sum of the two hulls full
+    (see the module docstring), decided exactly, or None when it proves it;
+    surds of two fields that do not mix (gauss3 against gauss4) cannot be
+    compared, proving nothing."""
     if K1._gap_bounds is None or K2._gap_bounds is None:
-        return False
+        return "a set carries no proved thickness bound"
     (tau1, rho1), (tau2, rho2) = K1._gap_bounds, K2._gap_bounds
     (lo1, hi1), (lo2, hi2) = K1._exact_hull, K2._exact_hull
     len1, len2 = hi1 - lo1, Fraction(scale) * (hi2 - lo2)
     try:
-        return tau1 * tau2 >= 1 and len1 >= rho2 * len2 and len2 >= rho1 * len1
+        if not tau1 * tau2 >= 1:
+            return f"tau1*tau2 = {float(tau1 * tau2):.6g} < 1"
+        if not (len1 >= rho2 * len2 and len2 >= rho1 * len1):
+            return "a hull is shorter than the other set's largest gap"
     except ValidationError:
-        return False
+        return f"the surds of {_field(lo1)} and {_field(lo2)} cannot be compared"
+    return None
+
+
+def _field(x: QuadraticSurd) -> str:
+    """Q(sqrt(m)) of the surd x, m square-free."""
+    d = x.d
+    m = next((d // (f * f) for f in range(math.isqrt(d), 1, -1) if d % (f * f) == 0), d)
+    return f"Q(sqrt({m}))"
 
 
 def _round_out(x: Exact, up: bool) -> float:
@@ -243,7 +243,7 @@ def _sum_endpoints(
     outward, with no cover built.  The precision floor walks for the maximum
     lengths only when the greedy ones, a lower bound, fall below it."""
     scale = 1.0 if op == "+" else abs(lam)
-    if not _hull_pair_closes(side1.K, side2.K, scale):
+    if _hull_pair_refusal(side1.K, side2.K, scale) is not None:
         return _pair_endpoints(side1, side2, op, lam)
     if _first_target(side1.greedy, side2.greedy, scale) < EPS_LEN:
         _check_target_length(_first_target(side1.maxlen, side2.maxlen, scale))
@@ -383,6 +383,7 @@ class ProjectionScan:
     table: np.ndarray  # shape (len(lambdas), len(resolutions))
     depth: int
     theta: float
+    capped_rows: int  # rows the pair budget coarsened
 
     def covered_at_finest(self) -> np.ndarray:
         return self.table[:, -1]
@@ -429,7 +430,8 @@ def marstrand_scan(
     merging them (see `_scan_row`).  A row whose hull pair the gap lemma
     closes is the one hull interval and forms no pairs, so the budget
     never coarsens it; any other lam forms at most `pair_budget` pairs
-    (None means SCAN_PAIR_BUDGET).
+    (None means SCAN_PAIR_BUDGET), and `capped_rows` counts the rows the
+    budget coarsened.
     """
     lambdas = [float(x) for x in lambdas]
     if not lambdas:
@@ -442,9 +444,10 @@ def marstrand_scan(
     budget = SCAN_PAIR_BUDGET if pair_budget is None else pair_budget
     sides = _pair_sides(K1, K2, n, budget)
     shifts = _dyadic_shifts(res)
-    rows = []
+    rows, capped_rows = [], 0
     for lam in lambdas:
-        lo, hi, _ = _sum_endpoints(*sides, "-", lam)
+        lo, hi, meta = _sum_endpoints(*sides, "-", lam)
+        capped_rows += meta["capped"]
         rows.append(_scan_row(lo, hi, res, shifts))
     table = np.array(rows, dtype=float)
     return ProjectionScan(
@@ -453,4 +456,5 @@ def marstrand_scan(
         table=table,
         depth=n,
         theta=theta,
+        capped_rows=capped_rows,
     )

@@ -36,7 +36,7 @@ from cantorlab import (
     set_to_json,
 )
 from cantorlab import cantor_core
-from cantorlab.cantor_core import _length_cover, maxlen_at_depth
+from cantorlab.cantor_core import _LengthWalk, maxlen_at_depth
 
 F = Fraction
 
@@ -224,20 +224,51 @@ def test_refine_to_length_hits_target(ternary):
     assert float(shallower.max_length) > 0.01
 
 
+def _lengths_by_address(K, depth):
+    """Float length of every cylinder of K down to `depth`, by address."""
+    out = {}
+    for d in range(depth + 1):
+        cover = refine(K, d)
+        out.update((addr, float(iv.length)) for addr, iv in zip(cover.addresses, cover.intervals))
+    return out
+
+
 @pytest.mark.parametrize("name", ["unequal-affine", "gauss2"])
-def test_length_cover_range_reproduces_the_cover(name):
+def test_one_length_walk_answers_every_target(name):
     if name == "gauss2":
         K = gauss_cantor(2)
     else:
         K = build_affine([(F(0), F(1, 4)), (F(1, 2), F(1))], [(0, 1), (0, 1)])
-    for target in (0.1, 0.03, 0.01, 2e-3):
-        cover, lo, hi = _length_cover(K, target, 64, None)
-        assert lo <= target < hi < math.inf
-        for t in (lo, math.nextafter(hi, 0)):
-            same = refine_to_length(K, t)
-            assert same.intervals == cover.intervals
-            assert same.addresses == cover.addresses
-        assert refine_to_length(K, hi).intervals != cover.intervals
+    targets = [0.3, 0.1, 0.03, 0.01, 2e-3, 5e-4]
+    random.Random(4).shuffle(targets)
+    lengths = _lengths_by_address(K, max(refine_to_length(K, min(targets)).depth - 1, 0))
+
+    def assert_answers(target, max_depth=64):
+        # the rows are refine_to_length's intervals, and each row's parent
+        # is the cylinder its address names (a root's parent is inf long)
+        rows, cover = walk.cover(target), refine_to_length(K, target, max_depth=max_depth)
+        assert rows[:, 3].tolist() == cover.los.tolist()
+        assert rows[:, 4].tolist() == cover.his.tolist()
+        assert rows[:, 1].tolist() == [lengths.get(addr[:-1], math.inf) for addr in cover.addresses]
+
+    # a node at max_depth is never split, however long it is
+    for max_depth in (64, 3):
+        walk = _LengthWalk(K, max_depth, 2_000_000)
+        for target in targets:
+            assert_answers(target, max_depth)
+    # a budget the finest cover passes stops the walk at its floor: any
+    # target below it raises, and coarser ones still answer from the walk
+    budget = len(refine_to_length(K, min(targets))) - 1
+    walk = _LengthWalk(K, 64, budget)
+    with pytest.raises(BudgetExceeded):
+        walk.cover(min(targets))
+    assert min(targets) < walk.floor < math.inf
+    with pytest.raises(BudgetExceeded):
+        walk.cover(math.nextafter(walk.floor, 0))
+    with pytest.raises(BudgetExceeded):
+        refine_to_length(K, math.nextafter(walk.floor, 0), budget=budget)
+    for target in [walk.floor] + [t for t in targets if t >= walk.floor]:
+        assert_answers(target)
 
 
 def test_gauss_cover_exactness_at_depth():

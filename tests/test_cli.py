@@ -342,6 +342,29 @@ class TestExitCodes:
         code, _, _, _ = run_cli(["dim", "--set", "ternary"], capsys)
         assert code == EXIT_OK
 
+    def test_a_coarsened_scan_says_so_on_stderr(self, capsys):
+        # thin rows close no hull pair, so 1000 pairs coarsen each of them;
+        # the README scan is coarsened nowhere and prints nothing
+        thin = ["marstrand", "--set1", "thin", "--set2", "thin", "--n-lambdas", "4", "--depth", "6"]
+        code, rec, _, err = run_cli([*thin, "--budget", "1000"], capsys)
+        assert code == EXIT_OK and rec is not None
+        assert err == ("cantorlab: note: the pair budget coarsened 4 of 4 sums below the depth "
+                       "asked for (raise --budget)\n")
+        code, _, _, err = run_cli(thin, capsys)
+        assert code == EXIT_OK and err == ""
+        readme = ["marstrand", "--set1", "ternary", "--set2", "ternary", "--n-lambdas", "200", "--seed", "0"]
+        code, _, _, err = run_cli(readme, capsys)
+        assert code == EXIT_OK and err == ""
+        # a capped sum prints the same line, its record unchanged
+        code, rec, _, err = run_cli(["diff", "--set1", "thin", "--set2", "thin", "--depth", "6",
+                                     "--budget", "1000"], capsys)
+        assert code == EXIT_OK and rec["outputs"]["meta"]["capped"] is True
+        assert err.startswith("cantorlab: note: the pair budget coarsened 1 of 1 sums")
+        code, rec, _, err = run_cli(["density", "--set1", "thin", "--set2", "thin", "--t0", "0.0",
+                                     "--budget", "1000"], capsys)
+        assert code == EXIT_OK and "capped" not in rec["outputs"]
+        assert err.startswith("cantorlab: note: the pair budget coarsened 1 of 1 sums")
+
     def test_nonpositive_budget_rejected(self, capsys):
         code, _, _, err = run_cli(["dim", "--budget", "-5"], capsys)
         assert code == EXIT_INVALID

@@ -187,6 +187,32 @@ def test_gap_lemma_agrees_with_the_hull_pair_union():
     assert gap_lemma_test(floats, thin, 0.5).tau1 is None
 
 
+def _refused_set(name):
+    if name == "floats":  # float ends: no proved bound
+        return build_affine([(0.0, 0.4), (0.6, 1.0)], [(0, 1), (0, 1)])
+    if name == "narrow":  # ternary scaled into a gap of middle-fifth
+        return scale_affine(get_set("ternary"), Fraction(1, 100), Fraction(1, 2))
+    return get_set(name)
+
+
+@pytest.mark.parametrize(
+    "name1, name2, reason",
+    [
+        ("floats", "thin", "a set carries no proved thickness bound"),
+        ("gauss3", "gauss4", "the surds of Q(sqrt(21)) and Q(sqrt(2)) cannot be compared"),
+        ("thin", "thin", "tau1*tau2 = 0.015625 < 1"),
+        ("middle-fifth", "narrow", "a hull is shorter than the other set's largest gap"),
+    ],
+)
+def test_a_refusal_names_the_condition_that_failed(name1, name2, reason):
+    K1, K2 = _refused_set(name1), _refused_set(name2)
+    res = gap_lemma_test(K1, K2, 0.5)
+    assert not res.certified and res.linked is None
+    assert res.reason == f"gap lemma does not apply: {reason}"
+    # the sum takes the same decision: every pair is summed
+    assert cover_sum(K1, K2, 3, "-", 1.0).meta["pruned"] == 0
+
+
 # ---------------------------------------------------------------------------
 # recurrent-region search
 

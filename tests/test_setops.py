@@ -13,6 +13,7 @@ import pytest
 from test_acceptance import random_affine_set
 
 from cantorlab import (
+    BudgetExceeded,
     EmptyTarget,
     Interval,
     PrecisionLoss,
@@ -35,8 +36,8 @@ from cantorlab import (
     set_to_json,
     thickness,
 )
-from cantorlab import setops
-from cantorlab.cantor_core import _children, _length_cover, _roots, maxlen_at_depth
+from cantorlab import cantor_core, setops
+from cantorlab.cantor_core import _children, _LengthWalk, _roots, maxlen_at_depth
 from cantorlab.surd import QuadraticSurd
 
 F = Fraction
@@ -165,6 +166,38 @@ def test_soft_pair_budget_coarsens_but_still_contains(thin_pair_set):
     assert u.n_components < full.n_components
     k = np.searchsorted(u.los, full.los + 1e-12) - 1
     assert np.all(k >= 0) and np.all(u.his[k] >= full.his - 1e-12)
+
+
+def test_the_pair_budget_walks_each_tree_once(monkeypatch):
+    # the same 128 x 64 covers end the budget ladder at every depth, and one
+    # walk per set reaches them: no cover is rebuilt at each doubling
+    T, thin = get_set("ternary"), get_set("thin")
+    splits = []
+    monkeypatch.setattr(cantor_core, "_children", lambda K, node: splits.append(1) or _children(K, node))
+    unions = []
+    for n in (6, 12, 15, 20):
+        splits.clear()
+        u = cover_sum(T, T, n, "-", 0.2, pair_budget=10_000)
+        assert u.meta["counts"] == (128, 64) and u.meta["capped"] is (n > 6)
+        assert len(splits) <= 11_000, n
+        unions.append(u)
+    for u in unions[1:]:
+        assert np.array_equal(u.los, unions[0].los) and np.array_equal(u.his, unions[0].his)
+    # no ladder target fits 3 pairs: the walk refuses after a few splits
+    splits.clear()
+    with pytest.raises(BudgetExceeded):
+        cover_sum(thin, thin, 8, "-", 1.0, pair_budget=3)
+    assert len(splits) < 100
+
+
+def test_a_scan_counts_the_rows_the_budget_coarsened():
+    # the closed rows (lam >= 1/3) form no pairs; the open ones pass 1000
+    T = get_set("ternary")
+    lambdas = [0.2, 0.25, 1.0, 2.0]
+    assert marstrand_scan(T, T, lambdas, 8).capped_rows == 0
+    scan = marstrand_scan(T, T, lambdas, 8, pair_budget=1000)
+    capped = [cover_sum(T, T, 8, "-", lam, pair_budget=1000).meta["capped"] for lam in lambdas]
+    assert capped == [True, True, False, False] and scan.capped_rows == 2
 
 
 def test_mismatched_ratio_pair_matches_granularities(ternary):
@@ -353,23 +386,26 @@ def test_projection_scan_rows_match_direct_cover_sum(names, monkeypatch):
 
 
 def test_projection_scan_builds_each_cover_once(monkeypatch):
-    walks, built = [], []
+    walks, length_walks = [], []
 
     def counting_maxlen(K, n):
         walks.append(n)
         return maxlen_at_depth(K, n)
 
-    def recording_cover(K, target, max_depth, budget):
-        result = _length_cover(K, target, max_depth, budget)
-        built.append((K.pieces, result[0].intervals))
-        return result
+    class RecordingWalk(_LengthWalk):
+        def __init__(self, *args):
+            super().__init__(*args)
+            length_walks.append(self)
 
     monkeypatch.setattr(setops, "maxlen_at_depth", counting_maxlen)
-    monkeypatch.setattr(setops, "_length_cover", recording_cover)
+    monkeypatch.setattr(setops, "_LengthWalk", RecordingWalk)
     lambdas = np.linspace(0.1, 3.0, 40)
     marstrand_scan(get_set("ternary"), get_set("ternary"), lambdas, 6)
     assert walks == [6]  # one walk serves both equal sides
-    assert len(set(built)) == len(built)
+    assert len(length_walks) == 1
+    # a node split twice would leave its children's rows twice
+    rows = length_walks[0]._rows
+    assert len(rows) > 2 and len(set(rows)) == len(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +569,7 @@ def test_a_root_closed_sum_builds_no_cover(monkeypatch):
     def refuse(*args):
         raise AssertionError("a cover was built")
 
-    monkeypatch.setattr(setops, "_length_cover", refuse)
+    monkeypatch.setattr(setops, "_LengthWalk", refuse)
     monkeypatch.setattr(setops, "_pair_endpoints", refuse)
     for name, lo, hi in (("ternary", 0.0, 2.0), ("gauss4", SQRT2 - 1, 4 * SQRT2 - 4)):
         K = get_set(name)
@@ -617,7 +653,7 @@ def test_a_closed_hull_pair_walks_no_tree(monkeypatch):
     def refuse(*args):
         raise AssertionError("a cover or a maximum length was built")
 
-    for name in ("_length_cover", "_pair_endpoints", "maxlen_at_depth"):
+    for name in ("_LengthWalk", "_pair_endpoints", "maxlen_at_depth"):
         monkeypatch.setattr(setops, name, refuse)
     G4, T = get_set("gauss4"), get_set("ternary")
     u = cover_sum(G4, G4, 13)
