@@ -10,30 +10,36 @@ holds exactly these three things, `pieces`, `transitions` and
 `branches`; everything else it knows (exactness, the exact hull ends,
 the proved thickness bounds) is derived from them, once, on first use.
 
-Every question about the cylinder tree is answered by one walk.  A node
-holds the composite of inverse branches along its address and its
-interval; one child step composes that with the set's precomputed
-inverse branch of the last symbol and applies it to each target piece.
-`_expand` expands the tree level by level, splitting every node for
-which a split rule holds, and each caller is its rule:
-`refine` splits by depth, `maxlen_at_depth` nodes longer than the greedy
-depth-n leaf, and `contains` the cylinders within a guard band of the
-point.  `_LengthWalk` splits the longest node first, so one walk answers
-every length target: `refine_to_length` asks one, a pair budget a ladder.
+Every question about the cylinder tree is answered by one engine.  A
+node is its last symbol, its depth, its parent (kept for the address,
+read only when asked for) and the composite of inverse branches along
+its address; `_children` makes the children of a whole array of nodes
+at once, composing each map with the inverse branch of the node's last
+symbol and applying it to the target pieces.  `_expand` runs that step
+one level at a time, splitting the nodes a vectorised split rule
+selects, and each caller is its rule: `refine` splits by depth,
+`maxlen_at_depth` nodes longer than the greedy depth-n leaf, and
+`contains` the cylinders within a guard band of the point.
+`_LengthWalk` splits the longest nodes first, in batches, so one walk
+answers every length target: `refine_to_length` asks one, a pair budget
+a ladder.  A `Cover` holds arrays; its `intervals` and `addresses` are
+built on first access.
 
-Exactness policy: affine data given as integers or fractions is kept in
-rational arithmetic all the way through cover construction, so cover
-endpoints are exact.  Moebius branches are composed as integer 2x2
-matrices and evaluated in floating point only when an endpoint is
-finally produced.
+Exactness policy: an exact (rational affine) set keeps each node's map
+as Python-int numerators over the level's common denominator, so cover
+ends are exact `Fraction(num, den)`, their floats are the correctly
+rounded int/int quotients, and exact lengths compare as cross-multiplied
+ints.  A float affine set composes slopes and offsets in float64, and a
+Moebius set integer 2x2 matrices evaluated in floating point only when
+an end is produced, each by the same float operations as
+`AffineMap.apply_interval` and `MoebiusMap.apply_interval`.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence, Union
@@ -115,10 +121,6 @@ class AffineMap:
     def inverse(self) -> "AffineMap":
         return AffineMap(1 / self.slope, -self.offset / self.slope)
 
-    @staticmethod
-    def identity() -> "AffineMap":
-        return AffineMap(Fraction(1), Fraction(0))
-
 
 @dataclass(frozen=True)
 class MoebiusMap:
@@ -153,10 +155,6 @@ class MoebiusMap:
 
     def inverse(self) -> "MoebiusMap":
         return MoebiusMap(self.d, -self.b, -self.c, self.a)
-
-    @staticmethod
-    def identity() -> "MoebiusMap":
-        return MoebiusMap(1, 0, 0, 1)
 
 
 MapLike = Union[AffineMap, MoebiusMap]
@@ -217,6 +215,11 @@ class RegularCantorSet:
     def inverses(self) -> tuple[MapLike, ...]:
         """Inverse branch of each piece, computed once per set."""
         return tuple(b.inverse() for b in self.branches)
+
+    @cached_property
+    def _tables(self) -> "_Tables":
+        """What the child step reads of the set, built on first use."""
+        return _Tables(self)
 
     @cached_property
     def _gap_bounds(self) -> tuple[Exact, Exact] | None:
@@ -488,102 +491,282 @@ def _thickness_bounds(K: RegularCantorSet) -> tuple[Exact, Exact] | None:
 
 
 # ---------------------------------------------------------------------------
+# the cylinder engine
+
+
+class _Tables:
+    """What the child step reads of a set, built once (`K._tables`).
+
+    A node's composite map of inverse branches is held as arrays of its
+    entries.  Exact set: x -> (A*x + B) / q^k at depth k, A and B Python
+    ints and q the common denominator of the inverse branches, so the
+    node's ends are integer numerators over q^k * P, P the common
+    denominator of the piece ends.  Float affine set: slope and offset in
+    float64 (q = P = 1).  Moebius set: the integer matrix entries.
+    """
+
+    def __init__(self, K: RegularCantorSet) -> None:
+        self.kind = "exact" if K.exact else "float" if K.is_affine else "moebius"
+        self.counts = np.array([len(ts) for ts in K.transitions])
+        # row j: the children's last symbols, padded with -1
+        self.kids = np.array([[*ts, *[-1] * (max(self.counts) - len(ts))] for ts in K.transitions])
+        # the largest child/parent length ratio of a root: a first guess at
+        # it for every node (exact for affine sets)
+        self.rho = max(float(K.inverses[j].apply_interval(K.pieces[k]).length / K.pieces[j].length)
+                       for j, ts in enumerate(K.transitions) for k in ts)
+        ends, names = [(p.lo, p.hi) for p in K.pieces], ("slope", "offset")
+        if self.kind == "exact":
+            self.P = math.lcm(*(x.denominator for e in ends for x in e))
+            self.q = math.lcm(*(getattr(m, f).denominator for m in K.inverses for f in names))
+            self.ends = np.array([[int(x * self.P) for x in e] for e in ends], dtype=object)
+            self.inv = tuple(_objects(int(getattr(m, f) * self.q) for m in K.inverses) for f in names)
+            self._dens = _objects([self.P])
+            self._least = (min(p.length for p in K.pieces), min(m.slope for m in K.inverses))
+            self._shortest: list[float] = []
+        else:
+            self.P = self.q = 1.0
+            self.ends = np.array(ends, dtype=float)
+            kind = float if self.kind == "float" else object
+            self.inv = tuple(np.array([getattr(m, f) for m in K.inverses], dtype=kind)
+                             for f in (names if kind is float else "abcd"))
+        # the pieces, as every walk's first nodes (never written to)
+        r = len(self.ends)
+        unit = (1, 0, 0, 1) if self.kind == "moebius" else (1, 0)
+        maps = tuple(np.full(r, v, dtype=float if self.kind == "float" else object) for v in unit)
+        if self.kind == "exact":
+            ends = self.place(maps, np.arange(r), np.zeros(r, dtype=int))
+        else:
+            ends = (*self.ends.T.copy(), self.ends[:, 1] - self.ends[:, 0], None)
+        self.roots = (np.arange(r), np.arange(r), np.zeros(r, dtype=int), maps, *ends)
+
+    def dens(self, depth: np.ndarray) -> np.ndarray:
+        """q^k * P for each depth k (exact sets)."""
+        if depth.max(initial=0) >= len(self._dens):
+            dens = list(self._dens)
+            while len(dens) <= depth.max():
+                dens.append(dens[-1] * self.q)
+            self._dens = _objects(dens)
+        return self._dens[depth]
+
+    def shortest(self, d: int) -> float:
+        """min|P_j| * c^d rounded to nearest, c the smallest inverse slope:
+        no depth-d node of an exact set rounds shorter (exact sets)."""
+        if d >= len(self._shortest):
+            m, c = self._least
+            self._shortest = [float(m * c**k) for k in range(2 * d + 1)]
+        return self._shortest[d]
+
+    def compose(self, maps: tuple, last: np.ndarray) -> tuple:
+        """Each map composed with the inverse branch of `last`, as
+        `AffineMap.compose` and `MoebiusMap.compose` do it."""
+        inv = tuple(x[last] for x in self.inv)
+        if self.kind != "moebius":
+            (A, B), (s, o) = maps, inv
+            return A * s, A * o + B * self.q
+        (a, b, c, d), (al, be, ga, de) = maps, inv
+        return a * al + b * ga, a * be + b * de, c * al + d * ga, c * be + d * de
+
+    def place(self, maps: tuple, sym: np.ndarray, depth: np.ndarray) -> tuple:
+        """(lo, hi, lengths, nums) of maps applied to the pieces sym, in the
+        float operations of `AffineMap.apply_interval` and
+        `MoebiusMap.apply_interval`; exact ends are rounded once (int / int
+        rounds correctly), and `nums` holds their numerators and
+        denominators."""
+        x_lo, x_hi = self.ends[sym].T
+        if self.kind == "moebius":
+            fa, fb, fc, fd = (x.astype(float) for x in maps)
+            u, v = ((fa * x + fb) / (fc * x + fd) for x in (x_lo, x_hi))
+            lo, hi = np.where(u <= v, u, v), np.where(u <= v, v, u)
+            return lo, hi, hi - lo, None
+        A, B = maps
+        BP = B * self.P
+        lo, hi = A * x_lo + BP, A * x_hi + BP
+        if self.kind == "float":
+            return lo, hi, hi - lo, None
+        dens = self.dens(depth)
+        return (*(np.array([lo, hi, hi - lo]) / dens).astype(float), (lo, hi, dens))
+
+
+def _objects(values) -> np.ndarray:
+    return np.array(list(values), dtype=object)
+
+
+class _Tree:
+    """Last symbol and parent of every node a walk made (a root is its own
+    parent), from which addresses are read when asked for."""
+
+    def __init__(self, r: int) -> None:
+        self.size, self._sym, self._up = r, [np.arange(r)], [np.arange(r)]
+
+    def add(self, sym: np.ndarray, up: np.ndarray) -> np.ndarray:
+        self._sym.append(sym)
+        self._up.append(up)
+        self.size += len(sym)
+        return np.arange(self.size - len(sym), self.size)
+
+    def addresses(self, ids: np.ndarray, depth: np.ndarray) -> tuple[tuple[int, ...], ...]:
+        sym, up = np.concatenate(self._sym), np.concatenate(self._up)
+        self._sym, self._up = [sym], [up]
+        # column j holds the symbol j levels above the node
+        cols = np.empty((len(ids), int(depth.max(initial=0)) + 1), dtype=np.intp)
+        for j in range(cols.shape[1]):
+            cols[:, j], ids = sym[ids], up[ids]
+        return tuple(tuple(row[d::-1]) for row, d in zip(cols.tolist(), depth.tolist()))
+
+
+@dataclass(slots=True)
+class _Nodes:
+    """Nodes of the cylinder tree as parallel arrays: id in `tree`, last
+    symbol, depth (a node at depth d has an address of length d + 1),
+    composite map entries (None once no longer split), float ends and
+    lengths, and on an exact set the integer numerators and denominators
+    of the ends.  The roots are the pieces themselves."""
+
+    tree: _Tree
+    ids: np.ndarray
+    last: np.ndarray
+    depth: np.ndarray
+    maps: tuple | None
+    lo: np.ndarray
+    hi: np.ndarray
+    lengths: np.ndarray
+    nums: tuple | None
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def take(self, idx, maps: bool = True) -> "_Nodes":
+        """The nodes at idx, an index, mask or slice; maps dropped unless `maps`."""
+        return _Nodes(self.tree, self.ids[idx], self.last[idx], self.depth[idx],
+                      tuple(x[idx] for x in self.maps) if maps and self.maps else None,
+                      self.lo[idx], self.hi[idx], self.lengths[idx],
+                      self.nums and tuple(x[idx] for x in self.nums))
+
+    @staticmethod
+    def concat(parts: list["_Nodes"]) -> "_Nodes":
+        if len(parts) == 1:
+            return parts[0]
+        cat = lambda name: np.concatenate([getattr(p, name) for p in parts])
+        join = lambda name: getattr(parts[0], name) and tuple(map(np.concatenate, zip(*(getattr(p, name) for p in parts))))
+        return _Nodes(parts[0].tree, cat("ids"), cat("last"), cat("depth"), join("maps"),
+                      cat("lo"), cat("hi"), cat("lengths"), join("nums"))
+
+
+def _roots(K: RegularCantorSet) -> _Nodes:
+    r = K.n_pieces
+    return _Nodes(_Tree(r), *K._tables.roots)
+
+
+def _children(K: RegularCantorSet, nodes: _Nodes) -> _Nodes:
+    """Child cylinders of every node, each node's in transition order: the
+    one child step of every walk."""
+    t = K._tables
+    kids = t.kids[nodes.last]
+    up, col = np.nonzero(kids >= 0)
+    sym, depth = kids[up, col], nodes.depth[up] + 1
+    maps = tuple(x[up] for x in t.compose(nodes.maps, nodes.last))
+    return _Nodes(nodes.tree, nodes.tree.add(sym, nodes.ids[up]), sym, depth, maps, *t.place(maps, sym, depth))
+
+
+def _expand(K: RegularCantorSet, split: Callable[[_Nodes], np.ndarray], limit: float) -> _Nodes:
+    """Leaves of the cylinder tree cut by `split`, expanded level by level.
+
+    Every frontier node where the mask split(frontier) holds is replaced
+    by its children; the others become leaves.  Every node has at least
+    one child, so leaves plus frontier never shrink, and passing `limit`
+    after some level means the finished cover passes it too.
+    """
+    leaves: list[_Nodes] = []
+    count, frontier = 0, _roots(K)
+    while True:
+        mask = split(frontier)
+        if not mask.all():
+            leaves.append(frontier.take(~mask, maps=False))
+            count += len(leaves[-1])
+            if not mask.any():
+                return _Nodes.concat(leaves)
+            frontier = frontier.take(mask)
+        frontier = _children(K, frontier)
+        if count + len(frontier) > limit:
+            raise BudgetExceeded(f"cover needs more than {limit} intervals (budget)")
+
+
+def _exact_length(nodes: _Nodes, i: int) -> Num:
+    """Length of node i, a `Fraction` on an exact set."""
+    if nodes.nums is None:
+        return float(nodes.lengths[i])
+    lo, hi, dens = nodes.nums
+    return Fraction(hi[i] - lo[i], dens[i])
+
+
+def _longest(nodes: _Nodes) -> int:
+    """Index of the first longest node; on an exact set all must share a
+    depth, whose numerators then compare exactly."""
+    return int(np.argmax(nodes.lengths if nodes.nums is None else nodes.nums[1] - nodes.nums[0]))
+
+
+# ---------------------------------------------------------------------------
 # covers
 
 
-def _readonly_floats(values) -> np.ndarray:
-    out = np.array([float(v) for v in values], dtype=float)
-    out.flags.writeable = False
-    return out
+def _readonly(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cover:
-    """Depth-n construction cover: sorted disjoint intervals with addresses.
+    """Depth-n construction cover: sorted disjoint intervals as read-only
+    arrays of their ends, their lengths (the exact length rounded once on
+    an exact set) and the last symbol of each address.
 
     `uniform` is True when every interval sits at exactly `depth`
     subdivisions; length-balanced refinement produces mixed depths, in
-    which case `depth` is the deepest one used.
+    which case `depth` is the deepest one used.  `intervals` (`Fraction`
+    ends on an exact set), `addresses` and the exact `max_length` are
+    built on first access.
     """
 
     depth: int
-    intervals: tuple[Interval, ...]
-    addresses: tuple[tuple[int, ...], ...]
-    uniform: bool = True
+    los: np.ndarray
+    his: np.ndarray
+    lengths: np.ndarray
+    symbols: np.ndarray
+    uniform: bool
+    _leaves: _Nodes = field(repr=False)
 
     def __len__(self) -> int:
-        return len(self.intervals)
-
-    # built once per cover, read-only because every holder shares them
-    @cached_property
-    def los(self) -> np.ndarray:
-        return _readonly_floats(iv.lo for iv in self.intervals)
+        return len(self.los)
 
     @cached_property
-    def his(self) -> np.ndarray:
-        return _readonly_floats(iv.hi for iv in self.intervals)
+    def intervals(self) -> tuple[Interval, ...]:
+        if self._leaves.nums is None:
+            return tuple(map(Interval, self.los.tolist(), self.his.tolist()))
+        return tuple(Interval(Fraction(a, d), Fraction(b, d)) for a, b, d in zip(*self._leaves.nums))
 
-    @property
-    def lengths(self) -> np.ndarray:
-        return self.his - self.los
+    @cached_property
+    def addresses(self) -> tuple[tuple[int, ...], ...]:
+        return self._leaves.tree.addresses(self._leaves.ids, self._leaves.depth)
 
-    @property
+    @cached_property
     def max_length(self) -> Num:
-        return max(iv.length for iv in self.intervals)
+        # rounding is monotone: the longest rounds to the largest length
+        return max(_exact_length(self._leaves, i) for i in np.flatnonzero(self.lengths == self.lengths.max()))
 
 
-# A node of the cylinder tree: (last symbol, composite of inverse branches,
-# address, interval).  The interval is the composite applied to the piece
-# of the last symbol; the roots are the pieces themselves.  A node at
-# depth d has an address of length d + 1.
-_Node = tuple[int, MapLike, tuple[int, ...], Interval]
-
-
-def _roots(K: RegularCantorSet) -> list[_Node]:
-    identity = AffineMap.identity() if K.is_affine else MoebiusMap.identity()
-    return [(j, identity, (j,), K.pieces[j]) for j in range(K.n_pieces)]
-
-
-def _children(K: RegularCantorSet, node: _Node) -> list[_Node]:
-    """Child cylinders of a node, in transition order."""
-    last, comp, addr, _iv = node
-    deeper = comp.compose(K.inverses[last])
-    return [(k, deeper, addr + (k,), deeper.apply_interval(K.pieces[k])) for k in K.transitions[last]]
-
-
-def _expand(K: RegularCantorSet, split: Callable[[_Node], bool], limit: float) -> list[_Node]:
-    """Leaves of the cylinder tree cut by `split`, expanded level by level.
-
-    Every frontier node for which split(node) holds is replaced by its
-    children; the others become leaves.  Every node has at least one
-    child, so leaves plus frontier never shrink, and passing `limit`
-    after some level means the finished cover passes it too.
-    """
-    leaves: list[_Node] = []
-    frontier = _roots(K)
-    while frontier:
-        deeper: list[_Node] = []
-        for node in frontier:
-            if split(node):
-                deeper.extend(_children(K, node))
-            else:
-                leaves.append(node)
-        frontier = deeper
-        if len(leaves) + len(frontier) > limit:
-            raise BudgetExceeded(f"cover needs more than {limit} intervals (budget)")
-    return leaves
-
-
-def _sorted_cover(leaves: list[_Node], what: str) -> Cover:
-    if any(float(iv.length) < EPS_LEN for _, _, _, iv in leaves):
+def _leaf_cover(leaves: _Nodes, what: str) -> Cover:
+    if np.any(leaves.lengths < EPS_LEN):
         raise PrecisionLoss(f"{what} has intervals below the length floor {EPS_LEN}")
-    leaves.sort(key=lambda node: float(node[3].lo))
-    depths = {len(addr) - 1 for _, _, addr, _ in leaves}
+    leaves = leaves.take(np.argsort(leaves.lo, kind="stable"), maps=False)
+    depth = int(leaves.depth.max())
     return Cover(
-        depth=max(depths),
-        intervals=tuple(iv for _, _, _, iv in leaves),
-        addresses=tuple(addr for _, _, addr, _ in leaves),
-        uniform=len(depths) == 1,
+        depth=depth,
+        los=_readonly(leaves.lo),
+        his=_readonly(leaves.hi),
+        lengths=_readonly(leaves.lengths),
+        symbols=_readonly(leaves.last),
+        uniform=bool(np.all(leaves.depth == depth)),
+        _leaves=leaves,
     )
 
 
@@ -600,7 +783,7 @@ def refine(K: RegularCantorSet, n: int, *, budget: int | None = None) -> Cover:
     count = K.admissible_count(n, cap=limit)
     if count > limit:
         raise BudgetExceeded(f"depth-{n} cover needs {count}+ intervals, budget {limit}")
-    return _sorted_cover(_expand(K, lambda node: len(node[2]) <= n, limit), f"depth-{n} cover")
+    return _leaf_cover(_expand(K, lambda nodes: nodes.depth < n, limit), f"depth-{n} cover")
 
 
 def _check_target_length(target_length: float) -> None:
@@ -614,39 +797,98 @@ class _LengthWalk:
     nothing more.  The length-t cover is every row no longer than t, or too
     deep, whose parent is longer than t: one walk answers every target.  It
     stops once the cover passes `budget`; a target below `floor`, the length
-    of the node whose split passed it, raises BudgetExceeded."""
+    at which splitting every node at least as long passes it, raises
+    BudgetExceeded.
+
+    Whether a target fits depends only on the nodes longer than it, so
+    nodes are split in batches: every node longer than the target and than
+    rho times the longest one (rho, a child's length over its parent's,
+    raised as the walk finds it larger), so no child outgrows a node split
+    with its parent; near the budget, only as many of the longest as can
+    keep the cover within it.  On an exact set a target whose cover
+    `least` proves too large is refused without a split.
+    """
 
     def __init__(self, K: RegularCantorSet, max_depth: int, budget: int) -> None:
         self.K, self.max_depth, self.budget = K, max_depth, budget
         self.floor = math.inf if K.n_pieces > budget else 0.0
-        self._rows, self._heap, self._table = [], [], np.empty((0, 5))
-        self._add(_roots(K), math.inf)
+        self.rho, self.open = K._tables.rho, _roots(K)  # the nodes not split
+        self._rows = [self._block(self.open, np.full(K.n_pieces, math.inf))]
+        self._split: list[tuple[np.ndarray, np.ndarray]] = []  # length and nodes added, per split
+        self._least: dict[int, int] = {}  # `least` by depth d0
 
-    def _add(self, nodes: list[_Node], parent: float) -> None:
-        for node in nodes:
-            length, deep = float(node[3].length), len(node[2]) > self.max_depth
-            self._rows.append((length, parent, deep, float(node[3].lo), float(node[3].hi)))
-            # a node too deep to split keys last and is never popped
-            heapq.heappush(self._heap, (0.0 if deep else -length, len(self._rows), node))
+    def _block(self, nodes: _Nodes, parent: np.ndarray) -> np.ndarray:
+        return np.column_stack((nodes.lengths, parent, nodes.depth >= self.max_depth, nodes.lo, nodes.hi))
+
+    def least(self, target: float) -> int:
+        """A lower bound on the size of the length-target cover, capped at
+        budget + 1.  Every depth-d node of an exact set rounds to at least
+        `_Tables.shortest(d)`, so every leaf lies at the first depth d0
+        where that may reach the target (at most max_depth) or deeper, and
+        each depth-d0 node holds one.  1 on other sets."""
+        _check_target_length(target)
+        t = self.K._tables
+        if t.kind != "exact":
+            return 1
+        d0 = next((d for d in range(self.max_depth) if t.shortest(d) <= target), self.max_depth)
+        if d0 not in self._least:
+            self._least[d0] = self.K.admissible_count(d0, cap=self.budget)
+        return self._least[d0]
 
     def fits(self, target: float) -> bool:
         """Whether the length-target cover fits the budget, once every node longer is split."""
-        _check_target_length(target)
-        while target >= self.floor and -self._heap[0][0] > target:
-            key, _, node = heapq.heappop(self._heap)
-            self._add(_children(self.K, node), -key)
-            if len(self._heap) > self.budget:
-                self.floor = -key
+        if self.least(target) > self.budget:
+            return False
+        t = self.K._tables
+        while target >= self.floor:
+            nodes = self.open
+            longer = (nodes.depth < self.max_depth) & (nodes.lengths > target)
+            if not longer.any():
+                break
+            top = nodes.lengths[longer].max()
+            idx = np.flatnonzero(longer & ((nodes.lengths >= top) | (nodes.lengths > self.rho * top)))
+            room = max(1, (self.budget - len(nodes)) // max(1, int(t.counts.max()) - 1) + 1)
+            if len(idx) > room:
+                idx = idx[np.lexsort((nodes.ids[idx], -nodes.lengths[idx]))[:room]]
+            split = nodes if len(idx) == len(nodes) else nodes.take(idx)
+            kids = _children(self.K, split)
+            parent = np.repeat(split.lengths, t.counts[split.last])
+            self.rho = max(self.rho, float(np.max(kids.lengths / parent)))
+            self._rows.append(self._block(kids, parent))
+            self._split.append((split.lengths, t.counts[split.last] - 1))
+            if split is nodes:
+                self.open = kids
+            else:
+                keep = np.ones(len(nodes), dtype=bool)
+                keep[idx] = False
+                self.open = _Nodes.concat([nodes.take(keep), kids])
+            if len(self.open) > self.budget:
+                self._pass_budget()
         return target >= self.floor
+
+    def _pass_budget(self) -> None:
+        """Set `floor` to the length at which splitting every node at least
+        as long first passes the budget, once every node that long is split."""
+        lengths, added = (np.concatenate(col) for col in zip(*self._split))
+        order = np.argsort(-lengths, kind="stable")
+        count = self.K.n_pieces + np.cumsum(added[order])
+        crossing = lengths[order[int(np.argmax(count > self.budget))]]
+        if crossing >= self.open.lengths[self.open.depth < self.max_depth].max(initial=0.0):
+            self.floor = float(crossing)
+
+    def rows(self) -> np.ndarray:
+        """One row per node made, in the order made."""
+        if len(self._rows) > 1:
+            self._rows = [np.concatenate(self._rows)]
+        return self._rows[0]
 
     def cover(self, target: float) -> np.ndarray:
         """Rows of the length-target cover, sorted by lo."""
         if not self.fits(target):
             raise BudgetExceeded(f"cover needs more than {self.budget} intervals (budget)")
-        if len(self._table) < len(self._rows):
-            self._table = np.array(self._rows, dtype=float)
-        length, parent, deep, _, _ = self._table.T
-        rows = self._table[((length <= target) | (deep > 0)) & (parent > target)]
+        table = self.rows()
+        length, parent, deep, _, _ = table.T
+        rows = table[((length <= target) | (deep > 0)) & (parent > target)]
         if np.any(rows[:, 0] < EPS_LEN):
             raise PrecisionLoss(f"length-balanced cover has intervals below the length floor {EPS_LEN}")
         return rows[np.argsort(rows[:, 3], kind="stable")]
@@ -668,17 +910,18 @@ def refine_to_length(
     """
     walk = _LengthWalk(K, max_depth, resolve_budget(budget))
     walk.cover(target_length)  # the nodes left unsplit are the cover's
-    return _sorted_cover([node for _, _, node in walk._heap], "length-balanced cover")
+    return _leaf_cover(walk.open, "length-balanced cover")
 
 
 def _greedy_length(K: RegularCantorSet, n: int) -> Num:
     """Depth-n length a greedy descent to the longest child reaches."""
     if n < 0:
         raise ValidationError("depth must be >= 0")
-    node = max(_roots(K), key=lambda c: c[3].length)
+    node = _roots(K)
     for _ in range(n):
-        node = max(_children(K, node), key=lambda c: c[3].length)
-    return node[3].length
+        i = _longest(node)
+        node = _children(K, node.take(slice(i, i + 1)))
+    return _exact_length(node, _longest(node))
 
 
 def maxlen_at_depth(K: RegularCantorSet, n: int) -> Num:
@@ -691,25 +934,24 @@ def maxlen_at_depth(K: RegularCantorSet, n: int) -> Num:
     at most |node| * c^(n-k) * max|P| / |P_j| long, c the largest
     inverse-branch slope; a node whose bound does not pass the greedy
     length is skipped too, so equal-ratio sets split no node at all.
+    Exact lengths compare as cross-multiplied integers.
     """
     bound = _greedy_length(K, n)
-    grows = None
-    if K.exact:
-        c = max(m.slope for m in K.inverses)
-        longest = max(p.length for p in K.pieces)
-        reach = [c ** (n - k) * longest for k in range(n + 1)]
-        # how far a leaf below a node ending in piece j outgrows the node,
-        # by the node's depth k
-        grows = [[r / p.length for r in reach] for p in K.pieces]
 
-    def split(node: _Node) -> bool:
-        last, _, addr, iv = node
-        if len(addr) > n or iv.length <= bound:
-            return False
-        return grows is None or iv.length * grows[last][len(addr) - 1] > bound
+    def split(nodes: _Nodes) -> np.ndarray:
+        k = int(nodes.depth[0])  # one depth per level
+        if k >= n or not K.exact:
+            return (nodes.depth < n) & (nodes.lengths > bound)
+        lo, hi, dens = nodes.nums
+        span, over = (hi - lo) * bound.denominator, dens * bound.numerator
+        reach = max(m.slope for m in K.inverses) ** (n - k) * max(p.length for p in K.pieces)
+        grows = [reach / p.length for p in K.pieces]
+        up, down = (_objects(getattr(g, f) for g in grows)[nodes.last] for f in ("numerator", "denominator"))
+        return (span > over) & (span * up > over * down)
 
     leaves = _expand(K, split, math.inf)
-    return max([bound] + [iv.length for _, _, addr, iv in leaves if len(addr) == n + 1])
+    deepest = leaves.take(leaves.depth == n)
+    return bound if len(deepest) == 0 else max(bound, _exact_length(deepest, _longest(deepest)))
 
 
 # ---------------------------------------------------------------------------
@@ -739,14 +981,13 @@ def contains(K: RegularCantorSet, x: Num, n: int) -> MembershipResult:
     xf = float(x)
     guard = 1e-12 * max(1.0, abs(float(K.hull.length)))
 
-    def near(node: _Node) -> bool:
-        lo, hi = node[3].as_floats()
-        return lo - guard <= xf <= hi + guard
+    def near(nodes: _Nodes) -> np.ndarray:
+        return (nodes.lo - guard <= xf) & (xf <= nodes.hi + guard)
 
-    leaves = _expand(K, lambda node: near(node) and len(node[2]) <= n, math.inf)
-    if any(near(node) for node in leaves):
+    leaves = _expand(K, lambda nodes: near(nodes) & (nodes.depth < n), math.inf)
+    if near(leaves).any():
         return MembershipResult(True, n)
-    return MembershipResult(False, max(len(node[2]) for node in leaves) - 1)
+    return MembershipResult(False, int(leaves.depth.max()))
 
 
 # ---------------------------------------------------------------------------

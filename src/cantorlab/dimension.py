@@ -81,7 +81,7 @@ def box_dimension(
     counts: list[int] = []
     for n in depths:
         cover = refine(K, n, budget=budget)
-        radii.append(float(cover.max_length))
+        radii.append(float(cover.lengths.max()))
         counts.append(len(cover))
     slope, rms = box_regression(radii, counts)
     return DimensionEstimate(
@@ -146,7 +146,7 @@ def hausdorff_dimension_moran(
     """
     cover = refine(K, n, budget=budget)
     hull_len = float(K.hull.length)
-    ratios = [float(iv.length) / hull_len for iv in cover.intervals]
+    ratios = cover.lengths / hull_len
     value = moran_root(ratios)
     residual = abs(float(np.exp(value * np.log(ratios)).sum()) - 1.0)
     return DimensionEstimate(
@@ -156,7 +156,7 @@ def hausdorff_dimension_moran(
         depth_used=n,
         depths=(n,),
         counts=(len(cover),),
-        radii=(float(cover.max_length),),
+        radii=(float(cover.lengths.max()),),
     )
 
 

@@ -600,7 +600,7 @@ def d_stable_probe(
         c1 = refine(P1, n, budget=budget)
         c2 = refine(P2, n, budget=budget)
         los, his = _cover_meet(c1, c2, float(t))
-        scale = max(float(c1.max_length), float(c2.max_length))
+        scale = float(max(c1.lengths.max(), c2.lengths.max()))
         estimate = _union_box_estimate(los, his, scale)
         if estimate >= d:
             hits += 1

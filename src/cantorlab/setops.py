@@ -127,12 +127,15 @@ def merge_intervals(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 class _SetCovers:
-    """The depth-n greedy length of one set, and on first use its maximum
-    length and its length walk, each built once per public call."""
+    """On first use, the depth-n greedy and maximum lengths of one set and
+    its length walk, each built once per public call."""
 
     def __init__(self, K: RegularCantorSet, n: int, budget: int) -> None:
         self.K, self.n, self.budget = K, n, budget
-        self.greedy = float(_greedy_length(K, n))
+
+    @cached_property
+    def greedy(self) -> float:
+        return float(_greedy_length(self.K, self.n))
 
     @cached_property
     def maxlen(self) -> float:
@@ -168,7 +171,10 @@ def _pair_endpoints(
     scale = 1.0 if op == "+" else abs(lam)
     target1 = _first_target(side1.maxlen, side2.maxlen, scale)
     for step in range(64):
-        if side1.walk.fits(target1) and side2.walk.fits(target1 / scale):
+        # skip, unwalked, a step whose two covers are proved to pass the
+        # budget together; each walk refuses alone a cover it proves too large
+        least = side1.walk.least(target1) * side2.walk.least(target1 / scale)
+        if least <= side1.budget and side1.walk.fits(target1) and side2.walk.fits(target1 / scale):
             c1, c2 = side1.walk.cover(target1), side2.walk.cover(target1 / scale)
             if len(c1) * len(c2) <= side1.budget:
                 break
@@ -203,7 +209,8 @@ def _hull_pair_refusal(K1: RegularCantorSet, K2: RegularCantorSet, scale: float)
     """Why the gap lemma cannot prove the outer sum of the two hulls full
     (see the module docstring), decided exactly, or None when it proves it;
     surds of two fields that do not mix (gauss3 against gauss4) cannot be
-    compared, proving nothing."""
+    compared, proving nothing, unless their floats, rounded outward, put
+    tau1*tau2 below 1."""
     if K1._gap_bounds is None or K2._gap_bounds is None:
         return "a set carries no proved thickness bound"
     (tau1, rho1), (tau2, rho2) = K1._gap_bounds, K2._gap_bounds
@@ -215,6 +222,9 @@ def _hull_pair_refusal(K1: RegularCantorSet, K2: RegularCantorSet, scale: float)
         if not (len1 >= rho2 * len2 and len2 >= rho1 * len1):
             return "a hull is shorter than the other set's largest gap"
     except ValidationError:
+        # float enclosures of the two tau may still prove the product below 1
+        if Fraction(_round_out(tau1, up=True)) * Fraction(_round_out(tau2, up=True)) < 1:
+            return f"tau1*tau2 = {float(tau1) * float(tau2):.6g} < 1"
         return f"the surds of {_field(lo1)} and {_field(lo2)} cannot be compared"
     return None
 

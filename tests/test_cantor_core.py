@@ -6,6 +6,7 @@ import bisect
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -174,9 +175,10 @@ def test_maxlen_at_depth_on_unequal_affine_sets(monkeypatch):
     # on an equal-ratio set no node below the greedy path is split
     calls = []
     children = cantor_core._children
-    monkeypatch.setattr(cantor_core, "_children", lambda K, node: calls.append(1) or children(K, node))
+    # one call splits a batch of nodes: count the nodes
+    monkeypatch.setattr(cantor_core, "_children", lambda K, nodes: calls.append(len(nodes)) or children(K, nodes))
     assert maxlen_at_depth(get_set("ternary"), 10) == F(1, 3**11)
-    assert len(calls) == 10
+    assert sum(calls) == 10
 
 
 def test_cover_bounds_are_built_once_and_read_only(ternary):
@@ -288,6 +290,90 @@ def test_membership_uses_cover(ternary):
     assert contains(ternary, F(1), 8).in_cover
     assert not contains(ternary, F(1, 2), 8).in_cover
     assert not contains(ternary, F(5), 2).in_cover
+
+
+# ---------------------------------------------------------------------------
+# the array engine against per-node walks
+
+
+def _cylinder(K, word):
+    """Interval of the cylinder `word`, its inverse branches composed one
+    map at a time (in `Fraction`s on an exact set)."""
+    comp = None
+    for j in word[:-1]:
+        comp = K.inverses[j] if comp is None else comp.compose(K.inverses[j])
+    return K.pieces[word[-1]] if comp is None else comp.apply_interval(K.pieces[word[-1]])
+
+
+def _words(K, n):
+    """Admissible words of length n + 1, in lexicographic order."""
+    words = [(j,) for j in range(K.n_pieces)]
+    for _ in range(n):
+        words = [w + (k,) for w in words for k in K.transitions[w[-1]]]
+    return words
+
+
+def test_float_covers_match_a_per_node_walk_bit_for_bit():
+    skewed = build_affine([(F(0), F(1, 10)), (F(2, 10), F(5, 10)), (F(9, 10), F(1))],
+                          [(0, 1, 2), (0, 1, 2), (1,)])
+    rng = np.random.default_rng(8)
+    for base in [get_set("ternary"), get_set("middle-fifth"), get_set("thin"), skewed] * 3:
+        K = perturb_set(base, 0.01, rng)
+        assert not K.exact
+        for n in range(6):
+            leaves = sorted(((_cylinder(K, w), w) for w in _words(K, n)), key=lambda item: item[0].lo)
+            cover = refine(K, n)
+            assert cover.addresses == tuple(w for _, w in leaves)
+            assert cover.los.tolist() == [iv.lo for iv, _ in leaves]
+            assert cover.his.tolist() == [iv.hi for iv, _ in leaves]
+            assert cover.lengths.tolist() == [iv.hi - iv.lo for iv, _ in leaves]
+            assert cover.symbols.tolist() == [w[-1] for _, w in leaves]
+            assert maxlen_at_depth(K, n) == max(iv.hi - iv.lo for iv, _ in leaves)
+
+
+def test_exact_ends_stay_exact_past_int64():
+    # at depth 40 numerators and denominators pass 2^63 (3^41 > 2^64)
+    ternary = get_set("ternary")
+    assert maxlen_at_depth(ternary, 40) == F(1, 3**41)
+    assert cantor_core._greedy_length(ternary, 40) == F(1, 3**41)
+    K = build_affine([(F(0), F(1, 4)), (F(1, 2), F(1))], [(0, 1), (0, 1)])
+    assert maxlen_at_depth(K, 40) == cantor_core._greedy_length(K, 40) == _cylinder(K, (1,) * 41).length
+    rng = random.Random(5)
+    for word in [tuple(rng.randrange(2) for _ in range(41)) for _ in range(20)] + [(0,) * 41]:
+        node = cantor_core._roots(K).take([word[0]])
+        for k in word[1:]:
+            kids = cantor_core._children(K, node)
+            node = kids.take(kids.last == k)
+        lo, hi, den = (int(x[0]) for x in node.nums)
+        assert den > 2**63
+        iv = _cylinder(K, word)
+        assert (F(lo, den), F(hi, den)) == (iv.lo, iv.hi)
+        # each float rounds its exact value once
+        assert (node.lo[0], node.hi[0], node.lengths[0]) == (float(iv.lo), float(iv.hi), float(iv.length))
+    # membership at depth 40: a point of the set stays in the cover, and a
+    # point of a depth-21 gap wider than the guard band leaves it there
+    assert contains(ternary, F(1, 4), 40) == cantor_core.MembershipResult(True, 40)
+    gap = _cylinder(ternary, (0,) * 21 + (1,)).lo - F(1, 2 * 3**22)
+    assert contains(ternary, gap, 40) == cantor_core.MembershipResult(False, 21)
+
+
+def test_a_budget_is_refused_before_the_walk(monkeypatch):
+    # every depth-d ternary node is 3^-(d+1) long, so a 1e-13 cover holds
+    # 2^28 intervals: refused with no node split
+    splits = []
+    children = cantor_core._children
+    monkeypatch.setattr(cantor_core, "_children", lambda K, nodes: splits.append(len(nodes)) or children(K, nodes))
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        refine_to_length(get_set("ternary"), 1e-13, budget=200_000)
+    assert time.perf_counter() - start < 1.0 and sum(splits) == 0
+    # the bound never passes the cover it bounds
+    rng = random.Random(12)
+    for K in [random_affine_set(rng) for _ in range(30)] + [get_set("thin")]:
+        walk = _LengthWalk(K, 64, 2_000_000)
+        for target in (0.2, 0.05, 1e-2, 3e-3, 1e-3):
+            assert walk.least(target) <= len(walk.cover(target)) == len(refine_to_length(K, target))
+        assert _LengthWalk(K, 3, 10**9).least(1e-9) == K.admissible_count(3)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from cantorlab import (
     thickness,
 )
 from cantorlab import cantor_core, setops
-from cantorlab.cantor_core import _children, _LengthWalk, _roots, maxlen_at_depth
+from cantorlab.cantor_core import _children, _LengthWalk, maxlen_at_depth
 from cantorlab.surd import QuadraticSurd
 
 F = Fraction
@@ -173,13 +173,14 @@ def test_the_pair_budget_walks_each_tree_once(monkeypatch):
     # walk per set reaches them: no cover is rebuilt at each doubling
     T, thin = get_set("ternary"), get_set("thin")
     splits = []
-    monkeypatch.setattr(cantor_core, "_children", lambda K, node: splits.append(1) or _children(K, node))
+    # one call splits a batch of nodes: count the nodes
+    monkeypatch.setattr(cantor_core, "_children", lambda K, nodes: splits.append(len(nodes)) or _children(K, nodes))
     unions = []
     for n in (6, 12, 15, 20):
         splits.clear()
         u = cover_sum(T, T, n, "-", 0.2, pair_budget=10_000)
         assert u.meta["counts"] == (128, 64) and u.meta["capped"] is (n > 6)
-        assert len(splits) <= 11_000, n
+        assert sum(splits) <= 11_000, n
         unions.append(u)
     for u in unions[1:]:
         assert np.array_equal(u.los, unions[0].los) and np.array_equal(u.his, unions[0].his)
@@ -187,7 +188,7 @@ def test_the_pair_budget_walks_each_tree_once(monkeypatch):
     splits.clear()
     with pytest.raises(BudgetExceeded):
         cover_sum(thin, thin, 8, "-", 1.0, pair_budget=3)
-    assert len(splits) < 100
+    assert sum(splits) < 100
 
 
 def test_a_scan_counts_the_rows_the_budget_coarsened():
@@ -404,8 +405,8 @@ def test_projection_scan_builds_each_cover_once(monkeypatch):
     assert walks == [6]  # one walk serves both equal sides
     assert len(length_walks) == 1
     # a node split twice would leave its children's rows twice
-    rows = length_walks[0]._rows
-    assert len(rows) > 2 and len(set(rows)) == len(rows)
+    rows = length_walks[0].rows()
+    assert len(rows) > 2 and len(np.unique(rows, axis=0)) == len(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -414,18 +415,19 @@ def test_projection_scan_builds_each_cover_once(monkeypatch):
 
 def _children_gap_shares(K, depth):
     """Largest gap between a cylinder's children over its length, for
-    every cylinder of K down to `depth` (exact where K is)."""
-    shares, frontier = [], [None]
-    for _ in range(depth):
-        deeper = []
-        for node in frontier:
-            kids = _roots(K) if node is None else _children(K, node)
-            ivs = sorted((kid[3].lo, kid[3].hi) for kid in kids)
-            iv = K.hull if node is None else node[3]
+    the hull and every cylinder of K above `depth` (exact where K is)."""
+    shares, parents = [], {(): K.hull}
+    for d in range(depth):
+        cover = refine(K, d)
+        kids = {}
+        for addr, iv in zip(cover.addresses, cover.intervals):
+            kids.setdefault(addr[:-1], []).append((iv.lo, iv.hi))
+        for prefix, ivs in kids.items():
+            iv = parents[prefix]
             if len(ivs) > 1:
+                ivs.sort()
                 shares.append(max(b[0] - a[1] for a, b in zip(ivs, ivs[1:])) / (iv.hi - iv.lo))
-            deeper.extend(kids)
-        frontier = deeper
+        parents = dict(zip(cover.addresses, cover.intervals))
     return shares
 
 
