@@ -20,10 +20,11 @@ one level at a time, splitting the nodes a vectorised split rule
 selects, and each caller is its rule: `refine` splits by depth,
 `maxlen_at_depth` nodes longer than the greedy depth-n leaf, and
 `contains` the cylinders within a guard band of the point.
-`_LengthWalk` splits the longest nodes first, in batches, so one walk
-answers every length target: `refine_to_length` asks one, a pair budget
-a ladder.  A `Cover` holds arrays; its `intervals` and `addresses` are
-built on first access.
+`_LengthWalk` splits the nodes longer than a length target and keeps
+every node it made, so one walk answers every target: `refine_to_length`
+asks one, a pair budget a ladder.  A target fits while its cover holds
+at most the budget's intervals.  A `Cover` holds arrays; its `intervals`
+and `addresses` are built on first access.
 
 Exactness policy: an exact (rational affine) set keeps each node's map
 as Python-int numerators over the level's common denominator, so cover
@@ -510,10 +511,6 @@ class _Tables:
         self.counts = np.array([len(ts) for ts in K.transitions])
         # row j: the children's last symbols, padded with -1
         self.kids = np.array([[*ts, *[-1] * (max(self.counts) - len(ts))] for ts in K.transitions])
-        # the largest child/parent length ratio of a root: a first guess at
-        # it for every node (exact for affine sets)
-        self.rho = max(float(K.inverses[j].apply_interval(K.pieces[k]).length / K.pieces[j].length)
-                       for j, ts in enumerate(K.transitions) for k in ts)
         ends, names = [(p.lo, p.hi) for p in K.pieces], ("slope", "offset")
         if self.kind == "exact":
             self.P = math.lcm(*(x.denominator for e in ends for x in e))
@@ -717,22 +714,19 @@ def _readonly(values: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Cover:
     """Depth-n construction cover: sorted disjoint intervals as read-only
-    arrays of their ends, their lengths (the exact length rounded once on
-    an exact set) and the last symbol of each address.
+    arrays of their ends and their lengths (the exact length rounded once
+    on an exact set).
 
-    `uniform` is True when every interval sits at exactly `depth`
-    subdivisions; length-balanced refinement produces mixed depths, in
-    which case `depth` is the deepest one used.  `intervals` (`Fraction`
-    ends on an exact set), `addresses` and the exact `max_length` are
-    built on first access.
+    Length-balanced refinement produces mixed depths, in which case
+    `depth` is the deepest one used.  `intervals` (`Fraction` ends on an
+    exact set), `addresses` and the exact `max_length` are built on first
+    access.
     """
 
     depth: int
     los: np.ndarray
     his: np.ndarray
     lengths: np.ndarray
-    symbols: np.ndarray
-    uniform: bool
     _leaves: _Nodes = field(repr=False)
 
     def __len__(self) -> int:
@@ -758,14 +752,11 @@ def _leaf_cover(leaves: _Nodes, what: str) -> Cover:
     if np.any(leaves.lengths < EPS_LEN):
         raise PrecisionLoss(f"{what} has intervals below the length floor {EPS_LEN}")
     leaves = leaves.take(np.argsort(leaves.lo, kind="stable"), maps=False)
-    depth = int(leaves.depth.max())
     return Cover(
-        depth=depth,
+        depth=int(leaves.depth.max()),
         los=_readonly(leaves.lo),
         his=_readonly(leaves.hi),
         lengths=_readonly(leaves.lengths),
-        symbols=_readonly(leaves.last),
-        uniform=bool(np.all(leaves.depth == depth)),
         _leaves=leaves,
     )
 
@@ -792,29 +783,26 @@ def _check_target_length(target_length: float) -> None:
 
 
 class _LengthWalk:
-    """K's cylinder tree split longest node first.  Each node leaves a row
-    (length, parent's length, too deep to split, lo, hi), and a split node
-    nothing more.  The length-t cover is every row no longer than t, or too
-    deep, whose parent is longer than t: one walk answers every target.  It
-    stops once the cover passes `budget`; a target below `floor`, the length
-    at which splitting every node at least as long passes it, raises
-    BudgetExceeded.
+    """K's cylinder tree, split as far as the targets asked need.  Each node
+    leaves a row (length, parent's length, too deep to split, lo, hi), and
+    a split node nothing more.  The length-t cover is every row no longer
+    than t, or too deep, whose parent is longer than t: one walk answers
+    every target.
 
-    Whether a target fits depends only on the nodes longer than it, so
-    nodes are split in batches: every node longer than the target and than
-    rho times the longest one (rho, a child's length over its parent's,
-    raised as the walk finds it larger), so no child outgrows a node split
-    with its parent; near the budget, only as many of the longest as can
-    keep the cover within it.  On an exact set a target whose cover
-    `least` proves too large is refused without a split.
+    A target fits when its cover holds at most `budget` intervals.  The
+    rows already in the cover and the open nodes longer than the target,
+    each of which holds at least one interval, bound its size from below;
+    `fits` splits those longer nodes, in their stored order, until the
+    bound passes the budget or none is left, when the bound is the cover's
+    size.  Near the budget it splits only as many as can keep the bound
+    within it.  On an exact set a target whose cover `least` proves too
+    large is refused without a split.
     """
 
     def __init__(self, K: RegularCantorSet, max_depth: int, budget: int) -> None:
         self.K, self.max_depth, self.budget = K, max_depth, budget
-        self.floor = math.inf if K.n_pieces > budget else 0.0
-        self.rho, self.open = K._tables.rho, _roots(K)  # the nodes not split
+        self.open = _roots(K)  # the nodes not split
         self._rows = [self._block(self.open, np.full(K.n_pieces, math.inf))]
-        self._split: list[tuple[np.ndarray, np.ndarray]] = []  # length and nodes added, per split
         self._least: dict[int, int] = {}  # `least` by depth d0
 
     def _block(self, nodes: _Nodes, parent: np.ndarray) -> np.ndarray:
@@ -835,46 +823,38 @@ class _LengthWalk:
             self._least[d0] = self.K.admissible_count(d0, cap=self.budget)
         return self._least[d0]
 
+    def _longer(self, target: float) -> np.ndarray:
+        """Indices of the open nodes longer than target that may be split."""
+        return np.flatnonzero((self.open.depth < self.max_depth) & (self.open.lengths > target))
+
+    def _held(self, target: float) -> np.ndarray:
+        """Mask of the rows in the length-target cover."""
+        length, parent, deep, _, _ = self.rows().T
+        return ((length <= target) | (deep > 0)) & (parent > target)
+
     def fits(self, target: float) -> bool:
-        """Whether the length-target cover fits the budget, once every node longer is split."""
+        """Whether the length-target cover holds at most `budget` intervals."""
         if self.least(target) > self.budget:
             return False
         t = self.K._tables
-        while target >= self.floor:
+        longer = self._longer(target)
+        size = int(np.count_nonzero(self._held(target))) + len(longer)
+        while len(longer) and size <= self.budget:
             nodes = self.open
-            longer = (nodes.depth < self.max_depth) & (nodes.lengths > target)
-            if not longer.any():
-                break
-            top = nodes.lengths[longer].max()
-            idx = np.flatnonzero(longer & ((nodes.lengths >= top) | (nodes.lengths > self.rho * top)))
-            room = max(1, (self.budget - len(nodes)) // max(1, int(t.counts.max()) - 1) + 1)
-            if len(idx) > room:
-                idx = idx[np.lexsort((nodes.ids[idx], -nodes.lengths[idx]))[:room]]
+            idx = longer[:(self.budget - size) // max(1, int(t.counts.max()) - 1) + 1]
             split = nodes if len(idx) == len(nodes) else nodes.take(idx)
             kids = _children(self.K, split)
-            parent = np.repeat(split.lengths, t.counts[split.last])
-            self.rho = max(self.rho, float(np.max(kids.lengths / parent)))
-            self._rows.append(self._block(kids, parent))
-            self._split.append((split.lengths, t.counts[split.last] - 1))
+            self._rows.append(self._block(kids, np.repeat(split.lengths, t.counts[split.last])))
             if split is nodes:
                 self.open = kids
             else:
                 keep = np.ones(len(nodes), dtype=bool)
                 keep[idx] = False
                 self.open = _Nodes.concat([nodes.take(keep), kids])
-            if len(self.open) > self.budget:
-                self._pass_budget()
-        return target >= self.floor
-
-    def _pass_budget(self) -> None:
-        """Set `floor` to the length at which splitting every node at least
-        as long first passes the budget, once every node that long is split."""
-        lengths, added = (np.concatenate(col) for col in zip(*self._split))
-        order = np.argsort(-lengths, kind="stable")
-        count = self.K.n_pieces + np.cumsum(added[order])
-        crossing = lengths[order[int(np.argmax(count > self.budget))]]
-        if crossing >= self.open.lengths[self.open.depth < self.max_depth].max(initial=0.0):
-            self.floor = float(crossing)
+            # each split node, counted once, is now its children
+            size += len(kids) - len(idx)
+            longer = self._longer(target)
+        return size <= self.budget
 
     def rows(self) -> np.ndarray:
         """One row per node made, in the order made."""
@@ -886,9 +866,7 @@ class _LengthWalk:
         """Rows of the length-target cover, sorted by lo."""
         if not self.fits(target):
             raise BudgetExceeded(f"cover needs more than {self.budget} intervals (budget)")
-        table = self.rows()
-        length, parent, deep, _, _ = table.T
-        rows = table[((length <= target) | (deep > 0)) & (parent > target)]
+        rows = self.rows()[self._held(target)]
         if np.any(rows[:, 0] < EPS_LEN):
             raise PrecisionLoss(f"length-balanced cover has intervals below the length floor {EPS_LEN}")
         return rows[np.argsort(rows[:, 3], kind="stable")]
@@ -976,7 +954,9 @@ def contains(K: RegularCantorSet, x: Num, n: int) -> MembershipResult:
     """Locate x against covers of depth 0..n.
 
     The guard band errs on the side of membership so that floating
-    rounding can never produce a false exclusion certificate.
+    rounding can never produce a false exclusion certificate.  Raises
+    BudgetExceeded when the cylinders near x pass the default cover
+    budget.
     """
     xf = float(x)
     guard = 1e-12 * max(1.0, abs(float(K.hull.length)))
@@ -984,7 +964,7 @@ def contains(K: RegularCantorSet, x: Num, n: int) -> MembershipResult:
     def near(nodes: _Nodes) -> np.ndarray:
         return (nodes.lo - guard <= xf) & (xf <= nodes.hi + guard)
 
-    leaves = _expand(K, lambda nodes: near(nodes) & (nodes.depth < n), math.inf)
+    leaves = _expand(K, lambda nodes: near(nodes) & (nodes.depth < n), resolve_budget(None))
     if near(leaves).any():
         return MembershipResult(True, n)
     return MembershipResult(False, int(leaves.depth.max()))

@@ -14,8 +14,8 @@ matching depths, and when the pairwise count would still exceed the
 budget the common length target is doubled until it fits (meta `capped`).
 Coarsening preserves outer-approximation semantics; it only loses
 sharpness.  Each set's tree is walked once per call of `cover_sum` or
-`marstrand_scan` (once for both sets when they are equal), longest node
-first, and every target tried reads its cover from that one walk
+`marstrand_scan` (once for both sets when they are equal), and every
+target tried reads its cover from that one walk
 (`cantor_core._LengthWalk`); nothing outlives the call.
 
 Both `cover_sum`, which merges them into an `IntervalUnion`, and

@@ -160,7 +160,7 @@ def test_refinement_counts_and_lengths(ternary):
         cover = refine(ternary, n)
         assert len(cover) == 2 ** (n + 1)
         assert cover.max_length == F(1, 3 ** (n + 1))
-        assert cover.uniform
+        assert {len(word) for word in cover.addresses} == {n + 1}
 
 
 def test_maxlen_at_depth_on_unequal_affine_sets(monkeypatch):
@@ -258,19 +258,20 @@ def test_one_length_walk_answers_every_target(name):
         walk = _LengthWalk(K, max_depth, 2_000_000)
         for target in targets:
             assert_answers(target, max_depth)
-    # a budget the finest cover passes stops the walk at its floor: any
-    # target below it raises, and coarser ones still answer from the walk
-    budget = len(refine_to_length(K, min(targets))) - 1
-    walk = _LengthWalk(K, 64, budget)
-    with pytest.raises(BudgetExceeded):
-        walk.cover(min(targets))
-    assert min(targets) < walk.floor < math.inf
-    with pytest.raises(BudgetExceeded):
-        walk.cover(math.nextafter(walk.floor, 0))
-    with pytest.raises(BudgetExceeded):
-        refine_to_length(K, math.nextafter(walk.floor, 0), budget=budget)
-    for target in [walk.floor] + [t for t in targets if t >= walk.floor]:
-        assert_answers(target)
+    # a target fits exactly when its cover holds at most the budget's
+    # intervals: with a budget one below each cover size, each target raises or answers by its own cover's size, in any order,
+    # and coarser targets still answer from the walk after a refusal
+    sizes = {t: len(refine_to_length(K, t)) for t in targets}
+    for budget in sorted({n - 1 for n in sizes.values()}):
+        walk = _LengthWalk(K, 64, budget)
+        for target in targets + sorted(targets):
+            if sizes[target] > budget:
+                with pytest.raises(BudgetExceeded):
+                    walk.cover(target)
+                with pytest.raises(BudgetExceeded):
+                    refine_to_length(K, target, budget=budget)
+            else:
+                assert_answers(target)
 
 
 def test_gauss_cover_exactness_at_depth():
@@ -327,7 +328,6 @@ def test_float_covers_match_a_per_node_walk_bit_for_bit():
             assert cover.los.tolist() == [iv.lo for iv, _ in leaves]
             assert cover.his.tolist() == [iv.hi for iv, _ in leaves]
             assert cover.lengths.tolist() == [iv.hi - iv.lo for iv, _ in leaves]
-            assert cover.symbols.tolist() == [w[-1] for _, w in leaves]
             assert maxlen_at_depth(K, n) == max(iv.hi - iv.lo for iv, _ in leaves)
 
 
@@ -355,6 +355,27 @@ def test_exact_ends_stay_exact_past_int64():
     assert contains(ternary, F(1, 4), 40) == cantor_core.MembershipResult(True, 40)
     gap = _cylinder(ternary, (0,) * 21 + (1,)).lo - F(1, 2 * 3**22)
     assert contains(ternary, gap, 40) == cantor_core.MembershipResult(False, 21)
+
+
+def test_membership_walks_within_the_cover_budget(monkeypatch, ternary):
+    # below the guard band every cylinder near x is split, so the near
+    # frontier doubles each level: a deep call passes the budget and raises
+    assert contains(ternary, F(1, 4), 40) == cantor_core.MembershipResult(True, 40)
+    monkeypatch.setattr(cantor_core, "DEFAULT_COVER_BUDGET", 20_000)
+    # a walk with no bound would need tens of GB here: stop it early
+    splits = []
+    children = cantor_core._children
+
+    def counted(K, nodes):
+        splits.append(len(nodes))
+        assert sum(splits) < 200_000, "the walk split far past the budget"
+        return children(K, nodes)
+
+    monkeypatch.setattr(cantor_core, "_children", counted)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        contains(ternary, F(1, 4), 60)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_a_budget_is_refused_before_the_walk(monkeypatch):

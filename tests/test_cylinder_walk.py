@@ -12,10 +12,11 @@ import functools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from cantorlab import builtin_names, contains, get_set, refine, refine_to_length
-from cantorlab.cantor_core import maxlen_at_depth
+from cantorlab import build_affine, builtin_names, contains, get_set, perturb_set, refine, refine_to_length
+from cantorlab.cantor_core import _LengthWalk, maxlen_at_depth
 from cantorlab.errors import BudgetExceeded
 
 MAX_COVER = 5000  # largest reference cover built per check
@@ -72,7 +73,7 @@ def test_refine_matches_reference_on_every_catalog_set():
         seen.add(name)
         cover = refine(K, n)
         _assert_same(cover, _reference_cover(name, n), K.exact)
-        assert cover.depth == n and cover.uniform
+        assert cover.depth == n and {len(word) for word in cover.addresses} == {n + 1}
     assert seen == set(builtin_names())
 
 
@@ -93,13 +94,41 @@ def test_refine_to_length_matches_reference_on_gauss_sets(name, targets):
             _assert_same(cover, leaves, K.exact)
             depths = {len(word) - 1 for _, word in leaves}
             assert cover.depth == max(depths)
-            assert cover.uniform == (len(depths) == 1)
+            assert {len(word) - 1 for word in cover.addresses} == depths
         cover = refine_to_length(K, target)
-        assert not cover.uniform  # mixed depths are what this test is for
+        assert len({len(word) for word in cover.addresses}) > 1  # mixed depths are what this test is for
         # the budget verdict depends on the finished leaf count only
         refine_to_length(K, target, budget=len(cover))
         with pytest.raises(BudgetExceeded):
             refine_to_length(K, target, budget=len(cover) - 1)
+
+
+@pytest.mark.parametrize("name", ["unequal-affine", "perturbed-ternary", "gauss2"])
+def test_a_length_target_fits_exactly_when_its_reference_cover_does(name):
+    if name == "unequal-affine":
+        K = build_affine([(Fraction(0), Fraction(1, 4)), (Fraction(1, 2), Fraction(1))], [(0, 1), (0, 1)])
+    elif name == "perturbed-ternary":
+        K = perturb_set(get_set("ternary"), 0.01, np.random.default_rng(23))
+        assert not K.exact
+    else:
+        K = get_set(name)
+    targets = [0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3, 3e-4, 1e-4]
+    random.Random(23).shuffle(targets)
+    leaves = {
+        t: _reference_leaves(K, lambda iv, word, t=t: float(iv.length) > t and len(word) <= 64) for t in targets
+    }
+    # budgets n - 1 and n for each reference leaf count n, each one walk
+    # asked every target in the shuffled order
+    for budget in sorted({len(ref) + k for ref in leaves.values() for k in (-1, 0)}):
+        walk = _LengthWalk(K, 64, budget)
+        for t in targets:
+            ref = leaves[t]
+            assert walk.fits(t) == (len(ref) <= budget), (name, t, budget)
+            if len(ref) <= budget:
+                rows = walk.cover(t)
+                assert rows[:, 3].tolist() == [float(iv.lo) for iv, _ in ref]
+                assert rows[:, 4].tolist() == [float(iv.hi) for iv, _ in ref]
+                assert rows[:, 0].tolist() == [float(iv.length) for iv, _ in ref]
 
 
 def test_maxlen_at_depth_is_the_cover_maximum():
