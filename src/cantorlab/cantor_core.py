@@ -954,17 +954,25 @@ def contains(K: RegularCantorSet, x: Num, n: int) -> MembershipResult:
     """Locate x against covers of depth 0..n.
 
     The guard band errs on the side of membership so that floating
-    rounding can never produce a false exclusion certificate.  Raises
-    BudgetExceeded when the cylinders near x pass the default cover
-    budget.
+    rounding can never produce a false exclusion certificate.  The walk
+    stops once membership is decided: a node whose ends are both within
+    the band of x has only near descendants.  Raises BudgetExceeded only
+    when the near cylinders pass the default cover budget first.
     """
     xf = float(x)
+    if not math.isfinite(xf) or n < 0:
+        raise ValidationError("x must be finite and depth >= 0")
     guard = 1e-12 * max(1.0, abs(float(K.hull.length)))
 
     def near(nodes: _Nodes) -> np.ndarray:
         return (nodes.lo - guard <= xf) & (xf <= nodes.hi + guard)
 
-    leaves = _expand(K, lambda nodes: near(nodes) & (nodes.depth < n), resolve_budget(None))
+    def split(nodes: _Nodes) -> np.ndarray:
+        if ((nodes.hi - guard <= xf) & (xf <= nodes.lo + guard)).any():
+            return np.zeros(len(nodes), dtype=bool)
+        return near(nodes) & (nodes.depth < n)
+
+    leaves = _expand(K, split, resolve_budget(None))
     if near(leaves).any():
         return MembershipResult(True, n)
     return MembershipResult(False, int(leaves.depth.max()))

@@ -18,9 +18,10 @@ Four layers of evidence about K1 and a translated copy K2 + t:
   relative translation in the unit frame of the first set's cylinder);
   cells that cannot renormalize back into the surviving region with a
   one-cell safety margin are deleted until a greatest fixed point
-  remains.  The certificate is the mask alone: an independent checker
-  confirms that every member cell has some child pair whose image stays
-  inside the mask.
+  remains.  Image boxes are fixed once, and each sweep reads their
+  member counts from one summed-area table of the whole mask.  The
+  certificate is the mask alone: an independent checker confirms that
+  every member cell has some child pair whose image stays inside it.
 * `d_stable_probe` / `tangency_density_experiment`: stochastic and
   measure-theoretic probes of how robust the intersection is.
 
@@ -35,6 +36,7 @@ actually uses.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -259,11 +261,13 @@ def _child_tables(K: RegularCantorSet) -> list[list[tuple[int, float, float, flo
     return tables
 
 
-def _require_affine(K: RegularCantorSet, name: str) -> None:
-    if not K.is_affine:
-        raise NonAffineInput(f"{name} must be affine for exact renormalization")
+def _require_affine(*sets: RegularCantorSet) -> None:
+    for K, name in zip(sets, ("first set", "second set")):
+        if not K.is_affine:
+            raise NonAffineInput(f"{name} must be affine for exact renormalization")
 
 
+@np.errstate(over="ignore")  # an image bound that overflows lies off the grid
 def recurrent_compact_search(
     K1: RegularCantorSet,
     K2: RegularCantorSet,
@@ -275,109 +279,74 @@ def recurrent_compact_search(
 ) -> SearchOutcome:
     """Greatest-fixed-point search for a recurrent region of relative positions.
 
-    Starting from every cell whose positions force overlapping hulls,
-    cells are repeatedly deleted unless some child pair (one Markov
-    piece of each set) maps the whole cell into surviving cells with
-    `margin` cells of clearance in the translation direction.  A
-    nonempty fixed point certifies positions whose cylinder pairs can
-    renormalize forever with overlapping hulls — nonempty intersection,
-    robust under translation-type perturbations up to the margin.
+    Starting from every cell whose positions force overlapping hulls, cells
+    are repeatedly deleted unless some child pair (one Markov piece of each
+    set) maps the whole cell into surviving cells with `margin` cells of
+    clearance in the translation direction.  A nonempty fixed point
+    certifies positions whose cylinder pairs can renormalize forever with
+    overlapping hulls — nonempty intersection, robust under translation-type
+    perturbations up to the margin.  Image boxes are fixed once; each sweep
+    reads their member counts from one summed-area table of the mask.
     """
-    _require_affine(K1, "first set")
-    _require_affine(K2, "second set")
+    _require_affine(K1, K2)
     (s_lo, s_hi), (t_lo, t_hi) = box
     hs, ht = float(grid[0]), float(grid[1])
     if not (s_hi > s_lo and t_hi > t_lo and hs > 0 and ht > 0):
         raise ValidationError("box ranges and cell sizes must be positive")
-    if margin < 0:
-        raise ValidationError("margin must be >= 0")
-    ns = max(1, int(round((s_hi - s_lo) / hs)))
-    nt = max(1, int(round((t_hi - t_lo) / ht)))
-    hs = (s_hi - s_lo) / ns
-    ht = (t_hi - t_lo) / nt
-    r1, r2 = K1.n_pieces, K2.n_pieces
-    limit = resolve_budget(budget)
-    if r1 * r2 * ns * nt > limit:
+    spans = ((s_hi - s_lo) / hs, (t_hi - t_lo) / ht)
+    if not all(map(math.isfinite, (s_lo, s_hi, t_lo, t_hi, hs, ht, *spans))):
+        raise ValidationError("box ends, cell sizes and cell counts must be finite")
+    if type(margin) is not int or margin < 0:
+        raise ValidationError("margin must be an int >= 0")
+    ns, nt = (max(1, int(round(x))) for x in spans)
+    hs, ht, r1, r2 = (s_hi - s_lo) / ns, (t_hi - t_lo) / nt, K1.n_pieces, K2.n_pieces
+    if r1 * r2 * ns * nt > (limit := resolve_budget(budget)):
         raise BudgetExceeded(f"{r1 * r2 * ns * nt} grid cells exceed budget {limit}")
 
+    s_edges, t_edges = s_lo + hs * np.arange(ns + 1), t_lo + ht * np.arange(nt + 1)
+    e_lo, e_hi = np.exp(s_edges[:-1]), np.exp(s_edges[1:])  # e^s at each row's edges
+    if not np.isfinite(e_hi[-1]):
+        raise ValidationError("e^s overflows on the grid")
+    cell_t_lo, cell_t_hi = t_edges[None, :-1], t_edges[None, 1:]
+    # initial mask: the whole cell forces hull overlap, [t, t + e^s] meets [0, 1]
+    mask = np.tile((cell_t_hi <= 1.0) & (cell_t_lo + e_lo[:, None] >= 0.0), (r1, r2, 1, 1))
+
+    # each child pair's image box, fixed once: its type pair's summed-area table,
+    # the flat offsets of its rows' ends, its columns and cell count (-1: off the grid)
+    sat = np.zeros((r1, r2, ns + 1, nt + 1), dtype=np.int64)
     tab1, tab2 = _child_tables(K1), _child_tables(K2)
+    rows, boxes = np.arange(ns)[:, None], []
+    for j1, j2 in np.ndindex(r1, r2):
+        for (k1, w_lo, _, L), (k2, v_lo, _, Lp) in itertools.product(tab1[j1], tab2[j2]):
+            shift = math.log(Lp) - math.log(L)
+            r_lo = rows + math.floor(shift / hs + GRID_SNAP_EPS)
+            r_hi = rows + math.ceil(shift / hs - GRID_SNAP_EPS) + 1
+            # u' = (u + e^s * v_lo - w_lo) / L over the cell
+            u_min = (cell_t_lo + np.minimum(e_lo * v_lo, e_hi * v_lo)[:, None] - w_lo) / L
+            u_max = (cell_t_hi + np.maximum(e_lo * v_lo, e_hi * v_lo)[:, None] - w_lo) / L
+            c_lo = np.floor((u_min - t_lo) / ht + GRID_SNAP_EPS) - margin
+            c_hi = np.ceil((u_max - t_lo) / ht - GRID_SNAP_EPS) + margin
+            inside = (r_lo >= 0) & (r_hi <= ns) & (c_lo >= 0) & (c_hi <= nt)
+            c_lo = np.clip(c_lo, 0, nt - 1).astype(np.int32)
+            c_hi = np.clip(c_hi, 1, nt).astype(np.int32)
+            cells = np.where(inside, (r_hi - r_lo) * (c_hi - c_lo), -1).astype(np.int32)
+            lo, hi = np.clip(r_lo, 0, ns - 1) * (nt + 1), np.clip(r_hi, 1, ns) * (nt + 1)
+            boxes.append((j1, j2, sat[k1, k2].ravel(), lo, hi, c_lo, c_hi, cells))
 
-    s_edges = s_lo + hs * np.arange(ns + 1)
-    t_edges = t_lo + ht * np.arange(nt + 1)
-    e_lo = np.exp(s_edges[:-1])  # e^s at cell left edge, per column
-    e_hi = np.exp(s_edges[1:])
-
-    # initial mask: the whole cell must force hull overlap:
-    # [t, t + e^s] meets [0, 1]  <=>  t <= 1 and t + e^s >= 0
-    cell_t_lo = t_edges[:-1][None, :]
-    cell_t_hi = t_edges[1:][None, :]
-    init = (cell_t_hi <= 1.0) & (cell_t_lo + e_lo[:, None] >= 0.0)
-    mask = np.broadcast_to(init, (r1, r2, ns, nt)).copy()
-
-    # static per-child-pair index geometry: a move is (k1, k2, r_lo, r_hi,
-    # c_lo, c_hi, valid), the image box of each cell as clipped half-open
-    # row and column ranges, and whether the unclipped box fits the grid
-    rows_idx = np.arange(ns)[:, None]
-    moves: dict[tuple[int, int], list[tuple]] = {}
-    for j1 in range(r1):
-        for j2 in range(r2):
-            entries = []
-            for (k1, w_lo, _w_hi, L) in tab1[j1]:
-                for (k2, v_lo, _v_hi, Lp) in tab2[j2]:
-                    shift = math.log(Lp) - math.log(L)
-                    d_lo = math.floor(shift / hs + GRID_SNAP_EPS)
-                    d_hi = math.ceil(shift / hs - GRID_SNAP_EPS)
-                    # u' = (u + e^s * v_lo - w_lo) / L over the cell
-                    ev = np.where(v_lo >= 0, e_lo * v_lo, e_hi * v_lo)[:, None]
-                    ev_hi = np.where(v_lo >= 0, e_hi * v_lo, e_lo * v_lo)[:, None]
-                    u_min = (cell_t_lo + ev - w_lo) / L
-                    u_max = (cell_t_hi + ev_hi - w_lo) / L
-                    it_lo = np.floor((u_min - t_lo) / ht + GRID_SNAP_EPS).astype(np.int64) - margin
-                    it_hi = (
-                        np.ceil((u_max - t_lo) / ht - GRID_SNAP_EPS).astype(np.int64) - 1 + margin
-                    )
-                    is_lo = rows_idx + d_lo
-                    is_hi = rows_idx + d_hi
-                    valid = (is_lo >= 0) & (is_hi < ns) & (it_lo >= 0) & (it_hi < nt)
-                    rows = np.clip(is_lo, 0, ns - 1), np.clip(is_hi, 0, ns - 1) + 1
-                    cols = np.clip(it_lo, 0, nt - 1), np.clip(it_hi, 0, nt - 1) + 1
-                    entries.append((k1, k2, *rows, *cols, valid))
-            moves[(j1, j2)] = entries
-
-    def prefix_sums(mask: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
-        """Summed-area table of the mask, per cylinder-type pair."""
-        integrals = {}
-        for k1 in range(r1):
-            for k2 in range(r2):
-                s = np.zeros((ns + 1, nt + 1), dtype=np.int64)
-                np.cumsum(np.cumsum(mask[k1, k2].astype(np.int64), axis=0), axis=1, out=s[1:, 1:])
-                integrals[(k1, k2)] = s
-        return integrals
-
-    # a member survives a sweep when some child pair's image box lies in
-    # the grid and holds only members
-    sweeps = 0
-    while True:
-        sweeps += 1
-        if sweeps > MAX_SWEEPS:
-            raise BudgetExceeded(f"fixed-point iteration exceeded {MAX_SWEEPS} sweeps")
-        integrals = prefix_sums(mask)
-        new_mask = np.empty_like(mask)
-        for (j1, j2), entries in moves.items():
-            supported = np.zeros((ns, nt), dtype=bool)
-            for k1, k2, r_lo, r_hi, c_lo, c_hi, valid in entries:
-                s = integrals[(k1, k2)]
-                total = s[r_hi, c_hi] - s[r_lo, c_hi] - s[r_hi, c_lo] + s[r_lo, c_lo]
-                supported |= valid & (total == (r_hi - r_lo) * (c_hi - c_lo))
-            new_mask[j1, j2] = supported & mask[j1, j2]
-        if np.array_equal(new_mask, mask):
+    # a member survives when some child pair's box lies in the grid and holds only members
+    for sweeps in range(1, MAX_SWEEPS + 1):
+        np.cumsum(np.cumsum(mask, axis=2, dtype=np.int64), axis=3, out=sat[:, :, 1:, 1:])
+        supported = np.zeros_like(mask)
+        for j1, j2, s, lo, hi, c_lo, c_hi, cells in boxes:
+            supported[j1, j2] |= s[hi + c_hi] - s[lo + c_hi] - s[hi + c_lo] + s[lo + c_lo] == cells
+        if (mask <= supported).all():
             break
-        mask = new_mask
+        mask &= supported
+    else:
+        raise BudgetExceeded(f"fixed-point iteration exceeded {MAX_SWEEPS} sweeps")
 
-    if not mask.any():
-        return SearchOutcome(found=False, region=None, sweeps=sweeps)
     region = PositionRegion(s0=s_lo, hs=hs, ns=ns, t0=t_lo, ht=ht, nt=nt, margin=margin, mask=mask)
-    return SearchOutcome(found=True, region=region, sweeps=sweeps)
+    return SearchOutcome(bool(mask.any()), region if mask.any() else None, sweeps)
 
 
 # ---------------------------------------------------------------------------

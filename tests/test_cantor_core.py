@@ -358,11 +358,8 @@ def test_exact_ends_stay_exact_past_int64():
 
 
 def test_membership_walks_within_the_cover_budget(monkeypatch, ternary):
-    # below the guard band every cylinder near x is split, so the near
-    # frontier doubles each level: a deep call passes the budget and raises
-    assert contains(ternary, F(1, 4), 40) == cantor_core.MembershipResult(True, 40)
-    monkeypatch.setattr(cantor_core, "DEFAULT_COVER_BUDGET", 20_000)
-    # a walk with no bound would need tens of GB here: stop it early
+    # below the guard band a node whose ends are both near x has only near
+    # descendants, so the walk stops there: it never doubles to the budget
     splits = []
     children = cantor_core._children
 
@@ -373,9 +370,22 @@ def test_membership_walks_within_the_cover_budget(monkeypatch, ternary):
 
     monkeypatch.setattr(cantor_core, "_children", counted)
     start = time.perf_counter()
+    assert contains(ternary, F(1, 4), 60) == cantor_core.MembershipResult(True, 60)
+    assert sum(splits) < 100
+    assert contains(ternary, F(1, 4), 1000) == cantor_core.MembershipResult(True, 1000)
+    assert time.perf_counter() - start < 1.0
+    # a walk whose near cylinders pass the cover budget still raises
+    monkeypatch.setattr(cantor_core, "DEFAULT_COVER_BUDGET", 3)
     with pytest.raises(BudgetExceeded):
         contains(ternary, F(1, 4), 60)
-    assert time.perf_counter() - start < 1.0
+
+
+def test_membership_refuses_a_point_that_is_not_finite_and_a_negative_depth(ternary):
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError):
+            contains(ternary, x, 3)
+    with pytest.raises(ValidationError):
+        contains(ternary, F(1, 4), -1)
 
 
 def test_a_budget_is_refused_before_the_walk(monkeypatch):

@@ -251,6 +251,94 @@ def test_recurrent_search_validates_grid(middle_fifth):
         recurrent_compact_search(middle_fifth, middle_fifth, SEARCH_BOX, (0.0, 0.1), margin=1)
     with pytest.raises(ValidationError):
         recurrent_compact_search(middle_fifth, middle_fifth, SEARCH_BOX, SEARCH_GRID, margin=-1)
+    # box ends and cell sizes that are not finite
+    for box, grid in [
+        (((-0.75, 0.75), (-2.25, math.inf)), SEARCH_GRID),
+        (((-math.inf, 0.75), (-2.25, 1.25)), SEARCH_GRID),
+        (((-0.75, 0.75), (-2.25, math.nan)), SEARCH_GRID),
+        (SEARCH_BOX, (math.inf, 0.1)),
+        (SEARCH_BOX, (0.1, math.nan)),
+    ]:
+        with pytest.raises(ValidationError):
+            recurrent_compact_search(middle_fifth, middle_fifth, box, grid, margin=1)
+    # e^s overflows on the grid (no numpy warning, no inf columns)
+    with pytest.raises(ValidationError, match="overflows"):
+        recurrent_compact_search(middle_fifth, middle_fifth, ((700.0, 750.0), (-1.0, 1.0)), (1.0, 0.5))
+    # just below it, image bounds that overflow lie off the grid, with no warning
+    out = recurrent_compact_search(middle_fifth, middle_fifth, ((705.0, 709.0), (-1.0, 1.0)), (1.0, 0.5))
+    assert not out.found
+    # a margin that is not an int, as the verifier requires
+    for margin in (1.5, True, np.int64(1)):
+        with pytest.raises(ValidationError):
+            recurrent_compact_search(middle_fifth, middle_fifth, SEARCH_BOX, SEARCH_GRID, margin=margin)
+
+
+def _reference_fixed_point(K1, K2, box, grid, margin):
+    """Greatest fixed point and its sweep count by a plain loop over cells
+    and child pairs, in the search's own arithmetic: rows shift by
+    floor(shift/hs + eps) .. ceil(shift/hs - eps), columns from the image
+    of the cell's corners."""
+    eps = intersect.GRID_SNAP_EPS
+    (s_lo, s_hi), (t_lo, t_hi) = box
+    ns, nt = (max(1, round((hi - lo) / h)) for (lo, hi), h in zip(box, grid))
+    hs, ht = (s_hi - s_lo) / ns, (t_hi - t_lo) / nt
+    e = np.exp(s_lo + hs * np.arange(ns + 1)).tolist()
+    t = [t_lo + ht * k for k in range(nt + 1)]
+    tab1, tab2 = intersect._child_tables(K1), intersect._child_tables(K2)
+
+    def moves(row1, row2):
+        """Each child pair of a type pair, with the range of its row shift."""
+        for (k1, w_lo, _, L), (k2, v_lo, _, Lp) in itertools.product(row1, row2):
+            shift = math.log(Lp) - math.log(L)
+            yield k1, k2, w_lo, v_lo, L, math.floor(shift / hs + eps), math.ceil(shift / hs - eps)
+
+    pairs = [[list(moves(row1, row2)) for row2 in tab2] for row1 in tab1]
+    mask = np.zeros((K1.n_pieces, K2.n_pieces, ns, nt), dtype=bool)
+    for j1, j2, i, k in itertools.product(*map(range, mask.shape)):
+        mask[j1, j2, i, k] = t[k + 1] <= 1.0 and t[k] + e[i] >= 0.0
+
+    def supported(j1, j2, i, k):
+        for k1, k2, w_lo, v_lo, L, d0, d1 in pairs[j1][j2]:
+            if not (0 <= i + d0 and i + d1 < ns):
+                continue
+            u_min = (t[k] + min(e[i] * v_lo, e[i + 1] * v_lo) - w_lo) / L
+            u_max = (t[k + 1] + max(e[i] * v_lo, e[i + 1] * v_lo) - w_lo) / L
+            c0 = math.floor((u_min - t_lo) / ht + eps) - margin
+            c1 = math.ceil((u_max - t_lo) / ht - eps) - 1 + margin
+            if 0 <= c0 and c1 < nt and mask[k1, k2, i + d0:i + d1 + 1, c0:c1 + 1].all():
+                return True
+        return False
+
+    sweeps = 0
+    while True:
+        sweeps += 1
+        new = mask.copy()
+        for cell in zip(*np.nonzero(mask)):
+            new[cell] = supported(*map(int, cell))
+        if (new == mask).all():
+            return mask, sweeps
+        mask = new
+
+
+def test_the_search_is_its_reference_fixed_point(middle_fifth, thick_pair_set):
+    two_ratio = build_affine([(Fraction(0), Fraction(2, 5)), (Fraction(11, 20), Fraction(1))],
+                             [(0, 1), (0, 1)])
+    # one transition row is not full: piece 2 maps onto pieces 1 and 2 only
+    three = build_affine([(Fraction(0), Fraction(1, 4)), (Fraction(3, 8), Fraction(5, 8)),
+                          (Fraction(3, 4), Fraction(1))], [(0, 1, 2), (0, 1, 2), (1, 2)])
+    sets = [middle_fifth, thick_pair_set, two_ratio, three]
+    grids = [(((-0.25, 0.25), (-1.5, 1.0)), (0.5 / 8, 2.5 / 32)),
+             (((-0.4, 0.4), (-1.6, 1.0)), (0.8 / 10, 2.6 / 40))]
+    found = 0
+    for K1, K2, margin, (box, grid) in itertools.product(sets, sets, range(3), grids):
+        out = recurrent_compact_search(K1, K2, box, grid, margin)
+        mask, sweeps = _reference_fixed_point(K1, K2, box, grid, margin)
+        assert out.sweeps == sweeps
+        assert out.found == mask.any()
+        if out.found:
+            assert np.array_equal(out.region.mask, mask)
+            found += 1
+    assert found >= 5
 
 
 # ---------------------------------------------------------------------------
