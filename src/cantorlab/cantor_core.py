@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -959,7 +960,7 @@ def contains(K: RegularCantorSet, x: Num, n: int) -> MembershipResult:
     the band of x has only near descendants.  Raises BudgetExceeded only
     when the near cylinders pass the default cover budget first.
     """
-    xf = float(x)
+    xf = float(x) if abs(x) <= sys.float_info.max else math.inf
     if not math.isfinite(xf) or n < 0:
         raise ValidationError("x must be finite and depth >= 0")
     guard = 1e-12 * max(1.0, abs(float(K.hull.length)))

@@ -15,10 +15,11 @@ gives [0; w_{i-1}, w_{i-2}, ...] = -x̄_i for its other root x̄_i.  So
 the two-sided value is x_i - x̄_i = sqrt(D) / c_i, where
 D = trace^2 - 4*det of the word matrix is the same for every rotation
 and c_i is the lower-left entry of rotation i's matrix: the limsup is
-sqrt(D) / min c_i, from integer matrix entries alone, returned in
-canonical form.  Two windowed estimators run in one loop as a
-mandatory cross-check, on x and its forward values in exact surd
-arithmetic.
+sqrt(D) / min c_i, from integer matrix entries alone (rotation i + 1's matrix
+is rotation i's conjugated by [[w_i, 1], [1, 0]]), returned in canonical form.
+Two windowed estimators run in one loop as a mandatory cross-check, on x and
+its forward values in exact surd arithmetic, all folded back from one periodic
+value.  `lagrange_sample` enumerates periods as Lyndon words (Duval's method).
 
 cf_value note: convergent numerators and denominators are arbitrary-
 precision integers, so the documented overflow failure mode cannot
@@ -30,7 +31,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import product
 
 from .cantor_core import _gauss_hull_surds, resolve_budget
 from .errors import BudgetExceeded, EstimatorMismatch, ValidationError
@@ -129,18 +129,18 @@ class SpectrumValue:
         return self.value
 
 
-def _rotations(word: tuple[int, ...]) -> list[tuple[int, ...]]:
-    return [word[i:] + word[:i] for i in range(len(word))]
-
-
 def _discriminant_and_lower_lefts(word: tuple[int, ...]) -> tuple[int, list[int]]:
     """D = trace^2 - 4*det of the word matrix, and the lower-left entry
     c_i of each rotation's matrix (rotation matrices are conjugate, so
-    they share D)."""
-    matrices = [word_matrix(rot) for rot in _rotations(word)]
-    m00, m01, m10, m11 = matrices[0]
+    they share D): rotation i + 1's is A^-1 M_i A, A = [[w_i, 1], [1, 0]]."""
+    m00, m01, m10, m11 = word_matrix(word)
     disc = (m00 + m11) ** 2 - 4 * (m00 * m11 - m01 * m10)
-    return disc, [m[2] for m in matrices]
+    lower_lefts = []
+    for a in word:
+        lower_lefts.append(m10)
+        u = m00 - a * m10
+        m00, m01, m10, m11 = a * m10 + m11, m10, m01 - a * m11 + a * u, u
+    return disc, lower_lefts
 
 
 def two_sided_values(word: tuple[int, ...]) -> list[QuadraticSurd]:
@@ -165,7 +165,7 @@ def _exact_periodic_k(
     disc, lower_lefts = _discriminant_and_lower_lefts(word)
     best_i = lower_lefts.index(min(lower_lefts))
     best = QuadraticSurd.make(0, 1, lower_lefts[best_i], disc)
-    return float(best), best.canonical(), _rotations(word)[best_i]
+    return float(best), best.canonical(), word[best_i:] + word[:best_i]
 
 
 def _forward_values(prefix: tuple[int, ...], after: list[QuadraticSurd]) -> list[QuadraticSurd]:
@@ -176,7 +176,7 @@ def _forward_values(prefix: tuple[int, ...], after: list[QuadraticSurd]) -> list
     """
     values = list(after)
     for a in reversed(prefix):
-        values.insert(0, QuadraticSurd.from_rational(a) + values[0].inverse())
+        values.insert(0, values[0].inverse() + a)
     return values
 
 
@@ -205,7 +205,9 @@ def k_alpha(seq: CFSequence, window: int) -> SpectrumValue:
     """
     if window < 2:
         raise ValidationError("window must be >= 2")
-    rotations = [periodic_value(rot) for rot in _rotations(seq.period)]
+    # x_i = [w_i; w_{i+1}, ...] = w_i + 1/x_{i+1}, folded back from x_L = x_0
+    x0 = periodic_value(seq.period)
+    rotations = [x0] + _forward_values(seq.period[1:], [x0])[:-1]
     forwards = _forward_values(seq.prefix, rotations * (window // len(rotations) + 1))
     value, exact, witness = _exact_periodic_k(seq.period)
     alpha = forwards[0].inverse()
@@ -233,16 +235,18 @@ def k_alpha(seq: CFSequence, window: int) -> SpectrumValue:
 # spectrum sampling
 
 
-def _canonical_rotation(word: tuple[int, ...]) -> tuple[int, ...]:
-    return min(_rotations(word))
-
-
-def _is_primitive(word: tuple[int, ...]) -> bool:
-    n = len(word)
-    for d in range(1, n):
-        if n % d == 0 and word == word[:d] * (n // d):
-            return False
-    return True
+def _lyndon_words(max_length: int, digit_bound: int) -> list[tuple[int, ...]]:
+    """The primitive words over 1..digit_bound, each as its least rotation,
+    by length and then lexicographically (Duval's algorithm)."""
+    words, w = [], [1]
+    while w:
+        words.append(tuple(w))
+        w = (w * max_length)[:max_length]  # w extended periodically
+        while w and w[-1] == digit_bound:
+            w.pop()
+        if w:
+            w[-1] += 1
+    return sorted(words, key=len)
 
 
 def lagrange_sample(
@@ -263,22 +267,12 @@ def lagrange_sample(
         )
     results: list[SpectrumValue] = []
     seen_values: set[QuadraticSurd] = set()
-    for length in range(1, max_period + 1):
-        for word in product(range(1, digit_bound + 1), repeat=length):
-            if _canonical_rotation(word) != word or not _is_primitive(word):
-                continue
-            value, exact, best_rot = _exact_periodic_k(word)
-            if exact in seen_values:
-                continue
-            seen_values.add(exact)
-            results.append(
-                SpectrumValue(
-                    value=value,
-                    witness=best_rot,
-                    window=length,
-                    exact=exact,
-                )
-            )
+    for word in _lyndon_words(max_period, digit_bound):
+        value, exact, best_rot = _exact_periodic_k(word)
+        if exact in seen_values:
+            continue
+        seen_values.add(exact)
+        results.append(SpectrumValue(value, best_rot, len(word), exact))
     results.sort(key=lambda sv: sv.value)
     return results
 

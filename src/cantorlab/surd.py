@@ -6,6 +6,9 @@ Rationals are the special case q = 0, d = 0.  sqrt(d1) and sqrt(d2) mix
 exactly when d1*d2 is a perfect square s^2, as sqrt(d1) = (s/d2)*sqrt(d2);
 other pairs lie in distinct fields and raise ValidationError.  `==` and
 `hash` compare values, through the minimal-polynomial form `canonical()`.
+A radicand from outside is checked non-square in `make` (a square folds
+into p) and in the constructor (refused); arithmetic reuses an operand's
+radicand, so `_surd` builds its results with neither check.
 
 The module also evaluates purely periodic continued fractions exactly:
 [a1; a2, ..., ap, a1, a2, ...] is the attracting fixed point of the
@@ -41,8 +44,8 @@ class QuadraticSurd:
             raise ValidationError("denominator must be positive")
         if self.q == 0 and self.d != 0:
             raise ValidationError("rational surd must carry d = 0")
-        if self.q != 0 and self.d < 2:
-            raise ValidationError("irrational surd needs d >= 2")
+        if self.q != 0 and (self.d < 2 or math.isqrt(self.d) ** 2 == self.d):
+            raise ValidationError("irrational surd needs a non-square d >= 2")
 
     # -- construction -------------------------------------------------
 
@@ -51,21 +54,16 @@ class QuadraticSurd:
         """Normalize and build.  d is kept as given unless it is a perfect square."""
         if r == 0:
             raise ZeroDivisionError("surd with zero denominator")
-        if q == 0 or d == 0:
-            q, d = 0, 0
-        elif d > 0 and (s := math.isqrt(d)) * s == d:
-            p, q, d = p + q * s, 0, 0
-        if r < 0:
-            p, q, r = -p, -q, -r
-        g = math.gcd(math.gcd(abs(p), abs(q)), r)
-        if g > 1:
-            p, q, r = p // g, q // g, r // g
-        return QuadraticSurd(p, q, r, d)
+        if q and d < 0:
+            raise ValidationError("irrational surd needs a non-square d >= 2")
+        if q and (s := math.isqrt(d)) * s == d:  # d = 0 too
+            p, q = p + q * s, 0
+        return _surd(p, q, r, d)
 
     @staticmethod
     def from_rational(x: Rational) -> "QuadraticSurd":
         f = Fraction(x)
-        return QuadraticSurd.make(f.numerator, 0, f.denominator, 0)
+        return _surd(f.numerator, 0, f.denominator, 0)
 
     @staticmethod
     def sqrt_of_int(n: int) -> "QuadraticSurd":
@@ -100,8 +98,8 @@ class QuadraticSurd:
         a, b, c = a // g, b // g, c // g
         side = 1 if self.q > 0 else -1
         if b % 2 == 0:
-            return QuadraticSurd(-b // 2, side, a, b * b // 4 - a * c)
-        return QuadraticSurd(-b, side, 2 * a, b * b - 4 * a * c)
+            return _surd(-b // 2, side, a, b * b // 4 - a * c)
+        return _surd(-b, side, 2 * a, b * b - 4 * a * c)
 
     def _key(self) -> tuple[int, int, int, int]:
         c = self.canonical()
@@ -127,36 +125,42 @@ class QuadraticSurd:
         if s * s != a.d * b.d:
             raise ValidationError(f"mixing sqrt({a.d}) with sqrt({b.d})")
         # sqrt(b.d) = (s / a.d) * sqrt(a.d)
-        return a, QuadraticSurd(b.p * a.d, b.q * s, b.r * a.d, a.d), a.d
+        return a, _surd(b.p * a.d, b.q * s, b.r * a.d, a.d), a.d
 
     @staticmethod
     def _coerce(x: "SurdLike") -> "QuadraticSurd":
         if isinstance(x, QuadraticSurd):
             return x
+        if isinstance(x, int):
+            return _surd(x, 0, 1, 0)
         return QuadraticSurd.from_rational(x)
 
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other: "SurdLike") -> "QuadraticSurd":
+        if isinstance(other, int):
+            return _surd(self.p + other * self.r, self.q, self.r, self.d)
         a, b, d = self._align(other)
-        return QuadraticSurd.make(a.p * b.r + b.p * a.r, a.q * b.r + b.q * a.r, a.r * b.r, d)
+        return _surd(a.p * b.r + b.p * a.r, a.q * b.r + b.q * a.r, a.r * b.r, d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QuadraticSurd":
-        return QuadraticSurd.make(-self.p, -self.q, self.r, self.d)
+        return _surd(-self.p, -self.q, self.r, self.d)
 
     def __sub__(self, other: "SurdLike") -> "QuadraticSurd":
-        return self + (-self._coerce(other))
+        return self + (-other)
 
     def __rsub__(self, other: "SurdLike") -> "QuadraticSurd":
-        return self._coerce(other) + (-self)
+        return -self + other
 
     def __mul__(self, other: "SurdLike") -> "QuadraticSurd":
+        if isinstance(other, int):
+            return _surd(other * self.p, other * self.q, self.r, self.d)
         a, b, d = self._align(other)
         p = a.p * b.p + a.q * b.q * d
         q = a.p * b.q + a.q * b.p
-        return QuadraticSurd.make(p, q, a.r * b.r, d)
+        return _surd(p, q, a.r * b.r, d)
 
     __rmul__ = __mul__
 
@@ -165,7 +169,7 @@ class QuadraticSurd:
         norm = self.p * self.p - self.q * self.q * self.d
         if norm == 0:
             raise ZeroDivisionError("surd is zero")
-        return QuadraticSurd.make(self.r * self.p, -self.r * self.q, norm, self.d)
+        return _surd(self.r * self.p, -self.r * self.q, norm, self.d)
 
     def __truediv__(self, other: "SurdLike") -> "QuadraticSurd":
         return self * self._coerce(other).inverse()
@@ -235,6 +239,19 @@ class QuadraticSurd:
 
 
 SurdLike = Union[QuadraticSurd, int, Fraction]
+
+
+def _surd(p: int, q: int, r: int, d: int) -> QuadraticSurd:
+    """(p + q*sqrt(d)) / r in lowest terms, built without __init__: valid by
+    construction for r != 0 and d non-square (or q = 0)."""
+    if r < 0:
+        p, q, r = -p, -q, -r
+    g = math.gcd(p, q, r)
+    if g != 1:
+        p, q, r = p // g, q // g, r // g
+    s = object.__new__(QuadraticSurd)
+    s.__dict__.update(p=p, q=q, r=r, d=d if q else 0)
+    return s
 
 
 def word_matrix(word: Sequence[int]) -> tuple[int, int, int, int]:

@@ -388,6 +388,13 @@ def test_membership_refuses_a_point_that_is_not_finite_and_a_negative_depth(tern
         contains(ternary, F(1, 4), -1)
 
 
+def test_membership_refuses_a_point_beyond_the_float_range(ternary):
+    # float() of these raises OverflowError; they are refused as input
+    for x in (10**400, -(10**400), F(10**400, 3)):
+        with pytest.raises(ValidationError):
+            contains(ternary, x, 3)
+
+
 def test_a_budget_is_refused_before_the_walk(monkeypatch):
     # every depth-d ternary node is 3^-(d+1) long, so a 1e-13 cover holds
     # 2^28 intervals: refused with no node split

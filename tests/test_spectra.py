@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -140,8 +141,26 @@ def test_k_alpha_evaluates_each_rotation_once(monkeypatch):
     monkeypatch.setattr(spectra, "periodic_value", counted)
     word = (1, 2, 3, 1, 4)
     sv = k_alpha(CFSequence(prefix=(2, 2), period=word), 12)
-    assert sorted(calls) == sorted(word[i:] + word[:i] for i in range(len(word)))
+    # one periodic value, for the period itself; the other rotations'
+    # forward values are folded back from it
+    assert calls == [word]
     assert sv.exact == max(_two_sided_by_definition(word))
+
+
+def test_k_alpha_values_are_canonical_entries_of_the_sample():
+    # every necklace of period <= 6 over the digits 1..4, each behind a
+    # seeded random prefix: k_alpha's exact value is canonical and is, as
+    # raw (p, q, r, d), an exact value of the Lagrange sample
+    rng = random.Random(25)
+    sample = {(v.exact.p, v.exact.q, v.exact.r, v.exact.d) for v in lagrange_sample(6, 4)}
+    words = spectra._lyndon_words(6, 4)
+    assert len(words) == 964
+    for word in words:
+        prefix = tuple(rng.randint(1, 4) for _ in range(rng.randint(0, 3)))
+        e = k_alpha(CFSequence(prefix=prefix, period=word), max(6, 2 * len(word))).exact
+        c = e.canonical()
+        assert (e.p, e.q, e.r, e.d) == (c.p, c.q, c.r, c.d), word
+        assert (e.p, e.q, e.r, e.d) in sample, word
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +292,22 @@ def test_sample_values_are_canonical(sample_6_4):
         c = sv.exact.canonical()
         assert (sv.exact.p, sv.exact.q, sv.exact.r, sv.exact.d) == (c.p, c.q, c.r, c.d)
         assert sv.value == float(sv.exact)
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (3, 1), (6, 4), (8, 3), (12, 2), (5, 5)])
+def test_lyndon_words_are_the_least_rotations_of_primitive_words(n, k):
+    # the reference: every word by length, then lexicographically, kept
+    # when it is its own least rotation and no shorter word repeated
+    reference = []
+    for length in range(1, n + 1):
+        for word in product(range(1, k + 1), repeat=length):
+            rotations = [word[i:] + word[:i] for i in range(length)]
+            primitive = all(
+                word != word[:d] * (length // d) for d in range(1, length) if length % d == 0
+            )
+            if word == min(rotations) and primitive:
+                reference.append(word)
+    assert spectra._lyndon_words(n, k) == reference
 
 
 def test_sample_budget_guard():

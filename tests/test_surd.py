@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -124,3 +125,39 @@ def test_normalization_collapses_square_radicands():
     s = QuadraticSurd.sqrt_of_int(4)
     assert s.q == 0
     assert s == QuadraticSurd.from_rational(2)
+
+
+@pytest.mark.parametrize("d", [4, 9, 1, 144])
+def test_constructor_refuses_a_square_radicand(d):
+    # a square radicand would compare unequal to the rational it is
+    # (sqrt(4) != 2); arithmetic results reuse an operand's radicand
+    # without a square test, so the constructor refuses one
+    with pytest.raises(ValidationError):
+        QuadraticSurd(0, 1, 1, d)
+    assert QuadraticSurd.make(0, 1, 1, d) == QuadraticSurd.from_rational(math.isqrt(d))
+
+
+def _random_surd(rng):
+    d = rng.choice([2, 3, 5, 12, 20, 221])
+    return QuadraticSurd.make(rng.randint(-50, 50), rng.randint(-9, 9), rng.randint(1, 30), d)
+
+
+def test_int_and_fraction_operands_match_their_coerced_surds():
+    # the direct formulas for an int operand, and the Fraction route,
+    # give the same stored (p, q, r, d) as the operand coerced to a surd
+    rng = random.Random(25)
+
+    def raw(s):
+        return s.p, s.q, s.r, s.d
+
+    for _ in range(500):
+        s = _random_surd(rng)
+        n = rng.randint(-40, 40)
+        f = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+        for x in (n, f):
+            c = QuadraticSurd.from_rational(Fraction(x))
+            assert raw(s + x) == raw(x + s) == raw(s + c)
+            assert raw(s - x) == raw(s + -c)
+            assert raw(x - s) == raw(c + -s)
+            assert raw(s * x) == raw(x * s) == raw(s * c)
+            assert (s + x) - x == s and (s * x).equals(s * c)
