@@ -23,8 +23,8 @@ selects, and each caller is its rule: `refine` splits by depth,
 `_LengthWalk` splits the nodes longer than a length target and keeps
 every node it made, so one walk answers every target: `refine_to_length`
 asks one, a pair budget a ladder.  A target fits while its cover holds
-at most the budget's intervals.  A `Cover` holds arrays; its `intervals`
-and `addresses` are built on first access.
+at most the budget's intervals.  A `Cover` holds arrays to its last
+reader; only its `addresses` are built, on first access.
 
 Exactness policy: an exact (rational affine) set keeps each node's map
 as Python-int numerators over the level's common denominator, so cover
@@ -411,10 +411,8 @@ def _ordered_gaps(hull: tuple, gaps: list[tuple]) -> Iterator[tuple]:
     nearest ends of gaps removed before it or of the hull: the nearest
     gap to the left at least as long, to the right strictly longer, both
     found in one monotone-stack pass.  Lengths are compared in the
-    endpoints' own arithmetic."""
-    # keys of the negated lengths as (float, exact) pairs: rounding is
-    # monotone, so only float ties compare in exact arithmetic
-    keys = [(float(g[0] - g[1]), g[0] - g[1]) for g in gaps]
+    endpoints' own arithmetic: ints, floats, `Fraction`s or surds."""
+    keys = [g[0] - g[1] for g in gaps]  # the negated lengths
     left, right = [hull[0]] * len(gaps), [hull[1]] * len(gaps)
     stack: list[int] = []
     for j, k in enumerate(keys):
@@ -719,9 +717,9 @@ class Cover:
     on an exact set).
 
     Length-balanced refinement produces mixed depths, in which case
-    `depth` is the deepest one used.  `intervals` (`Fraction` ends on an
-    exact set), `addresses` and the exact `max_length` are built on first
-    access.
+    `depth` is the deepest one used.  On an exact set the leaves keep
+    the ends' integer numerators and denominators (`_leaves.nums`), which
+    `thickness` reads; `addresses` are built on first access.
     """
 
     depth: int
@@ -734,19 +732,8 @@ class Cover:
         return len(self.los)
 
     @cached_property
-    def intervals(self) -> tuple[Interval, ...]:
-        if self._leaves.nums is None:
-            return tuple(map(Interval, self.los.tolist(), self.his.tolist()))
-        return tuple(Interval(Fraction(a, d), Fraction(b, d)) for a, b, d in zip(*self._leaves.nums))
-
-    @cached_property
     def addresses(self) -> tuple[tuple[int, ...], ...]:
         return self._leaves.tree.addresses(self._leaves.ids, self._leaves.depth)
-
-    @cached_property
-    def max_length(self) -> Num:
-        # rounding is monotone: the longest rounds to the largest length
-        return max(_exact_length(self._leaves, i) for i in np.flatnonzero(self.lengths == self.lengths.max()))
 
 
 def _leaf_cover(leaves: _Nodes, what: str) -> Cover:

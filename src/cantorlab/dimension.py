@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -172,34 +173,36 @@ def thickness(
     Gaps are processed in decreasing length (ties left to right); the
     bridges L and R of a gap run from its endpoints to the nearest
     endpoint of an already-processed (larger) gap or of the hull
-    (`cantor_core._ordered_gaps`).  The cover's own endpoints are used,
-    so the value is exact up to the final rounding on exact sets; Moebius
+    (`cantor_core._ordered_gaps`).  The cover's own endpoints are used:
+    on an exact set the integer numerators over the depth's one
+    denominator, whose int quotients min(|L|,|R|)/|gap| round correctly
+    and, where two round alike, compare by cross-multiplying; only the
+    limiting gap's ends become `Fraction`s.  Float affine and Moebius
     covers are in floats.  The reported address is that of the cover
     interval immediately to the left of the minimizing gap.
     """
     if n < 1:
         raise ValidationError("thickness needs depth >= 1")
     cover = refine(K, n, budget=budget)
-    ivs = cover.intervals
-    gaps = [
-        (left.hi, right.lo, addr)
-        for left, right, addr in zip(ivs, ivs[1:], cover.addresses)
-        if right.lo > left.hi
-    ]
+    nums, hull = cover._leaves.nums, (K.hull.lo, K.hull.hi)
+    if nums is None:
+        den, los, his = None, cover.los.tolist(), cover.his.tolist()
+    else:  # every leaf is at depth n: one denominator
+        den, los, his = int(nums[2][0]), nums[0].tolist(), nums[1].tolist()
+        hull = tuple(int(x * den) for x in hull)
+    gaps = [(a, b, addr) for a, b, addr in zip(his, los[1:], cover.addresses) if b > a]
     if not gaps:
         raise NoGaps(f"depth-{n} cover exposes no gaps")
-    best, best_gap = math.inf, gaps[0]
-    for gap, left, right in _ordered_gaps((K.hull.lo, K.hull.hi), gaps):
-        g_lo, g_hi, _ = gap
-        ratio = min(g_lo - left, right - g_hi) / (g_hi - g_lo)
-        if ratio < best:
-            best, best_gap = ratio, gap
-    return ThicknessEstimate(
-        value=float(best),
-        depth=n,
-        limiting_gap=Interval(best_gap[0], best_gap[1]),
-        limiting_gap_address=best_gap[2],
-    )
+    best = (math.inf, 0, 1, gaps[0])  # ratio, bridge, gap length, gap
+    for gap, left, right in _ordered_gaps(hull, gaps):
+        bridge, width = min(gap[0] - left, right - gap[1]), gap[1] - gap[0]
+        ratio = bridge / width
+        if ratio < best[0] or (ratio == best[0] and den and bridge * best[2] < best[1] * width):
+            best = (ratio, bridge, width, gap)
+    ratio, _, _, (g_lo, g_hi, addr) = best
+    if den:
+        g_lo, g_hi = Fraction(g_lo, den), Fraction(g_hi, den)
+    return ThicknessEstimate(value=ratio, depth=n, limiting_gap=Interval(g_lo, g_hi), limiting_gap_address=addr)
 
 
 # ---------------------------------------------------------------------------

@@ -330,10 +330,18 @@ def covered_length(U: IntervalUnion, resolution: float) -> float:
     return _grid_cells(U.los, U.his, resolution) * resolution
 
 
+def _check_cells(kmin: float, kmax: float, resolution: float) -> None:
+    """Refuse a grid on which a union end's cell index floor(x / r) passes
+    +-2^61: int64 cell indices, spans and counts would wrap silently."""
+    if not -(2.0**61) < kmin <= kmax < 2.0**61:
+        raise ValidationError(f"resolution {resolution!r} is too fine: the union's grid cells overflow int64")
+
+
 def _grid_cells(los: np.ndarray, his: np.ndarray, resolution: float) -> int:
     """Number of resolution-grid cells meeting sorted disjoint intervals."""
-    klo = np.floor(los / resolution).astype(np.int64)
-    khi = np.floor(his / resolution).astype(np.int64)
+    klo, khi = np.floor(los / resolution), np.floor(his / resolution)
+    _check_cells(klo[0], khi[-1], resolution)
+    klo, khi = klo.astype(np.int64), khi.astype(np.int64)
     cells = int(np.sum(khi - klo + 1))
     if len(klo) > 1:
         cells -= int(np.sum(klo[1:] == khi[:-1]))
@@ -369,6 +377,7 @@ def _scan_row(lo: np.ndarray, hi: np.ndarray, res: list[float], shifts: list[int
     r_f = res[-1]
     kmin = np.floor(lo.min() / r_f)
     kmax = np.floor(hi.max() / r_f)
+    _check_cells(kmin, kmax, r_f)
     if shifts is None or kmax - kmin + 1 > len(lo):
         u = IntervalUnion(*merge_intervals(lo, hi))
         return [covered_length(u, r) for r in res]

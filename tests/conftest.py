@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from cantorlab import get_set
+from cantorlab import Interval, get_set
 
 
 @pytest.fixture(scope="session")
@@ -27,6 +28,15 @@ def thin_pair_set():
 @pytest.fixture(scope="session")
 def thick_pair_set():
     return get_set("thick")
+
+
+def exact_intervals(cover) -> list[Interval]:
+    """The intervals of a cover with its exact ends: on an exact set
+    `Fraction`s of the integer numerators and denominators its leaves
+    keep, on any other set the float ends."""
+    if cover._leaves.nums is None:
+        return list(map(Interval, cover.los.tolist(), cover.his.tolist()))
+    return [Interval(Fraction(a, d), Fraction(b, d)) for a, b, d in zip(*cover._leaves.nums)]
 
 
 ACCEPTANCE_LINES: list[str] = []

@@ -41,7 +41,7 @@ from cantorlab.spectra import (
 )
 from cantorlab.surd import QuadraticSurd
 
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, exact_intervals
 
 LOG2_3 = math.log(2.0) / math.log(3.0)
 
@@ -272,13 +272,13 @@ def _suite_cover_nestedness(seed: int) -> int:
         K = random_affine_set(rng)
         shallow = rng.randrange(0, 3)
         deep = shallow + rng.randrange(1, 3)
-        coarse = refine(K, shallow)
-        fine = refine(K, deep)
-        los = [iv.lo for iv in coarse.intervals]
-        for iv in fine.intervals:
+        coarse = exact_intervals(refine(K, shallow))
+        fine = exact_intervals(refine(K, deep))
+        los = [iv.lo for iv in coarse]
+        for iv in fine:
             j = bisect.bisect_right(los, iv.lo) - 1
             assert j >= 0
-            parent = coarse.intervals[j]
+            parent = coarse[j]
             assert parent.lo <= iv.lo and iv.hi <= parent.hi
         ran += 1
     return ran
@@ -357,17 +357,11 @@ def _decode_mask(doc: dict) -> np.ndarray:
 
 
 def _encode_mask(flat: np.ndarray) -> list[int]:
-    runs: list[int] = []
-    current, count = False, 0
-    for bit in flat:
-        b = bool(bit)
-        if b == current:
-            count += 1
-        else:
-            runs.append(count)
-            current, count = b, 1
-    runs.append(count)
-    return runs
+    """Run lengths of a mask, alternating from a (possibly empty) run of
+    False cells."""
+    flips = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+    runs = np.diff(np.concatenate(([0], flips, [len(flat)])))
+    return ([0] if flat[0] else []) + runs.tolist()
 
 
 def _suite_certificate_soundness(seed: int) -> int:
@@ -380,6 +374,8 @@ def _suite_certificate_soundness(seed: int) -> int:
     ok, message = verify_certificate(doc)
     assert ok, message
     flat = _decode_mask(doc)
+    assert _encode_mask(flat) == doc["mask_rle"]
+    assert np.array_equal(_decode_mask({**doc, "mask_rle": _encode_mask(~flat)}), ~flat)  # starts with True
     pruned = np.flatnonzero(~flat)
     rng = random.Random(seed)
     ran = 0

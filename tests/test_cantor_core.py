@@ -38,6 +38,7 @@ from cantorlab import (
 )
 from cantorlab import cantor_core
 from cantorlab.cantor_core import _LengthWalk, maxlen_at_depth
+from conftest import exact_intervals
 
 F = Fraction
 
@@ -155,11 +156,16 @@ def test_moebius_branches_have_unit_determinant():
 # refinement
 
 
+def _max_length(cover):
+    """Exact length of the longest interval of a cover."""
+    return max(iv.length for iv in exact_intervals(cover))
+
+
 def test_refinement_counts_and_lengths(ternary):
     for n in range(0, 6):
         cover = refine(ternary, n)
         assert len(cover) == 2 ** (n + 1)
-        assert cover.max_length == F(1, 3 ** (n + 1))
+        assert _max_length(cover) == F(1, 3 ** (n + 1))
         assert {len(word) for word in cover.addresses} == {n + 1}
 
 
@@ -171,7 +177,7 @@ def test_maxlen_at_depth_on_unequal_affine_sets(monkeypatch):
     rng = random.Random(3)
     for K in [skewed] + [random_affine_set(rng) for _ in range(20)]:
         for n in range(6):
-            assert maxlen_at_depth(K, n) == refine(K, n).max_length
+            assert maxlen_at_depth(K, n) == _max_length(refine(K, n))
     # on an equal-ratio set no node below the greedy path is split
     calls = []
     children = cantor_core._children
@@ -187,7 +193,7 @@ def test_cover_bounds_are_built_once_and_read_only(ternary):
         first = getattr(cover, name)
         assert getattr(cover, name) is first
         assert not first.flags.writeable
-        assert first.tolist() == [float(getattr(iv, end)) for iv in cover.intervals]
+        assert first.tolist() == [float(getattr(iv, end)) for iv in exact_intervals(cover)]
         with pytest.raises(ValueError):
             first[0] = 0.0
 
@@ -221,9 +227,9 @@ def test_budget_default_ignores_the_environment(monkeypatch, env):
 
 def test_refine_to_length_hits_target(ternary):
     cover = refine_to_length(ternary, 0.01)
-    assert float(cover.max_length) <= 0.01
+    assert cover.lengths.max() <= 0.01
     shallower = refine(ternary, cover.depth - 1)
-    assert float(shallower.max_length) > 0.01
+    assert shallower.lengths.max() > 0.01
 
 
 def _lengths_by_address(K, depth):
@@ -231,7 +237,7 @@ def _lengths_by_address(K, depth):
     out = {}
     for d in range(depth + 1):
         cover = refine(K, d)
-        out.update((addr, float(iv.length)) for addr, iv in zip(cover.addresses, cover.intervals))
+        out.update(zip(cover.addresses, cover.lengths.tolist()))
     return out
 
 

@@ -407,6 +407,12 @@ class TestExitCodes:
             assert rec is None
             assert "tol" in err
 
+    def test_a_scan_grid_finer_than_int64_cells_exits_invalid(self, capsys):
+        code, rec, _, err = run_cli(["marstrand", "--n-lambdas", "2", "--res-exp-lo", "60", "--res-exp-hi", "70"], capsys)
+        assert code == EXIT_INVALID
+        assert rec is None
+        assert "resolution" in err
+
     def test_jobs_is_neither_a_flag_nor_a_config_key(self, capsys, tmp_path):
         for command in ("thickness", "marstrand"):
             code, _, _, err = run_cli([command, "--jobs", "2"], capsys)

@@ -18,6 +18,7 @@ import pytest
 from cantorlab import build_affine, builtin_names, contains, get_set, perturb_set, refine, refine_to_length
 from cantorlab.cantor_core import _LengthWalk, maxlen_at_depth
 from cantorlab.errors import BudgetExceeded
+from conftest import exact_intervals
 
 MAX_COVER = 5000  # largest reference cover built per check
 DEPTHS = range(0, 11)
@@ -62,9 +63,12 @@ def _cases():
 
 def _assert_same(cover, leaves, exact):
     assert cover.addresses == tuple(word for _, word in leaves)
-    assert [(iv.lo, iv.hi) for iv in cover.intervals] == [(iv.lo, iv.hi) for iv, _ in leaves]
+    ends = exact_intervals(cover)
+    assert [(iv.lo, iv.hi) for iv in ends] == [(iv.lo, iv.hi) for iv, _ in leaves]
     kind = Fraction if exact else float
-    assert all(type(iv.lo) is kind and type(iv.hi) is kind for iv in cover.intervals)
+    assert all(type(iv.lo) is kind and type(iv.hi) is kind for iv in ends)
+    # the float ends are the exact ones rounded once
+    assert list(zip(cover.los.tolist(), cover.his.tolist())) == [(float(iv.lo), float(iv.hi)) for iv, _ in leaves]
 
 
 def test_refine_matches_reference_on_every_catalog_set():

@@ -4,24 +4,32 @@ transverse-dimension smallness predicate."""
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cantorlab import (
     DegenerateCover,
+    Interval,
     NoGaps,
     ValidationError,
     box_dimension,
     build_affine,
+    builtin_names,
     gauss_cantor,
     get_set,
     hausdorff_dimension_moran,
     moran_root,
     nonuniform_condition,
+    perturb_set,
+    refine,
     scale_affine,
     thickness,
 )
+from cantorlab.cantor_core import _ordered_gaps
+from conftest import exact_intervals
 
 F = Fraction
 
@@ -172,6 +180,110 @@ def test_thickness_stable_across_depths_for_self_similar(middle_fifth):
 def test_thickness_requires_positive_depth(ternary):
     with pytest.raises(ValidationError):
         thickness(ternary, 0)
+
+
+def _reference_thickness(K, n):
+    """Thickness in `Fraction`s: an `Interval` with exact ends for every
+    interval of the depth-n cover, `_ordered_gaps` on their differences,
+    and the first least ratio.  Returns (value, limiting gap, address)."""
+    cover = refine(K, n)
+    ivs = exact_intervals(cover)
+    gaps = [
+        (left.hi, right.lo, addr)
+        for left, right, addr in zip(ivs, ivs[1:], cover.addresses)
+        if right.lo > left.hi
+    ]
+    best, best_gap = math.inf, gaps[0]
+    for gap, left, right in _ordered_gaps((K.hull.lo, K.hull.hi), gaps):
+        g_lo, g_hi, _ = gap
+        ratio = min(g_lo - left, right - g_hi) / (g_hi - g_lo)
+        if ratio < best:
+            best, best_gap = ratio, gap
+    return float(best), Interval(best_gap[0], best_gap[1]), best_gap[2]
+
+
+def _random_exact_set(rng: random.Random):
+    """2-4 pieces with ends on a random lattice, with full or banded
+    (each piece onto itself and its neighbours) transitions; redrawn
+    until the branches expand."""
+    while True:
+        r = rng.choice((2, 3, 4))
+        denom = rng.choice((12, 20, 30, 42))
+        cuts = sorted(rng.sample(range(denom + 1), 2 * r))
+        pieces = [(F(cuts[2 * i], denom), F(cuts[2 * i + 1], denom)) for i in range(r)]
+        if rng.random() < 0.5:
+            rows = [range(r)] * r
+        else:
+            rows = [range(max(j - 1, 0), min(j + 2, r)) for j in range(r)]
+        try:
+            return build_affine(pieces, [tuple(row) for row in rows])
+        except ValidationError:
+            continue
+
+
+def _rounding_tie_set():
+    """Three pieces whose two top gaps have bridge ratios 4/5 and 4/5 -
+    (20/3)10^-18, which round to one float: only exact arithmetic finds
+    the second, shorter gap limiting."""
+    a, g1, g2, p1 = F(1, 5), F(1, 4), F(3, 20), F(3, 25) - F(1, 10**18)
+    pieces = [(F(0), a), (a + g1, a + g1 + p1), (a + g1 + p1 + g2, F(1))]
+    return build_affine(pieces, [(0, 1, 2)] * 3)
+
+
+def _thickness_cases():
+    for name in builtin_names():
+        K = get_set(name)
+        for n in range(1, 7 if name.startswith("gauss") else 9):
+            yield name, K, n
+    for n in range(1, 5):
+        yield "rounding-tie", _rounding_tie_set(), n
+    rng = random.Random(2026)
+    for i in range(48):
+        K = _random_exact_set(rng)
+        yield f"random-{i}", K, max(n for n in range(1, 9) if K.admissible_count(n) <= 3000)
+    gen = np.random.default_rng(2026)
+    for i in range(24):
+        base = get_set(("ternary", "middle-fifth", "thin", "thick")[i % 4]) if i < 12 else _random_exact_set(rng)
+        K = perturb_set(base, 0.005, gen)
+        yield f"perturbed-{i}", K, max(n for n in range(1, 9) if K.admissible_count(n) <= 3000)
+
+
+def test_thickness_matches_its_fraction_reference():
+    kinds = set()
+    for name, K, n in _thickness_cases():
+        est = thickness(K, n)
+        value, gap, addr = _reference_thickness(K, n)
+        assert est.value == value, (name, n)
+        assert (est.limiting_gap.lo, est.limiting_gap.hi) == (gap.lo, gap.hi), (name, n)
+        assert all(type(x) is type(y) for x, y in zip((est.limiting_gap.lo, est.limiting_gap.hi), (gap.lo, gap.hi)))
+        assert est.limiting_gap_address == addr, (name, n)
+        kinds.add(("exact" if K.exact else "float" if K.is_affine else "moebius", K.transitions[0] == K.transitions[-1]))
+    # every kind of set, and exact sets whose transitions are not full
+    assert {kind for kind, _ in kinds} == {"exact", "float", "moebius"} and ("exact", False) in kinds
+
+
+def test_thickness_where_the_common_denominator_passes_the_float_range():
+    # pieces of length 1/3 + 10^-40: at depth 8 the ends' integer
+    # numerators and their gaps have no float, yet their differences
+    # still order the gaps exactly
+    a = F(1, 3) + F(1, 10**40)
+    K = build_affine([(F(0), a), (1 - a, F(1))], [(0, 1), (0, 1)])
+    assert refine(K, 8)._leaves.nums[2][0] > 10**320
+    est = thickness(K, 8)
+    assert (est.value, est.limiting_gap, est.limiting_gap_address) == _reference_thickness(K, 8)
+    assert est.value == 1.0
+
+
+def test_exact_thickness_builds_no_interval_per_node(monkeypatch):
+    K = get_set("middle-fifth")
+    refine(K, 10)  # the set's tables are built once, before counting
+    built = []
+    post_init = Interval.__post_init__
+    monkeypatch.setattr(Interval, "__post_init__", lambda self: built.append(self) or post_init(self))
+    est = thickness(K, 10)
+    assert est.value == 2.0
+    # the hull and the limiting gap; a per-node view builds 2,048 more
+    assert len(built) <= 4
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -39,6 +40,7 @@ from cantorlab import (
 from cantorlab import cantor_core, setops
 from cantorlab.cantor_core import _children, _LengthWalk, maxlen_at_depth
 from cantorlab.surd import QuadraticSurd
+from conftest import exact_intervals
 
 F = Fraction
 
@@ -315,6 +317,22 @@ def test_projection_scan_rejects_a_resolution_that_is_not_finite(ternary, res):
         marstrand_scan(ternary, ternary, [0.5], 2, [0.25, res], pair_budget=100)
 
 
+def test_a_grid_finer_than_int64_cells_is_refused(ternary):
+    # at 2^-64 the cell index of an end at 1 is 2^64: cast to int64 it
+    # wrapped, and the rows read -0.43 and 5.4e-20 for lengths near 1 and 2
+    fine = 2.0**-64
+    u = cover_sum(ternary, ternary, 6, "-", 0.2)
+    with pytest.raises(ValidationError, match=re.escape(repr(fine))):
+        covered_length(u, fine)
+    for ladder in ([2.0**-6, fine], [0.1, fine]):  # nested, and not nested
+        with pytest.raises(ValidationError, match=re.escape(repr(fine))):
+            marstrand_scan(ternary, ternary, [0.2, 1.0], 6, ladder)
+    # a grid whose cells int64 still counts is measured as before
+    assert covered_length(u, 2.0**-40) == pytest.approx(covered_length(u, 2.0**-30), abs=1e-6)
+    rows = marstrand_scan(ternary, ternary, [0.2, 1.0], 6, [2.0**-6, 2.0**-40]).table
+    assert rows[:, 1] == pytest.approx([covered_length(u, 2.0**-40), 2.0])
+
+
 # resolution ladders for the scan rows; at n = 5 a cover pair holds 480 to
 # 4096 pairs, so the default ladder's 2^-14 grid outgrows them on every row
 # while 2^-9 does not on most rows
@@ -419,15 +437,16 @@ def _children_gap_shares(K, depth):
     shares, parents = [], {(): K.hull}
     for d in range(depth):
         cover = refine(K, d)
+        cells = exact_intervals(cover)
         kids = {}
-        for addr, iv in zip(cover.addresses, cover.intervals):
+        for addr, iv in zip(cover.addresses, cells):
             kids.setdefault(addr[:-1], []).append((iv.lo, iv.hi))
         for prefix, ivs in kids.items():
             iv = parents[prefix]
             if len(ivs) > 1:
                 ivs.sort()
                 shares.append(max(b[0] - a[1] for a, b in zip(ivs, ivs[1:])) / (iv.hi - iv.lo))
-        parents = dict(zip(cover.addresses, cover.intervals))
+        parents = dict(zip(cover.addresses, cells))
     return shares
 
 
