@@ -11,20 +11,20 @@ holds exactly these three things, `pieces`, `transitions` and
 the proved thickness bounds) is derived from them, once, on first use.
 
 Every question about the cylinder tree is answered by one engine.  A
-node is its last symbol, its depth, its parent (kept for the address,
-read only when asked for) and the composite of inverse branches along
-its address; `_children` makes the children of a whole array of nodes
-at once, composing each map with the inverse branch of the node's last
-symbol and applying it to the target pieces.  `_expand` runs that step
-one level at a time, splitting the nodes a vectorised split rule
-selects, and each caller is its rule: `refine` splits by depth,
-`maxlen_at_depth` nodes longer than the greedy depth-n leaf, and
-`contains` the cylinders within a guard band of the point.
-`_LengthWalk` splits the nodes longer than a length target and keeps
-every node it made, so one walk answers every target: `refine_to_length`
-asks one, a pair budget a ladder.  A target fits while its cover holds
-at most the budget's intervals.  A `Cover` holds arrays to its last
-reader; only its `addresses` are built, on first access.
+node is its last symbol, its depth and the composite of inverse branches
+along its address; `_children` makes the children of a whole array of
+nodes at once, composing each map with the inverse branch of the node's
+last symbol and applying it to the target pieces.  No node keeps its
+parent: an address is the itinerary of a point of the cylinder, read by
+`_address` only where one is reported.  `_expand` runs the child step a
+level at a time, splitting the nodes a vectorised split rule selects,
+and each caller is its rule: `refine` splits by depth, `maxlen_at_depth`
+nodes longer than the greedy depth-n leaf, and `contains` the cylinders
+within a guard band of the point.  `_LengthWalk` splits the nodes longer
+than a length target and keeps every node it made, so one walk answers
+every target: `refine_to_length` asks one, a pair budget a ladder.  A
+target fits while its cover holds at most the budget's intervals.  A
+`Cover` holds arrays to its last reader.
 
 Exactness policy: an exact (rational affine) set keeps each node's map
 as Python-int numerators over the level's common denominator, so cover
@@ -533,7 +533,7 @@ class _Tables:
             ends = self.place(maps, np.arange(r), np.zeros(r, dtype=int))
         else:
             ends = (*self.ends.T.copy(), self.ends[:, 1] - self.ends[:, 0], None)
-        self.roots = (np.arange(r), np.arange(r), np.zeros(r, dtype=int), maps, *ends)
+        self.roots = (np.arange(r), np.zeros(r, dtype=int), maps, *ends)
 
     def dens(self, depth: np.ndarray) -> np.ndarray:
         """q^k * P for each depth k (exact sets)."""
@@ -587,39 +587,15 @@ def _objects(values) -> np.ndarray:
     return np.array(list(values), dtype=object)
 
 
-class _Tree:
-    """Last symbol and parent of every node a walk made (a root is its own
-    parent), from which addresses are read when asked for."""
-
-    def __init__(self, r: int) -> None:
-        self.size, self._sym, self._up = r, [np.arange(r)], [np.arange(r)]
-
-    def add(self, sym: np.ndarray, up: np.ndarray) -> np.ndarray:
-        self._sym.append(sym)
-        self._up.append(up)
-        self.size += len(sym)
-        return np.arange(self.size - len(sym), self.size)
-
-    def addresses(self, ids: np.ndarray, depth: np.ndarray) -> tuple[tuple[int, ...], ...]:
-        sym, up = np.concatenate(self._sym), np.concatenate(self._up)
-        self._sym, self._up = [sym], [up]
-        # column j holds the symbol j levels above the node
-        cols = np.empty((len(ids), int(depth.max(initial=0)) + 1), dtype=np.intp)
-        for j in range(cols.shape[1]):
-            cols[:, j], ids = sym[ids], up[ids]
-        return tuple(tuple(row[d::-1]) for row, d in zip(cols.tolist(), depth.tolist()))
-
-
 @dataclass(slots=True)
 class _Nodes:
-    """Nodes of the cylinder tree as parallel arrays: id in `tree`, last
-    symbol, depth (a node at depth d has an address of length d + 1),
-    composite map entries (None once no longer split), float ends and
-    lengths, and on an exact set the integer numerators and denominators
-    of the ends.  The roots are the pieces themselves."""
+    """Nodes of the cylinder tree as parallel arrays: last symbol, depth
+    (a node at depth d has an address of length d + 1), composite map
+    entries (None once no longer split), float ends and lengths, and on an
+    exact set the integer numerators and denominators of the ends.  The
+    roots are the pieces themselves.  No node records its parent: an
+    address is read off a point of the cylinder (`_address`)."""
 
-    tree: _Tree
-    ids: np.ndarray
     last: np.ndarray
     depth: np.ndarray
     maps: tuple | None
@@ -629,11 +605,11 @@ class _Nodes:
     nums: tuple | None
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.last)
 
     def take(self, idx, maps: bool = True) -> "_Nodes":
         """The nodes at idx, an index, mask or slice; maps dropped unless `maps`."""
-        return _Nodes(self.tree, self.ids[idx], self.last[idx], self.depth[idx],
+        return _Nodes(self.last[idx], self.depth[idx],
                       tuple(x[idx] for x in self.maps) if maps and self.maps else None,
                       self.lo[idx], self.hi[idx], self.lengths[idx],
                       self.nums and tuple(x[idx] for x in self.nums))
@@ -644,13 +620,12 @@ class _Nodes:
             return parts[0]
         cat = lambda name: np.concatenate([getattr(p, name) for p in parts])
         join = lambda name: getattr(parts[0], name) and tuple(map(np.concatenate, zip(*(getattr(p, name) for p in parts))))
-        return _Nodes(parts[0].tree, cat("ids"), cat("last"), cat("depth"), join("maps"),
+        return _Nodes(cat("last"), cat("depth"), join("maps"),
                       cat("lo"), cat("hi"), cat("lengths"), join("nums"))
 
 
 def _roots(K: RegularCantorSet) -> _Nodes:
-    r = K.n_pieces
-    return _Nodes(_Tree(r), *K._tables.roots)
+    return _Nodes(*K._tables.roots)
 
 
 def _children(K: RegularCantorSet, nodes: _Nodes) -> _Nodes:
@@ -661,7 +636,7 @@ def _children(K: RegularCantorSet, nodes: _Nodes) -> _Nodes:
     up, col = np.nonzero(kids >= 0)
     sym, depth = kids[up, col], nodes.depth[up] + 1
     maps = tuple(x[up] for x in t.compose(nodes.maps, nodes.last))
-    return _Nodes(nodes.tree, nodes.tree.add(sym, nodes.ids[up]), sym, depth, maps, *t.place(maps, sym, depth))
+    return _Nodes(sym, depth, maps, *t.place(maps, sym, depth))
 
 
 def _expand(K: RegularCantorSet, split: Callable[[_Nodes], np.ndarray], limit: float) -> _Nodes:
@@ -701,6 +676,18 @@ def _longest(nodes: _Nodes) -> int:
     return int(np.argmax(nodes.lengths if nodes.nums is None else nodes.nums[1] - nodes.nums[0]))
 
 
+def _address(K: RegularCantorSet, x: Num, n: int) -> tuple[int, ...]:
+    """Address of the depth-n cylinder holding x: the pieces holding x and
+    its next n forward images (same-depth cylinders are disjoint), exact
+    for a `Fraction` x on an exact or Moebius set."""
+    word = []
+    for _ in range(n + 1):
+        j = next(j for j, p in enumerate(K.pieces) if p.lo <= x <= p.hi)
+        word.append(j)
+        x = K.branches[j].apply(x)
+    return tuple(word)
+
+
 # ---------------------------------------------------------------------------
 # covers
 
@@ -717,9 +704,10 @@ class Cover:
     on an exact set).
 
     Length-balanced refinement produces mixed depths, in which case
-    `depth` is the deepest one used.  On an exact set the leaves keep
-    the ends' integer numerators and denominators (`_leaves.nums`), which
-    `thickness` reads; `addresses` are built on first access.
+    `depth` is the deepest one used.  The leaves keep each interval's
+    depth and, on an exact set, the ends' integer numerators and
+    denominators (`_leaves.nums`), which `thickness` reads.  An
+    interval's address is not kept: `_address` reads it off a point.
     """
 
     depth: int
@@ -730,10 +718,6 @@ class Cover:
 
     def __len__(self) -> int:
         return len(self.los)
-
-    @cached_property
-    def addresses(self) -> tuple[tuple[int, ...], ...]:
-        return self._leaves.tree.addresses(self._leaves.ids, self._leaves.depth)
 
 
 def _leaf_cover(leaves: _Nodes, what: str) -> Cover:

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cantor_core import Interval, RegularCantorSet, _ordered_gaps, refine
+from .cantor_core import Interval, RegularCantorSet, _address, _ordered_gaps, refine
 from .errors import DegenerateCover, NoGaps, ValidationError
 
 
@@ -179,7 +179,8 @@ def thickness(
     and, where two round alike, compare by cross-multiplying; only the
     limiting gap's ends become `Fraction`s.  Float affine and Moebius
     covers are in floats.  The reported address is that of the cover
-    interval immediately to the left of the minimizing gap.
+    interval left of the minimizing gap: the itinerary of its midpoint
+    (`cantor_core._address`), in `Fraction`s on exact and Moebius sets.
     """
     if n < 1:
         raise ValidationError("thickness needs depth >= 1")
@@ -190,7 +191,7 @@ def thickness(
     else:  # every leaf is at depth n: one denominator
         den, los, his = int(nums[2][0]), nums[0].tolist(), nums[1].tolist()
         hull = tuple(int(x * den) for x in hull)
-    gaps = [(a, b, addr) for a, b, addr in zip(his, los[1:], cover.addresses) if b > a]
+    gaps = [(a, b, i) for i, (a, b) in enumerate(zip(his, los[1:])) if b > a]
     if not gaps:
         raise NoGaps(f"depth-{n} cover exposes no gaps")
     best = (math.inf, 0, 1, gaps[0])  # ratio, bridge, gap length, gap
@@ -199,10 +200,11 @@ def thickness(
         ratio = bridge / width
         if ratio < best[0] or (ratio == best[0] and den and bridge * best[2] < best[1] * width):
             best = (ratio, bridge, width, gap)
-    ratio, _, _, (g_lo, g_hi, addr) = best
+    ratio, _, _, (g_lo, g_hi, i) = best
     if den:
         g_lo, g_hi = Fraction(g_lo, den), Fraction(g_hi, den)
-    return ThicknessEstimate(value=ratio, depth=n, limiting_gap=Interval(g_lo, g_hi), limiting_gap_address=addr)
+    address = _address(K, Fraction(los[i] + his[i]) / (2 * (den or 1)), n)
+    return ThicknessEstimate(value=ratio, depth=n, limiting_gap=Interval(g_lo, g_hi), limiting_gap_address=address)
 
 
 # ---------------------------------------------------------------------------

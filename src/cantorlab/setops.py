@@ -250,13 +250,17 @@ def _sum_endpoints(
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Endpoints and meta of the depth-n outer sum (lam != 0): every pair
     sum, or for a closed hull pair H1 + H2 (H1 - lam*H2), exact ends rounded
-    outward, with no cover built.  The precision floor walks for the maximum
-    lengths only when the greedy ones, a lower bound, fall below it."""
+    outward, with no cover built.  The precision floor, on the first
+    cover's target t and the second's t / scale as on the pair path, walks
+    for the maximum lengths only when the greedy ones, a lower bound, fall
+    below it."""
     scale = 1.0 if op == "+" else abs(lam)
     if _hull_pair_refusal(side1.K, side2.K, scale) is not None:
         return _pair_endpoints(side1, side2, op, lam)
-    if _first_target(side1.greedy, side2.greedy, scale) < EPS_LEN:
-        _check_target_length(_first_target(side1.maxlen, side2.maxlen, scale))
+    t = _first_target(side1.greedy, side2.greedy, scale)
+    if min(t, t / scale) < EPS_LEN:
+        t = _first_target(side1.maxlen, side2.maxlen, scale)
+        _check_target_length(min(t, t / scale))
     (a_lo, a_hi), (b_lo, b_hi) = side1.K._exact_hull, side2.K._exact_hull
     if op == "-":
         b_lo, b_hi = sorted((-Fraction(lam) * b_lo, -Fraction(lam) * b_hi))

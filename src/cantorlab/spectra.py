@@ -266,12 +266,14 @@ def lagrange_sample(
             f"{digit_bound}^{max_period} cyclic sequences exceed budget {limit}"
         )
     results: list[SpectrumValue] = []
-    seen_values: set[QuadraticSurd] = set()
+    # canonical surds are equal exactly when their fields are
+    seen_values: set[tuple[int, int, int, int]] = set()
     for word in _lyndon_words(max_period, digit_bound):
         value, exact, best_rot = _exact_periodic_k(word)
-        if exact in seen_values:
+        key = (exact.p, exact.q, exact.r, exact.d)
+        if key in seen_values:
             continue
-        seen_values.add(exact)
+        seen_values.add(key)
         results.append(SpectrumValue(value, best_rot, len(word), exact))
     results.sort(key=lambda sv: sv.value)
     return results

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from cantorlab import Interval, get_set
+from cantorlab.cantor_core import _address
 
 
 @pytest.fixture(scope="session")
@@ -37,6 +38,14 @@ def exact_intervals(cover) -> list[Interval]:
     if cover._leaves.nums is None:
         return list(map(Interval, cover.los.tolist(), cover.his.tolist()))
     return [Interval(Fraction(a, d), Fraction(b, d)) for a, b, d in zip(*cover._leaves.nums)]
+
+
+def itineraries(K, cover) -> list[tuple[int, ...]]:
+    """The address of every interval of a cover of K: the itinerary of its
+    midpoint (`_address`), a `Fraction` of the exact ends on an exact set
+    and of the float ends on any other."""
+    return [_address(K, Fraction(iv.lo + iv.hi) / 2, d)
+            for iv, d in zip(exact_intervals(cover), cover._leaves.depth.tolist())]
 
 
 ACCEPTANCE_LINES: list[str] = []

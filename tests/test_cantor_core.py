@@ -23,6 +23,7 @@ from cantorlab import (
     QuadraticSurd,
     ValidationError,
     build_affine,
+    builtin_names,
     contains,
     dump_set,
     gauss_cantor,
@@ -38,7 +39,7 @@ from cantorlab import (
 )
 from cantorlab import cantor_core
 from cantorlab.cantor_core import _LengthWalk, maxlen_at_depth
-from conftest import exact_intervals
+from conftest import exact_intervals, itineraries
 
 F = Fraction
 
@@ -166,16 +167,20 @@ def test_refinement_counts_and_lengths(ternary):
         cover = refine(ternary, n)
         assert len(cover) == 2 ** (n + 1)
         assert _max_length(cover) == F(1, 3 ** (n + 1))
-        assert {len(word) for word in cover.addresses} == {n + 1}
+        assert set(cover._leaves.depth.tolist()) == {n}
+
+
+def _skewed():
+    """Three pieces, the last with one child: the middle piece."""
+    return build_affine([(F(0), F(1, 10)), (F(2, 10), F(5, 10)), (F(9, 10), F(1))],
+                        [(0, 1, 2), (0, 1, 2), (1,)])
 
 
 def test_maxlen_at_depth_on_unequal_affine_sets(monkeypatch):
     # a leaf below a node ending in the short piece C can outgrow the node
     # times the largest contraction: C's one child is C itself
-    skewed = build_affine([(F(0), F(1, 10)), (F(2, 10), F(5, 10)), (F(9, 10), F(1))],
-                          [(0, 1, 2), (0, 1, 2), (1,)])
     rng = random.Random(3)
-    for K in [skewed] + [random_affine_set(rng) for _ in range(20)]:
+    for K in [_skewed()] + [random_affine_set(rng) for _ in range(20)]:
         for n in range(6):
             assert maxlen_at_depth(K, n) == _max_length(refine(K, n))
     # on an equal-ratio set no node below the greedy path is split
@@ -237,7 +242,7 @@ def _lengths_by_address(K, depth):
     out = {}
     for d in range(depth + 1):
         cover = refine(K, d)
-        out.update(zip(cover.addresses, cover.lengths.tolist()))
+        out.update(zip(itineraries(K, cover), cover.lengths.tolist()))
     return out
 
 
@@ -257,7 +262,7 @@ def test_one_length_walk_answers_every_target(name):
         rows, cover = walk.cover(target), refine_to_length(K, target, max_depth=max_depth)
         assert rows[:, 3].tolist() == cover.los.tolist()
         assert rows[:, 4].tolist() == cover.his.tolist()
-        assert rows[:, 1].tolist() == [lengths.get(addr[:-1], math.inf) for addr in cover.addresses]
+        assert rows[:, 1].tolist() == [lengths.get(addr[:-1], math.inf) for addr in itineraries(K, cover)]
 
     # a node at max_depth is never split, however long it is
     for max_depth in (64, 3):
@@ -321,20 +326,31 @@ def _words(K, n):
 
 
 def test_float_covers_match_a_per_node_walk_bit_for_bit():
-    skewed = build_affine([(F(0), F(1, 10)), (F(2, 10), F(5, 10)), (F(9, 10), F(1))],
-                          [(0, 1, 2), (0, 1, 2), (1,)])
     rng = np.random.default_rng(8)
-    for base in [get_set("ternary"), get_set("middle-fifth"), get_set("thin"), skewed] * 3:
+    for base in [get_set("ternary"), get_set("middle-fifth"), get_set("thin"), _skewed()] * 3:
         K = perturb_set(base, 0.01, rng)
         assert not K.exact
         for n in range(6):
             leaves = sorted(((_cylinder(K, w), w) for w in _words(K, n)), key=lambda item: item[0].lo)
             cover = refine(K, n)
-            assert cover.addresses == tuple(w for _, w in leaves)
             assert cover.los.tolist() == [iv.lo for iv, _ in leaves]
             assert cover.his.tolist() == [iv.hi for iv, _ in leaves]
             assert cover.lengths.tolist() == [iv.hi - iv.lo for iv, _ in leaves]
             assert maxlen_at_depth(K, n) == max(iv.hi - iv.lo for iv, _ in leaves)
+
+
+def test_an_address_is_the_itinerary_of_its_midpoint():
+    # the midpoint of each leaf, followed under the branches, names the
+    # word of its cylinder: on every catalog set, on a set with a
+    # one-child piece and on float sets
+    rng = np.random.default_rng(9)
+    sets = [get_set(name) for name in builtin_names()] + [_skewed()]
+    sets += [perturb_set(base, 0.01, rng) for base in sets[:4] + sets[-1:]]
+    assert sum(not K.exact and K.is_affine for K in sets) == 5
+    for K in sets:
+        for n in range(6):
+            words = sorted(_words(K, n), key=lambda w: _cylinder(K, w).lo)
+            assert itineraries(K, refine(K, n)) == words
 
 
 def test_exact_ends_stay_exact_past_int64():

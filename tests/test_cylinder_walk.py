@@ -62,7 +62,8 @@ def _cases():
 
 
 def _assert_same(cover, leaves, exact):
-    assert cover.addresses == tuple(word for _, word in leaves)
+    # same-depth cylinders are disjoint: ends and depth name the word
+    assert cover._leaves.depth.tolist() == [len(word) - 1 for _, word in leaves]
     ends = exact_intervals(cover)
     assert [(iv.lo, iv.hi) for iv in ends] == [(iv.lo, iv.hi) for iv, _ in leaves]
     kind = Fraction if exact else float
@@ -77,7 +78,7 @@ def test_refine_matches_reference_on_every_catalog_set():
         seen.add(name)
         cover = refine(K, n)
         _assert_same(cover, _reference_cover(name, n), K.exact)
-        assert cover.depth == n and {len(word) for word in cover.addresses} == {n + 1}
+        assert cover.depth == n and set(cover._leaves.depth.tolist()) == {n}
     assert seen == set(builtin_names())
 
 
@@ -98,9 +99,9 @@ def test_refine_to_length_matches_reference_on_gauss_sets(name, targets):
             _assert_same(cover, leaves, K.exact)
             depths = {len(word) - 1 for _, word in leaves}
             assert cover.depth == max(depths)
-            assert {len(word) - 1 for word in cover.addresses} == depths
+            assert set(cover._leaves.depth.tolist()) == depths
         cover = refine_to_length(K, target)
-        assert len({len(word) for word in cover.addresses}) > 1  # mixed depths are what this test is for
+        assert len(set(cover._leaves.depth.tolist())) > 1  # mixed depths are what this test is for
         # the budget verdict depends on the finished leaf count only
         refine_to_length(K, target, budget=len(cover))
         with pytest.raises(BudgetExceeded):

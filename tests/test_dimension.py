@@ -28,7 +28,7 @@ from cantorlab import (
     scale_affine,
     thickness,
 )
-from cantorlab.cantor_core import _ordered_gaps
+from cantorlab.cantor_core import _address, _ordered_gaps
 from conftest import exact_intervals
 
 F = Fraction
@@ -185,12 +185,13 @@ def test_thickness_requires_positive_depth(ternary):
 def _reference_thickness(K, n):
     """Thickness in `Fraction`s: an `Interval` with exact ends for every
     interval of the depth-n cover, `_ordered_gaps` on their differences,
-    and the first least ratio.  Returns (value, limiting gap, address)."""
-    cover = refine(K, n)
-    ivs = exact_intervals(cover)
+    and the first least ratio.  Returns (value, limiting gap, address),
+    the address that of the interval left of the gap: the itinerary of
+    its midpoint."""
+    ivs = exact_intervals(refine(K, n))
     gaps = [
-        (left.hi, right.lo, addr)
-        for left, right, addr in zip(ivs, ivs[1:], cover.addresses)
+        (left.hi, right.lo, left)
+        for left, right in zip(ivs, ivs[1:])
         if right.lo > left.hi
     ]
     best, best_gap = math.inf, gaps[0]
@@ -199,7 +200,8 @@ def _reference_thickness(K, n):
         ratio = min(g_lo - left, right - g_hi) / (g_hi - g_lo)
         if ratio < best:
             best, best_gap = ratio, gap
-    return float(best), Interval(best_gap[0], best_gap[1]), best_gap[2]
+    g_lo, g_hi, iv = best_gap
+    return float(best), Interval(g_lo, g_hi), _address(K, Fraction(iv.lo + iv.hi) / 2, n)
 
 
 def _random_exact_set(rng: random.Random):

@@ -40,7 +40,7 @@ from cantorlab import (
 from cantorlab import cantor_core, setops
 from cantorlab.cantor_core import _children, _LengthWalk, maxlen_at_depth
 from cantorlab.surd import QuadraticSurd
-from conftest import exact_intervals
+from conftest import exact_intervals, itineraries
 
 F = Fraction
 
@@ -439,14 +439,15 @@ def _children_gap_shares(K, depth):
         cover = refine(K, d)
         cells = exact_intervals(cover)
         kids = {}
-        for addr, iv in zip(cover.addresses, cells):
+        addresses = itineraries(K, cover)
+        for addr, iv in zip(addresses, cells):
             kids.setdefault(addr[:-1], []).append((iv.lo, iv.hi))
         for prefix, ivs in kids.items():
             iv = parents[prefix]
             if len(ivs) > 1:
                 ivs.sort()
                 shares.append(max(b[0] - a[1] for a, b in zip(ivs, ivs[1:])) / (iv.hi - iv.lo))
-        parents = dict(zip(cover.addresses, cells))
+        parents = dict(zip(addresses, cells))
     return shares
 
 
@@ -648,6 +649,14 @@ def test_the_precision_floor_holds_on_both_paths():
             cover_sum(T, T, 29, "-", lam)
     with pytest.raises(PrecisionLoss):
         cover_sum(T, T, 29, "+")
+    # at lam > 1 the second cover's target is the first's over lam: a
+    # depth-40 thick interval, 0.45^41 < EPS_LEN long, is refused though
+    # lam times it is not
+    thick = get_set("thick")
+    for lam in (5.0, 10.0):
+        assert cover_sum(thick, thick, 38, "-", lam).meta["pruned"] == 1
+        with pytest.raises(PrecisionLoss):
+            cover_sum(thick, thick, 40, "-", lam)
 
 
 def test_equal_sets_are_the_same_kind(tmp_path):
@@ -704,3 +713,7 @@ def test_a_closed_scan_row_keeps_the_precision_floor():
     assert marstrand_scan(T, T, [1.0], 28).table.shape == (1, len(setops.DEFAULT_RESOLUTIONS))
     with pytest.raises(PrecisionLoss):
         marstrand_scan(T, T, [1.0], 29)
+    thick = get_set("thick")
+    for lam in (5.0, 10.0):
+        with pytest.raises(PrecisionLoss):
+            marstrand_scan(thick, thick, [lam], 40)
