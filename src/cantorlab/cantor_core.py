@@ -24,7 +24,9 @@ within a guard band of the point.  `_LengthWalk` splits the nodes longer
 than a length target and keeps every node it made, so one walk answers
 every target: `refine_to_length` asks one, a pair budget a ladder.  A
 target fits while its cover holds at most the budget's intervals.  A
-`Cover` holds arrays to its last reader.
+`Cover` holds arrays to its last reader.  On an exact set the count and
+the extreme lengths of the depth-d cylinders are read off the transition
+rows with no walk (`_Tables.sizes`).
 
 Exactness policy: an exact (rational affine) set keeps each node's map
 as Python-int numerators over the level's common denominator, so cover
@@ -38,6 +40,7 @@ an end is produced, each by the same float operations as
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -502,7 +505,9 @@ class _Tables:
     ints and q the common denominator of the inverse branches, so the
     node's ends are integer numerators over q^k * P, P the common
     denominator of the piece ends.  Float affine set: slope and offset in
-    float64 (q = P = 1).  Moebius set: the integer matrix entries.
+    float64 (q = P = 1).  Moebius set: the integer matrix entries.  An
+    exact set also has the count and the least and greatest length of
+    its cylinders at each depth (`sizes`), read with no tree walk.
     """
 
     def __init__(self, K: RegularCantorSet) -> None:
@@ -517,8 +522,11 @@ class _Tables:
             self.ends = np.array([[int(x * self.P) for x in e] for e in ends], dtype=object)
             self.inv = tuple(_objects(int(getattr(m, f) * self.q) for m in K.inverses) for f in names)
             self._dens = _objects([self.P])
-            self._least = (min(p.length for p in K.pieces), min(m.slope for m in K.inverses))
-            self._shortest: list[float] = []
+            self.transitions = K.transitions
+            # per piece: count, least and greatest numerator of the deepest
+            # depth not yet in `_sizes`, over q^d * P
+            self._row = [(1, hi - lo, hi - lo) for lo, hi in self.ends.tolist()]
+            self._sizes: list[tuple[int, Fraction, Fraction]] = []
         else:
             self.P = self.q = 1.0
             self.ends = np.array(ends, dtype=float)
@@ -544,13 +552,19 @@ class _Tables:
             self._dens = _objects(dens)
         return self._dens[depth]
 
-    def shortest(self, d: int) -> float:
-        """min|P_j| * c^d rounded to nearest, c the smallest inverse slope:
-        no depth-d node of an exact set rounds shorter (exact sets)."""
-        if d >= len(self._shortest):
-            m, c = self._least
-            self._shortest = [float(m * c**k) for k in range(2 * d + 1)]
-        return self._shortest[d]
+    def sizes(self, d: int) -> tuple[int, Fraction, Fraction]:
+        """Count, least and greatest exact length of the depth-d cylinders
+        (exact sets), built a depth at a time on first use.  Piece j's
+        cylinders are its inverse branch's images of the depth-(d-1)
+        cylinders in its targets, so each depth is one step over the
+        transition rows (the graph-directed lengths of Mauldin-Williams)."""
+        while len(self._sizes) <= d:
+            counts, least, greatest = zip(*self._row)
+            den = self.P * self.q ** len(self._sizes)
+            self._sizes.append((sum(counts), Fraction(min(least), den), Fraction(max(greatest), den)))
+            self._row = [(sum(counts[k] for k in ts), s * min(least[k] for k in ts), s * max(greatest[k] for k in ts))
+                         for s, ts in zip(self.inv[0].tolist(), self.transitions)]
+        return self._sizes[d]
 
     def compose(self, maps: tuple, last: np.ndarray) -> tuple:
         """Each map composed with the inverse branch of `last`, as
@@ -662,20 +676,6 @@ def _expand(K: RegularCantorSet, split: Callable[[_Nodes], np.ndarray], limit: f
             raise BudgetExceeded(f"cover needs more than {limit} intervals (budget)")
 
 
-def _exact_length(nodes: _Nodes, i: int) -> Num:
-    """Length of node i, a `Fraction` on an exact set."""
-    if nodes.nums is None:
-        return float(nodes.lengths[i])
-    lo, hi, dens = nodes.nums
-    return Fraction(hi[i] - lo[i], dens[i])
-
-
-def _longest(nodes: _Nodes) -> int:
-    """Index of the first longest node; on an exact set all must share a
-    depth, whose numerators then compare exactly."""
-    return int(np.argmax(nodes.lengths if nodes.nums is None else nodes.nums[1] - nodes.nums[0]))
-
-
 def _address(K: RegularCantorSet, x: Num, n: int) -> tuple[int, ...]:
     """Address of the depth-n cylinder holding x: the pieces holding x and
     its next n forward images (same-depth cylinders are disjoint), exact
@@ -750,16 +750,19 @@ def refine(K: RegularCantorSet, n: int, *, budget: int | None = None) -> Cover:
 
 
 def _check_target_length(target_length: float) -> None:
+    if not math.isfinite(target_length):
+        raise ValidationError(f"target length must be finite, got {target_length!r}")
     if target_length < EPS_LEN:
         raise PrecisionLoss(f"target length {target_length} below floor {EPS_LEN}")
 
 
 class _LengthWalk:
     """K's cylinder tree, split as far as the targets asked need.  Each node
-    leaves a row (length, parent's length, too deep to split, lo, hi), and
-    a split node nothing more.  The length-t cover is every row no longer
-    than t, or too deep, whose parent is longer than t: one walk answers
-    every target.
+    leaves a row (length, parent's length, lo, hi), and a split node
+    nothing more.  The length-t cover is every row no longer than t whose
+    parent is longer than t: one walk answers every target.  Every branch
+    expands, so every node has descendants no longer than t, and their
+    count grows with depth: the budget alone bounds the walk.
 
     A target fits when its cover holds at most `budget` intervals.  The
     rows already in the cover and the open nodes longer than the target,
@@ -771,38 +774,38 @@ class _LengthWalk:
     large is refused without a split.
     """
 
-    def __init__(self, K: RegularCantorSet, max_depth: int, budget: int) -> None:
-        self.K, self.max_depth, self.budget = K, max_depth, budget
+    def __init__(self, K: RegularCantorSet, budget: int) -> None:
+        self.K, self.budget = K, budget
         self.open = _roots(K)  # the nodes not split
         self._rows = [self._block(self.open, np.full(K.n_pieces, math.inf))]
-        self._least: dict[int, int] = {}  # `least` by depth d0
 
-    def _block(self, nodes: _Nodes, parent: np.ndarray) -> np.ndarray:
-        return np.column_stack((nodes.lengths, parent, nodes.depth >= self.max_depth, nodes.lo, nodes.hi))
+    @staticmethod
+    def _block(nodes: _Nodes, parent: np.ndarray) -> np.ndarray:
+        return np.column_stack((nodes.lengths, parent, nodes.lo, nodes.hi))
 
     def least(self, target: float) -> int:
         """A lower bound on the size of the length-target cover, capped at
-        budget + 1.  Every depth-d node of an exact set rounds to at least
-        `_Tables.shortest(d)`, so every leaf lies at the first depth d0
-        where that may reach the target (at most max_depth) or deeper, and
-        each depth-d0 node holds one.  1 on other sets."""
+        budget + 1.  On an exact set every node shallower than the first
+        depth d0 whose least length (`_Tables.sizes`, rounded once as the
+        nodes' are) reaches the target is split, so each depth-d0 node
+        holds a leaf.  1 on other sets."""
         _check_target_length(target)
         t = self.K._tables
         if t.kind != "exact":
             return 1
-        d0 = next((d for d in range(self.max_depth) if t.shortest(d) <= target), self.max_depth)
-        if d0 not in self._least:
-            self._least[d0] = self.K.admissible_count(d0, cap=self.budget)
-        return self._least[d0]
+        for d in itertools.count():
+            count, least, _ = t.sizes(d)
+            if count > self.budget or float(least) <= target:
+                return min(count, self.budget + 1)
 
     def _longer(self, target: float) -> np.ndarray:
-        """Indices of the open nodes longer than target that may be split."""
-        return np.flatnonzero((self.open.depth < self.max_depth) & (self.open.lengths > target))
+        """Indices of the open nodes longer than target."""
+        return np.flatnonzero(self.open.lengths > target)
 
     def _held(self, target: float) -> np.ndarray:
         """Mask of the rows in the length-target cover."""
-        length, parent, deep, _, _ = self.rows().T
-        return ((length <= target) | (deep > 0)) & (parent > target)
+        length, parent, _, _ = self.rows().T
+        return (length <= target) & (parent > target)
 
     def fits(self, target: float) -> bool:
         """Whether the length-target cover holds at most `budget` intervals."""
@@ -841,67 +844,51 @@ class _LengthWalk:
         rows = self.rows()[self._held(target)]
         if np.any(rows[:, 0] < EPS_LEN):
             raise PrecisionLoss(f"length-balanced cover has intervals below the length floor {EPS_LEN}")
-        return rows[np.argsort(rows[:, 3], kind="stable")]
+        return rows[np.argsort(rows[:, 2], kind="stable")]
 
 
-def refine_to_length(
-    K: RegularCantorSet,
-    target_length: float,
-    *,
-    max_depth: int = 64,
-    budget: int | None = None,
-) -> Cover:
+def refine_to_length(K: RegularCantorSet, target_length: float, *, budget: int | None = None) -> Cover:
     """Subdivide until every interval has length <= target_length.
 
     Depth is balanced by size rather than by count, so heterogeneous
     branch contractions produce mixed-depth covers.  On sets with equal
     contraction everywhere the result coincides with a plain depth-n
-    cover.
+    cover.  No depth stops the walk: a cover past the budget raises
+    BudgetExceeded.
     """
-    walk = _LengthWalk(K, max_depth, resolve_budget(budget))
+    walk = _LengthWalk(K, resolve_budget(budget))
     walk.cover(target_length)  # the nodes left unsplit are the cover's
     return _leaf_cover(walk.open, "length-balanced cover")
 
 
-def _greedy_length(K: RegularCantorSet, n: int) -> Num:
-    """Depth-n length a greedy descent to the longest child reaches."""
+def _maxlen_seed(K: RegularCantorSet, n: int) -> Num:
+    """A depth-n cylinder length no longer than the longest, found with no
+    walk: the longest itself on an exact set (`_Tables.sizes`), else the
+    one a greedy descent to the longest child reaches."""
     if n < 0:
         raise ValidationError("depth must be >= 0")
+    if K.exact:
+        return K._tables.sizes(n)[2]
     node = _roots(K)
     for _ in range(n):
-        i = _longest(node)
+        i = int(np.argmax(node.lengths))
         node = _children(K, node.take(slice(i, i + 1)))
-    return _exact_length(node, _longest(node))
+    return float(node.lengths.max())
 
 
 def maxlen_at_depth(K: RegularCantorSet, n: int) -> Num:
     """Exact maximum interval length of the depth-n cover.
 
-    The greedy depth-n length (`_greedy_length`) bounds it below; a node
-    no longer than that cannot hold a longer leaf, so only longer nodes
-    are split and almost all of the tree is skipped.  On an exact
-    affine set a depth-n leaf below a depth-k node ending in piece j is
-    at most |node| * c^(n-k) * max|P| / |P_j| long, c the largest
-    inverse-branch slope; a node whose bound does not pass the greedy
-    length is skipped too, so equal-ratio sets split no node at all.
-    Exact lengths compare as cross-multiplied integers.
+    On an exact set it is read off the transition rows (`_Tables.sizes`),
+    a `Fraction`.  Elsewhere the greedy depth-n length (`_maxlen_seed`)
+    bounds it below; a node no longer than that cannot hold a longer
+    leaf, so only longer nodes are split and most of the tree is skipped.
     """
-    bound = _greedy_length(K, n)
-
-    def split(nodes: _Nodes) -> np.ndarray:
-        k = int(nodes.depth[0])  # one depth per level
-        if k >= n or not K.exact:
-            return (nodes.depth < n) & (nodes.lengths > bound)
-        lo, hi, dens = nodes.nums
-        span, over = (hi - lo) * bound.denominator, dens * bound.numerator
-        reach = max(m.slope for m in K.inverses) ** (n - k) * max(p.length for p in K.pieces)
-        grows = [reach / p.length for p in K.pieces]
-        up, down = (_objects(getattr(g, f) for g in grows)[nodes.last] for f in ("numerator", "denominator"))
-        return (span > over) & (span * up > over * down)
-
-    leaves = _expand(K, split, math.inf)
-    deepest = leaves.take(leaves.depth == n)
-    return bound if len(deepest) == 0 else max(bound, _exact_length(deepest, _longest(deepest)))
+    bound = _maxlen_seed(K, n)
+    if K.exact:
+        return bound
+    leaves = _expand(K, lambda nodes: (nodes.depth < n) & (nodes.lengths > bound), math.inf)
+    return float(leaves.lengths[leaves.depth == n].max(initial=bound))
 
 
 # ---------------------------------------------------------------------------

@@ -495,8 +495,8 @@ def perturb_set(K: RegularCantorSet, radius: float, rng: np.random.Generator) ->
     """
     if not K.is_affine:
         raise NonAffineInput("perturbations act on affine branch parameters")
-    if radius < 0:
-        raise ValidationError("radius must be >= 0")
+    if not 0 <= radius < math.inf:
+        raise ValidationError("radius must be finite and >= 0")
     if radius == 0:
         return build_affine([p.as_floats() for p in K.pieces], K.transitions)
     for _ in range(PERTURB_MAX_TRIES):
@@ -552,6 +552,8 @@ def d_stable_probe(
         raise ValidationError("d must lie strictly between 0 and 1")
     if perturbations < 1:
         raise ValidationError("need at least one perturbation")
+    if not math.isfinite(t):
+        raise ValidationError("translation must be finite")
     min_gap = min(
         min(float(b.lo) - float(a.hi) for a, b in zip(K.pieces, K.pieces[1:]))
         for K in (K1, K2)
@@ -607,8 +609,10 @@ def tangency_density_experiment(
     bounded away from 0 are evidence of positive density.
     """
     ds = sorted((float(x) for x in deltas), reverse=True)
-    if not ds or ds[-1] <= 0:
-        raise ValidationError("deltas must be positive")
+    if not ds or not all(0 < x < math.inf for x in ds):
+        raise ValidationError("deltas must be finite and positive")
+    if not math.isfinite(t0):
+        raise ValidationError("t0 must be finite")
     U = cover_sum(K1, K2, n, "-", 1.0, pair_budget=pair_budget)
     t0 = float(t0)
     slack = 1e-12 * max(1.0, abs(t0))

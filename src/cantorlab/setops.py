@@ -59,8 +59,8 @@ from .cantor_core import (
     Interval,
     RegularCantorSet,
     _check_target_length,
-    _greedy_length,
     _LengthWalk,
+    _maxlen_seed,
     maxlen_at_depth,
     refine,
 )
@@ -127,15 +127,16 @@ def merge_intervals(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 class _SetCovers:
-    """On first use, the depth-n greedy and maximum lengths of one set and
-    its length walk, each built once per public call."""
+    """On first use, the depth-n seed and maximum lengths of one set
+    (`cantor_core._maxlen_seed`, exact on an exact set) and its length
+    walk, each built once per public call."""
 
     def __init__(self, K: RegularCantorSet, n: int, budget: int) -> None:
         self.K, self.n, self.budget = K, n, budget
 
     @cached_property
-    def greedy(self) -> float:
-        return float(_greedy_length(self.K, self.n))
+    def seed(self) -> float:
+        return float(_maxlen_seed(self.K, self.n))
 
     @cached_property
     def maxlen(self) -> float:
@@ -143,7 +144,7 @@ class _SetCovers:
 
     @cached_property
     def walk(self) -> _LengthWalk:
-        return _LengthWalk(self.K, 64, self.budget)
+        return _LengthWalk(self.K, self.budget)
 
 
 def _pair_sides(K1: RegularCantorSet, K2: RegularCantorSet, n: int, budget: int) -> tuple[_SetCovers, _SetCovers]:
@@ -181,9 +182,9 @@ def _pair_endpoints(
         target1 *= 2.0
     else:
         raise BudgetExceeded("could not balance covers within the pairwise budget")
-    a_lo, a_hi = c1[:, 3], c1[:, 4]
+    a_lo, a_hi = c1[:, 2], c1[:, 3]
     # the second set's intervals as they enter the sum: J, or -lam*J
-    t_lo, t_hi = c2[:, 3], c2[:, 4]
+    t_lo, t_hi = c2[:, 2], c2[:, 3]
     if op == "-":
         x, y = -lam * t_lo, -lam * t_hi
         t_lo, t_hi = np.minimum(x, y), np.maximum(x, y)
@@ -251,13 +252,13 @@ def _sum_endpoints(
     """Endpoints and meta of the depth-n outer sum (lam != 0): every pair
     sum, or for a closed hull pair H1 + H2 (H1 - lam*H2), exact ends rounded
     outward, with no cover built.  The precision floor, on the first
-    cover's target t and the second's t / scale as on the pair path, walks
-    for the maximum lengths only when the greedy ones, a lower bound, fall
-    below it."""
+    cover's target t and the second's t / scale as on the pair path, reads
+    the seed lengths: the maximum lengths on exact sets, and elsewhere
+    lower bounds that walk for the maxima only when they fall below it."""
     scale = 1.0 if op == "+" else abs(lam)
     if _hull_pair_refusal(side1.K, side2.K, scale) is not None:
         return _pair_endpoints(side1, side2, op, lam)
-    t = _first_target(side1.greedy, side2.greedy, scale)
+    t = _first_target(side1.seed, side2.seed, scale)
     if min(t, t / scale) < EPS_LEN:
         t = _first_target(side1.maxlen, side2.maxlen, scale)
         _check_target_length(min(t, t / scale))
@@ -329,8 +330,8 @@ def contains_interval(U: IntervalUnion, target: Interval, margin: float) -> bool
 
 def covered_length(U: IntervalUnion, resolution: float) -> float:
     """(number of resolution-grid cells meeting U) * resolution."""
-    if resolution <= 0:
-        raise ValidationError("resolution must be positive")
+    if not 0 < resolution < math.inf:
+        raise ValidationError("resolution must be finite and positive")
     return _grid_cells(U.los, U.his, resolution) * resolution
 
 
@@ -413,6 +414,8 @@ class ProjectionScan:
 
     def fraction_above(self, theta: float | None = None) -> float:
         th = self.theta if theta is None else theta
+        if not math.isfinite(th):
+            raise ValidationError("theta must be finite")
         return float(np.mean(self.covered_at_finest() > th))
 
     def slopes(self) -> np.ndarray:
@@ -464,6 +467,8 @@ def marstrand_scan(
     res = sorted(set(float(r) for r in resolutions), reverse=True)
     if not res or not all(0 < r < math.inf for r in res):
         raise ValidationError("resolutions must be finite and positive")
+    if not math.isfinite(theta):
+        raise ValidationError("theta must be finite")
     budget = SCAN_PAIR_BUDGET if pair_budget is None else pair_budget
     sides = _pair_sides(K1, K2, n, budget)
     shifts = _dyadic_shifts(res)

@@ -176,20 +176,46 @@ def _skewed():
                         [(0, 1, 2), (0, 1, 2), (1,)])
 
 
+def _random_exact_set(rng: random.Random):
+    """2-4 pieces with rational ends on a random lattice, with full or
+    banded transitions (each piece onto itself and its neighbours)."""
+    r = rng.choice((2, 3, 4))
+    denom = rng.choice((12, 16, 24, 30, 36))
+    cuts = sorted(rng.sample(range(denom + 1), 2 * r))
+    pieces = [(F(cuts[2 * i], denom), F(cuts[2 * i + 1], denom)) for i in range(r)]
+    if rng.random() < 0.5:
+        return build_affine(pieces, [range(r)] * r)
+    return build_affine(pieces, [range(max(0, j - 1), min(r, j + 2)) for j in range(r)])
+
+
 def test_maxlen_at_depth_on_unequal_affine_sets(monkeypatch):
-    # a leaf below a node ending in the short piece C can outgrow the node
-    # times the largest contraction: C's one child is C itself
+    # the table's count, least and greatest length at depths 0-12 are
+    # those of the exact depth-n cover, on every catalog exact set, on a
+    # set with a one-child piece and on seeded random sets; covers of more
+    # than 10,000 intervals are not built, and each is `refine`'s walk
+    # without its length floor, which the deepest random covers pass
     rng = random.Random(3)
-    for K in [_skewed()] + [random_affine_set(rng) for _ in range(20)]:
-        for n in range(6):
-            assert maxlen_at_depth(K, n) == _max_length(refine(K, n))
-    # on an equal-ratio set no node below the greedy path is split
+    catalog = [get_set(name) for name in builtin_names() if get_set(name).exact]
+    randoms = [_random_exact_set(rng) for _ in range(48)]
+    assert len(catalog) == 6 and sum(K.transitions[0] != tuple(range(K.n_pieces)) for K in randoms) >= 10
+    deepest = 0
+    for K in catalog + [_skewed()] + randoms:
+        for n in range(13):
+            if K.admissible_count(n) > 10_000:
+                break
+            lo, hi, dens = cantor_core._expand(K, lambda nodes: nodes.depth < n, math.inf).nums
+            spans = (hi - lo).tolist()
+            least, greatest = F(min(spans), dens[0]), F(max(spans), dens[0])
+            assert K._tables.sizes(n) == (len(spans), least, greatest)
+            assert maxlen_at_depth(K, n) == greatest
+            deepest = max(deepest, n)
+    assert deepest == 12
+    # an exact set's maximum walks no tree: no child step runs
     calls = []
     children = cantor_core._children
-    # one call splits a batch of nodes: count the nodes
     monkeypatch.setattr(cantor_core, "_children", lambda K, nodes: calls.append(len(nodes)) or children(K, nodes))
     assert maxlen_at_depth(get_set("ternary"), 10) == F(1, 3**11)
-    assert sum(calls) == 10
+    assert sum(calls) == 0
 
 
 def test_cover_bounds_are_built_once_and_read_only(ternary):
@@ -237,6 +263,33 @@ def test_refine_to_length_hits_target(ternary):
     assert shallower.lengths.max() > 0.01
 
 
+def _chain():
+    """Six pieces; piece 0 maps onto pieces 0 and 1 with slope 1.04, and
+    the others pass along a chain back to 0."""
+    ends = [(0, 50), (51, 52), (53, 55), (56, 60), (61, 69), (70, 86)]
+    return build_affine([(F(a, 100), F(b, 100)) for a, b in ends], [(0, 1), (2,), (3,), (4,), (5,), (0,)])
+
+
+def test_a_slowly_contracting_set_is_covered_to_its_target():
+    # cylinders inside piece 0 shrink by 1/1.04 a level, so a 1e-3 cover
+    # reaches depth 159; a walk that stops at a fixed depth leaves
+    # intervals 40 times longer than the target and says nothing
+    K = _chain()
+    cover = refine_to_length(K, 1e-3)
+    assert cover.lengths.max() <= 1e-3 and cover.depth == 159
+    assert len(cover) == 2850 == len(_LengthWalk(K, 2_000_000).cover(1e-3))
+    # a cover too large for the budget is refused, however deep it is
+    with pytest.raises(BudgetExceeded):
+        refine_to_length(K, 1e-3, budget=2849)
+
+
+@pytest.mark.parametrize("target", [math.nan, math.inf], ids=str)
+def test_a_length_target_that_is_not_finite_is_refused(ternary, target):
+    # inf gave the depth-0 cover, and nan a BudgetExceeded
+    with pytest.raises(ValidationError):
+        refine_to_length(ternary, target)
+
+
 def _lengths_by_address(K, depth):
     """Float length of every cylinder of K down to `depth`, by address."""
     out = {}
@@ -256,25 +309,24 @@ def test_one_length_walk_answers_every_target(name):
     random.Random(4).shuffle(targets)
     lengths = _lengths_by_address(K, max(refine_to_length(K, min(targets)).depth - 1, 0))
 
-    def assert_answers(target, max_depth=64):
+    def assert_answers(target):
         # the rows are refine_to_length's intervals, and each row's parent
         # is the cylinder its address names (a root's parent is inf long)
-        rows, cover = walk.cover(target), refine_to_length(K, target, max_depth=max_depth)
-        assert rows[:, 3].tolist() == cover.los.tolist()
-        assert rows[:, 4].tolist() == cover.his.tolist()
+        rows, cover = walk.cover(target), refine_to_length(K, target)
+        assert rows[:, 2].tolist() == cover.los.tolist()
+        assert rows[:, 3].tolist() == cover.his.tolist()
         assert rows[:, 1].tolist() == [lengths.get(addr[:-1], math.inf) for addr in itineraries(K, cover)]
+        assert rows[:, 0].max() <= target
 
-    # a node at max_depth is never split, however long it is
-    for max_depth in (64, 3):
-        walk = _LengthWalk(K, max_depth, 2_000_000)
-        for target in targets:
-            assert_answers(target, max_depth)
+    walk = _LengthWalk(K, 2_000_000)
+    for target in targets:
+        assert_answers(target)
     # a target fits exactly when its cover holds at most the budget's
     # intervals: with a budget one below each cover size, each target raises or answers by its own cover's size, in any order,
     # and coarser targets still answer from the walk after a refusal
     sizes = {t: len(refine_to_length(K, t)) for t in targets}
     for budget in sorted({n - 1 for n in sizes.values()}):
-        walk = _LengthWalk(K, 64, budget)
+        walk = _LengthWalk(K, budget)
         for target in targets + sorted(targets):
             if sizes[target] > budget:
                 with pytest.raises(BudgetExceeded):
@@ -357,9 +409,9 @@ def test_exact_ends_stay_exact_past_int64():
     # at depth 40 numerators and denominators pass 2^63 (3^41 > 2^64)
     ternary = get_set("ternary")
     assert maxlen_at_depth(ternary, 40) == F(1, 3**41)
-    assert cantor_core._greedy_length(ternary, 40) == F(1, 3**41)
     K = build_affine([(F(0), F(1, 4)), (F(1, 2), F(1))], [(0, 1), (0, 1)])
-    assert maxlen_at_depth(K, 40) == cantor_core._greedy_length(K, 40) == _cylinder(K, (1,) * 41).length
+    assert maxlen_at_depth(K, 40) == _cylinder(K, (1,) * 41).length
+    assert K._tables.sizes(40) == (2**41, _cylinder(K, (0,) * 41).length, _cylinder(K, (1,) * 41).length)
     rng = random.Random(5)
     for word in [tuple(rng.randrange(2) for _ in range(41)) for _ in range(20)] + [(0,) * 41]:
         node = cantor_core._roots(K).take([word[0]])
@@ -430,10 +482,14 @@ def test_a_budget_is_refused_before_the_walk(monkeypatch):
     # the bound never passes the cover it bounds
     rng = random.Random(12)
     for K in [random_affine_set(rng) for _ in range(30)] + [get_set("thin")]:
-        walk = _LengthWalk(K, 64, 2_000_000)
+        walk = _LengthWalk(K, 2_000_000)
         for target in (0.2, 0.05, 1e-2, 3e-3, 1e-3):
             assert walk.least(target) <= len(walk.cover(target)) == len(refine_to_length(K, target))
-        assert _LengthWalk(K, 3, 10**9).least(1e-9) == K.admissible_count(3)
+        # the bound is the count at the first depth whose least length
+        # rounds to the target or below, capped at budget + 1
+        d0 = next(d for d in range(100) if float(K._tables.sizes(d)[1]) <= 1e-9)
+        assert _LengthWalk(K, 10**9).least(1e-9) == min(K.admissible_count(d0), 10**9 + 1)
+        assert _LengthWalk(K, 10).least(1e-9) == 11
 
 
 # ---------------------------------------------------------------------------

@@ -89,19 +89,14 @@ def test_refine_matches_reference_on_every_catalog_set():
 def test_refine_to_length_matches_reference_on_gauss_sets(name, targets):
     K = get_set(name)
     for target in targets:
-        for max_depth in (64, 4):
-            cover = refine_to_length(K, target, max_depth=max_depth)
-            leaves = _reference_leaves(
-                K,
-                lambda iv, word: not (float(iv.length) <= target or len(word) - 1 >= max_depth),
-            )
-            assert len(leaves) <= MAX_COVER
-            _assert_same(cover, leaves, K.exact)
-            depths = {len(word) - 1 for _, word in leaves}
-            assert cover.depth == max(depths)
-            assert set(cover._leaves.depth.tolist()) == depths
         cover = refine_to_length(K, target)
-        assert len(set(cover._leaves.depth.tolist())) > 1  # mixed depths are what this test is for
+        leaves = _reference_leaves(K, lambda iv, word: float(iv.length) > target)
+        assert len(leaves) <= MAX_COVER
+        _assert_same(cover, leaves, K.exact)
+        depths = {len(word) - 1 for _, word in leaves}
+        assert cover.depth == max(depths)
+        assert set(cover._leaves.depth.tolist()) == depths
+        assert len(depths) > 1  # mixed depths are what this test is for
         # the budget verdict depends on the finished leaf count only
         refine_to_length(K, target, budget=len(cover))
         with pytest.raises(BudgetExceeded):
@@ -120,19 +115,19 @@ def test_a_length_target_fits_exactly_when_its_reference_cover_does(name):
     targets = [0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3, 3e-4, 1e-4]
     random.Random(23).shuffle(targets)
     leaves = {
-        t: _reference_leaves(K, lambda iv, word, t=t: float(iv.length) > t and len(word) <= 64) for t in targets
+        t: _reference_leaves(K, lambda iv, word, t=t: float(iv.length) > t) for t in targets
     }
     # budgets n - 1 and n for each reference leaf count n, each one walk
     # asked every target in the shuffled order
     for budget in sorted({len(ref) + k for ref in leaves.values() for k in (-1, 0)}):
-        walk = _LengthWalk(K, 64, budget)
+        walk = _LengthWalk(K, budget)
         for t in targets:
             ref = leaves[t]
             assert walk.fits(t) == (len(ref) <= budget), (name, t, budget)
             if len(ref) <= budget:
                 rows = walk.cover(t)
-                assert rows[:, 3].tolist() == [float(iv.lo) for iv, _ in ref]
-                assert rows[:, 4].tolist() == [float(iv.hi) for iv, _ in ref]
+                assert rows[:, 2].tolist() == [float(iv.lo) for iv, _ in ref]
+                assert rows[:, 3].tolist() == [float(iv.hi) for iv, _ in ref]
                 assert rows[:, 0].tolist() == [float(iv.length) for iv, _ in ref]
 
 

@@ -631,6 +631,22 @@ def test_density_profile_requires_base_point_in_difference(ternary):
         tangency_density_experiment(ternary, ternary, 9.0, [0.1], 6)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=str)
+def test_probes_refuse_inputs_that_are_not_finite(ternary, x):
+    # a nan translation read as a probe fraction of 0.0 and a nan radius
+    # raised numpy's OverflowError; a nan delta gave ratio 1.0, inf 0.0
+    with pytest.raises(ValidationError):
+        d_stable_probe(ternary, ternary, x, 0.3, 2, 0.01, 4)
+    with pytest.raises(ValidationError):
+        d_stable_probe(ternary, ternary, 0.25, 0.3, 2, x, 4)
+    with pytest.raises(ValidationError):
+        perturb_set(ternary, x, np.random.default_rng(0))
+    with pytest.raises(ValidationError):
+        tangency_density_experiment(ternary, ternary, 0.0, [0.1, x], 4)
+    with pytest.raises(ValidationError):
+        tangency_density_experiment(ternary, ternary, x, [0.1], 4)
+
+
 # ---------------------------------------------------------------------------
 # pairwise cover intersections, a gap lemma without covers, certificate encoding
 

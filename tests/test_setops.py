@@ -296,9 +296,9 @@ def test_projection_scan_validates_inputs(ternary):
 NOT_FINITE = [math.nan, math.inf, -math.inf]
 
 
-# a length target of nan or inf splits every cover node to the depth cap on
-# each coarsening round, so these inputs must be refused before any cover
-# is built; the small pair budget keeps a missing check from running long
+# a scale of nan or inf makes length targets that no cover meets, so these
+# inputs must be refused before any cover is built; the small pair budget
+# keeps a missing check from running long
 @pytest.mark.parametrize("lam", NOT_FINITE, ids=str)
 def test_difference_rejects_a_scale_that_is_not_finite(ternary, lam):
     with pytest.raises(ValidationError):
@@ -315,6 +315,18 @@ def test_projection_scan_rejects_a_lambda_that_is_not_finite(ternary, lam):
 def test_projection_scan_rejects_a_resolution_that_is_not_finite(ternary, res):
     with pytest.raises(ValidationError):
         marstrand_scan(ternary, ternary, [0.5], 2, [0.25, res], pair_budget=100)
+
+
+@pytest.mark.parametrize("x", NOT_FINITE, ids=str)
+def test_queries_refuse_a_resolution_or_theta_that_is_not_finite(ternary, x):
+    # covered_length at inf read inf, and a nan theta a fraction of 0.0
+    u = cover_sum(ternary, ternary, 3, "+")
+    with pytest.raises(ValidationError):
+        covered_length(u, x)
+    with pytest.raises(ValidationError):
+        marstrand_scan(ternary, ternary, [0.5], 2, theta=x, pair_budget=100)
+    with pytest.raises(ValidationError):
+        marstrand_scan(ternary, ternary, [0.5], 2).fraction_above(x)
 
 
 def test_a_grid_finer_than_int64_cells_is_refused(ternary):
@@ -685,11 +697,16 @@ def test_a_closed_hull_pair_walks_no_tree(monkeypatch):
 
     for name in ("_LengthWalk", "_pair_endpoints", "maxlen_at_depth"):
         monkeypatch.setattr(setops, name, refuse)
+    # on an exact set the floor reads the transition rows: no child step
+    splits = []
+    monkeypatch.setattr(cantor_core, "_children", lambda K, nodes: splits.append(len(nodes)) or _children(K, nodes))
     G4, T = get_set("gauss4"), get_set("ternary")
     u = cover_sum(G4, G4, 13)
-    assert u.n_components == 1 and u.meta["pruned"] == 1
+    assert u.n_components == 1 and u.meta["pruned"] == 1 and sum(splits) == 13
+    splits.clear()
     lambdas = np.linspace(0.34, 3.0, 25)
     scan = marstrand_scan(T, T, lambdas, 8)
+    assert cover_sum(T, T, 10, "+").meta["pruned"] == 1 and sum(splits) == 0
     monkeypatch.undo()
     # each row is covered_length of the cover_sum union, the one hull interval
     for lam, row in zip(lambdas, scan.table):
