@@ -43,7 +43,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -60,19 +59,16 @@ from .errors import (
     OverlappingPieces,
     PrecisionLoss,
     ValidationError,
+    finite,
+    resolve_budget,
 )
-from .surd import QuadraticSurd
+from .surd import QuadraticSurd, _gauss_hull_surds
 
 Num = Union[int, float, Fraction]
 Exact = Union[Fraction, QuadraticSurd]
 
 TAU_MARKOV = 1e-9       # relative tolerance for floating Markov validation
 EPS_LEN = 1e-14         # interval-length floor for covers
-DEFAULT_COVER_BUDGET = 2_000_000
-
-
-def resolve_budget(budget: int | None) -> int:
-    return DEFAULT_COVER_BUDGET if budget is None else int(budget)
 
 
 # ---------------------------------------------------------------------------
@@ -344,14 +340,6 @@ def build_affine(
             )
         branches.append(AffineMap(slope, hull.lo - slope * piece.lo))
     return _check_branch_images(RegularCantorSet(tuple(ivs), rows, tuple(branches)))
-
-
-def _gauss_hull_surds(n: int) -> tuple[QuadraticSurd, QuadraticSurd]:
-    """Exact hull endpoints [0; n,1,n,1,...] and [0; 1,n,1,n,...] of the
-    continued-fraction set with partial quotients in 1..n."""
-    # y_min solves n*y^2 + n*y - 1 = 0
-    y_min = QuadraticSurd.quadratic_root(n, n, -1, branch=+1)
-    return y_min, (QuadraticSurd.from_rational(1) + y_min).inverse()
 
 
 def gauss_cantor(digit_bound: int) -> RegularCantorSet:
@@ -750,9 +738,7 @@ def refine(K: RegularCantorSet, n: int, *, budget: int | None = None) -> Cover:
 
 
 def _check_target_length(target_length: float) -> None:
-    if not math.isfinite(target_length):
-        raise ValidationError(f"target length must be finite, got {target_length!r}")
-    if target_length < EPS_LEN:
+    if finite(target_length, "target length must be finite, got {!r}") < EPS_LEN:
         raise PrecisionLoss(f"target length {target_length} below floor {EPS_LEN}")
 
 
@@ -918,8 +904,8 @@ def contains(K: RegularCantorSet, x: Num, n: int) -> MembershipResult:
     the band of x has only near descendants.  Raises BudgetExceeded only
     when the near cylinders pass the default cover budget first.
     """
-    xf = float(x) if abs(x) <= sys.float_info.max else math.inf
-    if not math.isfinite(xf) or n < 0:
+    xf = finite(x, "x must be finite and depth >= 0")
+    if n < 0:
         raise ValidationError("x must be finite and depth >= 0")
     guard = 1e-12 * max(1.0, abs(float(K.hull.length)))
 

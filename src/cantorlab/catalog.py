@@ -5,7 +5,8 @@ description of its defining expanding map with a factory that builds a
 fully validated set.  The names are accepted anywhere the command-line
 interface expects a set (``--set``, ``--set1``, ``--set2``), alongside
 ``gauss(N)``/``gauss:N``/``gaussN`` for any digit bound N >= 2 and
-JSON definition files.
+JSON definition files.  A factory imports `cantor_core` when it first
+builds a set, so listing the catalog loads no numpy.
 """
 
 from __future__ import annotations
@@ -13,11 +14,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from .cantor_core import RegularCantorSet, gauss_cantor
 from .dynamics import AffineHorseshoe, _two_piece_set, horseshoe_cantor_sets
 from .errors import ConfigInvalid
+
+if TYPE_CHECKING:
+    from .cantor_core import RegularCantorSet
 
 __all__ = [
     "CatalogEntry",
@@ -39,6 +42,12 @@ class CatalogEntry:
     name: str
     description: str
     build: Callable[[], RegularCantorSet]
+
+
+def _gauss(digit_bound: int) -> RegularCantorSet:
+    from .cantor_core import gauss_cantor
+
+    return gauss_cantor(digit_bound)
 
 
 def _ternary() -> RegularCantorSet:
@@ -94,19 +103,19 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         "gauss2",
         "numbers in [0,1] whose continued-fraction digits are all 1 or "
         "2; Moebius branches x -> 1/x - a",
-        lambda: gauss_cantor(2),
+        lambda: _gauss(2),
     ),
     CatalogEntry(
         "gauss3",
         "continued-fraction digits bounded by 3; Moebius branches "
         "x -> 1/x - a",
-        lambda: gauss_cantor(3),
+        lambda: _gauss(3),
     ),
     CatalogEntry(
         "gauss4",
         "continued-fraction digits bounded by 4; Moebius branches "
         "x -> 1/x - a; the sum of two copies fills a full interval",
-        lambda: gauss_cantor(4),
+        lambda: _gauss(4),
     ),
     CatalogEntry(
         "horseshoe-stable",
@@ -150,7 +159,7 @@ def get_set(name: str) -> RegularCantorSet:
         n = int(m.group(1))
         if n < 2:
             raise ConfigInvalid("gauss digit bound must be >= 2")
-        return gauss_cantor(n)
+        return _gauss(n)
     known = ", ".join(builtin_names())
     raise ConfigInvalid(
         f"unknown set name {name!r}; built-ins are: {known}, gauss(N)"

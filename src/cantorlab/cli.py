@@ -44,6 +44,13 @@ same either way.  An option a command does not take exits 3, as a flag
 and as a config key, and so does a float setting that is not finite or a
 negative seed.
 
+Each handler imports the library modules it calls when it runs, so a
+command loads only those: ``list-sets``, ``spectrum``, ``halfline``,
+``horseshoe`` and ``catmap`` work on integers, surds and closed forms and
+never import numpy.  At load time the CLI imports only ``errors`` and
+``spectra`` (``HALL_TARGET`` and the spectrum handlers' functions),
+neither of which imports numpy.
+
 Exit codes: 0 success, 2 budget exhaustion, 3 invalid arguments,
 invalid configuration or validation failure (including missing files,
 which are reported by path).
@@ -62,57 +69,14 @@ import time
 from dataclasses import asdict
 from fractions import Fraction
 from functools import partial
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+from .errors import BudgetExceeded, CantorLabError, ConfigInvalid, ValidationError
+from .spectra import HALL_TARGET, CFSequence, hall_halfline_probe, k_alpha, lagrange_sample
 
-from .cantor_core import (
-    Interval,
-    RegularCantorSet,
-    gauss_cantor,
-    load_set,
-)
-from .catalog import get_set, list_builtin_sets
-from .dimension import (
-    box_dimension,
-    hausdorff_dimension_moran,
-    thickness,
-)
-from .dynamics import (
-    AffineHorseshoe,
-    cat_map_check,
-    horseshoe_dimension,
-    solve_unit_dimension,
-    standard_family_lyapunov,
-)
-from .errors import (
-    BudgetExceeded,
-    CantorLabError,
-    ConfigInvalid,
-    ValidationError,
-)
-from .intersect import (
-    d_stable_probe,
-    gap_lemma_test,
-    intersect_test,
-    recurrent_compact_search,
-    save_certificate,
-    tangency_density_experiment,
-    verify_certificate,
-)
-from .setops import (
-    IntervalUnion,
-    contains_interval,
-    cover_sum,
-    marstrand_scan,
-)
-from .spectra import (
-    HALL_TARGET,
-    CFSequence,
-    hall_halfline_probe,
-    k_alpha,
-    lagrange_sample,
-)
+if TYPE_CHECKING:
+    from .cantor_core import RegularCantorSet
+    from .setops import IntervalUnion
 
 __all__ = ["main", "build_parser", "HALL_TARGET"]
 
@@ -174,7 +138,8 @@ def _jsonable(v):
         return str(v)
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
-    if isinstance(v, (np.floating, np.integer)):
+    np = sys.modules.get("numpy")  # a numpy scalar exists only once numpy is loaded
+    if np is not None and isinstance(v, (np.floating, np.integer)):
         return v.item()
     return v
 
@@ -242,10 +207,14 @@ def _resolve_set(cfg: dict, prefix: str) -> tuple[RegularCantorSet, object]:
     """Build the set named by `prefix`/`prefix_file`; returns (set, descriptor)."""
     path = cfg.get(f"{prefix}_file")
     if path:
+        from .cantor_core import load_set
+
         return load_set(path), {"file": str(path)}
     name = cfg.get(prefix)
     if not name:
         raise ConfigInvalid(f"no {prefix} given (use --{prefix} or --{prefix}-file)")
+    from .catalog import get_set
+
     return get_set(str(name)), str(name)
 
 
@@ -293,6 +262,8 @@ def _union_outputs(U: IntervalUnion) -> dict:
 
 
 def _cmd_dim(cfg: dict) -> dict:
+    from .dimension import box_dimension, hausdorff_dimension_moran
+
     K, desc = _resolve_set(cfg, "set")
     method = str(cfg["method"])
     if method == "moran":
@@ -315,6 +286,8 @@ def _cmd_dim(cfg: dict) -> dict:
 
 
 def _cmd_thickness(cfg: dict) -> dict:
+    from .dimension import thickness
+
     K, desc = _resolve_set(cfg, "set")
     est = thickness(K, cfg["depth"], budget=cfg["budget"])
     return {
@@ -327,6 +300,8 @@ def _cmd_thickness(cfg: dict) -> dict:
 
 
 def _cmd_cover_sum(cfg: dict, op: str) -> dict:
+    from .setops import cover_sum
+
     K1, K2, names = _resolve_pair(cfg)
     lam = cfg.get("lam", 1.0)
     U = cover_sum(K1, K2, cfg["depth"], op, lam, pair_budget=cfg["budget"])
@@ -337,6 +312,9 @@ def _cmd_cover_sum(cfg: dict, op: str) -> dict:
 
 
 def _cmd_hall(cfg: dict) -> dict:
+    from .cantor_core import Interval, gauss_cantor
+    from .setops import contains_interval, cover_sum
+
     depth = cfg["depth"]
     margin = cfg["margin"]
     K = gauss_cantor(4)
@@ -360,6 +338,10 @@ def _cmd_hall(cfg: dict) -> dict:
 
 
 def _cmd_marstrand(cfg: dict) -> dict:
+    import numpy as np
+
+    from .setops import marstrand_scan
+
     K1, K2, names = _resolve_pair(cfg)
     n_lam = cfg["n_lambdas"]
     lo, hi = cfg["lambda_lo"], cfg["lambda_hi"]
@@ -398,6 +380,8 @@ def _cmd_marstrand(cfg: dict) -> dict:
 
 
 def _cmd_intersect(cfg: dict) -> dict:
+    from .intersect import gap_lemma_test, intersect_test
+
     K1, K2, names = _resolve_pair(cfg)
     t = cfg["t"]
     outcome = intersect_test(K1, K2, t, cfg["depth"], budget=cfg["budget"])
@@ -419,6 +403,8 @@ def _cmd_intersect(cfg: dict) -> dict:
 
 
 def _cmd_recur(cfg: dict) -> dict:
+    from .intersect import recurrent_compact_search, save_certificate, verify_certificate
+
     if cfg.get("verify"):
         with open(cfg["verify"]) as fh:
             try:
@@ -459,6 +445,8 @@ def _cmd_recur(cfg: dict) -> dict:
 
 
 def _cmd_dstable(cfg: dict) -> dict:
+    from .intersect import d_stable_probe
+
     K1, K2, names = _resolve_pair(cfg)
     frac = d_stable_probe(
         K1,
@@ -484,6 +472,8 @@ def _cmd_dstable(cfg: dict) -> dict:
 
 
 def _cmd_density(cfg: dict) -> dict:
+    from .intersect import tangency_density_experiment
+
     K1, K2, names = _resolve_pair(cfg)
     n_deltas = cfg["n_deltas"]
     delta_max = cfg["delta_max"]
@@ -554,6 +544,8 @@ def _cmd_halfline(cfg: dict) -> dict:
 
 
 def _cmd_horseshoe(cfg: dict) -> dict:
+    from .dynamics import AffineHorseshoe, horseshoe_dimension, solve_unit_dimension
+
     expansion = cfg["expansion"]
     if cfg.get("solve_unit"):
         report = solve_unit_dimension(float(expansion))
@@ -566,6 +558,8 @@ def _cmd_horseshoe(cfg: dict) -> dict:
 
 
 def _cmd_catmap(cfg: dict) -> dict:
+    from .dynamics import cat_map_check
+
     report = cat_map_check(cfg["n"], budget=cfg["budget"])
     return {
         "eigenvalue_unstable": float(report.eigenvalue_unstable),
@@ -578,6 +572,8 @@ def _cmd_catmap(cfg: dict) -> dict:
 
 
 def _cmd_stdmap(cfg: dict) -> dict:
+    from .dynamics import standard_family_lyapunov
+
     report = standard_family_lyapunov(
         cfg["lam"],
         cfg["orbits"],
@@ -599,6 +595,8 @@ def _cmd_stdmap(cfg: dict) -> dict:
 
 
 def _cmd_list_sets(cfg: dict) -> dict:
+    from .catalog import list_builtin_sets
+
     return {"sets": [{"name": e.name, "description": e.description} for e in list_builtin_sets()]}
 
 

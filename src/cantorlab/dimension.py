@@ -206,17 +206,3 @@ def thickness(
     address = _address(K, Fraction(los[i] + his[i]) / (2 * (den or 1)), n)
     return ThicknessEstimate(value=ratio, depth=n, limiting_gap=Interval(g_lo, g_hi), limiting_gap_address=address)
 
-
-# ---------------------------------------------------------------------------
-# dimension arithmetic for hyperbolic products
-
-
-def nonuniform_condition(ds: float, du: float) -> bool:
-    """Strict smallness test for a pair of transverse dimensions.
-
-    Returns True iff (ds + du)^2 + max(ds, du)^2 < ds + du + max(ds, du).
-    """
-    if not (0.0 < ds < 1.0 and 0.0 < du < 1.0):
-        raise ValidationError("both dimensions must lie strictly between 0 and 1")
-    s, m = ds + du, max(ds, du)
-    return s * s + m * m < s + m

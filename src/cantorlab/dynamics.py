@@ -5,13 +5,19 @@ Three small laboratories:
 * the idealized affine two-strip horseshoe, whose invariant set is the
   product of a stable and an unstable regular Cantor set, with its
   Hausdorff dimension the sum of the two factor dimensions, each in the
-  closed form log 2 / log(1/ratio) (Moran 1946);
+  closed form log 2 / log(1/ratio) (Moran 1946), and the Palis-Yoccoz
+  condition on the two dimensions (`nonuniform_condition`);
 * the hyperbolic torus automorphism (x, y) -> (2x + y, x + y) mod 1,
   with exact surd eigenvalues and exact periodic-point counts verified
   two independent ways (trace formula vs rational lattice enumeration);
 * the area-preserving standard family
   (x, y) -> (-y + 2x + lam*sin(2*pi*x), x) mod 1, probed for positive
   Lyapunov exponents with QR-normalized derivative cocycles.
+
+The dimensions and the torus map are closed forms in `math`, integers
+and surds, so this module imports neither numpy nor `cantor_core` when
+it loads: `_two_piece_set` imports `cantor_core` to build the factor
+sets, and `standard_family_lyapunov` imports numpy.
 """
 
 from __future__ import annotations
@@ -19,13 +25,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .cantor_core import RegularCantorSet, build_affine, resolve_budget
-from .dimension import nonuniform_condition
-from .errors import BudgetExceeded, ValidationError
+from .errors import BudgetExceeded, ValidationError, resolve_budget
 from .surd import QuadraticSurd
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .cantor_core import RegularCantorSet
 
 CAT_MATRIX = ((2, 1), (1, 1))
 LYAPUNOV_BURN_IN = 100
@@ -53,6 +61,8 @@ class AffineHorseshoe:
 
 
 def _two_piece_set(ratio) -> RegularCantorSet:
+    from .cantor_core import build_affine
+
     if isinstance(ratio, (int, Fraction)):
         r = Fraction(ratio)
         pieces = [(Fraction(0), r), (1 - r, Fraction(1))]
@@ -67,6 +77,17 @@ def horseshoe_cantor_sets(h: AffineHorseshoe) -> tuple[RegularCantorSet, Regular
     and two pieces of ratio 1/expansion, both spanning [0, 1]."""
     # a Fraction for int or Fraction expansions, a float for a float
     return _two_piece_set(h.contraction), _two_piece_set(Fraction(1) / h.expansion)
+
+
+def nonuniform_condition(ds: float, du: float) -> bool:
+    """Strict smallness test for a pair of transverse dimensions.
+
+    Returns True iff (ds + du)^2 + max(ds, du)^2 < ds + du + max(ds, du).
+    """
+    if not (0.0 < ds < 1.0 and 0.0 < du < 1.0):
+        raise ValidationError("both dimensions must lie strictly between 0 and 1")
+    s, m = ds + du, max(ds, du)
+    return s * s + m * m < s + m
 
 
 @dataclass(frozen=True)
@@ -234,15 +255,15 @@ class LyapunovReport:
 
     @property
     def mean_exponent(self) -> float:
-        return float(np.mean(self.exponents[:, 0]))
+        return float(self.exponents[:, 0].mean())
 
     @property
     def fraction_positive(self) -> float:
-        return float(np.mean(self.exponents[:, 0] > POSITIVE_EXPONENT_THRESHOLD))
+        return float((self.exponents[:, 0] > POSITIVE_EXPONENT_THRESHOLD).mean())
 
     @property
     def max_abs_pair_sum(self) -> float:
-        return float(np.max(np.abs(self.exponents.sum(axis=1))))
+        return float(abs(self.exponents.sum(axis=1)).max())
 
 
 def standard_family_lyapunov(
@@ -256,6 +277,8 @@ def standard_family_lyapunov(
     LYAPUNOV_BURN_IN iterates.  The two per-orbit exponents sum to ~0 by
     area preservation; statistics are deterministic given the seed.
     """
+    import numpy as np
+
     if orbits < 1 or iterates < 1:
         raise ValidationError("orbits and iterates must be >= 1")
     lam = float(lam)

@@ -1,13 +1,24 @@
-"""Exception hierarchy shared by all cantorlab modules.
+"""Exception hierarchy shared by all cantorlab modules, with the budget
+default and the finiteness check every layer uses.
 
 Construction problems (bad partitions, non-expanding branches, broken
 transition graphs) derive from ValidationError.  Resource problems
 (interval budgets, precision floors) derive from ResourceError.  Both
 roots derive from CantorLabError so callers can catch everything the
 library raises deliberately.
+
+`resolve_budget` turns an optional budget into a count, the default
+cover budget for None.  `finite` reads a number from outside as a float
+and refuses NaN, +-inf and a number beyond the float range with
+ValidationError.  This module imports nothing from the package, so
+every other module can import it.
 """
 
 from __future__ import annotations
+
+import math
+
+DEFAULT_COVER_BUDGET = 2_000_000
 
 
 class CantorLabError(Exception):
@@ -77,3 +88,20 @@ class EstimatorMismatch(CantorLabError):
 
 class ConfigInvalid(ValidationError):
     """A command configuration failed validation."""
+
+
+def resolve_budget(budget: int | None) -> int:
+    return DEFAULT_COVER_BUDGET if budget is None else int(budget)
+
+
+def finite(x, message: str) -> float:
+    """float(x), or ValidationError(message) when x is NaN, +-inf or too
+    large for a float; a `{}` in the message is filled with float(x),
+    which reads inf for such a number."""
+    try:
+        f = float(x)
+    except OverflowError:
+        f = math.inf
+    if not math.isfinite(f):
+        raise ValidationError(message.format(f))
+    return f

@@ -49,12 +49,11 @@ from .cantor_core import (
     RegularCantorSet,
     build_affine,
     refine,
-    resolve_budget,
     set_from_json,
     set_to_json,
 )
 from .dimension import box_regression
-from .errors import BudgetExceeded, NonAffineInput, TZeroNotInDifference, ValidationError
+from .errors import BudgetExceeded, NonAffineInput, TZeroNotInDifference, ValidationError, finite, resolve_budget
 from .setops import _grid_cells, _hull_pair_refusal, cover_sum
 
 GRID_SNAP_EPS = 1e-9
@@ -139,9 +138,7 @@ def difference_scan(
     """
     if n < 0:
         raise ValidationError("depth must be >= 0")
-    ts = [float(t) for t in t_grid]
-    if not all(math.isfinite(t) for t in ts):
-        raise ValidationError("translations must be finite")
+    ts = [finite(t, "translations must be finite") for t in t_grid]
     if ts != sorted(ts):
         raise ValidationError("t grid must be sorted")
     first = [None] * len(ts)  # first depth whose covers miss each other
@@ -193,9 +190,7 @@ def gap_lemma_test(K1: RegularCantorSet, K2: RegularCantorSet, t: float) -> GapL
     cover and has no depth.  Any other pair is refused with linked None,
     and its reason names the condition that failed.
     """
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValidationError("translation must be finite")
+    t = finite(t, "translation must be finite")
     tau1, tau2 = (None if K._gap_bounds is None else float(K._gap_bounds[0]) for K in (K1, K2))
     refusal = _hull_pair_refusal(K1, K2, 1.0)
     if refusal is not None:
@@ -290,12 +285,15 @@ def recurrent_compact_search(
     """
     _require_affine(K1, K2)
     (s_lo, s_hi), (t_lo, t_hi) = box
-    hs, ht = float(grid[0]), float(grid[1])
+    not_finite = "box ends, cell sizes and cell counts must be finite"
+    hs, ht = finite(grid[0], not_finite), finite(grid[1], not_finite)
+    for x in (s_lo, s_hi, t_lo, t_hi):
+        finite(x, not_finite)
     if not (s_hi > s_lo and t_hi > t_lo and hs > 0 and ht > 0):
         raise ValidationError("box ranges and cell sizes must be positive")
     spans = ((s_hi - s_lo) / hs, (t_hi - t_lo) / ht)
-    if not all(map(math.isfinite, (s_lo, s_hi, t_lo, t_hi, hs, ht, *spans))):
-        raise ValidationError("box ends, cell sizes and cell counts must be finite")
+    if not all(map(math.isfinite, spans)):
+        raise ValidationError(not_finite)
     if type(margin) is not int or margin < 0:
         raise ValidationError("margin must be an int >= 0")
     ns, nt = (max(1, int(round(x))) for x in spans)
@@ -495,7 +493,7 @@ def perturb_set(K: RegularCantorSet, radius: float, rng: np.random.Generator) ->
     """
     if not K.is_affine:
         raise NonAffineInput("perturbations act on affine branch parameters")
-    if not 0 <= radius < math.inf:
+    if not finite(radius, "radius must be finite and >= 0") >= 0:
         raise ValidationError("radius must be finite and >= 0")
     if radius == 0:
         return build_affine([p.as_floats() for p in K.pieces], K.transitions)
@@ -552,8 +550,7 @@ def d_stable_probe(
         raise ValidationError("d must lie strictly between 0 and 1")
     if perturbations < 1:
         raise ValidationError("need at least one perturbation")
-    if not math.isfinite(t):
-        raise ValidationError("translation must be finite")
+    t = finite(t, "translation must be finite")
     min_gap = min(
         min(float(b.lo) - float(a.hi) for a, b in zip(K.pieces, K.pieces[1:]))
         for K in (K1, K2)
@@ -570,7 +567,7 @@ def d_stable_probe(
         P2 = perturb_set(K2, radius, rng)
         c1 = refine(P1, n, budget=budget)
         c2 = refine(P2, n, budget=budget)
-        los, his = _cover_meet(c1, c2, float(t))
+        los, his = _cover_meet(c1, c2, t)
         scale = float(max(c1.lengths.max(), c2.lengths.max()))
         estimate = _union_box_estimate(los, his, scale)
         if estimate >= d:
@@ -608,13 +605,11 @@ def tangency_density_experiment(
     difference set has density 0 at t0 on the chosen side); ratios
     bounded away from 0 are evidence of positive density.
     """
-    ds = sorted((float(x) for x in deltas), reverse=True)
-    if not ds or not all(0 < x < math.inf for x in ds):
+    ds = sorted((finite(x, "deltas must be finite and positive") for x in deltas), reverse=True)
+    if not ds or ds[-1] <= 0:
         raise ValidationError("deltas must be finite and positive")
-    if not math.isfinite(t0):
-        raise ValidationError("t0 must be finite")
+    t0 = finite(t0, "t0 must be finite")
     U = cover_sum(K1, K2, n, "-", 1.0, pair_budget=pair_budget)
-    t0 = float(t0)
     slack = 1e-12 * max(1.0, abs(t0))
     i = int(np.searchsorted(U.los, t0, side="right")) - 1
     on_component = i >= 0 and U.his[i] >= t0 - slack

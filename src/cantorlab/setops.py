@@ -53,7 +53,6 @@ from functools import cached_property
 import numpy as np
 
 from .cantor_core import (
-    DEFAULT_COVER_BUDGET,
     EPS_LEN,
     Exact,
     Interval,
@@ -64,7 +63,7 @@ from .cantor_core import (
     maxlen_at_depth,
     refine,
 )
-from .errors import BudgetExceeded, EmptyTarget, ValidationError
+from .errors import DEFAULT_COVER_BUDGET, BudgetExceeded, EmptyTarget, ValidationError, finite
 from .surd import QuadraticSurd
 
 MERGE_TOL = 1e-13
@@ -291,9 +290,7 @@ def cover_sum(
     """
     if op not in ("+", "-"):
         raise ValidationError(f"op must be '+' or '-', got {op!r}")
-    lam = float(lam)
-    if not math.isfinite(lam):
-        raise ValidationError(f"lambda must be finite, got {lam!r}")
+    lam = finite(lam, "lambda must be finite, got {!r}")
     if op == "+" and lam != 1.0:
         raise ValidationError("sum takes no scale factor; use op '-' for x - lam*y")
     if n < 0:
@@ -316,7 +313,7 @@ def cover_sum(
 
 def contains_interval(U: IntervalUnion, target: Interval, margin: float) -> bool:
     """True iff [lo+margin, hi-margin] lies inside one component of U."""
-    if margin < 0:
+    if finite(margin, "margin must be finite") < 0:
         raise ValidationError("margin must be >= 0")
     lo = float(target.lo) + margin
     hi = float(target.hi) - margin
@@ -330,7 +327,7 @@ def contains_interval(U: IntervalUnion, target: Interval, margin: float) -> bool
 
 def covered_length(U: IntervalUnion, resolution: float) -> float:
     """(number of resolution-grid cells meeting U) * resolution."""
-    if not 0 < resolution < math.inf:
+    if not finite(resolution, "resolution must be finite and positive") > 0:
         raise ValidationError("resolution must be finite and positive")
     return _grid_cells(U.los, U.his, resolution) * resolution
 
@@ -413,9 +410,7 @@ class ProjectionScan:
         return self.table[:, -1]
 
     def fraction_above(self, theta: float | None = None) -> float:
-        th = self.theta if theta is None else theta
-        if not math.isfinite(th):
-            raise ValidationError("theta must be finite")
+        th = finite(self.theta if theta is None else theta, "theta must be finite")
         return float(np.mean(self.covered_at_finest() > th))
 
     def slopes(self) -> np.ndarray:
@@ -459,16 +454,15 @@ def marstrand_scan(
     (None means SCAN_PAIR_BUDGET), and `capped_rows` counts the rows the
     budget coarsened.
     """
-    lambdas = [float(x) for x in lambdas]
+    lambdas = [finite(x, "lambda samples must be finite and nonzero") for x in lambdas]
     if not lambdas:
         raise ValidationError("no lambda samples given")
-    if not all(math.isfinite(x) and x != 0.0 for x in lambdas):
+    if 0.0 in lambdas:
         raise ValidationError("lambda samples must be finite and nonzero")
-    res = sorted(set(float(r) for r in resolutions), reverse=True)
-    if not res or not all(0 < r < math.inf for r in res):
+    res = sorted({finite(r, "resolutions must be finite and positive") for r in resolutions}, reverse=True)
+    if not res or res[-1] <= 0:
         raise ValidationError("resolutions must be finite and positive")
-    if not math.isfinite(theta):
-        raise ValidationError("theta must be finite")
+    finite(theta, "theta must be finite")
     budget = SCAN_PAIR_BUDGET if pair_budget is None else pair_budget
     sides = _pair_sides(K1, K2, n, budget)
     shifts = _dyadic_shifts(res)

@@ -32,9 +32,8 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from .cantor_core import _gauss_hull_surds, resolve_budget
-from .errors import BudgetExceeded, EstimatorMismatch, ValidationError
-from .surd import QuadraticSurd, periodic_value, word_matrix
+from .errors import BudgetExceeded, EstimatorMismatch, ValidationError, resolve_budget
+from .surd import QuadraticSurd, _gauss_hull_surds, periodic_value, word_matrix
 
 ESTIMATOR_TOL = 1e-9
 

@@ -15,7 +15,10 @@ The module also evaluates purely periodic continued fractions exactly:
 composition of x -> a + 1/x steps, hence the positive root of an integer
 quadratic whose discriminant is D = trace^2 - 4*det of the word matrix.
 The two roots differ by sqrt(D) / c, c the lower-left entry of the word
-matrix; `spectra` reads two-sided values from exactly that.
+matrix; `spectra` reads two-sided values from exactly that.  The hull ends
+of the continued-fraction set with digits 1..N are such values too
+(`_gauss_hull_surds`): `cantor_core` builds `gauss<N>` from them and
+`spectra` Hall's target interval, so neither borrows from the other.
 """
 
 from __future__ import annotations
@@ -277,3 +280,11 @@ def periodic_value(word: Sequence[int]) -> QuadraticSurd:
     m00, m01, m10, m11 = word_matrix(word)
     # x = (m00 x + m01)/(m10 x + m11)  ->  m10 x^2 + (m11 - m00) x - m01 = 0
     return QuadraticSurd.quadratic_root(m10, m11 - m00, -m01, branch=+1)
+
+
+def _gauss_hull_surds(n: int) -> tuple[QuadraticSurd, QuadraticSurd]:
+    """Exact hull endpoints [0; n,1,n,1,...] and [0; 1,n,1,n,...] of the
+    continued-fraction set with partial quotients in 1..n."""
+    # y_min solves n*y^2 + n*y - 1 = 0
+    y_min = QuadraticSurd.quadratic_root(n, n, -1, branch=+1)
+    return y_min, (QuadraticSurd.from_rational(1) + y_min).inverse()

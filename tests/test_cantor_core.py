@@ -37,7 +37,7 @@ from cantorlab import (
     set_from_json,
     set_to_json,
 )
-from cantorlab import cantor_core
+from cantorlab import cantor_core, errors
 from cantorlab.cantor_core import _LengthWalk, maxlen_at_depth
 from conftest import exact_intervals, itineraries
 
@@ -449,7 +449,7 @@ def test_membership_walks_within_the_cover_budget(monkeypatch, ternary):
     assert contains(ternary, F(1, 4), 1000) == cantor_core.MembershipResult(True, 1000)
     assert time.perf_counter() - start < 1.0
     # a walk whose near cylinders pass the cover budget still raises
-    monkeypatch.setattr(cantor_core, "DEFAULT_COVER_BUDGET", 3)
+    monkeypatch.setattr(errors, "DEFAULT_COVER_BUDGET", 3)
     with pytest.raises(BudgetExceeded):
         contains(ternary, F(1, 4), 60)
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from cantorlab import (
+    Interval,
     NonAffineInput,
     PositionRegion,
     TZeroNotInDifference,
@@ -21,7 +22,9 @@ from cantorlab import (
     build_affine,
     builtin_names,
     cantor_core,
+    contains_interval,
     cover_sum,
+    covered_length,
     d_stable_probe,
     difference_scan,
     gap_lemma_test,
@@ -29,10 +32,12 @@ from cantorlab import (
     get_set,
     intersect,
     intersect_test,
+    marstrand_scan,
     merge_intervals,
     perturb_set,
     recurrent_compact_search,
     refine,
+    refine_to_length,
     region_to_json,
     save_certificate,
     scale_affine,
@@ -645,6 +650,34 @@ def test_probes_refuse_inputs_that_are_not_finite(ternary, x):
         tangency_density_experiment(ternary, ternary, 0.0, [0.1, x], 4)
     with pytest.raises(ValidationError):
         tangency_density_experiment(ternary, ternary, x, [0.1], 4)
+
+
+# an int beyond the float range: each of these raised OverflowError
+# ("int too large to convert to float") before the shared refusal
+HUGE = 10**400
+BEYOND_FLOATS = {
+    "gap_lemma_test t": lambda T: gap_lemma_test(T, T, HUGE),
+    "intersect_test t": lambda T: intersect_test(T, T, HUGE, 3),
+    "difference_scan t": lambda T: difference_scan(T, T, [HUGE], 3),
+    "cover_sum lam": lambda T: cover_sum(T, T, 3, "-", HUGE),
+    "d_stable_probe t": lambda T: d_stable_probe(T, T, HUGE, 0.3, 2, 0.01, 4),
+    "density t0": lambda T: tangency_density_experiment(T, T, HUGE, [0.1], 4),
+    "density delta": lambda T: tangency_density_experiment(T, T, 0.0, [0.1, HUGE], 4),
+    "marstrand_scan lam": lambda T: marstrand_scan(T, T, [0.5, HUGE], 2, pair_budget=100),
+    "marstrand_scan theta": lambda T: marstrand_scan(T, T, [0.5], 2, theta=HUGE, pair_budget=100),
+    "covered_length resolution": lambda T: covered_length(cover_sum(T, T, 3, "+"), HUGE),
+    "contains_interval margin": lambda T: contains_interval(cover_sum(T, T, 3, "+"), Interval(0, 2), HUGE),
+    "perturb_set radius": lambda T: perturb_set(T, HUGE, np.random.default_rng(0)),
+    "refine_to_length target": lambda T: refine_to_length(T, HUGE),
+    "recurrent_compact_search box": lambda T: recurrent_compact_search(
+        T, T, ((-0.75, 0.75), (-2.25, HUGE)), SEARCH_GRID),
+}
+
+
+@pytest.mark.parametrize("call", BEYOND_FLOATS.values(), ids=BEYOND_FLOATS)
+def test_a_number_beyond_the_float_range_is_refused(ternary, call):
+    with pytest.raises(ValidationError):
+        call(ternary)
 
 
 # ---------------------------------------------------------------------------
