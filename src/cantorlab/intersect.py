@@ -18,8 +18,9 @@ Four layers of evidence about K1 and a translated copy K2 + t:
   relative translation in the unit frame of the first set's cylinder);
   cells that cannot renormalize back into the surviving region with a
   one-cell safety margin are deleted until a greatest fixed point
-  remains.  Image boxes are fixed once, and each sweep reads their
-  member counts from one summed-area table of the whole mask.  The
+  remains.  Image boxes run from the floor to the ceiling of their
+  float bounds, never snapped inward; each is fixed once, and a sweep
+  reads member counts from one summed-area table of the mask.  The
   certificate is the mask alone: an independent checker confirms that
   every member cell has some child pair whose image stays inside it.
 * `d_stable_probe` / `tangency_density_experiment`: stochastic and
@@ -56,7 +57,6 @@ from .dimension import box_regression
 from .errors import BudgetExceeded, NonAffineInput, TZeroNotInDifference, ValidationError, finite, resolve_budget
 from .setops import _grid_cells, _hull_pair_refusal, cover_sum
 
-GRID_SNAP_EPS = 1e-9
 MAX_SWEEPS = 10_000
 PERTURB_MAX_TRIES = 200
 
@@ -239,10 +239,10 @@ class SearchOutcome:
     sweeps: int
 
 
-def _child_tables(K: RegularCantorSet) -> list[list[tuple[int, float, float, float]]]:
-    """Per piece j: [(k, J.lo, J.hi, |J|)] with J the child cylinder of
-    type k inside piece j, in the unit frame of piece j."""
-    tables: list[list[tuple[int, float, float, float]]] = []
+def _child_tables(K: RegularCantorSet) -> list[list[tuple[int, float, float]]]:
+    """Per piece j: [(k, J.lo, |J|)] with J the child cylinder of type k
+    inside piece j, in the unit frame of piece j."""
+    tables: list[list[tuple[int, float, float]]] = []
     for j in range(K.n_pieces):
         inv = K.inverses[j]
         piece = K.pieces[j]
@@ -251,7 +251,7 @@ def _child_tables(K: RegularCantorSet) -> list[list[tuple[int, float, float, flo
             img = inv.apply_interval(K.pieces[k])
             lo = (img.lo - piece.lo) / piece.length
             hi = (img.hi - piece.lo) / piece.length
-            row.append((k, float(lo), float(hi), float(hi - lo)))
+            row.append((k, float(lo), float(hi - lo)))
         tables.append(row)
     return tables
 
@@ -315,15 +315,15 @@ def recurrent_compact_search(
     tab1, tab2 = _child_tables(K1), _child_tables(K2)
     rows, boxes = np.arange(ns)[:, None], []
     for j1, j2 in np.ndindex(r1, r2):
-        for (k1, w_lo, _, L), (k2, v_lo, _, Lp) in itertools.product(tab1[j1], tab2[j2]):
+        for (k1, w_lo, L), (k2, v_lo, Lp) in itertools.product(tab1[j1], tab2[j2]):
             shift = math.log(Lp) - math.log(L)
-            r_lo = rows + math.floor(shift / hs + GRID_SNAP_EPS)
-            r_hi = rows + math.ceil(shift / hs - GRID_SNAP_EPS) + 1
+            r_lo = rows + math.floor(shift / hs)
+            r_hi = rows + math.ceil(shift / hs) + 1
             # u' = (u + e^s * v_lo - w_lo) / L over the cell
             u_min = (cell_t_lo + np.minimum(e_lo * v_lo, e_hi * v_lo)[:, None] - w_lo) / L
             u_max = (cell_t_hi + np.maximum(e_lo * v_lo, e_hi * v_lo)[:, None] - w_lo) / L
-            c_lo = np.floor((u_min - t_lo) / ht + GRID_SNAP_EPS) - margin
-            c_hi = np.ceil((u_max - t_lo) / ht - GRID_SNAP_EPS) + margin
+            c_lo = np.floor((u_min - t_lo) / ht) - margin
+            c_hi = np.ceil((u_max - t_lo) / ht) + margin
             inside = (r_lo >= 0) & (r_hi <= ns) & (c_lo >= 0) & (c_hi <= nt)
             c_lo = np.clip(c_lo, 0, nt - 1).astype(np.int32)
             c_hi = np.clip(c_hi, 1, nt).astype(np.int32)
@@ -406,7 +406,7 @@ def verify_certificate(doc: dict, *, budget: int | None = None) -> tuple[bool, s
         margin, runs = doc["margin"], list(doc["mask_rle"])
         K1 = set_from_json(doc["sets"]["first"])
         K2 = set_from_json(doc["sets"]["second"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         return False, f"malformed certificate: {exc}"
     # a negative margin or cell size would shrink the checked image boxes
     if not (ns > 0 and nt > 0 and hs > 0 and ht > 0) or (r1, r2) != (K1.n_pieces, K2.n_pieces):
@@ -428,13 +428,12 @@ def verify_certificate(doc: dict, *, budget: int | None = None) -> tuple[bool, s
     # cell edges s0 + i * hs, and e^s by math.exp at the ns + 1 row edges,
     # so each box is the one a loop over cells computes (np.exp may
     # differ by an ulp)
-    cs = s0 + np.arange(ns + 1) * hs
     ct = t0 + np.arange(nt + 1) * ht
     try:
-        es = np.array([math.exp(x) for x in cs])
+        es = np.array([math.exp(s0 + i * hs) for i in range(ns + 1)])
     except OverflowError:
         return False, "malformed certificate: e^s overflows on the grid"
-    cs_lo, cs_hi, e_a, e_b = cs[:-1, None], cs[1:, None], es[:-1, None], es[1:, None]
+    rows, e_a, e_b = np.arange(ns)[:, None], es[:-1, None], es[1:, None]
     ct_lo, ct_hi = ct[None, :-1], ct[None, 1:]
 
     # hull-overlap invariant on the whole cell
@@ -452,16 +451,16 @@ def verify_certificate(doc: dict, *, budget: int | None = None) -> tuple[bool, s
     supported = np.zeros_like(mask)
     for j1 in range(r1):
         for j2 in range(r2):
-            for k1, w_lo, _w_hi, L in tab1[j1]:
-                for k2, v_lo, _v_hi, Lp in tab2[j2]:
+            for k1, w_lo, L in tab1[j1]:
+                for k2, v_lo, Lp in tab2[j2]:
                     shift = math.log(Lp) - math.log(L)
-                    # image bounding box over the cell corners
+                    # image box: rows from the integer row index, columns over the cell corners
                     u_min = (ct_lo + np.minimum(e_a * v_lo, e_b * v_lo) - w_lo) / L
                     u_max = (ct_hi + np.maximum(e_a * v_lo, e_b * v_lo) - w_lo) / L
-                    is_lo = np.floor((cs_lo + shift - s0) / hs + GRID_SNAP_EPS)
-                    is_hi = np.ceil((cs_hi + shift - s0) / hs - GRID_SNAP_EPS) - 1
-                    it_lo = np.floor((u_min - t0) / ht + GRID_SNAP_EPS) - margin
-                    it_hi = np.ceil((u_max - t0) / ht - GRID_SNAP_EPS) - 1 + margin
+                    is_lo = rows + np.floor(shift / hs)
+                    is_hi = rows + np.ceil(shift / hs)
+                    it_lo = np.floor((u_min - t0) / ht) - margin
+                    it_hi = np.ceil((u_max - t0) / ht) - 1 + margin
                     # compared as floats, so a bound that is not finite is never inside
                     inside = (is_lo >= 0) & (is_hi < ns) & (it_lo >= 0) & (it_hi < nt)
                     a, b = span(is_lo, is_hi, ns)

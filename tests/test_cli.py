@@ -537,6 +537,19 @@ class TestMalformedFiles:
         assert rec["outputs"]["verified"] is False
         assert rec["outputs"]["reason"].startswith("malformed certificate")
 
+    def test_certificate_with_a_cell_size_beyond_the_float_range_is_malformed(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        grid = ["--s-lo", "-0.25", "--s-hi", "0.25", "--ns", "6", "--t-lo", "-1.5", "--t-hi", "1", "--nt", "24"]
+        code, _, _, _ = run_cli(["recur", *grid, "--cert-out", str(path)], capsys)
+        assert code == EXIT_OK
+        doc = json.loads(path.read_text())
+        doc["grid"]["hs"] = 10**400
+        path.write_text(json.dumps(doc))
+        code, rec, _, _ = run_cli(["recur", "--verify", str(path)], capsys)
+        assert code == EXIT_OK
+        assert rec["outputs"]["verified"] is False
+        assert rec["outputs"]["reason"].startswith("malformed certificate")
+
     def test_verifying_a_grid_over_budget_exits_2(self, capsys, tmp_path):
         # 4 * 10^12 cells in a certificate of under 1 KB: the verifier
         # refuses the grid before it decodes the mask

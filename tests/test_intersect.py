@@ -278,12 +278,12 @@ def test_recurrent_search_validates_grid(middle_fifth):
             recurrent_compact_search(middle_fifth, middle_fifth, SEARCH_BOX, SEARCH_GRID, margin=margin)
 
 
-def _reference_fixed_point(K1, K2, box, grid, margin):
+def _reference_fixed_point(K1, K2, box, grid, margin, snap=0.0):
     """Greatest fixed point and its sweep count by a plain loop over cells
     and child pairs, in the search's own arithmetic: rows shift by
-    floor(shift/hs + eps) .. ceil(shift/hs - eps), columns from the image
-    of the cell's corners."""
-    eps = intersect.GRID_SNAP_EPS
+    floor(shift/hs) .. ceil(shift/hs), columns from the image of the
+    cell's corners.  A positive `snap` moves every floor and ceiling
+    argument inward by that much, as the search once did with 1e-9."""
     (s_lo, s_hi), (t_lo, t_hi) = box
     ns, nt = (max(1, round((hi - lo) / h)) for (lo, hi), h in zip(box, grid))
     hs, ht = (s_hi - s_lo) / ns, (t_hi - t_lo) / nt
@@ -293,9 +293,9 @@ def _reference_fixed_point(K1, K2, box, grid, margin):
 
     def moves(row1, row2):
         """Each child pair of a type pair, with the range of its row shift."""
-        for (k1, w_lo, _, L), (k2, v_lo, _, Lp) in itertools.product(row1, row2):
+        for (k1, w_lo, L), (k2, v_lo, Lp) in itertools.product(row1, row2):
             shift = math.log(Lp) - math.log(L)
-            yield k1, k2, w_lo, v_lo, L, math.floor(shift / hs + eps), math.ceil(shift / hs - eps)
+            yield k1, k2, w_lo, v_lo, L, math.floor(shift / hs + snap), math.ceil(shift / hs - snap)
 
     pairs = [[list(moves(row1, row2)) for row2 in tab2] for row1 in tab1]
     mask = np.zeros((K1.n_pieces, K2.n_pieces, ns, nt), dtype=bool)
@@ -308,8 +308,8 @@ def _reference_fixed_point(K1, K2, box, grid, margin):
                 continue
             u_min = (t[k] + min(e[i] * v_lo, e[i + 1] * v_lo) - w_lo) / L
             u_max = (t[k + 1] + max(e[i] * v_lo, e[i + 1] * v_lo) - w_lo) / L
-            c0 = math.floor((u_min - t_lo) / ht + eps) - margin
-            c1 = math.ceil((u_max - t_lo) / ht - eps) - 1 + margin
+            c0 = math.floor((u_min - t_lo) / ht + snap) - margin
+            c1 = math.ceil((u_max - t_lo) / ht - snap) - 1 + margin
             if 0 <= c0 and c1 < nt and mask[k1, k2, i + d0:i + d1 + 1, c0:c1 + 1].all():
                 return True
         return False
@@ -399,7 +399,7 @@ def _plain_loop_verdict(doc):
     g = doc["grid"]
     r1, r2 = g["types"]
     ns, nt, s0, hs, t0, ht = g["ns"], g["nt"], g["s0"], g["hs"], g["t0"], g["ht"]
-    margin, eps = doc["margin"], intersect.GRID_SNAP_EPS
+    margin = doc["margin"]
     mask = _decode_mask(doc).reshape((r1, r2, ns, nt))
     members = [tuple(int(x) for x in cell) for cell in np.argwhere(mask)]
     for j1, j2, i, k in members:
@@ -409,18 +409,18 @@ def _plain_loop_verdict(doc):
     tab2 = intersect._child_tables(set_from_json(doc["sets"]["second"]))
 
     def supports(j1, j2, i, k, child1, child2):
-        k1, w_lo, _, L = child1
-        k2, v_lo, _, Lp = child2
-        cs_lo, cs_hi = s0 + i * hs, s0 + (i + 1) * hs
+        k1, w_lo, L = child1
+        k2, v_lo, Lp = child2
         ct_lo, ct_hi = t0 + k * ht, t0 + (k + 1) * ht
         shift = math.log(Lp) - math.log(L)
-        e_a, e_b = math.exp(cs_lo), math.exp(cs_hi)
+        e_a, e_b = math.exp(s0 + i * hs), math.exp(s0 + (i + 1) * hs)
         u_min = (ct_lo + min(e_a * v_lo, e_b * v_lo) - w_lo) / L
         u_max = (ct_hi + max(e_a * v_lo, e_b * v_lo) - w_lo) / L
-        is_lo = math.floor((cs_lo + shift - s0) / hs + eps)
-        is_hi = math.ceil((cs_hi + shift - s0) / hs - eps) - 1
-        it_lo = math.floor((u_min - t0) / ht + eps) - margin
-        it_hi = math.ceil((u_max - t0) / ht - eps) - 1 + margin
+        # the image rows from the integer row index i
+        is_lo = i + math.floor(shift / hs)
+        is_hi = i + math.ceil(shift / hs)
+        it_lo = math.floor((u_min - t0) / ht) - margin
+        it_hi = math.ceil((u_max - t0) / ht) - 1 + margin
         if is_lo < 0 or is_hi >= ns or it_lo < 0 or it_hi >= nt:
             return False
         return all(
@@ -458,6 +458,53 @@ def test_verifier_matches_a_plain_loop_over_cells(middle_fifth):
                     assert message.startswith("member cell (%d,%d,%d,%d) " % cell)
                 verdicts.append(ok)
     assert 0 < sum(verdicts) < len(verdicts)
+
+
+# middle-fifth against itself with t0 = -(25 + 3e-10) * ht / 1.5: one image
+# edge lies 3e-10 of a cell below a cell edge (exact column index
+# 1.5 * t0 / ht + 35 = 10 - 3e-10), well inside a 1e-9 snap
+CRAFTED_BOX = ((-0.25, 0.25), (-1.7361111111319445, 0.7638888888680555))
+CRAFTED_GRID = (0.5 / 6, (0.7638888888680555 + 1.7361111111319445) / 24)
+
+
+def test_an_inward_snap_certifies_a_false_region(middle_fifth):
+    # snapping every floor and ceiling inward by 1e-9 keeps 188 cells; the
+    # plain floors and ceilings reject that mask, and the search keeps 132
+    snapped, _ = _reference_fixed_point(middle_fifth, middle_fifth, CRAFTED_BOX, CRAFTED_GRID, 0,
+                                        snap=1e-9)
+    out = recurrent_compact_search(middle_fifth, middle_fifth, CRAFTED_BOX, CRAFTED_GRID, margin=0)
+    assert snapped.sum() == 188 and out.region.n_members == 132
+    false_doc = region_to_json(dataclasses.replace(out.region, mask=snapped), middle_fifth, middle_fifth)
+    reason = "member cell (0,0,0,14) has no child pair whose image stays in the mask"
+    assert verify_certificate(false_doc) == (False, reason)
+    assert _plain_loop_verdict(false_doc) == (False, (0, 0, 0, 14))
+    doc = region_to_json(out.region, middle_fifth, middle_fifth)
+    assert verify_certificate(doc) == (True, "verified 132 member cells")
+    assert _plain_loop_verdict(doc) == (True, None)
+
+
+def test_every_region_found_on_grids_near_cell_edges_verifies(middle_fifth, thick_pair_set):
+    # grids of the crafted family: t0 = -(N + delta) * ht / 1.5, so image
+    # edges fall on or within 3e-10 of a cell edge
+    two_ratio = build_affine([(Fraction(0), Fraction(2, 5)), (Fraction(11, 20), Fraction(1))],
+                             [(0, 1), (0, 1)])
+    sets = [middle_fifth, thick_pair_set, two_ratio]
+    rng = np.random.default_rng(20261020)
+    found = 0
+    for _ in range(36):
+        K = sets[rng.integers(3)]
+        nt = int(rng.choice([24, 32, 40, 48, 240]))
+        ns = 120 if nt == 240 else 6
+        ht = 2.5 / nt
+        t0 = -(int(rng.integers(nt, nt + nt // 4)) + float(rng.choice([-3e-10, 0.0, 3e-10]))) * ht / 1.5
+        box = ((-0.25, 0.25), (t0, t0 + 2.5))
+        margin = int(rng.integers(3))
+        out = recurrent_compact_search(K, K, box, (0.5 / ns, ht), margin)
+        if out.found:
+            found += 1
+            ok, message = verify_certificate(region_to_json(out.region, K, K))
+            assert ok, (message, nt, t0, margin)
+    assert found >= 10
 
 
 def _decode_mask(doc):
@@ -548,13 +595,14 @@ def test_certificate_without_member_cells_does_not_verify(middle_fifth):
         ("ht", -0.1),
         pytest.param("margin", 10**400, id="margin-huge"),
         ("s0", 800.0),
+        *(pytest.param(field, 10**400, id=f"{field}-huge") for field in ("s0", "hs", "t0", "ht")),
     ],
 )
 def test_certificate_fields_out_of_range_are_malformed(middle_fifth, field, value):
     # a negative margin or cell size would shrink the boxes the verifier
     # checks, so a valid certificate altered that way must not pass; a
-    # margin wider than the grid or an s range where e^s overflows cannot
-    # be checked in floats at all
+    # margin wider than the grid, an s range where e^s overflows or a grid
+    # number beyond the float range cannot be checked in floats at all
     out = recurrent_compact_search(middle_fifth, middle_fifth, SEARCH_BOX, SEARCH_GRID, margin=1)
     doc = region_to_json(out.region, middle_fifth, middle_fifth)
     target = doc["grid"] if field in doc["grid"] else doc
