@@ -316,9 +316,11 @@ def recurrent_compact_search(
     rows, boxes = np.arange(ns)[:, None], []
     for j1, j2 in np.ndindex(r1, r2):
         for (k1, w_lo, L), (k2, v_lo, Lp) in itertools.product(tab1[j1], tab2[j2]):
-            shift = math.log(Lp) - math.log(L)
-            r_lo = rows + math.floor(shift / hs)
-            r_hi = rows + math.ceil(shift / hs) + 1
+            # a row shift beyond the grid only leaves it: clamped there, in
+            # float, no shift of tiny cells overflows an int64 row index
+            step = min(max((math.log(Lp) - math.log(L)) / hs, -ns - 1.0), ns + 1.0)
+            r_lo = rows + math.floor(step)
+            r_hi = rows + math.ceil(step) + 1
             # u' = (u + e^s * v_lo - w_lo) / L over the cell
             u_min = (cell_t_lo + np.minimum(e_lo * v_lo, e_hi * v_lo)[:, None] - w_lo) / L
             u_max = (cell_t_hi + np.maximum(e_lo * v_lo, e_hi * v_lo)[:, None] - w_lo) / L

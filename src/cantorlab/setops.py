@@ -18,12 +18,30 @@ sharpness.  Each set's tree is walked once per call of `cover_sum` or
 target tried reads its cover from that one walk
 (`cantor_core._LengthWalk`); nothing outlives the call.
 
-Both `cover_sum`, which merges them into an `IntervalUnion`, and
-`marstrand_scan`, which counts its grid cells straight from them, take
-the intervals of a sum from `_sum_endpoints`: every pair, or the hull
-interval the gap lemma below proves.  The scan merges only where the
-resolutions are not nested or the finest grid has more cells than there
-are intervals.
+Both `cover_sum`, which merges the pair sums into an `IntervalUnion`,
+and `marstrand_scan`, which counts its grid cells, read a sum as the
+hull interval the gap lemma below proves (`_hull_sum`) or as every pair
+of the two balanced covers (`_balanced_covers`).  The scan merges only
+where the resolutions are not nested or the finest grid has more cells
+than there are pairs.
+
+Block descent.  The scan counts the finest-grid cells that the pair sums
+meet without forming most of the pairs.  IEEE rounding is monotone:
+fl(a + b) is monotone in each argument and floor(fl(x / r)) in x.  So
+the sum of any interval pair drawn from a run of consecutive intervals
+of each cover starts no lower than the rounded sum of the runs' lowest
+ends and ends no higher than that of their highest ends; when those two
+hull ends fall in one cell, every pair of the run pair covers exactly
+that cell.  Each cover, sorted by position, is cut into runs of 2^k
+intervals for each k; the descent starts at the coarsest k at which
+every run of both covers is shorter than a cell, closes each run pair
+whose hull sum lies in one cell, and halves the rest down to single
+interval pairs (`_pair_cells`).  A thin pair (depth-8 intervals near
+1e-9 long on a 2^-12 grid) closes nearly everything high up and forms
+under 1% of its pairs; a fat pair has no run longer than two intervals
+that fits in a cell, so it starts at the intervals and forms every pair,
+the dense count.  Either way the cells are those of `covered_length` on
+the merged union, bit for bit.
 
 Gap-lemma pruning.  Newhouse's gap lemma, in the form of Astels (Trans.
 AMS 2000): compact sets A, B with thickness tau(A)*tau(B) >= 1, each
@@ -71,6 +89,8 @@ PAIR_BUDGET = 10 * DEFAULT_COVER_BUDGET
 SCAN_PAIR_BUDGET = 4_000_000
 DEFAULT_THETA = 0.05
 DEFAULT_RESOLUTIONS = tuple(2.0**-k for k in range(6, 15))
+
+_Ends = tuple[np.ndarray, np.ndarray]  # lower and upper interval ends
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +183,12 @@ def _first_target(len1: float, len2: float, scale: float) -> float:
     return max(len1, scale * len2) * (1.0 + 1e-12)
 
 
-def _pair_endpoints(
+def _balanced_covers(
     side1: _SetCovers, side2: _SetCovers, op: str, lam: float
-) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Endpoints of all pairwise interval sums (lam != 0), unsorted, and
-    the meta of the covers behind them."""
+) -> tuple[_Ends, _Ends, dict]:
+    """The two covers whose pair sums make the outer sum (lam != 0), each
+    sorted by position: the first set's interval ends, the second's as
+    they enter the sum (J, or -lam*J), and the meta of the pairs."""
     scale = 1.0 if op == "+" else abs(lam)
     target1 = _first_target(side1.maxlen, side2.maxlen, scale)
     for step in range(64):
@@ -181,24 +202,25 @@ def _pair_endpoints(
         target1 *= 2.0
     else:
         raise BudgetExceeded("could not balance covers within the pairwise budget")
-    a_lo, a_hi = c1[:, 2], c1[:, 3]
-    # the second set's intervals as they enter the sum: J, or -lam*J
     t_lo, t_hi = c2[:, 2], c2[:, 3]
     if op == "-":
         x, y = -lam * t_lo, -lam * t_hi
         t_lo, t_hi = np.minimum(x, y), np.maximum(x, y)
-    lo = (a_lo[:, None] + t_lo[None, :]).ravel()
-    hi = (a_hi[:, None] + t_hi[None, :]).ravel()
     meta = {
         "op": op,
         "lam": lam,
-        "pairs": len(lo),
+        "pairs": len(c1) * len(c2),
         "counts": (len(c1), len(c2)),
         "target_length": target1,
         "capped": step > 0,
         "pruned": 0,
     }
-    return lo, hi, meta
+    return (c1[:, 2], c1[:, 3]), (t_lo, t_hi), meta
+
+
+def _pair_sums(a: _Ends, t: _Ends) -> _Ends:
+    """Ends of the sums of every interval pair of the two sides, unsorted."""
+    return (a[0][:, None] + t[0]).ravel(), (a[1][:, None] + t[1]).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -245,18 +267,19 @@ def _round_out(x: Exact, up: bool) -> float:
     return f
 
 
-def _sum_endpoints(
+def _hull_sum(
     side1: _SetCovers, side2: _SetCovers, op: str, lam: float
-) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Endpoints and meta of the depth-n outer sum (lam != 0): every pair
-    sum, or for a closed hull pair H1 + H2 (H1 - lam*H2), exact ends rounded
-    outward, with no cover built.  The precision floor, on the first
-    cover's target t and the second's t / scale as on the pair path, reads
-    the seed lengths: the maximum lengths on exact sets, and elsewhere
-    lower bounds that walk for the maxima only when they fall below it."""
+) -> tuple[np.ndarray, np.ndarray, dict] | None:
+    """Endpoints and meta of the depth-n outer sum (lam != 0) of a hull
+    pair the gap lemma closes, or None when it does not: H1 + H2 (H1 -
+    lam*H2), exact ends rounded outward, with no cover built.  The
+    precision floor, on the first cover's target t and the second's t /
+    scale as on the pair path, reads the seed lengths: the maximum lengths
+    on exact sets, and elsewhere lower bounds that walk for the maxima only
+    when they fall below it."""
     scale = 1.0 if op == "+" else abs(lam)
     if _hull_pair_refusal(side1.K, side2.K, scale) is not None:
-        return _pair_endpoints(side1, side2, op, lam)
+        return None
     t = _first_target(side1.seed, side2.seed, scale)
     if min(t, t / scale) < EPS_LEN:
         t = _first_target(side1.maxlen, side2.maxlen, scale)
@@ -301,7 +324,13 @@ def cover_sum(
         u = IntervalUnion(*merge_intervals(cover.los, cover.his))
         u.meta.update({"op": op, "lam": lam, "pairs": u.n_components})
         return u
-    lo, hi, meta = _sum_endpoints(*_pair_sides(K1, K2, n, budget), op, lam)
+    sides = _pair_sides(K1, K2, n, budget)
+    closed = _hull_sum(*sides, op, lam)
+    if closed is None:
+        a, t, meta = _balanced_covers(*sides, op, lam)
+        lo, hi = _pair_sums(a, t)
+    else:
+        lo, hi, meta = closed
     u = IntervalUnion(*merge_intervals(lo, hi))
     u.meta.update(meta)
     return u
@@ -365,29 +394,111 @@ def _dyadic_shifts(res: list[float]) -> list[int] | None:
     return [e - e_finer for (_, e), (_, e_finer) in zip(parts, parts[1:])]
 
 
-def _scan_row(lo: np.ndarray, hi: np.ndarray, res: list[float], shifts: list[int] | None) -> list[float]:
-    """Covered length of the union of the intervals [lo, hi] at each resolution.
+def _run_hulls(a: _Ends, t: _Ends, r: float) -> list[tuple[_Ends, _Ends]]:
+    """Hulls of the runs of 2^k consecutive intervals of the two sides,
+    each sorted by position, one level per k from the intervals themselves
+    (k = 0) up to the coarsest level at which every hull of both sides is
+    shorter than r; the last run of a side holds what is left over."""
+    levels = [(a, t)]
+    while min(len(a[0]), len(t[0])) > 1:
+        a = _halves(*a)
+        if not np.max(a[1] - a[0]) < r:
+            break
+        t = _halves(*t)
+        if not np.max(t[1] - t[0]) < r:
+            break
+        levels.append((a, t))
+    # runs of two save too few pairs to pay for indexing the pairs one by one
+    return levels if len(levels) > 2 else levels[:1]
+
+
+def _halves(lo: np.ndarray, hi: np.ndarray) -> _Ends:
+    """Hulls of the consecutive pairs of intervals (the last one alone if
+    left over)."""
+    starts = np.arange(0, len(lo), 2)
+    return np.minimum.reduceat(lo, starts), np.maximum.reduceat(hi, starts)
+
+
+class _Scratch:
+    """One float buffer that the rows of a scan reuse for their outer sums:
+    a large row that took fresh arrays would fault in new pages each time."""
+
+    def __init__(self) -> None:
+        self.buf = np.empty(0)
+
+    def take(self, rows: int, cols: int) -> np.ndarray:
+        if len(self.buf) < rows * cols:
+            self.buf = np.empty(rows * cols)
+        return self.buf[: rows * cols].reshape(rows, cols)
+
+
+def _pair_cells(a: _Ends, t: _Ends, r: float, scratch: _Scratch) -> _Ends:
+    """Cell ranges klo .. khi of the r-grid, as int64 (the caller has
+    checked the grid with `_check_cells`), whose union is the set of cells
+    met by the pair sums I + J of the two sides: the block descent of the
+    module docstring.  It starts with every run pair of the coarsest level
+    of `_run_hulls`, formed as one outer sum, closes each whose hull sum
+    lies in one cell, and splits the rest into the four pairs of their
+    halves, down to interval pairs, which give their own ranges.  With no
+    level above the intervals it is the dense count.
+    """
+    levels = _run_hulls(a, t, r)
+    (a_lo, a_hi), (t_lo, t_hi) = levels[-1]
+    klo, khi = (_outer_cells(x, y, r, scratch) for x, y in ((a_lo, t_lo), (a_hi, t_hi)))
+    if len(levels) > 1:
+        i, j = np.divmod(np.arange(len(klo)), len(t_lo))
+    los = []
+    for k in reversed(range(len(levels) - 1)):
+        shut = klo == khi
+        los.append(klo[shut])
+        i, j = i[~shut], j[~shut]
+        i = np.concatenate((2 * i, 2 * i, 2 * i + 1, 2 * i + 1))
+        j = np.concatenate((2 * j, 2 * j + 1, 2 * j, 2 * j + 1))
+        (a_lo, a_hi), (t_lo, t_hi) = levels[k]
+        keep = (i < len(a_lo)) & (j < len(t_lo))
+        i, j = i[keep], j[keep]
+        klo = np.floor((a_lo[i] + t_lo[j]) / r).astype(np.int64)
+        khi = np.floor((a_hi[i] + t_hi[j]) / r).astype(np.int64)
+    return (np.concatenate((*los, klo)), np.concatenate((*los, khi))) if los else (klo, khi)
+
+
+def _outer_cells(x: np.ndarray, y: np.ndarray, r: float, scratch: _Scratch) -> np.ndarray:
+    """floor(fl(fl(x_i + y_j) / r)) for every pair, row by row, as int64."""
+    f = np.add(x[:, None], y, out=scratch.take(len(x), len(y)))
+    f /= r
+    return np.floor(f, out=f).astype(np.int64).ravel()
+
+
+def _scan_row(a: _Ends, t: _Ends, res: list[float], shifts: list[int] | None, scratch: _Scratch) -> list[float]:
+    """Covered length, at each resolution, of the union of the pair sums
+    I + J of the two sides.
 
     The cells meeting an interval at resolution r are floor(lo/r) ..
     floor(hi/r), and floor(x/2r) = floor(floor(x/r)/2); so on a nested
-    ladder the covered cells of the finest grid, marked from the endpoints
-    by two bincounts and a cumulative sum, give every coarser row by
-    shifting.  The result equals `covered_length` of the merged union.  A
-    ladder that is not nested, or a finest grid with more cells than there
-    are intervals, falls back to merging.
+    ladder the covered cells of the finest grid, marked by two bincounts
+    and a cumulative sum, give every coarser row by shifting.  The finest
+    cells come from `_pair_cells`, which closes a block of pairs with one
+    cell when the rounded sums of its hull ends share that cell: rounding
+    is monotone, fl(a + b) in each argument and floor(fl(x / r)) in x, so
+    no pair inside can reach another cell.  The grid's ends are read off
+    the covers' extreme ends the same way.  The result equals
+    `covered_length` of the merged union.  A ladder that is not nested,
+    or a finest grid with more cells than there are pairs, falls back to
+    merging every pair.
     """
     r_f = res[-1]
-    kmin = np.floor(lo.min() / r_f)
-    kmax = np.floor(hi.max() / r_f)
+    kmin = np.floor((a[0].min() + t[0].min()) / r_f)
+    kmax = np.floor((a[1].max() + t[1].max()) / r_f)
     _check_cells(kmin, kmax, r_f)
-    if shifts is None or kmax - kmin + 1 > len(lo):
-        u = IntervalUnion(*merge_intervals(lo, hi))
+    if shifts is None or kmax - kmin + 1 > len(a[0]) * len(t[0]):
+        u = IntervalUnion(*merge_intervals(*_pair_sums(a, t)))
         return [covered_length(u, r) for r in res]
     size = int(kmax - kmin) + 2
     kmin = int(kmin)
-    klo = np.floor(lo / r_f).astype(np.int64) - kmin
-    khi = np.floor(hi / r_f).astype(np.int64) - kmin
-    edges = np.bincount(klo, minlength=size) - np.bincount(khi + 1, minlength=size)
+    starts, ends = _pair_cells(a, t, r_f, scratch)
+    starts -= kmin
+    ends -= kmin - 1  # one past each range's last cell
+    edges = np.bincount(starts, minlength=size) - np.bincount(ends, minlength=size)
     cells = np.flatnonzero(np.cumsum(edges[:-1]) > 0) + kmin
     counts = [len(cells)]
     for shift in reversed(shifts):
@@ -447,10 +558,11 @@ def marstrand_scan(
     resolution; the summary statistic is the fraction of lam whose
     covered length at the finest resolution exceeds theta.  All lam
     share one set of covers.  Each row equals `covered_length` of the
-    `cover_sum` union, but is counted straight from the endpoints without
-    merging them (see `_scan_row`).  A row whose hull pair the gap lemma
-    closes is the one hull interval and forms no pairs, so the budget
-    never coarsens it; any other lam forms at most `pair_budget` pairs
+    `cover_sum` union, but is counted straight from the two covers,
+    without merging and mostly without forming the pairs (see
+    `_scan_row`).  A row whose hull pair the gap lemma closes is the one
+    hull interval and has no pairs, so the budget never coarsens it; any
+    other lam balances its covers to at most `pair_budget` pairs
     (None means SCAN_PAIR_BUDGET), and `capped_rows` counts the rows the
     budget coarsened.
     """
@@ -465,12 +577,17 @@ def marstrand_scan(
     finite(theta, "theta must be finite")
     budget = SCAN_PAIR_BUDGET if pair_budget is None else pair_budget
     sides = _pair_sides(K1, K2, n, budget)
-    shifts = _dyadic_shifts(res)
+    shifts, scratch = _dyadic_shifts(res), _Scratch()
     rows, capped_rows = [], 0
     for lam in lambdas:
-        lo, hi, meta = _sum_endpoints(*sides, "-", lam)
-        capped_rows += meta["capped"]
-        rows.append(_scan_row(lo, hi, res, shifts))
+        closed = _hull_sum(*sides, "-", lam)
+        if closed is None:
+            a, t, meta = _balanced_covers(*sides, "-", lam)
+            capped_rows += meta["capped"]
+            rows.append(_scan_row(a, t, res, shifts, scratch))
+        else:
+            u = IntervalUnion(*merge_intervals(*closed[:2]))
+            rows.append([covered_length(u, r) for r in res])
     table = np.array(rows, dtype=float)
     return ProjectionScan(
         lambdas=tuple(lambdas),

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence, Union
 
 from .errors import ValidationError
@@ -227,7 +228,7 @@ class QuadraticSurd:
         # value never sits on a rounding boundary, so doubling terminates.
         shift = 60
         while True:
-            root = math.isqrt(self.d << (2 * shift))  # floor(2^shift * sqrt(d))
+            root = _scaled_root(self.d, shift)
             num = (self.p << shift) + self.q * root
             den = self.r << shift
             lo, hi = (num - abs(self.q)) / den, (num + abs(self.q)) / den
@@ -242,6 +243,13 @@ class QuadraticSurd:
 
 
 SurdLike = Union[QuadraticSurd, int, Fraction]
+
+
+@lru_cache(maxsize=4096)
+def _scaled_root(d: int, shift: int) -> int:
+    """floor(2^shift * sqrt(d)), kept per radicand and shift: the forward
+    values of one continued fraction share their radicand."""
+    return math.isqrt(d << (2 * shift))
 
 
 def _surd(p: int, q: int, r: int, d: int) -> QuadraticSurd:

@@ -550,6 +550,14 @@ class TestMalformedFiles:
         assert rec["outputs"]["verified"] is False
         assert rec["outputs"]["reason"].startswith("malformed certificate")
 
+    def test_a_search_on_s_cells_of_1e_300_finds_nothing(self, capsys):
+        # each child pair's row shift is about 1e299 cells: it ended in
+        # OverflowError and exit 1, where such boxes only leave the grid
+        grid = ["--s-lo", "0", "--s-hi", "1e-300", "--ns", "1", "--nt", "4"]
+        code, rec, _, _ = run_cli(["recur", "--set1", "thick", "--set2", "middle-fifth", *grid], capsys)
+        assert code == EXIT_OK
+        assert rec["outputs"]["found"] is False and rec["outputs"]["n_members"] == 0
+
     def test_verifying_a_grid_over_budget_exits_2(self, capsys, tmp_path):
         # 4 * 10^12 cells in a certificate of under 1 KB: the verifier
         # refuses the grid before it decodes the mask

@@ -278,6 +278,24 @@ def test_recurrent_search_validates_grid(middle_fifth):
             recurrent_compact_search(middle_fifth, middle_fifth, SEARCH_BOX, SEARCH_GRID, margin=margin)
 
 
+def test_a_row_shift_beyond_the_grid_reads_as_off_the_grid(thick_pair_set, middle_fifth):
+    # s cells of 1e-300 turn a child pair's log-ratio shift into about 1e299
+    # rows: added to the int64 row indices as a Python int it raised
+    # OverflowError; every such box lies off the one-row grid
+    box, grid = ((0.0, 1e-300), (0.0, 1.0)), (1e-300, 0.25)
+    out = recurrent_compact_search(thick_pair_set, middle_fifth, box, grid)
+    assert not out.found
+    # the verifier computes the same rows in float64: every member of a full
+    # mask on that grid is refused, and nothing raises
+    mask = np.ones((2, 2, 1, 4), dtype=bool)
+    region = PositionRegion(s0=0.0, hs=1e-300, ns=1, t0=0.0, ht=0.25, nt=4, margin=1, mask=mask)
+    ok, message = verify_certificate(region_to_json(region, thick_pair_set, middle_fifth))
+    assert not ok and message.startswith("member cell (0,0,0,0)")
+    # a cell size that is subnormal takes the shift to infinity in float
+    tiny = ((0.0, 1e-310), (0.0, 1.0)), (1e-310, 0.25)
+    assert not recurrent_compact_search(thick_pair_set, middle_fifth, *tiny).found
+
+
 def _reference_fixed_point(K1, K2, box, grid, margin, snap=0.0):
     """Greatest fixed point and its sweep count by a plain loop over cells
     and child pairs, in the search's own arithmetic: rows shift by

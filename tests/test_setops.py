@@ -31,6 +31,7 @@ from cantorlab import (
     load_set,
     marstrand_scan,
     merge_intervals,
+    perturb_set,
     refine,
     refine_to_length,
     set_from_json,
@@ -369,15 +370,14 @@ def test_projection_scan_rows_match_direct_cover_sum(names, monkeypatch):
     m1, m2 = float(maxlen_at_depth(K1, n)), float(maxlen_at_depth(K2, n))
     lambdas = [m1 / m2 * f for f in (0.3, 0.8, 0.99, 1.0, 1.01, 1.3, 3.7)] + [0.1, 2.9]
     unions = [cover_sum(K1, K2, n, "-", lam, pair_budget=setops.SCAN_PAIR_BUDGET) for lam in lambdas]
-    n_open = sum(u.meta["pruned"] == 0 for u in unions)
-    merged, grids = [], []
+    events = []
 
     def counting_merge(los, his):
-        merged.append(len(los))
+        events.append(("merge", len(los)))
         return merge_intervals(los, his)
 
     def recording_bincount(x, weights=None, minlength=0):
-        grids.append(minlength - len(x))
+        events.append(("bincount", minlength, len(x)))
         return bincount(x, weights, minlength)
 
     bincount = np.bincount
@@ -385,24 +385,35 @@ def test_projection_scan_rows_match_direct_cover_sum(names, monkeypatch):
     monkeypatch.setattr(np, "bincount", recording_bincount)
     scans, paths = {}, {}
     for name, ladder in SCAN_LADDERS.items():
-        merged.clear()
-        grids.clear()
+        events.clear()
         scans[name] = marstrand_scan(K1, K2, lambdas, n, ladder)
-        paths[name] = (list(merged), len(grids), max(grids, default=None))
+        paths[name] = list(events)
     monkeypatch.undo()
-    # a row the gap lemma closes is its one hull interval, which meets more
-    # than one cell of every finest grid here, so every ladder merges it
-    for merges, _, _ in paths.values():
-        assert merges.count(1) == len(lambdas) - n_open
-    # an open row merges its pairs once, and fewer than half of all rows
-    # merge pairs; a counted row's grid holds at most one cell per pair,
-    # plus one end slot
-    merges, counted, excess = paths["nested with a skipped step"]
-    assert len(merges) - (len(lambdas) - n_open) < len(lambdas) // 2
-    assert counted == 2 * (len(lambdas) - len(merges)) and excess <= 1
-    for name in ("not nested", "finer than the pairs"):
-        merges, counted, excess = paths[name]
-        assert (len(merges), counted, excess) == (len(lambdas), 0, None)
+    # rows in order: a row the gap lemma closes is its one hull interval,
+    # which meets more than one cell of every finest grid here, so every
+    # ladder merges it; an open row merges its pairs once, or counts its
+    # cells with two bincounts over a grid of at most one cell per pair,
+    # plus one end slot, from at most one cell range per pair
+    for name, path in paths.items():
+        merged = 0
+        for u in unions:
+            pairs = u.meta["pairs"]
+            if u.meta["pruned"]:
+                assert path.pop(0) == ("merge", 1)
+            elif path[0][0] == "merge":
+                assert path.pop(0) == ("merge", pairs)
+                merged += 1
+            else:
+                for _ in range(2):
+                    kind, grid, ranges = path.pop(0)
+                    assert kind == "bincount" and grid <= pairs + 1 and ranges <= pairs
+        assert path == []
+        # fewer than half of all rows merge pairs on a nested ladder; a
+        # ladder that is not nested, or finer than the pairs, merges all
+        if name == "nested with a skipped step":
+            assert merged < len(lambdas) // 2
+        elif name != "default":
+            assert merged == sum(u.meta["pruned"] == 0 for u in unions)
     for i, (lam, u) in enumerate(zip(lambdas, unions)):
         for scan in scans.values():
             assert list(scan.table[i]) == [covered_length(u, r) for r in scan.resolutions]
@@ -414,6 +425,78 @@ def test_projection_scan_rows_match_direct_cover_sum(names, monkeypatch):
         assert v.meta["counts"] == (len(refine_to_length(K1, t1)), len(refine_to_length(K2, t1 / lam)))
         assert u.n_components == v.n_components
         assert np.allclose(u.los, v.los, rtol=0, atol=1e-12) and np.allclose(u.his, v.his, rtol=0, atol=1e-12)
+
+
+def _scan_pair(name):
+    if name == "two-ratio":  # exact pieces of ratios 1/7 and 1/4
+        return (build_affine([(F(0), F(1, 7)), (F(3, 4), F(1))], [(0, 1), (0, 1)]),) * 2
+    if name == "perturbed":  # float pieces against an exact set
+        return perturb_set(get_set("thin"), 0.01, np.random.default_rng(4)), get_set("ternary")
+    parts = name.split("/")
+    return get_set(parts[0]), get_set(parts[-1])
+
+
+@pytest.mark.parametrize(
+    "name, depth, lam_range",
+    [
+        ("thin", 8, (0.1, 3.0)),
+        ("ternary", 8, (0.05, 1 / 3)),  # below 1/3 the gap lemma closes no row
+        ("gauss2", 6, (0.1, 3.0)),
+        ("horseshoe-stable/horseshoe-unstable", 6, (0.1, 3.0)),
+        ("horseshoe-unstable/horseshoe-stable", 6, (0.1, 3.0)),
+        ("two-ratio", 8, (0.1, 3.0)),
+        ("perturbed", 7, (0.1, 3.0)),
+    ],
+)
+def test_scan_rows_are_the_covered_lengths_of_the_cover_sum_union(name, depth, lam_range):
+    # bit for bit, whether a row's cells come from a descent over blocks of
+    # cover intervals or from every interval pair, at either sign of lambda
+    # and on every ladder
+    K1, K2 = _scan_pair(name)
+    rng = np.random.default_rng(0)
+    lambdas = list(rng.uniform(*lam_range, size=6)) + list(-rng.uniform(*lam_range, size=2))
+    unions = [cover_sum(K1, K2, depth, "-", lam, pair_budget=setops.SCAN_PAIR_BUDGET) for lam in lambdas]
+    assert all(u.meta["pruned"] == 0 for u in unions)
+    for ladder in SCAN_LADDERS.values():
+        scan = marstrand_scan(K1, K2, lambdas, depth, ladder)
+        for row, u in zip(scan.table, unions):
+            assert list(row) == [covered_length(u, r) for r in scan.resolutions]
+
+
+def test_a_coarsened_scan_row_is_the_covered_length_of_its_union():
+    T = get_set("thin")
+    lambdas = [0.3, 1.0, -2.2]
+    scan = marstrand_scan(T, T, lambdas, 8, pair_budget=5000)
+    assert scan.capped_rows == len(lambdas)
+    for row, lam in zip(scan.table, lambdas):
+        u = cover_sum(T, T, 8, "-", lam, pair_budget=5000)
+        assert u.meta["capped"] and list(row) == [covered_length(u, r) for r in scan.resolutions]
+
+
+def test_a_thin_scan_row_evaluates_few_of_its_pairs(monkeypatch):
+    # every pair sum the descent forms is floored onto the finest grid,
+    # ends and starts alike; the README thin rows form under a tenth of
+    # their 512 x 512 pairs, a fat ternary row forms each pair once
+    floored = []
+
+    def counting_floor(x, *args, **kwargs):
+        floored.append(np.size(x))
+        return floor(x, *args, **kwargs)
+
+    floor, r = np.floor, 2.0**-12
+    for name, lambdas in (("thin", np.random.default_rng(0).uniform(0.1, 3.0, 200)), ("ternary", [0.2])):
+        K = get_set(name)
+        sides = setops._pair_sides(K, K, 8, setops.SCAN_PAIR_BUDGET)
+        for lam in lambdas:
+            a, t, meta = setops._balanced_covers(*sides, "-", lam)
+            floored.clear()
+            monkeypatch.setattr(np, "floor", counting_floor)
+            setops._pair_cells(a, t, r, setops._Scratch())
+            monkeypatch.undo()
+            if name == "thin":
+                assert meta["pairs"] == 512 * 512 and sum(floored) < 2 * meta["pairs"] // 10
+            else:
+                assert sum(floored) == 2 * meta["pairs"]
 
 
 def test_projection_scan_builds_each_cover_once(monkeypatch):
@@ -559,8 +642,8 @@ def _assert_same_union(u, v):
 def _outer_sum(K1, K2, n, op, lam, budget=setops.PAIR_BUDGET):
     """The union of every pair sum, merged, whether or not the gap lemma
     closes the hull pair."""
-    lo, hi, meta = setops._pair_endpoints(*setops._pair_sides(K1, K2, n, budget), op, lam)
-    u = setops.IntervalUnion(*merge_intervals(lo, hi))
+    a, t, meta = setops._balanced_covers(*setops._pair_sides(K1, K2, n, budget), op, lam)
+    u = setops.IntervalUnion(*merge_intervals(*setops._pair_sums(a, t)))
     u.meta.update(meta)
     return u
 
@@ -604,7 +687,7 @@ def test_a_root_closed_sum_builds_no_cover(monkeypatch):
         raise AssertionError("a cover was built")
 
     monkeypatch.setattr(setops, "_LengthWalk", refuse)
-    monkeypatch.setattr(setops, "_pair_endpoints", refuse)
+    monkeypatch.setattr(setops, "_balanced_covers", refuse)
     for name, lo, hi in (("ternary", 0.0, 2.0), ("gauss4", SQRT2 - 1, 4 * SQRT2 - 4)):
         K = get_set(name)
         u = cover_sum(K, K, 10, "+")
@@ -695,7 +778,7 @@ def test_a_closed_hull_pair_walks_no_tree(monkeypatch):
     def refuse(*args):
         raise AssertionError("a cover or a maximum length was built")
 
-    for name in ("_LengthWalk", "_pair_endpoints", "maxlen_at_depth"):
+    for name in ("_LengthWalk", "_balanced_covers", "maxlen_at_depth"):
         monkeypatch.setattr(setops, name, refuse)
     # on an exact set the floor reads the transition rows: no child step
     splits = []
