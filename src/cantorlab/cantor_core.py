@@ -515,6 +515,7 @@ class _Tables:
             # depth not yet in `_sizes`, over q^d * P
             self._row = [(1, hi - lo, hi - lo) for lo, hi in self.ends.tolist()]
             self._sizes: list[tuple[int, Fraction, Fraction]] = []
+            self.least: list[float] = []  # each built depth's least length, rounded once
         else:
             self.P = self.q = 1.0
             self.ends = np.array(ends, dtype=float)
@@ -550,6 +551,7 @@ class _Tables:
             counts, least, greatest = zip(*self._row)
             den = self.P * self.q ** len(self._sizes)
             self._sizes.append((sum(counts), Fraction(min(least), den), Fraction(max(greatest), den)))
+            self.least.append(float(self._sizes[-1][1]))
             self._row = [(sum(counts[k] for k in ts), s * min(least[k] for k in ts), s * max(greatest[k] for k in ts))
                          for s, ts in zip(self.inv[0].tolist(), self.transitions)]
         return self._sizes[d]
@@ -780,8 +782,8 @@ class _LengthWalk:
         if t.kind != "exact":
             return 1
         for d in itertools.count():
-            count, least, _ = t.sizes(d)
-            if count > self.budget or float(least) <= target:
+            count = t.sizes(d)[0]
+            if count > self.budget or t.least[d] <= target:
                 return min(count, self.budget + 1)
 
     def _longer(self, target: float) -> np.ndarray:

@@ -18,11 +18,11 @@ Four layers of evidence about K1 and a translated copy K2 + t:
   relative translation in the unit frame of the first set's cylinder);
   cells that cannot renormalize back into the surviving region with a
   one-cell safety margin are deleted until a greatest fixed point
-  remains.  Image boxes run from the floor to the ceiling of their
-  float bounds, never snapped inward; each is fixed once, and a sweep
-  reads member counts from one summed-area table of the mask.  The
-  certificate is the mask alone: an independent checker confirms that
-  every member cell has some child pair whose image stays inside it.
+  remains.  Image boxes run from the floor to the ceiling of their float
+  bounds, never snapped inward; a sweep reads each with one lookup in a
+  table of each row's next non-member.  The certificate is the mask alone:
+  an independent checker, with a summed-area table, confirms that every
+  member cell has some child pair whose image stays inside it.
 * `d_stable_probe` / `tangency_density_experiment`: stochastic and
   measure-theoretic probes of how robust the intersection is.
 
@@ -280,8 +280,8 @@ def recurrent_compact_search(
     clearance in the translation direction.  A nonempty fixed point
     certifies positions whose cylinder pairs can renormalize forever with
     overlapping hulls — nonempty intersection, robust under translation-type
-    perturbations up to the margin.  Image boxes are fixed once; each sweep
-    reads their member counts from one summed-area table of the mask.
+    perturbations up to the margin.  Each sweep tables every row's next
+    non-member cell, so an image box, of one or two rows, is one lookup.
     """
     _require_affine(K1, K2)
     (s_lo, s_hi), (t_lo, t_hi) = box
@@ -309,36 +309,43 @@ def recurrent_compact_search(
     # initial mask: the whole cell forces hull overlap, [t, t + e^s] meets [0, 1]
     mask = np.tile((cell_t_hi <= 1.0) & (cell_t_lo + e_lo[:, None] >= 0.0), (r1, r2, 1, 1))
 
-    # each child pair's image box, fixed once: its type pair's summed-area table,
-    # the flat offsets of its rows' ends, its columns and cell count (-1: off the grid)
-    sat = np.zeros((r1, r2, ns + 1, nt + 1), dtype=np.int64)
-    tab1, tab2 = _child_tables(K1), _child_tables(K2)
-    rows, boxes = np.arange(ns)[:, None], []
+    # each sweep's tables, per type pair: at each cell, the first non-member
+    # column at or after it in its row (nt if none), columns right to left;
+    # `two` holds the lesser of a row's entry and the next row's, `one` ends in a row of nt
+    one, two = np.full((r1, r2, ns + 1, nt), nt, dtype=np.int32), np.empty((r1, r2, ns, nt), dtype=np.int32)
+    rows, cols = np.arange(ns)[:, None], np.arange(nt - 1, -1, -1, dtype=np.int32)
+
+    # each image box, built once per shape (w_lo, L, v_lo, Lp): its table (1 or 2 rows), the
+    # flat index of its first row and column, and its end column (nt + 1 off the grid)
+    tab1, tab2, shapes, boxes = _child_tables(K1), _child_tables(K2), {}, {}
     for j1, j2 in np.ndindex(r1, r2):
         for (k1, w_lo, L), (k2, v_lo, Lp) in itertools.product(tab1[j1], tab2[j2]):
-            # a row shift beyond the grid only leaves it: clamped there, in
-            # float, no shift of tiny cells overflows an int64 row index
-            step = min(max((math.log(Lp) - math.log(L)) / hs, -ns - 1.0), ns + 1.0)
-            r_lo = rows + math.floor(step)
-            r_hi = rows + math.ceil(step) + 1
-            # u' = (u + e^s * v_lo - w_lo) / L over the cell
-            u_min = (cell_t_lo + np.minimum(e_lo * v_lo, e_hi * v_lo)[:, None] - w_lo) / L
-            u_max = (cell_t_hi + np.maximum(e_lo * v_lo, e_hi * v_lo)[:, None] - w_lo) / L
-            c_lo = np.floor((u_min - t_lo) / ht) - margin
-            c_hi = np.ceil((u_max - t_lo) / ht) + margin
-            inside = (r_lo >= 0) & (r_hi <= ns) & (c_lo >= 0) & (c_hi <= nt)
-            c_lo = np.clip(c_lo, 0, nt - 1).astype(np.int32)
-            c_hi = np.clip(c_hi, 1, nt).astype(np.int32)
-            cells = np.where(inside, (r_hi - r_lo) * (c_hi - c_lo), -1).astype(np.int32)
-            lo, hi = np.clip(r_lo, 0, ns - 1) * (nt + 1), np.clip(r_hi, 1, ns) * (nt + 1)
-            boxes.append((j1, j2, sat[k1, k2].ravel(), lo, hi, c_lo, c_hi, cells))
+            if (shape := (w_lo, L, v_lo, Lp)) not in shapes:
+                # a row shift beyond the grid only leaves it: clamped there, in
+                # float, no shift of tiny cells overflows an int64 row index
+                step = min(max((math.log(Lp) - math.log(L)) / hs, -ns - 1.0), ns + 1.0)
+                r_lo, r_hi = rows + math.floor(step), rows + math.ceil(step) + 1
+                # u' = (u + e^s * v_lo - w_lo) / L over the cell
+                u_min = (cell_t_lo + np.minimum(e_lo * v_lo, e_hi * v_lo)[:, None] - w_lo) / L
+                u_max = (cell_t_hi + np.maximum(e_lo * v_lo, e_hi * v_lo)[:, None] - w_lo) / L
+                c_lo = np.floor((u_min - t_lo) / ht) - margin
+                c_hi = np.ceil((u_max - t_lo) / ht) + margin
+                inside = (r_lo >= 0) & (r_hi <= ns) & (c_lo >= 0) & (c_hi <= nt)
+                start = np.clip(r_lo, 0, ns - 1) * nt + (nt - 1 - np.clip(c_lo, 0, nt - 1)).astype(int)
+                end = np.where(inside, np.clip(c_hi, 1, nt), nt + 1).astype(np.int32)
+                shapes[shape] = (one, two)[math.ceil(step) - math.floor(step)], start, end
+            # child pairs of one shape into one type pair read the same cells
+            boxes.setdefault((k1, k2, shape), []).append((j1, j2))
 
     # a member survives when some child pair's box lies in the grid and holds only members
     for sweeps in range(1, MAX_SWEEPS + 1):
-        np.cumsum(np.cumsum(mask, axis=2, dtype=np.int64), axis=3, out=sat[:, :, 1:, 1:])
+        members = np.multiply(mask[..., ::-1], nt, dtype=np.int32)
+        np.minimum.accumulate(np.maximum(cols, members), axis=3, out=one[:, :, :ns])
+        np.minimum(one[:, :, :-1], one[:, :, 1:], out=two)
         supported = np.zeros_like(mask)
-        for j1, j2, s, lo, hi, c_lo, c_hi, cells in boxes:
-            supported[j1, j2] |= s[hi + c_hi] - s[lo + c_hi] - s[hi + c_lo] + s[lo + c_lo] == cells
+        for (k1, k2, shape), js in boxes.items():
+            table, start, end = shapes[shape]
+            supported[tuple(zip(*js))] |= table[k1, k2].ravel()[start] >= end
         if (mask <= supported).all():
             break
         mask &= supported
@@ -395,9 +402,10 @@ def verify_certificate(doc: dict, *, budget: int | None = None) -> tuple[bool, s
     the whole cell and (b) some child pair of the cell's types whose
     margin-expanded image box lies in the grid and holds only member
     cells.  Image boxes are recomputed from scratch, per child pair and
-    vectorised over the cells, against a summed-area table of the
-    decoded mask.  A grid of more cells than `budget` (as for the
-    search) raises BudgetExceeded before the mask is decoded.
+    vectorised over the cells, and counted in its own summed-area table of
+    the decoded mask, a different algorithm from the search's.  A grid of
+    more cells than `budget` (as for the search) raises BudgetExceeded
+    before the mask is decoded.
     """
     try:
         grid = doc["grid"]

@@ -51,6 +51,12 @@ from cantorlab.setops import _grid_cells
 SEARCH_BOX = ((-0.75, 0.75), (-2.25, 1.25))
 SEARCH_GRID = (1.5 / 120, 3.5 / 240)
 
+# two contraction ratios, so child pairs shift rows by fractions of a cell
+TWO_RATIO = build_affine([(Fraction(0), Fraction(2, 5)), (Fraction(11, 20), Fraction(1))], [(0, 1), (0, 1)])
+# one transition row is not full: piece 2 maps onto pieces 1 and 2 only
+THREE_PIECE = build_affine([(Fraction(0), Fraction(1, 4)), (Fraction(3, 8), Fraction(5, 8)),
+                            (Fraction(3, 4), Fraction(1))], [(0, 1, 2), (0, 1, 2), (1, 2)])
+
 
 # ---------------------------------------------------------------------------
 # cover intersection at a fixed translation
@@ -343,25 +349,42 @@ def _reference_fixed_point(K1, K2, box, grid, margin, snap=0.0):
         mask = new
 
 
+def _assert_search_is_reference(K1, K2, box, grid, margin):
+    """The search's sweep count and mask equal the reference loop's."""
+    out = recurrent_compact_search(K1, K2, box, grid, margin)
+    mask, sweeps = _reference_fixed_point(K1, K2, box, grid, margin)
+    assert out.sweeps == sweeps
+    assert np.array_equal(out.region.mask if out.found else np.zeros_like(mask), mask)
+    return out
+
+
 def test_the_search_is_its_reference_fixed_point(middle_fifth, thick_pair_set):
-    two_ratio = build_affine([(Fraction(0), Fraction(2, 5)), (Fraction(11, 20), Fraction(1))],
-                             [(0, 1), (0, 1)])
-    # one transition row is not full: piece 2 maps onto pieces 1 and 2 only
-    three = build_affine([(Fraction(0), Fraction(1, 4)), (Fraction(3, 8), Fraction(5, 8)),
-                          (Fraction(3, 4), Fraction(1))], [(0, 1, 2), (0, 1, 2), (1, 2)])
-    sets = [middle_fifth, thick_pair_set, two_ratio, three]
+    sets = [middle_fifth, thick_pair_set, TWO_RATIO, THREE_PIECE]
+    # unequal ratios shift rows by a fraction of a cell, so image boxes span
+    # two rows; on grids of one and two rows they reach the last row and
+    # the padding row below it
     grids = [(((-0.25, 0.25), (-1.5, 1.0)), (0.5 / 8, 2.5 / 32)),
-             (((-0.4, 0.4), (-1.6, 1.0)), (0.8 / 10, 2.6 / 40))]
+             (((-0.4, 0.4), (-1.6, 1.0)), (0.8 / 10, 2.6 / 40)),
+             *((((-0.25, 0.25), (-1.5, 1.0)), (0.5 / ns, 2.5 / 32)) for ns in (1, 2))]
     found = 0
     for K1, K2, margin, (box, grid) in itertools.product(sets, sets, range(3), grids):
-        out = recurrent_compact_search(K1, K2, box, grid, margin)
-        mask, sweeps = _reference_fixed_point(K1, K2, box, grid, margin)
-        assert out.sweeps == sweeps
-        assert out.found == mask.any()
-        if out.found:
-            assert np.array_equal(out.region.mask, mask)
-            found += 1
+        found += _assert_search_is_reference(K1, K2, box, grid, margin).found
     assert found >= 5
+
+
+def test_child_pairs_of_one_box_shape_read_their_own_masks():
+    # a child pair's image box depends on its shape (w_lo, L, v_lo, Lp) alone;
+    # its cells are read in the mask of its own types (k1, k2).  Six pieces
+    # of length 4/31, with gaps of 1/31 and 2/31 in turn, each mapped onto
+    # three consecutive pieces: every child has length 4/15 and the first
+    # lies at 0, but the middle one lies at 5/15 or 6/15, so child pairs of
+    # one shape read masks that differ
+    ends = [(Fraction(k, 31), Fraction(k + 4, 31)) for k in (0, 5, 11, 16, 22, 27)]
+    shared = build_affine(ends, [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5), (0, 1, 2), (3, 4, 5)])
+    tables = intersect._child_tables(shared)
+    assert tables[0][0][1:] == tables[1][0][1:] and tables[0][1][1:] != tables[1][1][1:]
+    out = _assert_search_is_reference(shared, shared, ((-0.4, 0.4), (-1.5, 1.0)), (0.1, 2.5 / 32), 1)
+    assert out.found
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +527,7 @@ def test_an_inward_snap_certifies_a_false_region(middle_fifth):
 def test_every_region_found_on_grids_near_cell_edges_verifies(middle_fifth, thick_pair_set):
     # grids of the crafted family: t0 = -(N + delta) * ht / 1.5, so image
     # edges fall on or within 3e-10 of a cell edge
-    two_ratio = build_affine([(Fraction(0), Fraction(2, 5)), (Fraction(11, 20), Fraction(1))],
-                             [(0, 1), (0, 1)])
-    sets = [middle_fifth, thick_pair_set, two_ratio]
+    sets = [middle_fifth, thick_pair_set, TWO_RATIO]
     rng = np.random.default_rng(20261020)
     found = 0
     for _ in range(36):
