@@ -40,9 +40,10 @@ an end is produced, each by the same float operations as
 
 from __future__ import annotations
 
-import itertools
+import bisect
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -776,15 +777,18 @@ class _LengthWalk:
         budget + 1.  On an exact set every node shallower than the first
         depth d0 whose least length (`_Tables.sizes`, rounded once as the
         nodes' are) reaches the target is split, so each depth-d0 node
-        holds a leaf.  1 on other sets."""
+        holds a leaf.  1 on other sets.  Counts grow and least lengths
+        shrink with depth: the first depth past the budget or the target is
+        bisected for among the depths built, or else found building deeper."""
         _check_target_length(target)
         t = self.K._tables
         if t.kind != "exact":
             return 1
-        for d in itertools.count():
-            count = t.sizes(d)[0]
-            if count > self.budget or t.least[d] <= target:
-                return min(count, self.budget + 1)
+        d = min(bisect.bisect_right(t._sizes, self.budget, key=operator.itemgetter(0)),
+                bisect.bisect_left(t.least, -target, key=operator.neg))
+        while d == len(t.least) and t.sizes(d)[0] <= self.budget and t.least[d] > target:
+            d += 1
+        return min(t._sizes[d][0], self.budget + 1)
 
     def _longer(self, target: float) -> np.ndarray:
         """Indices of the open nodes longer than target."""

@@ -18,8 +18,9 @@ and c_i is the lower-left entry of rotation i's matrix: the limsup is
 sqrt(D) / min c_i, from integer matrix entries alone (rotation i + 1's matrix
 is rotation i's conjugated by [[w_i, 1], [1, 0]]), returned in canonical form.
 Two windowed estimators run in one loop as a mandatory cross-check, on x and
-its forward values in exact surd arithmetic, all folded back from one periodic
-value.  `lagrange_sample` enumerates periods as Lyndon words (Duval's method).
+its forward values as integer numerators over D: each x_i read off its
+rotation's matrix, and a prefix folded backwards onto them.  `lagrange_sample`
+enumerates periods as Lyndon words (Duval's method).
 
 cf_value note: convergent numerators and denominators are arbitrary-
 precision integers, so the documented overflow failure mode cannot
@@ -33,7 +34,7 @@ import numbers
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, EstimatorMismatch, ValidationError, resolve_budget
-from .surd import QuadraticSurd, _gauss_hull_surds, periodic_value, word_matrix
+from .surd import QuadraticSurd, _gauss_hull_surds, _to_float, word_matrix
 
 ESTIMATOR_TOL = 1e-9
 
@@ -128,18 +129,21 @@ class SpectrumValue:
         return self.value
 
 
-def _discriminant_and_lower_lefts(word: tuple[int, ...]) -> tuple[int, list[int]]:
-    """D = trace^2 - 4*det of the word matrix, and the lower-left entry
-    c_i of each rotation's matrix (rotation matrices are conjugate, so
-    they share D): rotation i + 1's is A^-1 M_i A, A = [[w_i, 1], [1, 0]]."""
+def _rotations(word: tuple[int, ...]) -> tuple[int, list[int], list[int]]:
+    """D = trace^2 - 4*det of the word matrix, and the lower-left entry c_i
+    and diagonal difference m00 - m11 of each rotation's matrix, whose fixed
+    point x_i = [w_i; w_{i+1}, ...] is (m00 - m11 + sqrt(D)) / (2 c_i).
+    Rotation matrices are conjugate, so they share D: rotation i + 1's is
+    A^-1 M_i A, A = [[w_i, 1], [1, 0]]."""
     m00, m01, m10, m11 = word_matrix(word)
     disc = (m00 + m11) ** 2 - 4 * (m00 * m11 - m01 * m10)
-    lower_lefts = []
+    lower_lefts, diagonals = [], []
     for a in word:
         lower_lefts.append(m10)
+        diagonals.append(m00 - m11)
         u = m00 - a * m10
         m00, m01, m10, m11 = a * m10 + m11, m10, m01 - a * m11 + a * u, u
-    return disc, lower_lefts
+    return disc, lower_lefts, diagonals
 
 
 def two_sided_values(word: tuple[int, ...]) -> list[QuadraticSurd]:
@@ -149,34 +153,18 @@ def two_sided_values(word: tuple[int, ...]) -> list[QuadraticSurd]:
     [w_i; w_{i+1}, ...] + [0; w_{i-1}, w_{i-2}, ...] = sqrt(D) / c_i
     (see the module docstring); all positions live in one quadratic field.
     """
-    disc, lower_lefts = _discriminant_and_lower_lefts(word)
+    disc, lower_lefts, _ = _rotations(word)
     return [QuadraticSurd.make(0, 1, c, disc) for c in lower_lefts]
 
 
-def _exact_periodic_k(
-    word: tuple[int, ...]
-) -> tuple[float, QuadraticSurd, tuple[int, ...]]:
-    """(value, canonical exact surd, maximizing rotation) for a periodic word.
-
-    The largest sqrt(D) / c_i has the smallest c_i; `index` takes the
-    first such rotation.
-    """
-    disc, lower_lefts = _discriminant_and_lower_lefts(word)
+def _exact_periodic_k(word: tuple[int, ...], rotations=None) -> tuple[float, QuadraticSurd, tuple[int, ...]]:
+    """(value, canonical exact surd, maximizing rotation) for a periodic
+    word, from its `_rotations` unless given.  The largest sqrt(D) / c_i
+    has the smallest c_i; `index` takes the first such rotation."""
+    disc, lower_lefts, _ = rotations or _rotations(word)
     best_i = lower_lefts.index(min(lower_lefts))
     best = QuadraticSurd.make(0, 1, lower_lefts[best_i], disc)
     return float(best), best.canonical(), word[best_i:] + word[:best_i]
-
-
-def _forward_values(prefix: tuple[int, ...], after: list[QuadraticSurd]) -> list[QuadraticSurd]:
-    """Exact forward values F_j = [a_j; a_{j+1}, ...] from j = 1 on.
-
-    `after` lists the values past the prefix, F_{L+1}, F_{L+2}, ...; the
-    prefix folds backwards onto them as F_j = a_j + 1/F_{j+1}.
-    """
-    values = list(after)
-    for a in reversed(prefix):
-        values.insert(0, values[0].inverse() + a)
-    return values
 
 
 def _estimator_positions(window: int) -> range:
@@ -197,37 +185,43 @@ def k_alpha(seq: CFSequence, window: int) -> SpectrumValue:
     finite prefix.  As a cross-check, one loop runs two windowed
     estimators over the same positions n — the direct
     1/(q_n |q_n x - p_n|) from exact convergents of x, and the tail
-    formula [a_{n+1}; a_{n+2}, ...] + q_{n-1}/q_n — on x and its forward
-    values as quadratic surds, and raises EstimatorMismatch when they
-    disagree beyond 1e-9.  Both are exact until the final float
-    conversion.
+    formula [a_{n+1}; a_{n+2}, ...] + q_{n-1}/q_n — and raises
+    EstimatorMismatch when they disagree beyond 1e-9.  Both are exact
+    until the final, correctly rounded float: x and its forward values
+    are integer numerators (P + sqrt(D)) / Q over the period's
+    discriminant D, the rotations' read off their matrices (`_rotations`)
+    and the prefix's folded backwards onto them.
     """
     if window < 2:
         raise ValidationError("window must be >= 2")
-    # x_i = [w_i; w_{i+1}, ...] = w_i + 1/x_{i+1}, folded back from x_L = x_0
-    x0 = periodic_value(seq.period)
-    rotations = [x0] + _forward_values(seq.period[1:], [x0])[:-1]
-    forwards = _forward_values(seq.prefix, rotations * (window // len(rotations) + 1))
-    value, exact, witness = _exact_periodic_k(seq.period)
-    alpha = forwards[0].inverse()
+    rotations = disc, lower_lefts, diagonals = _rotations(seq.period)
+    value, exact, witness = _exact_periodic_k(seq.period, rotations)
+    # F_j = a_j + 1/F_{j+1}, and 1/((P + sqrt(D)) / Q) = (sqrt(D) - P) / ((D - P^2) / Q)
+    forwards = [(s, 2 * c) for s, c in zip(diagonals, lower_lefts)] * (window // len(diagonals) + 1)
+    for a in reversed(seq.prefix):
+        P, Q = forwards[0]
+        Q = (disc - P * P) // Q
+        forwards.insert(0, (a * Q - P, Q))
+    P, Q = forwards[0]  # F_1 = 1/x, so x = (A + sqrt(D)) / R
+    A, R = -P, (disc - P * P) // Q
     cs = convergents(seq.digits(window + 1))
-    direct: list[float] = []
-    tail: list[float] = []
-    for n in _estimator_positions(window):
+    positions = _estimator_positions(window)
+    # each distinct forward value F_{n+1} the tail estimator reads, rounded once
+    floats = {F: _to_float(F[0], 1, F[1], disc) for F in {forwards[n] for n in positions}}
+    direct, tail = [], []
+    for n in positions:
         p_n, q_n = cs[n - 1]
         q_prev = cs[n - 2][1]
-        direct.append(abs(float((q_n * (q_n * alpha - p_n)).inverse())))
-        tail.append(float(forwards[n]) + q_prev / q_n)
-    best_direct = max(direct)
-    best_tail = max(tail)
+        # q_n*x - p_n = (B + q_n*sqrt(D)) / R, and its reciprocal times
+        # 1/q_n is R*(B - q_n*sqrt(D)) / (q_n*(B^2 - q_n^2*D))
+        B = q_n * A - p_n * R
+        direct.append(abs(_to_float(R * B, -R * q_n, q_n * (B * B - q_n * q_n * disc), disc)))
+        tail.append(floats[forwards[n]] + q_prev / q_n)
+    best_direct, best_tail = max(direct), max(tail)
     gap = abs(best_direct - best_tail)
     if gap > ESTIMATOR_TOL:
-        raise EstimatorMismatch(
-            f"direct {best_direct} vs tail {best_tail} beyond {ESTIMATOR_TOL}"
-        )
-    return SpectrumValue(
-        value=value, witness=witness, window=window, exact=exact, estimator_gap=gap
-    )
+        raise EstimatorMismatch(f"direct {best_direct} vs tail {best_tail} beyond {ESTIMATOR_TOL}")
+    return SpectrumValue(value, witness, window, exact, gap)
 
 
 # ---------------------------------------------------------------------------

@@ -220,21 +220,7 @@ class QuadraticSurd:
     # -- conversions ----------------------------------------------------
 
     def __float__(self) -> float:
-        if self.q == 0:
-            return self.p / self.r
-        # 2^shift * sqrt(d) lies in [root, root + 1), so the numerator lies
-        # within |q| of num.  Int division rounds correctly; once both ends
-        # of the enclosure round alike, so does the value.  An irrational
-        # value never sits on a rounding boundary, so doubling terminates.
-        shift = 60
-        while True:
-            root = _scaled_root(self.d, shift)
-            num = (self.p << shift) + self.q * root
-            den = self.r << shift
-            lo, hi = (num - abs(self.q)) / den, (num + abs(self.q)) / den
-            if lo == hi:
-                return lo
-            shift *= 2
+        return _to_float(self.p, self.q, self.r, self.d)
 
     def __repr__(self) -> str:
         if self.q == 0:
@@ -250,6 +236,25 @@ def _scaled_root(d: int, shift: int) -> int:
     """floor(2^shift * sqrt(d)), kept per radicand and shift: the forward
     values of one continued fraction share their radicand."""
     return math.isqrt(d << (2 * shift))
+
+
+def _to_float(p: int, q: int, r: int, d: int) -> float:
+    """(p + q*sqrt(d)) / r correctly rounded, for r != 0 of either sign
+    and d non-square (or q = 0), in lowest terms or not."""
+    if q == 0:
+        return p / r
+    # 2^shift * sqrt(d) lies in [root, root + 1), root = _scaled_root(d,
+    # shift), so the numerator lies within |q| of num.  Int division
+    # rounds correctly; once both ends of the enclosure round alike, so
+    # does the value.  An irrational value never sits on a rounding
+    # boundary, so doubling terminates.
+    shift = 60
+    while True:
+        num, den = (p << shift) + q * _scaled_root(d, shift), r << shift
+        lo, hi = (num - abs(q)) / den, (num + abs(q)) / den
+        if lo == hi:
+            return lo
+        shift *= 2
 
 
 def _surd(p: int, q: int, r: int, d: int) -> QuadraticSurd:

@@ -492,6 +492,31 @@ def test_a_budget_is_refused_before_the_walk(monkeypatch):
         assert _LengthWalk(K, 10).least(1e-9) == 11
 
 
+def test_least_finds_the_first_depth_past_the_budget_or_the_target():
+    # the bisection over the depths already built, and the build past
+    # them, give what a walk from depth 0 gives; targets are asked in
+    # random order, on the stored least lengths and counts themselves too
+    rng = random.Random(33)
+    for K in [random_affine_set(rng) for _ in range(12)] + [get_set("thin"), get_set("ternary")]:
+        t = K._tables
+
+        def from_depth_zero(target, budget):
+            d = 0
+            while t.sizes(d)[0] <= budget and float(t.sizes(d)[1]) > target:
+                d += 1
+            return min(t.sizes(d)[0], budget + 1)
+
+        for _ in range(40):
+            budget = rng.choice((1, 10, 1000, 10**6))
+            if t._sizes and rng.random() < 0.3:
+                budget = rng.choice(t._sizes)[0]
+            target = 10 ** rng.uniform(-9, -0.3)
+            if t.least and rng.random() < 0.3:
+                target = rng.choice(t.least)
+            got = _LengthWalk(K, budget).least(target)
+            assert got == from_depth_zero(target, budget), (target, budget)
+
+
 # ---------------------------------------------------------------------------
 # affine rescaling and perturbation
 

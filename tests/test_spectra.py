@@ -12,6 +12,7 @@ import pytest
 
 from cantorlab import (
     CFSequence,
+    EstimatorMismatch,
     QuadraticSurd,
     ValidationError,
     cf_value,
@@ -22,7 +23,7 @@ from cantorlab import (
     periodic_value,
     two_sided_values,
 )
-from cantorlab import spectra
+from cantorlab import spectra, surd
 from cantorlab.cli import _surd_json
 from cantorlab.surd import word_matrix
 
@@ -131,20 +132,88 @@ def test_two_sided_values_match_the_definition_on_every_short_word():
     assert count == 5460
 
 
-def test_k_alpha_evaluates_each_rotation_once(monkeypatch):
-    calls = []
+def test_rotation_matrices_give_each_rotations_forward_value(monkeypatch):
+    # x_i = (m00 - m11 + sqrt(D)) / (2 c_i) from the matrix loop is
+    # [w_i; w_{i+1}, ...] as the word's quadratic gives it, in lowest terms
+    for word in spectra._lyndon_words(6, 4):
+        disc, lower_lefts, diagonals = spectra._rotations(word)
+        for i, (s, c) in enumerate(zip(diagonals, lower_lefts)):
+            x = QuadraticSurd.make(s, 1, 2 * c, disc)
+            ref = periodic_value(word[i:] + word[:i])
+            assert (x.p, x.q, x.r, x.d) == (ref.p, ref.q, ref.r, ref.d), (word, i)
 
-    def counted(word):
-        calls.append(tuple(word))
-        return periodic_value(word)
+    def refuse(word):
+        raise AssertionError(f"periodic_value called on {word}")
 
-    monkeypatch.setattr(spectra, "periodic_value", counted)
+    monkeypatch.setattr(surd, "periodic_value", refuse)
+    monkeypatch.setattr(spectra, "periodic_value", refuse, raising=False)
     word = (1, 2, 3, 1, 4)
     sv = k_alpha(CFSequence(prefix=(2, 2), period=word), 12)
-    # one periodic value, for the period itself; the other rotations'
-    # forward values are folded back from it
-    assert calls == [word]
     assert sv.exact == max(_two_sided_by_definition(word))
+
+
+def _forward_values(prefix, after):
+    """F_j = [a_j; a_{j+1}, ...] from j = 1 on, the prefix folded backwards
+    onto the values past it as F_j = a_j + 1/F_{j+1}."""
+    values = list(after)
+    for a in reversed(prefix):
+        values.insert(0, values[0].inverse() + a)
+    return values
+
+
+def _k_alpha_on_surd_objects(seq, window):
+    """k_alpha with every forward value and estimator term a QuadraticSurd:
+    the forward values folded back from one periodic value."""
+    x0 = periodic_value(seq.period)
+    rotations = [x0] + _forward_values(seq.period[1:], [x0])[:-1]
+    forwards = _forward_values(seq.prefix, rotations * (window // len(rotations) + 1))
+    value, exact, witness = spectra._exact_periodic_k(seq.period)
+    alpha = forwards[0].inverse()
+    cs = convergents(seq.digits(window + 1))
+    direct, tail = [], []
+    for n in spectra._estimator_positions(window):
+        p_n, q_n = cs[n - 1]
+        q_prev = cs[n - 2][1]
+        direct.append(abs(float((q_n * (q_n * alpha - p_n)).inverse())))
+        tail.append(float(forwards[n]) + q_prev / q_n)
+    gap = abs(max(direct) - max(tail))
+    return value, witness, window, (exact.p, exact.q, exact.r, exact.d), gap
+
+
+def test_k_alpha_matches_its_surd_object_reference_bit_for_bit():
+    rng = random.Random(33)
+    cases = []
+    for word in spectra._lyndon_words(6, 4):
+        prefix = tuple(rng.randint(1, 4) for _ in range(rng.randint(0, 6)))
+        cases.append((prefix, word, rng.randint(2, 40)))
+    assert len(cases) == 964
+    for word in [(4, 1) * 10, (1,) * 29 + (2,), (5,) * 14 + (1,)]:
+        for window in (2, 17, 40, 2 * len(word)):
+            for prefix in ((), (3, 1, 4), tuple(rng.randint(1, 9) for _ in range(6))):
+                cases.append((prefix, word, window))
+    for prefix, word, window in cases:
+        seq = CFSequence(prefix=prefix, period=word)
+        sv = k_alpha(seq, window)
+        e = sv.exact
+        got = sv.value, sv.witness, sv.window, (e.p, e.q, e.r, e.d), sv.estimator_gap
+        assert got == _k_alpha_on_surd_objects(seq, window), (prefix, word, window)
+
+
+def test_a_corrupted_convergent_trips_the_estimator_cross_check(monkeypatch):
+    # convergents of x with one digit changed: the direct estimator
+    # measures x against the wrong p_n/q_n, while the tail estimator's
+    # forward values stay those of x
+    seq = CFSequence(prefix=(2, 2), period=(1, 2, 3, 1, 4))
+    assert k_alpha(seq, 12).estimator_gap <= spectra.ESTIMATOR_TOL
+
+    def corrupted(digits):
+        digits = list(digits)
+        digits[7] += 1
+        return convergents(digits)
+
+    monkeypatch.setattr(spectra, "convergents", corrupted)
+    with pytest.raises(EstimatorMismatch):
+        k_alpha(seq, 12)
 
 
 def test_k_alpha_values_are_canonical_entries_of_the_sample():

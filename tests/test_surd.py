@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from cantorlab import QuadraticSurd, ValidationError
+from cantorlab.surd import _to_float
 
 
 def test_sqrt_of_int_squares_back():
@@ -76,6 +78,26 @@ def test_float_conversion_is_correctly_rounded():
     x = QuadraticSurd.make(0, 8, 5, 14)
     assert float(x) == 5.986651818838307
     assert float(x.canonical()) == float(x)
+
+
+def test_float_of_raw_terms_matches_a_decimal_reference():
+    # terms not in lowest terms, either sign of r, and cancelling
+    # numerators like those of the estimators in `spectra`; at 120 digits
+    # the decimal value rounds to the double the exact one does
+    rng = random.Random(7)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 120
+        for _ in range(2000):
+            d = rng.choice([n for n in range(2, 500) if math.isqrt(n) ** 2 != n])
+            q = rng.choice((-1, 1)) * rng.randint(1, 10 ** rng.randint(1, 30))
+            if rng.random() < 0.5:  # p near -q*sqrt(d): the leading digits cancel
+                p = -q * math.isqrt(d * 10**20) // 10**10 + rng.randint(-5, 5)
+            else:
+                p = rng.randint(-(10**25), 10**25)
+            r = rng.choice((-1, 1)) * rng.randint(1, 10 ** rng.randint(1, 40))
+            want = float((decimal.Decimal(p) + decimal.Decimal(q) * decimal.Decimal(d).sqrt()) / r)
+            assert _to_float(p, q, r, d) == want, (p, q, r, d)
+        assert _to_float(22, 0, -7, 0) == 22 / -7
 
 
 def test_mixed_radicand_arithmetic_rejected():
