@@ -25,6 +25,19 @@ of the two balanced covers (`_balanced_covers`).  The scan merges only
 where the resolutions are not nested or the finest grid has more cells
 than there are pairs.
 
+Merging by sorted ends.  Sorted by lower end, intervals with lo <= hi
+start a new component at the i-th when lo_i > fl(M + MERGE_TOL), M the
+largest upper end before it.  Let L be every lower end and H every upper
+end, each sorted on its own: that test holds exactly when L[i] >
+fl(H[i-1] + MERGE_TOL).  Either test gives the other: when one holds,
+every later interval has hi >= lo > M (or > H[i-1]), so the i smallest
+upper ends are those of the first i intervals and H[i-1] = M.  The
+components are [L[s], H[e]] for each start s and the last index e before
+the next start (`_sweep`).  Order within ties is never read, so any sort
+serves, and the union is the one the lo-ordered sweep gives, float for
+float (a zero end may change sign).  A NaN end or an interval with hi <
+lo breaks the argument; `merge_intervals` refuses both.
+
 Block descent.  The scan counts the finest-grid cells that the pair sums
 meet without forming most of the pairs.  IEEE rounding is monotone:
 fl(a + b) is monotone in each argument and floor(fl(x / r)) in x.  So
@@ -110,7 +123,7 @@ class IntervalUnion:
             raise ValidationError("union arrays must be 1-d and of equal length")
         if len(self.los) == 0:
             raise ValidationError("empty union")
-        if np.any(self.his < self.los) or np.any(self.los[1:] <= self.his[:-1]):
+        if not (np.all(self.los <= self.his) and np.all(self.los[1:] > self.his[:-1])):
             raise ValidationError("union intervals must be sorted and disjoint")
 
     @property
@@ -127,18 +140,21 @@ class IntervalUnion:
 
 
 def merge_intervals(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Merge possibly overlapping intervals; gaps <= MERGE_TOL are absorbed."""
+    """Merge possibly overlapping intervals; gaps <= MERGE_TOL are absorbed.
+    The inputs are not written; a NaN end or an interval with hi < lo is
+    refused."""
     if len(los) == 0:
         raise ValidationError("nothing to merge")
-    order = np.argsort(los, kind="stable")
-    lo_s = los[order]
-    hi_s = np.maximum.accumulate(his[order])
-    starts = np.empty(len(lo_s), dtype=bool)
-    starts[0] = True
-    starts[1:] = lo_s[1:] > hi_s[:-1] + MERGE_TOL
-    start_idx = np.flatnonzero(starts)
-    end_idx = np.append(start_idx[1:], len(lo_s)) - 1
-    return lo_s[start_idx].copy(), hi_s[end_idx].copy()
+    if not np.all(los <= his):
+        raise ValidationError("every interval needs lo <= hi and no NaN end")
+    return _sweep(np.sort(los), np.sort(his))
+
+
+def _sweep(lo: np.ndarray, hi: np.ndarray) -> _Ends:
+    """Components of the intervals whose lower ends `lo` and upper ends `hi`
+    are each sorted on its own (merging by sorted ends, module docstring)."""
+    starts = np.flatnonzero(lo[1:] > hi[:-1] + MERGE_TOL) + 1
+    return np.append(lo[0], lo[starts]), np.append(hi[starts - 1], hi[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +235,13 @@ def _balanced_covers(
 
 
 def _pair_sums(a: _Ends, t: _Ends) -> _Ends:
-    """Ends of the sums of every interval pair of the two sides, unsorted."""
-    return (a[0][:, None] + t[0]).ravel(), (a[1][:, None] + t[1]).ravel()
+    """Lower and upper ends of the sums of every interval pair of the two
+    sides, each sorted on its own, in place: the k-th entries are no longer
+    one pair's ends (`_sweep` merges them)."""
+    lo, hi = (a[0][:, None] + t[0]).ravel(), (a[1][:, None] + t[1]).ravel()
+    lo.sort()
+    hi.sort()
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +352,7 @@ def cover_sum(
         lo, hi = _pair_sums(a, t)
     else:
         lo, hi, meta = closed
-    u = IntervalUnion(*merge_intervals(lo, hi))
+    u = IntervalUnion(*_sweep(lo, hi))
     u.meta.update(meta)
     return u
 
@@ -491,7 +512,7 @@ def _scan_row(a: _Ends, t: _Ends, res: list[float], shifts: list[int] | None, sc
     kmax = np.floor((a[1].max() + t[1].max()) / r_f)
     _check_cells(kmin, kmax, r_f)
     if shifts is None or kmax - kmin + 1 > len(a[0]) * len(t[0]):
-        u = IntervalUnion(*merge_intervals(*_pair_sums(a, t)))
+        u = IntervalUnion(*_sweep(*_pair_sums(a, t)))
         return [covered_length(u, r) for r in res]
     size = int(kmax - kmin) + 2
     kmin = int(kmin)
@@ -586,7 +607,7 @@ def marstrand_scan(
             capped_rows += meta["capped"]
             rows.append(_scan_row(a, t, res, shifts, scratch))
         else:
-            u = IntervalUnion(*merge_intervals(*closed[:2]))
+            u = IntervalUnion(*_sweep(*closed[:2]))
             rows.append([covered_length(u, r) for r in res])
     table = np.array(rows, dtype=float)
     return ProjectionScan(

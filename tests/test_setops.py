@@ -67,6 +67,135 @@ def test_merge_intervals_handles_unsorted_input():
     assert list(mhi) == [1.0, 3.0]
 
 
+def _argsort_merge(los, his):
+    """The merge by lower-end order: a stable argsort, the upper ends
+    gathered into a running maximum, a component started wherever a lower
+    end passes the maximum before it by more than MERGE_TOL."""
+    order = np.argsort(los, kind="stable")
+    lo_s = los[order]
+    hi_s = np.maximum.accumulate(his[order])
+    starts = np.empty(len(lo_s), dtype=bool)
+    starts[0] = True
+    starts[1:] = lo_s[1:] > hi_s[:-1] + setops.MERGE_TOL
+    start_idx = np.flatnonzero(starts)
+    end_idx = np.append(start_idx[1:], len(lo_s)) - 1
+    return lo_s[start_idx].copy(), hi_s[end_idx].copy()
+
+
+def _assert_same_floats(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+def _merge_cases():
+    """Seeded interval sets, each in random order: ends on a coarse grid
+    (tied lower and upper ends, nested and touching intervals), nested
+    intervals about a few centres, chains whose gaps are MERGE_TOL or one
+    ulp either side of it, spread intervals, and a single interval."""
+    rng = np.random.default_rng(34)
+    cases = [(np.array([0.5]), np.array([0.75]))]
+    for k in range(400):
+        m = int(rng.integers(1, 80))
+        if k % 4 == 0:
+            lo = rng.integers(0, m + 2, m) / 4
+            hi = lo + rng.integers(0, 3, m) / 4
+        elif k % 4 == 1:
+            centres = rng.choice(rng.uniform(-1.0, 1.0, 3), m)
+            width = rng.uniform(0.0, 0.3, m)
+            lo, hi = centres - width, centres + width
+        elif k % 4 == 2:
+            lo, hi = np.empty(m), np.empty(m)
+            x = rng.uniform(-1.0, 1.0)
+            for i, length in enumerate(rng.uniform(0.0, 1e-3, m)):
+                lo[i], hi[i] = x, x + length
+                x = hi[i] + setops.MERGE_TOL
+                x = np.nextafter(x, x + rng.integers(-1, 2))  # one ulp down, none or up
+        else:
+            lo = rng.uniform(-1.0, 1.0, m)
+            hi = lo + rng.exponential(0.02, m)
+        order = rng.permutation(m)
+        cases.append((lo[order], hi[order]))
+    return cases
+
+
+def test_merge_intervals_is_the_argsort_merge_bit_for_bit():
+    cases, split = _merge_cases(), 0
+    for los, his in cases:
+        kept = los.copy(), his.copy()
+        got = merge_intervals(los, his)
+        _assert_same_floats(got, _argsort_merge(los, his))
+        _assert_same_floats((los, his), kept)
+        split += len(got[0]) > 1
+        los.flags.writeable = his.flags.writeable = False
+        _assert_same_floats(merge_intervals(los, his), got)
+    assert 300 < split < len(cases) - 20
+    for name in ("thin", "ternary", "gauss3"):
+        cover = refine(get_set(name), 5)
+        kept = cover.los.copy(), cover.his.copy()
+        _assert_same_floats(merge_intervals(cover.los, cover.his), _argsort_merge(cover.los, cover.his))
+        _assert_same_floats((cover.los, cover.his), kept)
+
+
+def test_gaps_at_the_merge_tolerance_merge_and_one_ulp_more_splits():
+    hi = 0.3
+    at = hi + setops.MERGE_TOL
+    for lo, parts in ((np.nextafter(at, 0.0), 1), (at, 1), (np.nextafter(at, 1.0), 2)):
+        los, his = np.array([lo, 0.0]), np.array([lo + 0.1, hi])
+        assert len(merge_intervals(los, his)[0]) == parts
+        _assert_same_floats(merge_intervals(los, his), _argsort_merge(los, his))
+
+
+@pytest.mark.parametrize(
+    "los, his",
+    [
+        ([0.0, math.nan, 2.0], [1.0, 5.0, 3.0]),
+        ([0.0, 2.0], [1.0, math.nan]),
+        ([0.0, 2.0], [1.0, 1.5]),
+        ([math.nan], [math.nan]),
+    ],
+)
+def test_merge_intervals_refuses_a_nan_end_or_an_upper_end_below_its_lower(los, his):
+    with pytest.raises(ValidationError):
+        merge_intervals(np.array(los), np.array(his))
+
+
+@pytest.mark.parametrize(
+    "los, his",
+    [
+        ([0.0, math.nan], [1.0, math.nan]),
+        ([math.nan, 2.0], [1.0, 3.0]),
+        ([0.0, 2.0], [1.0, math.nan]),
+        ([math.nan], [1.0]),
+    ],
+)
+def test_a_union_refuses_a_nan_end(los, his):
+    with pytest.raises(ValidationError):
+        setops.IntervalUnion(np.array(los), np.array(his))
+
+
+@pytest.mark.parametrize("names, n", [(("thin", "thin"), 8), (("gauss3", "gauss4"), 6)])
+@pytest.mark.parametrize("lam", [0.3, 1.0, 2.5])
+def test_cover_sum_is_the_argsort_merge_of_its_pair_sums(names, n, lam):
+    K1, K2 = get_set(names[0]), get_set(names[1])
+    sides = setops._pair_sides(K1, K2, n, setops.PAIR_BUDGET)
+    a, t, meta = setops._balanced_covers(*sides, "-", lam)
+    u = cover_sum(K1, K2, n, "-", lam)
+    assert u.meta["pruned"] == 0 and u.meta["pairs"] == meta["pairs"]
+    sums = (a[0][:, None] + t[0]).ravel(), (a[1][:, None] + t[1]).ravel()
+    _assert_same_floats((u.los, u.his), _argsort_merge(*sums))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_thin_minus_thin_has_three_to_the_n_plus_one_components(thin_pair_set, n):
+    # depth-n cylinders of thin sit at sum d_k * 0.9 * 10^-k, d_k in {0, 1},
+    # 10^-(n+1) long; differences of two, digits in {-1, 0, 1}, lie more than
+    # two cylinder lengths apart, so each is one component 2 * 10^-(n+1) long
+    u = cover_sum(thin_pair_set, thin_pair_set, n, "-", 1.0)
+    assert u.n_components == 3 ** (n + 1)
+    exact = 2 * 3 ** (n + 1) * 10.0 ** -(n + 1)
+    assert abs(u.total_length - exact) <= 3 ** (n + 1) * np.spacing(1.0)
+
+
 def test_union_from_cover_matches_cover(ternary):
     # K - 0*K is K: its union is the depth-n cover, merged
     cover = refine(ternary, 3)
@@ -372,16 +501,16 @@ def test_projection_scan_rows_match_direct_cover_sum(names, monkeypatch):
     unions = [cover_sum(K1, K2, n, "-", lam, pair_budget=setops.SCAN_PAIR_BUDGET) for lam in lambdas]
     events = []
 
-    def counting_merge(los, his):
+    def counting_sweep(los, his):
         events.append(("merge", len(los)))
-        return merge_intervals(los, his)
+        return sweep(los, his)
 
     def recording_bincount(x, weights=None, minlength=0):
         events.append(("bincount", minlength, len(x)))
         return bincount(x, weights, minlength)
 
-    bincount = np.bincount
-    monkeypatch.setattr(setops, "merge_intervals", counting_merge)
+    bincount, sweep = np.bincount, setops._sweep
+    monkeypatch.setattr(setops, "_sweep", counting_sweep)
     monkeypatch.setattr(np, "bincount", recording_bincount)
     scans, paths = {}, {}
     for name, ladder in SCAN_LADDERS.items():
