@@ -829,14 +829,16 @@ class _LengthWalk:
             self._rows = [np.concatenate(self._rows)]
         return self._rows[0]
 
-    def cover(self, target: float) -> np.ndarray:
-        """Rows of the length-target cover, sorted by lo."""
+    def cover(self, target: float) -> tuple[np.ndarray, np.ndarray] | None:
+        """Lower and upper ends of the length-target cover, sorted by lo, or
+        None when it holds more than `budget` intervals (`fits`)."""
         if not self.fits(target):
-            raise BudgetExceeded(f"cover needs more than {self.budget} intervals (budget)")
-        rows = self.rows()[self._held(target)]
-        if np.any(rows[:, 0] < EPS_LEN):
+            return None
+        length, _, lo, hi = self.rows()[self._held(target)].T
+        if np.any(length < EPS_LEN):
             raise PrecisionLoss(f"length-balanced cover has intervals below the length floor {EPS_LEN}")
-        return rows[np.argsort(rows[:, 2], kind="stable")]
+        order = np.argsort(lo, kind="stable")
+        return lo[order], hi[order]
 
 
 def refine_to_length(K: RegularCantorSet, target_length: float, *, budget: int | None = None) -> Cover:
@@ -849,8 +851,9 @@ def refine_to_length(K: RegularCantorSet, target_length: float, *, budget: int |
     BudgetExceeded.
     """
     walk = _LengthWalk(K, resolve_budget(budget))
-    walk.cover(target_length)  # the nodes left unsplit are the cover's
-    return _leaf_cover(walk.open, "length-balanced cover")
+    if not walk.fits(target_length):
+        raise BudgetExceeded(f"cover needs more than {walk.budget} intervals (budget)")
+    return _leaf_cover(walk.open, "length-balanced cover")  # the nodes left unsplit
 
 
 def _maxlen_seed(K: RegularCantorSet, n: int) -> Num:

@@ -350,8 +350,8 @@ def _cmd_marstrand(cfg: dict) -> dict:
     rng = np.random.default_rng(cfg["seed"])
     lambdas = rng.uniform(lo, hi, size=n_lam)
     e_lo, e_hi = cfg["res_exp_lo"], cfg["res_exp_hi"]
-    if e_hi < e_lo:
-        raise ConfigInvalid("res_exp_hi must be >= res_exp_lo")
+    if e_hi <= e_lo:
+        raise ConfigInvalid("res_exp_hi must be > res_exp_lo: a slope needs two resolutions")
     resolutions = [2.0**-k for k in range(e_lo, e_hi + 1)]
     scan = marstrand_scan(
         K1, K2, lambdas, cfg["depth"], resolutions,

@@ -416,7 +416,7 @@ def verify_certificate(doc: dict, *, budget: int | None = None) -> tuple[bool, s
         margin, runs = doc["margin"], list(doc["mask_rle"])
         K1 = set_from_json(doc["sets"]["first"])
         K2 = set_from_json(doc["sets"]["second"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
         return False, f"malformed certificate: {exc}"
     # a negative margin or cell size would shrink the checked image boxes
     if not (ns > 0 and nt > 0 and hs > 0 and ht > 0) or (r1, r2) != (K1.n_pieces, K2.n_pieces):

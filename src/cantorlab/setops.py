@@ -1,9 +1,10 @@
 """Arithmetic of Cantor sets via finite covers.
 
 Depth-n covers of two sets are combined pairwise to produce an outer
-approximation of the sum K1 + K2 or the scaled difference K1 - t*K2;
-the approximations are nested and their intersection over all depths is
-the true arithmetic set.  All statements derived from these unions are
+approximation of K1 + mu*K2, the sum K1 + K2 (mu = 1) or the scaled
+difference K1 - lam*K2 (mu = -lam), from the intervals I + mu*J; the
+approximations are nested and their intersection over all depths is the
+true arithmetic set.  All statements derived from these unions are
 therefore one-sided: a sub-interval that survives in a single component
 at some depth is evidence of containment, and a point that falls in a
 gap at some depth is certified to be outside the limit set.
@@ -15,15 +16,16 @@ budget the common length target is doubled until it fits (meta `capped`).
 Coarsening preserves outer-approximation semantics; it only loses
 sharpness.  Each set's tree is walked once per call of `cover_sum` or
 `marstrand_scan` (once for both sets when they are equal), and every
-target tried reads its cover from that one walk
-(`cantor_core._LengthWalk`); nothing outlives the call.
+target tried reads its cover's ends from that one walk, or None past the
+budget (`cantor_core._LengthWalk`); the second set is not walked at a
+target the first refuses, and nothing outlives the call.
 
 Both `cover_sum`, which merges the pair sums into an `IntervalUnion`,
 and `marstrand_scan`, which counts its grid cells, read a sum as the
-hull interval the gap lemma below proves (`_hull_sum`) or as every pair
-of the two balanced covers (`_balanced_covers`).  The scan merges only
-where the resolutions are not nested or the finest grid has more cells
-than there are pairs.
+hull interval the gap lemma below proves (`_hull_sum`), already a union
+of one interval, or as every pair of the two balanced covers
+(`_balanced_covers`).  The scan merges pairs only where the resolutions
+are not nested or the finest grid has more cells than there are pairs.
 
 Merging by sorted ends.  Sorted by lower end, intervals with lo <= hi
 start a new component at the i-th when lo_i > fl(M + MERGE_TOL), M the
@@ -64,9 +66,9 @@ exact bound pair (tau, rho) valid in every cylinder I: the set inside I
 has thickness >= tau and no gap longer than rho*|I|
 (`RegularCantorSet._gap_bounds`).  A depth-n cover keeps a subset of
 those gaps, and each of its bridges is at least as long, so the bounds
-hold for it too.  Hence, when tau1*tau2 >= 1, |H1| >= rho2*lam*|H2| and
-lam*|H2| >= rho1*|H1| for the hulls H1, H2, the outer sum at every depth
-is exactly the interval H1 + lam*H2, taken, its exact ends rounded
+hold for it too.  Hence, when tau1*tau2 >= 1, |H1| >= rho2*|mu|*|H2| and
+|mu|*|H2| >= rho1*|H1| for the hulls H1, H2, the outer sum at every depth
+is exactly the interval H1 + mu*H2, taken, its exact ends rounded
 outward, without building a cover.  The verdict compares `Fraction`s or
 `QuadraticSurd`s; surds of two fields that do not mix prove nothing.
 Every other pair (thin sets, float data, Moebius sets other than
@@ -199,39 +201,34 @@ def _first_target(len1: float, len2: float, scale: float) -> float:
     return max(len1, scale * len2) * (1.0 + 1e-12)
 
 
-def _balanced_covers(
-    side1: _SetCovers, side2: _SetCovers, op: str, lam: float
-) -> tuple[_Ends, _Ends, dict]:
-    """The two covers whose pair sums make the outer sum (lam != 0), each
-    sorted by position: the first set's interval ends, the second's as
-    they enter the sum (J, or -lam*J), and the meta of the pairs."""
-    scale = 1.0 if op == "+" else abs(lam)
+def _balanced_covers(side1: _SetCovers, side2: _SetCovers, mu: float) -> tuple[_Ends, _Ends, dict]:
+    """The two covers whose pair sums make the outer sum of K1 + mu*K2
+    (mu != 0), each sorted by position: the first set's interval ends
+    (I), the second's as they enter the sum (mu*J), and the meta of the
+    pairs."""
+    scale = abs(mu)
     target1 = _first_target(side1.maxlen, side2.maxlen, scale)
     for step in range(64):
         # skip, unwalked, a step whose two covers are proved to pass the
-        # budget together; each walk refuses alone a cover it proves too large
+        # budget together; each walk refuses alone a cover it proves too
+        # large, and the second is not walked when the first refuses
         least = side1.walk.least(target1) * side2.walk.least(target1 / scale)
-        if least <= side1.budget and side1.walk.fits(target1) and side2.walk.fits(target1 / scale):
-            c1, c2 = side1.walk.cover(target1), side2.walk.cover(target1 / scale)
-            if len(c1) * len(c2) <= side1.budget:
-                break
+        a = side1.walk.cover(target1) if least <= side1.budget else None
+        t = None if a is None else side2.walk.cover(target1 / scale)
+        if t is not None and len(a[0]) * len(t[0]) <= side1.budget:
+            break
         target1 *= 2.0
     else:
         raise BudgetExceeded("could not balance covers within the pairwise budget")
-    t_lo, t_hi = c2[:, 2], c2[:, 3]
-    if op == "-":
-        x, y = -lam * t_lo, -lam * t_hi
-        t_lo, t_hi = np.minimum(x, y), np.maximum(x, y)
+    x, y = mu * t[0], mu * t[1]
     meta = {
-        "op": op,
-        "lam": lam,
-        "pairs": len(c1) * len(c2),
-        "counts": (len(c1), len(c2)),
+        "pairs": len(a[0]) * len(t[0]),
+        "counts": (len(a[0]), len(t[0])),
         "target_length": target1,
         "capped": step > 0,
         "pruned": 0,
     }
-    return (c1[:, 2], c1[:, 3]), (t_lo, t_hi), meta
+    return a, (np.minimum(x, y), np.maximum(x, y)), meta
 
 
 def _pair_sums(a: _Ends, t: _Ends) -> _Ends:
@@ -288,29 +285,25 @@ def _round_out(x: Exact, up: bool) -> float:
     return f
 
 
-def _hull_sum(
-    side1: _SetCovers, side2: _SetCovers, op: str, lam: float
-) -> tuple[np.ndarray, np.ndarray, dict] | None:
-    """Endpoints and meta of the depth-n outer sum (lam != 0) of a hull
-    pair the gap lemma closes, or None when it does not: H1 + H2 (H1 -
-    lam*H2), exact ends rounded outward, with no cover built.  The
-    precision floor, on the first cover's target t and the second's t /
-    scale as on the pair path, reads the seed lengths: the maximum lengths
-    on exact sets, and elsewhere lower bounds that walk for the maxima only
-    when they fall below it."""
-    scale = 1.0 if op == "+" else abs(lam)
+def _hull_sum(side1: _SetCovers, side2: _SetCovers, mu: float) -> tuple[np.ndarray, np.ndarray, dict] | None:
+    """Ends and meta of the depth-n outer sum of K1 + mu*K2 (mu != 0)
+    when the gap lemma closes its hull pair, or None when it does not:
+    the one interval H1 + mu*H2, exact ends rounded outward, with no cover
+    built.  The precision floor, on the first cover's target t and the
+    second's t / |mu| as on the pair path, reads the seed lengths: the
+    maximum lengths on exact sets, and elsewhere lower bounds that walk for
+    the maxima only when they fall below it."""
+    scale = abs(mu)
     if _hull_pair_refusal(side1.K, side2.K, scale) is not None:
         return None
     t = _first_target(side1.seed, side2.seed, scale)
     if min(t, t / scale) < EPS_LEN:
         t = _first_target(side1.maxlen, side2.maxlen, scale)
         _check_target_length(min(t, t / scale))
-    (a_lo, a_hi), (b_lo, b_hi) = side1.K._exact_hull, side2.K._exact_hull
-    if op == "-":
-        b_lo, b_hi = sorted((-Fraction(lam) * b_lo, -Fraction(lam) * b_hi))
+    (a_lo, a_hi), hull2 = side1.K._exact_hull, side2.K._exact_hull
+    b_lo, b_hi = sorted(Fraction(mu) * end for end in hull2)
     lo, hi = _round_out(a_lo + b_lo, up=False), _round_out(a_hi + b_hi, up=True)
-    meta = {"op": op, "lam": lam, "pairs": 0, "pruned": 1, "capped": False}
-    return np.array([lo]), np.array([hi]), meta
+    return np.array([lo]), np.array([hi]), {"pairs": 0, "pruned": 1, "capped": False}
 
 
 def cover_sum(
@@ -322,14 +315,14 @@ def cover_sum(
     *,
     pair_budget: int | None = None,
 ) -> IntervalUnion:
-    """Outer approximation of K1 + K2 (op '+') or K1 - lam*K2 (op '-').
+    """Outer approximation of K1 + mu*K2: mu = 1 (op '+'), -lam (op '-').
 
-    The merged union of all pairwise interval sums at granularity matched
-    to depth n, at most `pair_budget` of them (None means PAIR_BUDGET):
-    meta `pruned` 0, `pairs` their count.  When the gap lemma proves the
-    hull pair full (see the module docstring) it is the one interval
-    hull(K1) + lam*hull(K2) they merge into, found without building a
-    cover: `pruned` 1, `pairs` 0.  It contains the true arithmetic set and
+    The merged union of all pairwise interval sums I + mu*J at granularity
+    matched to depth n, at most `pair_budget` of them (None means
+    PAIR_BUDGET): meta `pruned` 0, `pairs` their count.  When the gap lemma
+    proves the hull pair full (see the module docstring) it is the one
+    interval hull(K1) + mu*hull(K2) they merge into, found without building
+    a cover: `pruned` 1, `pairs` 0.  It contains the true arithmetic set and
     shrinks monotonically as n grows.
     """
     if op not in ("+", "-"):
@@ -340,20 +333,19 @@ def cover_sum(
     if n < 0:
         raise ValidationError("depth must be >= 0")
     budget = PAIR_BUDGET if pair_budget is None else pair_budget
-    if op == "-" and lam == 0.0:
-        cover = refine(K1, n, budget=budget)
-        u = IntervalUnion(*merge_intervals(cover.los, cover.his))
-        u.meta.update({"op": op, "lam": lam, "pairs": u.n_components})
-        return u
+    mu = 1.0 if op == "+" else -lam
     sides = _pair_sides(K1, K2, n, budget)
-    closed = _hull_sum(*sides, op, lam)
-    if closed is None:
-        a, t, meta = _balanced_covers(*sides, op, lam)
-        lo, hi = _pair_sums(a, t)
-    else:
+    if mu == 0.0:  # K1 - 0*K2 is K1
+        cover = refine(K1, n, budget=budget)
+        lo, hi = merge_intervals(cover.los, cover.his)
+        meta = {"pairs": len(lo)}
+    elif (closed := _hull_sum(*sides, mu)) is not None:
         lo, hi, meta = closed
-    u = IntervalUnion(*_sweep(lo, hi))
-    u.meta.update(meta)
+    else:
+        a, t, meta = _balanced_covers(*sides, mu)
+        lo, hi = _sweep(*_pair_sums(a, t))
+    u = IntervalUnion(lo, hi)
+    u.meta.update({"op": op, "lam": lam}, **meta)
     return u
 
 
@@ -552,6 +544,8 @@ class ProjectionScan:
         like resolution**(1-d), so the slope estimates 1-d; slopes near 0
         indicate the projection fills a positive-measure set.
         """
+        if len(self.resolutions) < 2:
+            raise ValidationError("a slope needs at least two resolutions")
         logr = np.log(np.asarray(self.resolutions, dtype=float))
         out = np.empty(len(self.lambdas), dtype=float)
         for i in range(len(self.lambdas)):
@@ -601,14 +595,13 @@ def marstrand_scan(
     shifts, scratch = _dyadic_shifts(res), _Scratch()
     rows, capped_rows = [], 0
     for lam in lambdas:
-        closed = _hull_sum(*sides, "-", lam)
+        closed = _hull_sum(*sides, -lam)
         if closed is None:
-            a, t, meta = _balanced_covers(*sides, "-", lam)
+            a, t, meta = _balanced_covers(*sides, -lam)
             capped_rows += meta["capped"]
             rows.append(_scan_row(a, t, res, shifts, scratch))
         else:
-            u = IntervalUnion(*_sweep(*closed[:2]))
-            rows.append([covered_length(u, r) for r in res])
+            rows.append([_grid_cells(*closed[:2], r) * r for r in res])
     table = np.array(rows, dtype=float)
     return ProjectionScan(
         lambdas=tuple(lambdas),

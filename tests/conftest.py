@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cantorlab import Interval, get_set
@@ -38,6 +39,14 @@ def exact_intervals(cover) -> list[Interval]:
     if cover._leaves.nums is None:
         return list(map(Interval, cover.los.tolist(), cover.his.tolist()))
     return [Interval(Fraction(a, d), Fraction(b, d)) for a, b, d in zip(*cover._leaves.nums)]
+
+
+def held_rows(walk, target):
+    """Columns (length, parent's length, lo, hi) of the rows of a length
+    walk's length-target cover, sorted by lo: what `cover` hands out, with
+    the lengths it leaves behind."""
+    rows = walk.rows()[walk._held(target)]
+    return rows[np.argsort(rows[:, 2], kind="stable")].T
 
 
 def itineraries(K, cover) -> list[tuple[int, ...]]:

@@ -39,7 +39,7 @@ from cantorlab import (
 )
 from cantorlab import cantor_core, errors
 from cantorlab.cantor_core import _LengthWalk, maxlen_at_depth
-from conftest import exact_intervals, itineraries
+from conftest import exact_intervals, held_rows, itineraries
 
 F = Fraction
 
@@ -277,7 +277,7 @@ def test_a_slowly_contracting_set_is_covered_to_its_target():
     K = _chain()
     cover = refine_to_length(K, 1e-3)
     assert cover.lengths.max() <= 1e-3 and cover.depth == 159
-    assert len(cover) == 2850 == len(_LengthWalk(K, 2_000_000).cover(1e-3))
+    assert len(cover) == 2850 == len(_LengthWalk(K, 2_000_000).cover(1e-3)[0])
     # a cover too large for the budget is refused, however deep it is
     with pytest.raises(BudgetExceeded):
         refine_to_length(K, 1e-3, budget=2849)
@@ -310,13 +310,14 @@ def test_one_length_walk_answers_every_target(name):
     lengths = _lengths_by_address(K, max(refine_to_length(K, min(targets)).depth - 1, 0))
 
     def assert_answers(target):
-        # the rows are refine_to_length's intervals, and each row's parent
+        # the cover is refine_to_length's intervals, and each row's parent
         # is the cylinder its address names (a root's parent is inf long)
-        rows, cover = walk.cover(target), refine_to_length(K, target)
-        assert rows[:, 2].tolist() == cover.los.tolist()
-        assert rows[:, 3].tolist() == cover.his.tolist()
-        assert rows[:, 1].tolist() == [lengths.get(addr[:-1], math.inf) for addr in itineraries(K, cover)]
-        assert rows[:, 0].max() <= target
+        (lo, hi), cover = walk.cover(target), refine_to_length(K, target)
+        length, parent, _, _ = held_rows(walk, target)
+        assert lo.tolist() == cover.los.tolist()
+        assert hi.tolist() == cover.his.tolist()
+        assert parent.tolist() == [lengths.get(addr[:-1], math.inf) for addr in itineraries(K, cover)]
+        assert length.max() <= target
 
     walk = _LengthWalk(K, 2_000_000)
     for target in targets:
@@ -329,8 +330,7 @@ def test_one_length_walk_answers_every_target(name):
         walk = _LengthWalk(K, budget)
         for target in targets + sorted(targets):
             if sizes[target] > budget:
-                with pytest.raises(BudgetExceeded):
-                    walk.cover(target)
+                assert walk.cover(target) is None
                 with pytest.raises(BudgetExceeded):
                     refine_to_length(K, target, budget=budget)
             else:
@@ -484,7 +484,7 @@ def test_a_budget_is_refused_before_the_walk(monkeypatch):
     for K in [random_affine_set(rng) for _ in range(30)] + [get_set("thin")]:
         walk = _LengthWalk(K, 2_000_000)
         for target in (0.2, 0.05, 1e-2, 3e-3, 1e-3):
-            assert walk.least(target) <= len(walk.cover(target)) == len(refine_to_length(K, target))
+            assert walk.least(target) <= len(walk.cover(target)[0]) == len(refine_to_length(K, target))
         # the bound is the count at the first depth whose least length
         # rounds to the target or below, capped at budget + 1
         d0 = next(d for d in range(100) if float(K._tables.sizes(d)[1]) <= 1e-9)

@@ -413,6 +413,14 @@ class TestExitCodes:
         assert rec is None
         assert "resolution" in err
 
+    def test_a_scan_of_one_resolution_exits_invalid(self, capsys):
+        # one resolution gave a median_slope from a one-point line fit
+        argv = ["marstrand", "--n-lambdas", "3", "--depth", "4", "--res-exp-lo", "8", "--res-exp-hi", "8"]
+        code, rec, _, err = run_cli(argv, capsys)
+        assert code == EXIT_INVALID
+        assert rec is None
+        assert "res_exp_hi" in err
+
     def test_jobs_is_neither_a_flag_nor_a_config_key(self, capsys, tmp_path):
         for command in ("thickness", "marstrand"):
             code, _, _, err = run_cli([command, "--jobs", "2"], capsys)
@@ -544,6 +552,19 @@ class TestMalformedFiles:
         assert code == EXIT_OK
         doc = json.loads(path.read_text())
         doc["grid"]["hs"] = 10**400
+        path.write_text(json.dumps(doc))
+        code, rec, _, _ = run_cli(["recur", "--verify", str(path)], capsys)
+        assert code == EXIT_OK
+        assert rec["outputs"]["verified"] is False
+        assert rec["outputs"]["reason"].startswith("malformed certificate")
+
+    def test_certificate_with_overlapping_pieces_is_reported_malformed(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        code, _, _, _ = run_cli(["recur", "--set1", "middle-fifth", "--set2", "middle-fifth",
+                                 "--cert-out", str(path)], capsys)
+        assert code == EXIT_OK
+        doc = json.loads(path.read_text())
+        doc["sets"]["first"]["pieces"] = [["0", "7/10"], ["3/5", "1"]]
         path.write_text(json.dumps(doc))
         code, rec, _, _ = run_cli(["recur", "--verify", str(path)], capsys)
         assert code == EXIT_OK

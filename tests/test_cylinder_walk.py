@@ -18,7 +18,7 @@ import pytest
 from cantorlab import build_affine, builtin_names, contains, get_set, perturb_set, refine, refine_to_length
 from cantorlab.cantor_core import _LengthWalk, maxlen_at_depth
 from cantorlab.errors import BudgetExceeded
-from conftest import exact_intervals
+from conftest import exact_intervals, held_rows
 
 MAX_COVER = 5000  # largest reference cover built per check
 DEPTHS = range(0, 11)
@@ -125,10 +125,12 @@ def test_a_length_target_fits_exactly_when_its_reference_cover_does(name):
             ref = leaves[t]
             assert walk.fits(t) == (len(ref) <= budget), (name, t, budget)
             if len(ref) <= budget:
-                rows = walk.cover(t)
-                assert rows[:, 2].tolist() == [float(iv.lo) for iv, _ in ref]
-                assert rows[:, 3].tolist() == [float(iv.hi) for iv, _ in ref]
-                assert rows[:, 0].tolist() == [float(iv.length) for iv, _ in ref]
+                lo, hi = walk.cover(t)
+                assert lo.tolist() == [float(iv.lo) for iv, _ in ref]
+                assert hi.tolist() == [float(iv.hi) for iv, _ in ref]
+                assert held_rows(walk, t)[0].tolist() == [float(iv.length) for iv, _ in ref]
+            else:
+                assert walk.cover(t) is None
 
 
 def test_maxlen_at_depth_is_the_cover_maximum():

@@ -651,6 +651,28 @@ def test_certificate_fields_out_of_range_are_malformed(middle_fifth, field, valu
     assert message.startswith("malformed certificate")
 
 
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        pytest.param(lambda sets: sets["first"].update(pieces=[["0", "7/10"], ["3/5", "1"]]), id="overlapping"),
+        pytest.param(lambda sets: sets["first"]["pieces"][0].__setitem__(1, "abc"), id="piece-end"),
+        pytest.param(lambda sets: sets.update(second=5), id="set"),
+    ],
+)
+def test_a_malformed_embedded_set_is_a_malformed_certificate(middle_fifth, mutate):
+    # the set's own ValidationError (OverlappingPieces for the first) ended
+    # the verifier, where a malformed grid already read False
+    out = recurrent_compact_search(middle_fifth, middle_fifth, SEARCH_BOX, SEARCH_GRID, margin=1)
+    doc = region_to_json(out.region, middle_fifth, middle_fifth)
+    mutate(doc["sets"])
+    with pytest.raises(ValidationError):
+        for side in ("first", "second"):
+            set_from_json(doc["sets"][side])
+    ok, message = verify_certificate(doc)
+    assert not ok
+    assert message.startswith("malformed certificate")
+
+
 # ---------------------------------------------------------------------------
 # perturbation stability of fat intersections
 

@@ -178,7 +178,7 @@ def test_a_union_refuses_a_nan_end(los, his):
 def test_cover_sum_is_the_argsort_merge_of_its_pair_sums(names, n, lam):
     K1, K2 = get_set(names[0]), get_set(names[1])
     sides = setops._pair_sides(K1, K2, n, setops.PAIR_BUDGET)
-    a, t, meta = setops._balanced_covers(*sides, "-", lam)
+    a, t, meta = setops._balanced_covers(*sides, -lam)
     u = cover_sum(K1, K2, n, "-", lam)
     assert u.meta["pruned"] == 0 and u.meta["pairs"] == meta["pairs"]
     sums = (a[0][:, None] + t[0]).ravel(), (a[1][:, None] + t[1]).ravel()
@@ -416,6 +416,17 @@ def test_projection_scan_thin_product_decays(thin_pair_set):
     assert scan.median_slope() == pytest.approx(float(np.median(scan.slopes())))
 
 
+def test_a_projection_scan_slope_needs_two_resolutions(ternary):
+    # one resolution left np.polyfit a one-point line, a RankWarning and a
+    # slope that means nothing
+    scan = marstrand_scan(ternary, ternary, [0.5, 1.3, 2.1], 4, [2.0**-8])
+    assert scan.table.shape == (3, 1)
+    with pytest.raises(ValidationError):
+        scan.slopes()
+    with pytest.raises(ValidationError):
+        scan.median_slope()
+
+
 def test_projection_scan_validates_inputs(ternary):
     with pytest.raises(ValidationError):
         marstrand_scan(ternary, ternary, [], 4)
@@ -519,16 +530,16 @@ def test_projection_scan_rows_match_direct_cover_sum(names, monkeypatch):
         paths[name] = list(events)
     monkeypatch.undo()
     # rows in order: a row the gap lemma closes is its one hull interval,
-    # which meets more than one cell of every finest grid here, so every
-    # ladder merges it; an open row merges its pairs once, or counts its
-    # cells with two bincounts over a grid of at most one cell per pair,
-    # plus one end slot, from at most one cell range per pair
+    # counted with no merge and no bincount on every ladder; an open row
+    # merges its pairs once, or counts its cells with two bincounts over a
+    # grid of at most one cell per pair, plus one end slot, from at most
+    # one cell range per pair
     for name, path in paths.items():
         merged = 0
         for u in unions:
             pairs = u.meta["pairs"]
             if u.meta["pruned"]:
-                assert path.pop(0) == ("merge", 1)
+                continue
             elif path[0][0] == "merge":
                 assert path.pop(0) == ("merge", pairs)
                 merged += 1
@@ -617,7 +628,7 @@ def test_a_thin_scan_row_evaluates_few_of_its_pairs(monkeypatch):
         K = get_set(name)
         sides = setops._pair_sides(K, K, 8, setops.SCAN_PAIR_BUDGET)
         for lam in lambdas:
-            a, t, meta = setops._balanced_covers(*sides, "-", lam)
+            a, t, meta = setops._balanced_covers(*sides, -lam)
             floored.clear()
             monkeypatch.setattr(np, "floor", counting_floor)
             setops._pair_cells(a, t, r, setops._Scratch())
@@ -649,6 +660,32 @@ def test_projection_scan_builds_each_cover_once(monkeypatch):
     # a node split twice would leave its children's rows twice
     rows = length_walks[0].rows()
     assert len(rows) > 2 and len(np.unique(rows, axis=0)) == len(rows)
+
+
+def test_the_second_set_is_not_walked_at_a_target_the_first_refuses(monkeypatch):
+    # a float first set proves no cover too large, so its walk is asked
+    # the first target and refuses it (its depth-10 cover passes 900
+    # intervals); the second walk is not asked that target's partner
+    log = []
+
+    class RecordingWalk(_LengthWalk):
+        def fits(self, target):
+            fits = super().fits(target)
+            log.append((self.K, target, fits))
+            return fits
+
+    monkeypatch.setattr(setops, "_LengthWalk", RecordingWalk)
+    K1 = perturb_set(get_set("ternary"), 0.01, np.random.default_rng(5))
+    K2 = get_set("middle-fifth")
+    u = cover_sum(K1, K2, 10, "-", 0.1, pair_budget=900)
+    assert u.meta["capped"] and u.meta["pairs"] <= 900
+    refused = [i for i, (K, _, fits) in enumerate(log) if K is K1 and not fits]
+    asked = [i for i, (K, _, _) in enumerate(log) if K is K2]
+    assert refused == [0] and asked
+    # the second walk, which splits only when asked, is first asked after
+    # the refusal, and never at the refused target's partner
+    assert min(asked) > max(refused)
+    assert all(log[i][1] != log[j][1] / 0.1 for i in asked for j in refused)
 
 
 # ---------------------------------------------------------------------------
@@ -771,9 +808,10 @@ def _assert_same_union(u, v):
 def _outer_sum(K1, K2, n, op, lam, budget=setops.PAIR_BUDGET):
     """The union of every pair sum, merged, whether or not the gap lemma
     closes the hull pair."""
-    a, t, meta = setops._balanced_covers(*setops._pair_sides(K1, K2, n, budget), op, lam)
+    mu = 1.0 if op == "+" else -lam
+    a, t, meta = setops._balanced_covers(*setops._pair_sides(K1, K2, n, budget), mu)
     u = setops.IntervalUnion(*merge_intervals(*setops._pair_sums(a, t)))
-    u.meta.update(meta)
+    u.meta.update({"op": op, "lam": lam}, **meta)
     return u
 
 
@@ -809,6 +847,27 @@ def test_pruned_sums_match_the_outer_sum():
     # both paths run: the gap lemma closes ternary/middle-fifth and
     # gauss4/gauss4 at balanced lam, and no gauss3/gauss4 pair
     assert len(cases) // 4 < pruned < len(cases)
+
+
+@pytest.mark.parametrize(
+    "name, n, pruned",
+    [("ternary", 8, 1), ("middle-fifth", 8, 1), ("gauss4", 6, 1),
+     ("thin", 6, 0), ("gauss2", 5, 0), ("perturbed-ternary", 6, 0)],
+)
+def test_a_sum_is_the_difference_at_lambda_minus_one(name, n, pruned):
+    # K1 + mu*K2 is one object: the sum is mu = 1, the difference at lam
+    # mu = -lam, so '+' and '-' at lam = -1 give the same union, float for
+    # float, on closed hull pairs and on summed pairs alike
+    if name == "perturbed-ternary":
+        K = perturb_set(get_set("ternary"), 0.01, np.random.default_rng(11))
+        assert not K.exact
+    else:
+        K = get_set(name)
+    u, v = cover_sum(K, K, n, "+"), cover_sum(K, K, n, "-", -1.0)
+    assert u.meta["pruned"] == pruned
+    assert u.los.tobytes() == v.los.tobytes() and u.his.tobytes() == v.his.tobytes()
+    assert (u.meta.pop("op"), u.meta.pop("lam"), v.meta.pop("op"), v.meta.pop("lam")) == ("+", 1.0, "-", -1.0)
+    assert u.meta == v.meta
 
 
 def test_a_root_closed_sum_builds_no_cover(monkeypatch):
